@@ -3,8 +3,9 @@
 Numerical analysis of when a warden watching part of the channel
 environment can be kept blind: per-scenario feasibility verdicts, exact
 and asymptotic divergence moments, finite-blocklength message-size and
-covert-rate bounds, and an exact small-n detection simulator.  The
-``qcovert`` command-line tool wraps the sweeps into CSV/JSON tables.
+covert-rate bounds, and an exact detection simulator whose cost grows
+polynomially in the blocklength.  The ``qcovert`` command-line tool wraps
+the sweeps into CSV/JSON tables.
 """
 
 from .channels import (
@@ -59,6 +60,7 @@ from .linalg import (
     partial_trace,
     projector,
     pure_state,
+    symmetric_power,
     tensor,
     tensor_power,
     trace_distance,

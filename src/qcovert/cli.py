@@ -6,7 +6,7 @@ bound-curve   capacity lower bound versus noise q
 approx-check  exact vs leading-order divergence moments over an alpha grid
 rate-table    finite-blocklength covert rates under the schedule
 scenario      feasibility report per warden scenario (JSON only)
-detect-sim    exact small-n warden detection simulation
+detect-sim    exact warden detection simulation, n <= 100 (5 for scenario 1)
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -36,8 +36,15 @@ from .covert import (
 from .detection import warden_error
 
 
+MAX_GRID_POINTS = 10_000
+
+
 def parse_grid(text: str) -> list[float]:
-    """Parse a grid spec: either 'a:b:step' or a comma-separated list."""
+    """Parse a grid spec: either 'a:b:step' or a comma-separated list.
+
+    A range has at most MAX_GRID_POINTS entries; its length is checked
+    before any list is built.
+    """
     text = text.strip()
     if not text:
         raise ValueError("empty grid")
@@ -46,19 +53,15 @@ def parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid {text!r} is not of the form a:b:step")
         a, b, step = (float(p) for p in parts)
-        if not (step > 0.0) or math.isnan(a) or math.isnan(b):
-            raise ValueError(f"grid {text!r} needs a positive step and finite ends")
-        values = []
-        k = 0
-        while True:
-            v = a + k * step
-            if v > b + step * 1e-9:
-                break
-            values.append(v)
-            k += 1
-        if not values:
+        if not (step > 0.0) or not all(map(math.isfinite, (a, b, step))):
+            raise ValueError(f"grid {text!r} needs a finite positive step and finite ends")
+        # The upper end is inclusive up to a slack of 1e-9 steps.
+        span = (b - a) / step + 1e-9
+        if span >= MAX_GRID_POINTS:
+            raise ValueError(f"grid {text!r} has more than {MAX_GRID_POINTS} entries")
+        if span < 0.0:
             raise ValueError(f"grid {text!r} is empty")
-        return values
+        return [a + k * step for k in range(math.floor(span) + 1)]
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {text!r} is empty")
@@ -255,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one scenario (default: all three)")
 
     p = add("detect-sim", cmd_detect_sim,
-            help="exact small-n warden detection simulation")
+            help="exact warden detection simulation, n <= 100 (5 for scenario 1)")
     p.add_argument("--n-grid", default="1,2,3,4,5,6,7,8")
     p.add_argument("--q", type=float, default=0.5)
     p.add_argument("--scenario", type=int, choices=(1, 2, 3), default=3)

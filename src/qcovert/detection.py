@@ -1,12 +1,22 @@
-"""Exact small-blocklength simulation of the warden's optimal test.
+"""Exact simulation of the warden's optimal test over n channel uses.
 
 The warden performs a binary hypothesis test between the n-fold innocent
 output and the n-fold response to input weight alpha, at equal priors.
 The optimal error probability is (1 - T)/2 with T the trace distance of
 the two n-copy states, and it can never drop below the Pinsker floor
-(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D.  Everything
-here is exact eigenvalue arithmetic on the full 2^n-scale matrices, so
-blocklengths are capped at desk scale.
+(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D.
+
+T is computed exactly without any 2^n-dimensional matrix.  By Schur-Weyl
+duality the n-fold power of a qubit operator A splits over the spin
+irreps j = n/2, n/2 - 1, ...: the block of spin j is
+det(A)^(n/2-j) Sym^(2j)(A), of dimension 2j + 1, repeated
+C(n, n/2-j) - C(n, n/2-j-1) times.  Both hypotheses share this block
+structure, so the trace norm of their difference is the multiplicity-
+weighted sum of the blockwise trace norms.  The 4x4 ALL_ENV marginals
+are block diagonal in the E2 register (E2 records whether B was flipped
+by X or Y, a classical bit for diagonal inputs), so their n-fold power
+splits into sectors with k copies in the E2 = 1 block, C(n, k) of each,
+and every sector is a Kronecker product of two qubit Schur-Weyl blocks.
 """
 
 from __future__ import annotations
@@ -19,12 +29,18 @@ import numpy as np
 from .channels import ChannelSpec, Scenario, basis_marginal_pair
 from .covert import ScheduleParams
 from .divergences import relative_entropy
-from .linalg import tensor_power, trace_distance
+from .linalg import symmetric_power
 
 LN2 = math.log(2.0)
 
-# Caps keep the n-copy dimension within the linear-algebra limit 2^12.
-MAX_USES = 10
+# Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
+# (n+1) x (n+1) and a call costs O(n^4) flops, about 0.1 s at the cap on a
+# 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
+MAX_USES = 100
+# ALL_ENV: the support escape makes the warden's error collapse within a
+# few uses, so five show it.  Past that the cost rises steeply: the sector
+# blocks grow to (n/2 + 1)^2 dimensions and their count like n^3/24 (about
+# 2 s at n = 30 on the same host).
 MAX_USES_ALLENV = 5
 
 
@@ -47,12 +63,55 @@ def pinsker_floor(div_total_bits: float) -> float:
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
 
 
+def _qubit_power_blocks(a: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """Spin blocks det(a)^r Sym^(n-2r)(a), r = 0..n//2, with multiplicities."""
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return [
+        (math.comb(n, r) - (math.comb(n, r - 1) if r else 0),
+         det**r * symmetric_power(a, n - 2 * r))
+        for r in range(n // 2 + 1)
+    ]
+
+
+def _e2_sectors(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E2 = 0 and E2 = 1 blocks of a 4x4 marginal on E1 (x) E2 (index 2*E1 + E2).
+
+    Raises ArithmeticError unless every entry between the two blocks is
+    exactly zero, since the sector split is exact only then.
+    """
+    if np.any(omega[0::2, 1::2]) or np.any(omega[1::2, 0::2]):
+        raise ArithmeticError("warden marginal is not block diagonal in E2")
+    return omega[0::2, 0::2], omega[1::2, 1::2]
+
+
+def _power_blocks(omega: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """Block-diagonal form of omega^{(x)n} as (multiplicity, block) pairs.
+
+    omega is a 2x2 qubit marginal or a 4x4 ALL_ENV marginal.  The blocks
+    come in an order fixed by n and omega's shape alone, so the lists of
+    two states of the same shape pair up block by block.  Summing
+    multiplicity * dimension gives omega's dimension to the n.
+    """
+    if omega.shape == (2, 2):
+        return _qubit_power_blocks(omega, n)
+    zero, one = _e2_sectors(omega)
+    blocks = []
+    for k in range(n + 1):
+        inner = _qubit_power_blocks(one, k)
+        for m0, b0 in _qubit_power_blocks(zero, n - k):
+            blocks.extend(
+                (math.comb(n, k) * m0 * m1, np.kron(b0, b1)) for m1, b1 in inner
+            )
+    return blocks
+
+
 def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
     """Exact warden error probability for n channel uses at weight alpha.
 
-    Builds both n-copy hypothesis states, takes their trace distance,
-    and reports E = (1 - T)/2 together with the divergence budget
-    n * D(omega_alpha || omega_0) and its Pinsker floor.
+    Takes the trace distance T of the two n-copy hypothesis states block
+    by block (see the module docstring) and reports E = (1 - T)/2
+    together with the divergence budget n * D(omega_alpha || omega_0) and
+    its Pinsker floor.
     """
     cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
     if n < 1 or n != int(n):
@@ -64,10 +123,20 @@ def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
 
     omega_0, omega_1 = basis_marginal_pair(spec)
     # Channel linearity: the response to diag(1-alpha, alpha) is the
-    # alpha-mixture of the basis responses.  alpha=0 short-circuits to
-    # omega_0 itself so the null-control rows come out exactly zero.
-    omega_alpha = omega_0 if alpha == 0.0 else (1.0 - alpha) * omega_0 + alpha * omega_1
-    dist = trace_distance(tensor_power(omega_alpha, n), tensor_power(omega_0, n))
+    # alpha-mixture of the basis responses.  alpha = 0 and omega_1 ==
+    # omega_0 (E2_ONLY) short-circuit to omega_0 itself, because the
+    # rounded mixture need not equal omega_0; those rows come out exactly
+    # zero.
+    if alpha == 0.0 or np.array_equal(omega_0, omega_1):
+        omega_alpha = omega_0
+    else:
+        omega_alpha = (1.0 - alpha) * omega_0 + alpha * omega_1
+    dist = 0.5 * sum(
+        mult * float(np.sum(np.abs(np.linalg.eigvalsh(block_a - block_0))))
+        for (mult, block_a), (_, block_0) in zip(
+            _power_blocks(omega_alpha, n), _power_blocks(omega_0, n)
+        )
+    )
     div_single = relative_entropy(omega_alpha, omega_0)
     div_total = n * div_single
     return DetectionResult(

@@ -1,10 +1,11 @@
 """Dense complex Hermitian linear algebra on small dimensions.
 
 Every other module runs through the handful of primitives here: validated
-operator construction, Kronecker products, partial traces, a Hermitian
-eigensolver with a deterministic ordering convention, operator logarithms
-in base 2, and the trace distance.  Dimensions are capped at 2**12 so
-tensor powers stay comfortably in memory.
+operator construction, Kronecker products, symmetric powers of 2x2
+matrices, partial traces, a Hermitian eigensolver with a deterministic
+ordering convention, operator logarithms in base 2, and the trace
+distance.  Dimensions are capped at 2**12 so tensor powers stay
+comfortably in memory.
 
 All functions are pure: inputs are never mutated and outputs are fresh
 arrays, so values are safe to share between threads.
@@ -119,6 +120,33 @@ def tensor_power(op, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = tensor(out, op)
     return out
+
+
+def symmetric_power(a, k: int) -> np.ndarray:
+    """k-th symmetric power Sym^k(A) of a 2x2 matrix, in the Dicke basis.
+
+    Sym^k(A) is A^{(x)k} restricted to the symmetric subspace of k qubits,
+    whose orthonormal Dicke basis vector m (0 <= m <= k) is the uniform
+    superposition of the C(k, m) strings with m ones.  The map is a
+    representation: Sym^k(AB) = Sym^k(A) Sym^k(B), Sym^k(I) = I,
+    Sym^1(A) = A, and Sym^0(A) = [[1]].  Cost O(k^3) with no k-qubit matrix.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    if k < 0 or k != int(k):
+        raise ValueError(f"power {k!r} must be a nonnegative integer")
+    # On the monomial basis x^(k-m) y^m, A sends x -> a00 x + a10 y and
+    # y -> a01 x + a11 y, so column m holds the coefficients in t of
+    # (a00 + a10 t)^(k-m) (a01 + a11 t)^m.
+    u_pow, v_pow = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
+    for _ in range(k):
+        u_pow.append(np.convolve(u_pow[-1], a[:, 0]))
+        v_pow.append(np.convolve(v_pow[-1], a[:, 1]))
+    mono = np.column_stack([np.convolve(u_pow[k - m], v_pow[m]) for m in range(k + 1)])
+    # Dicke vector m is sqrt(C(k, m)) times the monomial's symmetric tensor.
+    root = np.sqrt([float(math.comb(k, m)) for m in range(k + 1)])
+    return mono * (root[np.newaxis, :] / root[:, np.newaxis])
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

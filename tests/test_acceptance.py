@@ -14,9 +14,11 @@ predicted (B/A)/ln(1e6) = 0.1385.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,6 +365,10 @@ def test_criterion_11_cli_determinism(tmp_path):
         ["scenario"],
         ["detect-sim", "--n-grid", "1,2,3,4"],
     ]
+    # The subprocesses import the same qcovert as this test, installed or not.
+    src = str(Path(qc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     identical = True
     for idx, argv in enumerate(commands):
         outputs = []
@@ -372,6 +378,7 @@ def test_criterion_11_cli_determinism(tmp_path):
                 [sys.executable, "-m", "qcovert.cli", *argv, "--out", str(path)],
                 capture_output=True,
                 text=True,
+                env=env,
             )
             assert run.returncode == 0, run.stderr
             outputs.append(path.read_bytes())

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import pytest
 
@@ -26,10 +27,23 @@ def test_parse_grid_comma_and_single():
     assert cli.parse_grid("0.5") == [0.5]
 
 
-@pytest.mark.parametrize("bad", ["", "1:2", "0:1:0", "0:1:-0.1", ","])
+@pytest.mark.parametrize(
+    "bad", ["", "1:2", "0:1:0", "0:1:-0.1", ",", "0:1:inf", "0:inf:1", "0:10000:1"]
+)
 def test_parse_grid_rejections(bad):
     with pytest.raises(ValueError):
         cli.parse_grid(bad)
+
+
+def test_parse_grid_length_cap():
+    assert len(cli.parse_grid(f"1:{cli.MAX_GRID_POINTS}:1")) == cli.MAX_GRID_POINTS
+
+
+def test_oversized_grid_exits_two_at_once(capsys):
+    start = time.perf_counter()
+    assert cli.main(["bound-curve", "--q-grid", "0:1e9:1e-9"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "entries" in capsys.readouterr().err
 
 
 def test_parse_int_grid():
@@ -137,6 +151,18 @@ def test_detect_sim_schedule_and_fixed_alpha(tmp_path):
     null, active = doc["rows"]
     assert null["E_n"] == 0.5  # exact null control
     assert active["E_n"] < 0.5
+
+
+def test_detect_sim_trivial_scenario_is_blind(tmp_path):
+    code, path = run(
+        ["detect-sim", "--scenario", "2", "--q", "0.4", "--n-grid", "1",
+         "--alpha-grid", "0.3", "--format", "json"],
+        tmp_path,
+    )
+    assert code == 0
+    (row,) = json.loads(path.read_text())["rows"]
+    assert row["E_n"] == 0.5
+    assert row["div_total"] == 0.0
 
 
 def test_stdout_output(capsys):

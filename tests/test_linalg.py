@@ -14,6 +14,7 @@ from qcovert.linalg import (
     partial_trace,
     projector,
     pure_state,
+    symmetric_power,
     tensor,
     tensor_power,
     trace_distance,
@@ -94,6 +95,45 @@ def test_tensor_power():
     assert tensor_power(rho, 3).shape == (8, 8)
     with pytest.raises(ValueError):
         tensor_power(rho, 0)
+
+
+def random_unitary(rng):
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    return np.linalg.qr(g)[0]
+
+
+def test_symmetric_power_is_a_representation():
+    rng = np.random.default_rng(11)
+    for k in (0, 1, 2, 5, 12, 40):
+        # products of unitaries and states keep every Sym^k entry of order 1
+        a, b = random_unitary(rng), random_density(rng, 2)
+        np.testing.assert_allclose(
+            symmetric_power(a @ b, k), symmetric_power(a, k) @ symmetric_power(b, k),
+            rtol=0.0, atol=1e-12,
+        )
+        np.testing.assert_array_equal(symmetric_power(np.eye(2), k), np.eye(k + 1))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    np.testing.assert_array_equal(symmetric_power(a, 1), a)
+    np.testing.assert_array_equal(symmetric_power(a, 0), [[1.0]])
+
+
+def test_symmetric_power_is_the_symmetric_block_of_the_tensor_power():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for k in (2, 3, 6):
+        # column m of dicke is the normalized Dicke state with m ones
+        ones = np.array([bin(i).count("1") for i in range(2**k)])
+        dicke = (ones[:, None] == np.arange(k + 1)) / np.sqrt(
+            [math.comb(k, m) for m in range(k + 1)]
+        )
+        np.testing.assert_allclose(
+            symmetric_power(a, k), dicke.T @ tensor_power(a, k) @ dicke,
+            rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2) ** k,
+        )
+    with pytest.raises(ValueError):
+        symmetric_power(np.eye(3), 2)
+    with pytest.raises(ValueError):
+        symmetric_power(a, -1)
 
 
 def test_partial_trace_of_product_state():
