@@ -41,14 +41,17 @@ from .covert import (
     finite_rate_convergence,
     inverse_normal_cdf,
     joint_output_closed_form,
+    leading_moments,
     product_of_marginals,
     rate_limit,
     rate_report,
+    rate_reports,
+    willie_divergence,
     willie_divergence_total,
     willie_eta,
 )
 from .detection import DetectionResult, covertness_sweep, pinsker_floor, warden_error
-from .divergences import DvqTriple, eta, moments, relative_entropy
+from .divergences import DvqTriple, relative_entropy
 from .linalg import (
     DIM_CAP,
     SpectralDecomposition,

@@ -17,7 +17,8 @@ from enum import IntEnum
 import numpy as np
 
 from .linalg import (
-    SUPPORT_RTOL,
+    _support_floor,
+    _support_mask,
     density_operator,
     eig_hermitian,
     partial_trace,
@@ -250,14 +251,13 @@ def scenario_support_report(spec: ChannelSpec) -> SupportReport:
     """
     omega_0, omega_1 = basis_marginal_pair(spec)
     w, v = eig_hermitian(omega_0)
-    lam_max = max(float(w[0]), 0.0)
-    kernel = v[:, w <= SUPPORT_RTOL * lam_max]
+    kernel = v[:, ~_support_mask(w)]
     if kernel.shape[1] == 0:
         overlap = 0.0
     else:
         compressed = kernel.conj().T @ omega_1 @ kernel
         overlap = float(np.max(np.abs(np.linalg.eigvalsh(compressed))))
-    contained = overlap <= SUPPORT_RTOL * lam_max
+    contained = overlap <= _support_floor(w)
     dist = trace_distance(omega_0, omega_1)
     det0 = float(np.linalg.det(omega_0).real)
     det1 = float(np.linalg.det(omega_1).real)

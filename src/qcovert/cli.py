@@ -27,10 +27,9 @@ from .channels import ChannelSpec, Scenario, scenario_support_report
 from .covert import (
     ScheduleParams,
     capacity_lower_bound,
-    dvq_asymptotic,
     dvq_exact,
-    rate_limit,
-    rate_report,
+    leading_moments,
+    rate_reports,
     willie_eta,
 )
 from .detection import warden_error
@@ -132,12 +131,11 @@ def cmd_approx_check(args):
         "Q_exact", "ratio_D", "ratio_V",
     ]
     rows = []
-    for a in alpha_grid:
+    for a, lead in zip(alpha_grid, leading_moments(alpha_grid, q)):
         if a == 0.0:
             rows.append([a, q] + [0.0] * 7)
             continue
         exact = dvq_exact(a, q)
-        lead = dvq_asymptotic(a, q)
         rows.append(
             [a, q, exact.d, lead.d, exact.v, lead.v, exact.q4,
              exact.d / lead.d, exact.v / lead.v]
@@ -160,14 +158,11 @@ def cmd_rate_table(args):
         "n", "nu", "q", "alpha_n", "logM_lemma1", "logM_lemma2",
         "div_total", "L_n", "L_limit",
     ]
-    limit = rate_limit(args.nu, args.q)
-    rows = []
-    for n in n_grid:
-        rep = rate_report(ScheduleParams(n, args.nu), args.q, args.eps)
-        rows.append(
-            [n, rep.nu, rep.q, rep.alpha_n, rep.logM_finite, rep.logM_asymptotic,
-             rep.willie_div_total, rep.covert_rate_L, limit]
-        )
+    rows = [
+        [rep.n, rep.nu, rep.q, rep.alpha_n, rep.logM_finite, rep.logM_asymptotic,
+         rep.willie_div_total, rep.covert_rate_L, rep.covert_rate_limit]
+        for rep in rate_reports(n_grid, args.nu, args.q, args.eps)
+    ]
     return config, columns, rows
 
 

@@ -9,19 +9,27 @@ blocklength schedule, and the covert rate with its capacity lower bound.
 Message sizes are in bits (all logs base 2).  The natural rate unit is
 log M / (log2(n) sqrt(n * divergence)), which stays finite when the
 message size grows like sqrt(n) log n.
+
+The moments D, V, Q, the warden's single-use divergence and its
+curvature eta are scalar closed forms in plain ``math``: no matrix, no
+eigensolver, each written so that no subtraction cancels.  A closed-form
+value that is not a positive normal float (inputs near the float
+underflow) raises ArithmeticError instead of being returned.  The grid
+forms ``rate_reports`` and ``leading_moments`` compute their per-q
+constants once.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelSpec, Scenario, basis_marginal_pair, e1only_marginal
-from .divergences import DvqTriple, eta, moments, relative_entropy
+from .divergences import DvqTriple
 from .linalg import SpectralDecomposition, order_eigensystem, pure_state
 
 # Berry-Esseen constant: the true value is only known to sit in
@@ -30,11 +38,22 @@ BERRY_ESSEEN = 0.4784
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _NORMAL = statistics.NormalDist()
+LN2 = math.log(2.0)
+# Smallest positive normal float.  A closed-form quantity below it has lost
+# relative precision (or underflowed to zero), so the computation refuses.
+_TINY = sys.float_info.min
 
 
 def _check_unit(name: str, x: float):
     if not (0.0 <= x <= 1.0) or math.isnan(x):
         raise ValueError(f"{name}={x!r} outside [0, 1]")
+
+
+def _require_normal(what: str, *values: float):
+    """Raise ArithmeticError unless every value is a positive, finite, normal float."""
+    for x in values:
+        if not (_TINY <= x < math.inf):
+            raise ArithmeticError(f"{what} {x!r} is not a positive normal float")
 
 
 @dataclass(frozen=True)
@@ -96,6 +115,7 @@ class RateReport:
     willie_div_total: float
     covert_rate_L: float
     capacity_lb: float
+    covert_rate_limit: float
 
 
 @dataclass(frozen=True)
@@ -170,6 +190,31 @@ def product_of_marginals(alpha: float, q: float) -> np.ndarray:
     ).astype(np.complex128)
 
 
+def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
+    """Eigenvalues of the 2x2 block [[a, e], [e, d]] with their offsets from a.
+
+    Returns (lambda_1, lambda_4, lambda_1 - a, lambda_4 - a), lambda_1 the
+    root of larger magnitude; det = ad - e^2 is passed in so callers that
+    know it in product form avoid that subtraction.  The small root and
+    the offsets are rationalized on the branch where direct subtraction
+    would cancel.
+    """
+    r = math.hypot(a - d, 2.0 * e)
+    if a + d >= 0.0:
+        lam1 = 0.5 * (a + d + r)
+        lam4 = det / lam1
+    else:
+        lam4 = 0.5 * (a + d - r)
+        lam1 = det / lam4
+    if a >= d:
+        gap1 = 2.0 * e * e / (r + (a - d))
+        gap4 = -0.5 * ((a - d) + r)
+    else:
+        gap1 = 0.5 * ((d - a) + r)
+        gap4 = -2.0 * e * e / (r + (d - a))
+    return lam1, lam4, gap1, gap4
+
+
 def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
     """Closed-form spectral decomposition of an arrow matrix.
 
@@ -187,23 +232,7 @@ def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
     if e == 0.0:
         return order_eigensystem([a, b, c, d], np.eye(4, dtype=np.complex128))
 
-    r = math.hypot(a - d, 2.0 * e)
-    det = a * d - e * e
-    if a + d >= 0.0:
-        lam1 = 0.5 * (a + d + r)
-        lam4 = det / lam1
-    else:
-        lam4 = 0.5 * (a + d - r)
-        lam1 = det / lam4
-    # gap1 = lambda_1 - a and gap4 = lambda_4 - a, rationalized on the
-    # branch where direct subtraction would cancel.
-    if a >= d:
-        gap1 = 2.0 * e * e / (r + (a - d))
-        gap4 = -0.5 * ((a - d) + r)
-    else:
-        gap1 = 0.5 * ((d - a) + r)
-        gap4 = -2.0 * e * e / (r + (d - a))
-
+    lam1, lam4, gap1, gap4 = _coupled_pair(a, d, e, a * d - e * e)
     v1 = np.array([e, 0.0, 0.0, gap1], dtype=np.complex128)
     v4 = np.array([e, 0.0, 0.0, gap4], dtype=np.complex128)
     v1 /= np.linalg.norm(v1)
@@ -217,10 +246,122 @@ def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
 
 
 def dvq_exact(alpha: float, q: float) -> DvqTriple:
-    """Exact relative entropy moments of the joint output vs its marginals."""
-    rho = joint_output_closed_form(alpha, q)
-    sigma = product_of_marginals(alpha, q)
-    return moments(rho, sigma)
+    """Exact relative entropy moments of the joint output vs its marginals.
+
+    D = Tr[rho L], V = Tr[rho (L-D)^2] and Q = Tr[rho (L-D)^4] in bits,
+    with L = log2 rho - log2 sigma, rho the arrow-matrix joint output and
+    sigma the (diagonal) product of its marginals.  Both operators are
+    block diagonal: the {0, 3} block of rho has the closed-form
+    eigenpairs of ``arrow_spectral``, and indices 1, 2 are the scalars
+    b, c against sigma_1, sigma_2, so the moments are scalar algebra on
+    two eigenvalues, the block's rotation angle and two scalars.
+
+    D is written as KL(diag rho || sigma) + S(diag rho) - S(rho), a sum
+    of seven nonnegative terms in g(u) = (1+u) log(1+u) - u; V and Q are
+    sums of nonnegative terms whose logarithms are formed from ratios
+    near 1 (log1p of closed-form differences).  Nothing cancels, so the
+    relative error stays near 1e-15 from alpha ~ 1e-300 to 1/2 and for q
+    from 1e-9 to 1 - 1e-9.
+
+    The moments are symmetric under alpha -> 1 - alpha (X (x) X maps one
+    input onto the other and commutes with the channel), so the form is
+    evaluated at min(alpha, 1 - alpha).  Raises ArithmeticError when an
+    eigenvalue, a marginal or a moment is not a positive normal float
+    (alpha near the float underflow), instead of returning a number that
+    has lost its precision.
+    """
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    alpha = min(alpha, 1.0 - alpha)
+    if alpha == 0.0 or q == 1.0:  # rho equals sigma exactly
+        return DvqTriple(0.0, 0.0, 0.0)
+    if q == 0.0:
+        return _dvq_noiseless(alpha)
+    p = arrow_params(alpha, q)
+    half, eps = q / 2.0, 1.0 - q
+    shift = alpha * eps
+    m0, m1 = (1.0 - half) - shift, half + shift  # retained-qubit marginal
+    det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)  # ad - e^2
+    lam1, lam4, gap, _ = _coupled_pair(p.a, p.d, p.e, det)  # gap = lam1 - a = d - lam4
+    sigma = ((1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1)
+    _require_normal("spectral term", lam4, gap, p.c, sigma[3])
+    # rho_ii / sigma_i - 1 for the diagonal (a, b, c, d), each in closed form.
+    rel = (shift / m0, -shift / m1, -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1)
+    # D = KL(diag rho || sigma) + S(diag rho) - S(rho), both parts sums of
+    # nonnegative terms: sigma_i g(rel_i) and a g(gap/a) + d g(-gap/d)
+    # + gap log(a/d), where g(u) = (1+u) log(1+u) - u.
+    log_ad = math.log1p((1.0 - 2.0 * alpha) / alpha)  # log(a/d) = log((1-alpha)/alpha)
+    d = (sum(s * _g(u) for s, u in zip(sigma, rel))
+         + p.a * _g(gap / p.a) + p.d * _g(-gap / p.d) + gap * log_ad)
+
+    # L = log rho - log sigma in rho's eigenbasis (cos, sin), (-sin, cos)
+    # of the block, tan = gap / e, in nats, from logs of ratios near 1.
+    h = math.hypot(p.e, gap)
+    cos, sin = p.e / h, gap / h
+    cos2, sin2 = cos * cos, sin * sin
+    l0, l3 = math.log1p(rel[0]), math.log1p(rel[3])  # log(rho_ii / sigma_i)
+    l_b = _log_ratio(rel[1], half, m1)
+    l_c = _log_ratio(rel[2], half, m0)
+    log_s03 = log_ad + math.log1p(eps * (1.0 - 2.0 * alpha) / m1)  # log(sigma_0/sigma_3)
+    l11 = math.log1p(gap / p.a) + cos2 * l0 + sin2 * (log_ad + l3)
+    l44 = _log_ratio(-gap / p.d, lam4, p.d) + l3 - sin2 * log_s03
+    l14 = cos * sin * log_s03
+
+    c11, c44, c_b, c_c = l11 - d, l44 - d, l_b - d, l_c - d
+    sq11 = c11 * c11 + l14 * l14
+    sq44 = c44 * c44 + l14 * l14
+    sq14 = l14 * (c11 + c44)
+    v = lam1 * sq11 + lam4 * sq44 + p.b * c_b**2 + p.c * c_c**2
+    q4 = (lam1 * (sq11 * sq11 + sq14 * sq14) + lam4 * (sq44 * sq44 + sq14 * sq14)
+          + p.b * c_b**4 + p.c * c_c**4)
+    moments = DvqTriple(d / LN2, v / LN2**2, q4 / LN2**4)
+    _require_normal("moment", *moments)
+    return moments
+
+
+def _log_ratio(u: float, num: float, den: float) -> float:
+    """log(1 + u) for 1 + u = num / den: log1p near 1, the quotient near 0."""
+    return math.log1p(u) if u > -0.5 else math.log(num / den)
+
+
+def _dvq_noiseless(alpha: float) -> DvqTriple:
+    """Moments at q = 0: rho is pure, so log rho = 0 and L = -log sigma.
+
+    rho's vector weights |00> and |11> by 1 - alpha and alpha, where
+    sigma is (1 - alpha)^2 and alpha^2: L is the two-point variable
+    -2 log2 p with p = (1 - alpha, alpha).
+    """
+    p = 1.0 - alpha
+    d = -2.0 * (p * math.log2(p) + alpha * math.log2(alpha))
+    spread = 2.0 * math.log2(p / alpha)
+    _require_normal("moment", d)  # V and Q vanish at alpha = 1/2
+    v = p * alpha * spread**2
+    return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
+
+
+def leading_moments(alphas, q: float, reference_alpha: float = 1e-3) -> list[DvqTriple]:
+    """``dvq_asymptotic`` over a grid of weights at one q.
+
+    The fourth-moment constant is computed once for the whole grid.
+    """
+    _check_unit("q", q)
+    coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
+    q4_const = dvq_exact(reference_alpha, q).q4 / (
+        reference_alpha * math.log2(reference_alpha) ** 2
+    )
+    rows = []
+    for alpha in alphas:
+        _check_unit("alpha", alpha)
+        if alpha == 0.0 or alpha == 1.0:
+            rows.append(DvqTriple(0.0, 0.0, 0.0))
+            continue
+        log_a = math.log2(alpha)
+        rows.append(DvqTriple(
+            d=-coeff * alpha * log_a,
+            v=coeff * alpha * log_a * log_a,
+            q4=q4_const * alpha * log_a * log_a,
+        ))
+    return rows
 
 
 def dvq_asymptotic(
@@ -235,21 +376,9 @@ def dvq_asymptotic(
 
     The fourth moment is only an order class, O(alpha log^2 alpha); it is
     reported with its constant estimated once from the exact computation
-    at ``reference_alpha``.
+    at ``reference_alpha``.  ``leading_moments`` takes a whole grid.
     """
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    if alpha == 0.0 or alpha == 1.0:
-        return DvqTriple(0.0, 0.0, 0.0)
-    coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
-    log_a = math.log2(alpha)
-    ref_scale = reference_alpha * math.log2(reference_alpha) ** 2
-    q4_const = dvq_exact(reference_alpha, q).q4 / ref_scale
-    return DvqTriple(
-        d=-coeff * alpha * log_a,
-        v=coeff * alpha * log_a * log_a,
-        q4=q4_const * alpha * log_a * log_a,
-    )
+    return leading_moments([alpha], q, reference_alpha)[0]
 
 
 def inverse_normal_cdf(p: float) -> float:
@@ -297,15 +426,92 @@ def asymptotic_logM(s: ScheduleParams, q: float) -> float:
     return coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n)
 
 
+def _e1_bloch(q: float) -> tuple[float, float, float]:
+    """(P, z, S) of the E1 warden's innocent marginal omega_0.
+
+    omega_alpha has Bloch vector ((1 - 2 alpha) p, z) with p the part
+    perpendicular to the z axis: |p|^2 = P = q - q^2/2 and z = 1 - q, so
+    omega_0's length is S = sqrt(P + z^2) and 1 - S^2 = P exactly.
+    """
+    perp2 = q * (1.0 - 0.5 * q)
+    z = 1.0 - q
+    return perp2, z, math.sqrt(perp2 + z * z)
+
+
+# Coefficients 1/(k (k-1)), k = 14 down to 2, of g(u) = sum_{k >= 2} (-u)^k / (k (k-1));
+# the terms past k = 14 are below 1e-16 of the sum at |u| = 0.05.
+_G_SERIES = tuple(1.0 / (k * (k - 1)) for k in range(14, 1, -1))
+
+
+def _g(u: float) -> float:
+    """(1 + u) log(1 + u) - u >= 0, by its series where that form would cancel."""
+    if abs(u) > 0.05:
+        return (1.0 + u) * math.log1p(u) - u
+    total = 0.0
+    for c in _G_SERIES:  # Horner on u^2 sum_j (-u)^j c_{j+2}
+        total = c - u * total
+    return u * u * total
+
+
+def willie_divergence(alpha: float, q: float) -> float:
+    """Single-use warden divergence D(omega_alpha || omega_0) in bits, E1 warden.
+
+    For qubit states with Bloch vectors r (omega_alpha, length R) and s
+    (omega_0, length S), D splits into the binary KL divergence between
+    the eigenvalue pairs (1 +/- R)/2 and (1 +/- S)/2 plus a perpendicular
+    term atanh(S) |r x s|^2 / (S (RS + r.s)), in nats.  Here
+    S^2 - R^2 = 4 alpha (1 - alpha) P and |r x s|^2 = 4 alpha^2 z^2 P
+    (see ``_e1_bloch``), and the binary term is written as
+    ((1+S)/2) g(-delta/(1+S)) + ((1-S)/2) g(delta/(1-S)) with
+    delta = S - R and g(u) = (1+u) log(1+u) - u.  Every term is
+    nonnegative and formed without cancellation, so D keeps full
+    relative precision down to alpha ~ 1e-150, where it underflows:
+    a result that is not a positive normal float raises ArithmeticError.
+    """
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    if alpha == 0.0 or q == 0.0:  # omega_alpha equals omega_0
+        return 0.0
+    perp2, z, s_len = _e1_bloch(q)
+    u = 1.0 - 2.0 * alpha
+    r_len = math.sqrt(u * u * perp2 + z * z)
+    delta = 4.0 * alpha * (1.0 - alpha) * perp2 / (s_len + r_len)
+    one_minus_s = perp2 / (1.0 + s_len)
+    binary = (0.5 * (1.0 + s_len) * _g(-delta / (1.0 + s_len))
+              + 0.5 * one_minus_s * _g(delta / one_minus_s))
+    if u >= 0.0:  # (RS - r.s) = |r x s|^2 / (RS + r.s), r.s = u P + z^2 >= 0
+        excess = 4.0 * alpha * alpha * z * z * perp2 / (r_len * s_len + u * perp2 + z * z)
+    else:  # r.s may be negative: RS - z^2 rationalized, -u P added
+        excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
+                  - u * perp2)
+    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
+    d = (binary + atanh_s * excess / s_len) / LN2
+    _require_normal("warden divergence", d)
+    return d
+
+
 def willie_eta(q: float) -> float:
     """Curvature of the warden's divergence at the innocent output.
 
     eta(omega_1 || omega_0) for the single-environment-qubit warden; this
-    is the constant that converts squared input weight into divergence.
+    is the constant that converts squared input weight into divergence,
+    D(omega_alpha || omega_0) = alpha^2 eta / 2 + O(alpha^3).  On Bloch
+    vectors the divided-difference form of eta is
+
+        eta = (|along|^2 / (1 - S^2) + |perp|^2 atanh(S) / S) / ln 2
+
+    for the change Delta = r_1 - r_0 = (-2p, 0) split along and across
+    omega_0's vector; with 1 - S^2 = P this is
+    4P / (S^2 ln 2) * (1 + z^2 atanh(S) / S) (see ``_e1_bloch``).
     """
-    spec = ChannelSpec(q, Scenario.E1_ONLY)
-    omega_0, omega_1 = basis_marginal_pair(spec)
-    return eta(omega_1, omega_0)
+    _check_unit("q", q)
+    if q == 0.0:  # omega_1 = omega_0 = |0><0|
+        return 0.0
+    perp2, z, s_len = _e1_bloch(q)
+    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
+    eta = 4.0 * perp2 / (s_len * s_len * LN2) * (1.0 + z * z * atanh_s / s_len)
+    _require_normal("eta", eta)
+    return eta
 
 
 def willie_divergence_total(s: ScheduleParams, q: float) -> DivergenceTotal:
@@ -313,15 +519,14 @@ def willie_divergence_total(s: ScheduleParams, q: float) -> DivergenceTotal:
 
     Under the product encoding the warden's average state is exactly the
     n-fold power of the single-use response to weight alpha_n, so the
-    total is exactly n times the single-use relative entropy.  The
-    quadratic form n * alpha_n^2 * eta/2 is returned alongside.
+    total is exactly n times the single-use relative entropy
+    (``willie_divergence``).  The quadratic form n * alpha_n^2 * eta/2 is
+    returned alongside.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
     alpha = s.alpha_n
-    exact = s.n * relative_entropy(
-        e1only_marginal(alpha, q), e1only_marginal(0.0, q)
-    )
+    exact = s.n * willie_divergence(alpha, q)
     quadratic = s.n * alpha * alpha * willie_eta(q) / 2.0
     return DivergenceTotal(exact=exact, quadratic=quadratic)
 
@@ -335,6 +540,14 @@ def covert_rate(logM: float, n: int, div_total: float) -> float:
     return logM / (math.log2(n) * math.sqrt(n * div_total))
 
 
+def _capacity(q: float, eta: float) -> float:
+    return 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
+
+
+def _rate_limit(nu: float, q: float, eta: float) -> float:
+    return 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q) / math.sqrt(eta / 2.0)
+
+
 def capacity_lower_bound(q: float) -> float:
     """Covert capacity lower bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
 
@@ -346,8 +559,7 @@ def capacity_lower_bound(q: float) -> float:
         return math.inf
     if q == 1.0:
         return 0.0
-    coeff = 4.0 * math.sqrt(2.0) / 3.0
-    return coeff * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(willie_eta(q)))
+    return _capacity(q, willie_eta(q))
 
 
 def rate_limit(nu: float, q: float) -> float:
@@ -356,27 +568,43 @@ def rate_limit(nu: float, q: float) -> float:
         raise ValueError(f"schedule exponent nu={nu!r} outside (0, 1/6)")
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
-    coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
-    return coeff / math.sqrt(willie_eta(q) / 2.0)
+    return _rate_limit(nu, q, willie_eta(q))
+
+
+def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
+    """Full covert-rate rows at one (nu, q, eps), one per blocklength.
+
+    The per-q constant eta, behind ``capacity_lb`` and
+    ``covert_rate_limit``, is computed once for all rows.
+    """
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
+    eta = willie_eta(q)
+    capacity, limit = _capacity(q, eta), _rate_limit(nu, q, eta)
+    rows = []
+    for n in blocklengths:
+        s = ScheduleParams(n, nu)
+        logM = finite_blocklength_logM(s.n, eps, dvq_exact(s.alpha_n, q))
+        div = s.n * willie_divergence(s.alpha_n, q)
+        rows.append(RateReport(
+            n=s.n,
+            nu=s.nu,
+            q=q,
+            alpha_n=s.alpha_n,
+            eps=eps,
+            logM_finite=logM,
+            logM_asymptotic=asymptotic_logM(s, q),
+            willie_div_total=div,
+            covert_rate_L=covert_rate(logM, s.n, div),
+            capacity_lb=capacity,
+            covert_rate_limit=limit,
+        ))
+    return rows
 
 
 def rate_report(s: ScheduleParams, q: float, eps: float = 0.05) -> RateReport:
     """Assemble the full covert-rate row for one blocklength."""
-    dvq = dvq_exact(s.alpha_n, q)
-    logM = finite_blocklength_logM(s.n, eps, dvq)
-    div = willie_divergence_total(s, q)
-    return RateReport(
-        n=s.n,
-        nu=s.nu,
-        q=q,
-        alpha_n=s.alpha_n,
-        eps=eps,
-        logM_finite=logM,
-        logM_asymptotic=asymptotic_logM(s, q),
-        willie_div_total=div.exact,
-        covert_rate_L=covert_rate(logM, s.n, div.exact),
-        capacity_lb=capacity_lower_bound(q),
-    )
+    return rate_reports([s.n], s.nu, q, eps)[0]
 
 
 def finite_rate_convergence(
@@ -398,15 +626,12 @@ def finite_rate_convergence(
             blocklengths.append(n_k)
     if not blocklengths:
         raise ValueError(f"no valid blocklengths below {s.n}")
-    rates = []
-    for n_k in blocklengths:
-        sched = ScheduleParams(n_k, s.nu)
-        rates.append(rate_report(sched, q, eps).covert_rate_L)
+    reports = rate_reports(blocklengths, s.nu, q, eps)
     return ConvergenceReport(
         q=q,
         nu=s.nu,
         eps=eps,
         blocklengths=tuple(blocklengths),
-        rates=tuple(rates),
-        limit=rate_limit(s.nu, q),
+        rates=tuple(r.covert_rate_L for r in reports),
+        limit=reports[0].covert_rate_limit,
     )

@@ -1,14 +1,17 @@
-"""Entropic functionals between states, all in base-2 units.
+"""Quantum relative entropy between dense states, in base-2 units.
 
-Relative entropy D, its second and fourth central moments V and Q, and
-the chi-squared-like curvature functional eta that controls how fast D
-grows under small perturbations of the reference:
+``relative_entropy`` is the dense route: it validates both operators,
+diagonalizes them and applies the shared support rule of ``linalg`` (an
+eigenvalue or a weight at or below the support floor counts as zero), so
+a genuine eigenvalue above the floor is never dropped and weight of rho
+on a kernel of sigma makes D infinite.  ``detection`` uses it for the
+warden's divergence in every scenario.
 
-    D(sigma + t*Delta || sigma) = t^2 * eta(rho||sigma)/2 + O(t^3)
-
-for Delta = rho - sigma.  D is measured in bits, V in bits^2, Q in
-bits^4, and eta carries bits as well so the expansion above is
-dimensionally consistent.
+``DvqTriple`` holds D with its centered second and fourth moments V and
+Q (bits, bits^2, bits^4).  The joint-output moments and the E1 warden's
+divergence and curvature have scalar closed forms in ``covert``; the
+dense moments and curvature functionals they replaced live next to the
+tests as their oracles.
 """
 
 from __future__ import annotations
@@ -19,15 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    SUPPORT_RTOL,
+    _support_floor,
     _support_mask,
     density_operator,
     eig_hermitian,
-    hermitian_operator,
     matrix_log2,
 )
-
-LN2 = math.log(2.0)
 
 
 class DvqTriple(NamedTuple):
@@ -39,13 +39,13 @@ class DvqTriple(NamedTuple):
 
 
 def _support_violation(rho: np.ndarray, sigma: np.ndarray) -> bool:
-    """True if rho carries weight on the kernel of sigma."""
+    """True if rho carries weight above the support floor on the kernel of sigma."""
     w, v = eig_hermitian(sigma)
     kernel = v[:, ~_support_mask(w)]
     if kernel.shape[1] == 0:
         return False
     leaked = float(np.einsum("ij,ji->", kernel.conj().T @ rho, kernel).real)
-    return leaked > SUPPORT_RTOL
+    return leaked > _support_floor(w)
 
 
 def relative_entropy(rho, sigma) -> float:
@@ -62,63 +62,3 @@ def relative_entropy(rho, sigma) -> float:
         return math.inf
     diff = matrix_log2(rho) - matrix_log2(sigma)
     return float(np.trace(rho @ diff).real)
-
-
-def moments(rho, sigma) -> DvqTriple:
-    """D with the centered moments V = Tr[rho (L-D)^2], Q = Tr[rho (L-D)^4].
-
-    L = log2 rho - log2 sigma on the support.  A support violation makes
-    all three entries +inf.
-    """
-    rho = density_operator(rho)
-    sigma = density_operator(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
-    if _support_violation(rho, sigma):
-        return DvqTriple(math.inf, math.inf, math.inf)
-    loglike = matrix_log2(rho) - matrix_log2(sigma)
-    d = float(np.trace(rho @ loglike).real)
-    centered = loglike - d * np.eye(rho.shape[0])
-    sq = centered @ centered
-    v = float(np.trace(rho @ sq).real)
-    q4 = float(np.trace(rho @ sq @ sq).real)
-    return DvqTriple(d, v, q4)
-
-
-def eta(rho, sigma) -> float:
-    """Curvature of relative entropy at sigma in the direction rho - sigma.
-
-    With sigma = sum_i lambda_i |v_i><v_i| and Delta = rho - sigma,
-
-        eta = sum_{i,j} c_ij |<v_i| Delta |v_j>|^2,
-
-    where c_ij is the divided difference (log2 lambda_i - log2 lambda_j)
-    / (lambda_i - lambda_j), replaced by its analytic limit
-    1/(lambda_i ln 2) when the eigenvalues coincide within the support
-    threshold.  Returns +inf if Delta touches the kernel of sigma.
-    """
-    rho = hermitian_operator(rho)
-    sigma = density_operator(sigma)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
-    w, vecs = eig_hermitian(sigma)
-    delta = rho - sigma
-    m = vecs.conj().T @ delta @ vecs
-    support = _support_mask(w)
-    if not support.all():
-        coupling = np.abs(m[~support, :]).max(initial=0.0)
-        coupling = max(coupling, np.abs(m[:, ~support]).max(initial=0.0))
-        if coupling > 1e-12:
-            return math.inf
-    idx = np.flatnonzero(support)
-    lam_max = float(w[0])
-    total = 0.0
-    for i in idx:
-        for j in idx:
-            gap = w[i] - w[j]
-            if abs(gap) < SUPPORT_RTOL * lam_max:
-                coeff = 1.0 / (w[i] * LN2)
-            else:
-                coeff = (math.log2(w[i]) - math.log2(w[j])) / gap
-            total += coeff * float(abs(m[i, j]) ** 2)
-    return total

@@ -1,11 +1,13 @@
 """Dense complex Hermitian linear algebra on small dimensions.
 
-Every other module runs through the handful of primitives here: validated
-operator construction, Kronecker products, symmetric powers of 2x2
-matrices, partial traces, a Hermitian eigensolver with a deterministic
-ordering convention, operator logarithms in base 2, and the trace
-distance.  Dimensions are capped at 2**12 so tensor powers stay
-comfortably in memory.
+The dense routes of the other modules (channels, divergences, detection)
+run through the handful of primitives here: validated operator
+construction, Kronecker products, symmetric powers of 2x2 matrices,
+partial traces, a Hermitian eigensolver with a deterministic ordering
+convention and one support rule for its kernel, operator logarithms in
+base 2, and the trace distance.  The scalar closed forms of ``covert``
+(moments, warden divergence, curvature) need none of them.  Dimensions
+are capped at 2**12 so tensor powers stay comfortably in memory.
 
 All functions are pure: inputs are never mutated and outputs are fresh
 arrays, so values are safe to share between threads.
@@ -24,8 +26,13 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 NORM_TOL = 1e-12
-# Eigenvalues below SUPPORT_RTOL * lambda_max count as kernel.
-SUPPORT_RTOL = 1e-12
+# Support rule, shared by every kernel test: an eigenvalue or a weight at or
+# below SUPPORT_RTOL * dim * lambda_max counts as zero.  A backward-stable
+# Hermitian eigensolver moves eigenvalues by a small multiple of
+# eps * lambda_max (at most 5 eps * lambda_max measured on rank-deficient
+# states up to dim 1024), so anything above the floor is a genuine
+# eigenvalue and keeps its logarithm.
+SUPPORT_RTOL = 4.0 * float(np.finfo(np.float64).eps)
 
 
 def hermitian_operator(matrix) -> np.ndarray:
@@ -233,12 +240,14 @@ def eig_hermitian(h) -> SpectralDecomposition:
     return order_eigensystem(w, v)
 
 
+def _support_floor(eigenvalues: np.ndarray) -> float:
+    """Largest magnitude that counts as zero beside these (descending) eigenvalues."""
+    return SUPPORT_RTOL * len(eigenvalues) * max(float(eigenvalues[0]), 0.0)
+
+
 def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
-    """Boolean mask of eigenvalues above the relative kernel threshold."""
-    lam_max = max(float(eigenvalues[0]), 0.0)
-    if lam_max == 0.0:
-        return np.zeros(len(eigenvalues), dtype=bool)
-    return eigenvalues > SUPPORT_RTOL * lam_max
+    """Boolean mask of the eigenvalues above the support floor."""
+    return eigenvalues > _support_floor(eigenvalues)
 
 
 def matrix_log2(rho, kernel_policy: str = "on_support") -> np.ndarray:

@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import time
 
+import numpy as np
 import pytest
 
 from qcovert import cli
@@ -212,3 +214,43 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     _, first = run(["rate-table", "--n-grid", "1e4"], tmp_path, "a.csv")
     _, second = run(["rate-table", "--n-grid", "1e4"], tmp_path, "b.csv")
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_rate_path_exit_codes_are_truthful(tmp_path, capsys):
+    # n = 1e300 is valid input, but its single-use warden divergence
+    # (~1e-370 bits) underflows: a numerical failure, not a usage error
+    assert cli.main(["rate-table", "--n-grid", "1e300"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    # alpha = 1e-300 is still representable and comes out positive and
+    # accurate; a subnormal alpha has lost its precision and is refused
+    code, path = run(["approx-check", "--alpha-grid", "1e-300", "--format", "json"], tmp_path)
+    assert code == 0
+    (row,) = json.loads(path.read_text())["rows"]
+    # two-term form A a ln(1/a) + B a at q = 0.5, exact to double precision here
+    a_coeff = 1.0 / 3.0
+    b_coeff = a_coeff + 0.5 * math.log(3.0) - 5.0 / 12.0 * math.log(9.0 / 5.0)
+    two_term = (a_coeff * 1e-300 * math.log(1e300) + b_coeff * 1e-300) / math.log(2.0)
+    assert row["D_exact"] == pytest.approx(two_term, rel=1e-11)
+    assert cli.main(["approx-check", "--alpha-grid", "1e-310"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate-table", "--n-grid", "1e2,1e4,1e6,1e12,1e15"],
+        ["approx-check", "--alpha-grid", "0,1e-12,2e-12,1e-6,0.3,0.7"],
+        ["bound-curve"],
+    ],
+)
+def test_closed_form_commands_call_no_eigensolver(argv, tmp_path, monkeypatch):
+    _, expected = run(argv, tmp_path, "plain.csv")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense eigensolver called on a closed-form path")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    code, path = run(argv, tmp_path, "guarded.csv")
+    assert code == 0
+    assert path.read_bytes() == expected.read_bytes()

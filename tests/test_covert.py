@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eta, moments, mp_willie_divergence
 from qcovert.channels import e1only_marginal, stinespring_isometry
 from qcovert.covert import (
     BERRY_ESSEEN,
@@ -22,9 +23,12 @@ from qcovert.covert import (
     finite_rate_convergence,
     inverse_normal_cdf,
     joint_output_closed_form,
+    leading_moments,
     product_of_marginals,
     rate_limit,
     rate_report,
+    rate_reports,
+    willie_divergence,
     willie_divergence_total,
     willie_eta,
 )
@@ -184,6 +188,26 @@ def test_dvq_exact_higher_moments_match_direct_construction():
     assert got.q4 == pytest.approx(q4, abs=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.2, 0.5, 0.7, 0.999, 1.0])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.9, 1.0])
+def test_dvq_exact_matches_dense_oracle(alpha, q):
+    """Closed form vs operator logarithms, across alpha = 1/2 and the q boundaries."""
+    expected = moments(joint_output_closed_form(alpha, q), product_of_marginals(alpha, q))
+    np.testing.assert_allclose(dvq_exact(alpha, q), expected, rtol=1e-10, atol=1e-12)
+
+
+def test_warden_closed_forms_match_dense_oracles():
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        q, alpha = rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0)
+        omega_0, omega_1 = e1only_marginal(0.0, q), e1only_marginal(1.0, q)
+        dense = relative_entropy(e1only_marginal(alpha, q), omega_0)
+        assert willie_divergence(alpha, q) == pytest.approx(dense, rel=1e-10)
+        assert willie_eta(q) == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
+    assert willie_divergence(0.0, 0.4) == 0.0
+    assert willie_eta(0.0) == 0.0
+
+
 def test_dvq_asymptotic_leading_forms():
     alpha, q = 1e-4, 0.5
     lead = dvq_asymptotic(alpha, q)
@@ -285,8 +309,10 @@ def test_willie_divergence_total_exact_additivity():
     s = ScheduleParams(10**4, 0.05)
     q = 0.5
     total = willie_divergence_total(s, q)
-    single = relative_entropy(e1only_marginal(s.alpha_n, q), e1only_marginal(0.0, q))
-    assert total.exact == pytest.approx(s.n * single, rel=1e-14)
+    # n times the single-use divergence, against the 50-digit reference
+    # (the dense double-precision route is itself 7e-12 off here)
+    single = mp_willie_divergence(s.alpha_n, q)
+    assert total.exact == pytest.approx(float(s.n * single), rel=1e-14)
     assert total.quadratic == pytest.approx(
         s.n * s.alpha_n**2 * willie_eta(q) / 2.0, rel=1e-14
     )
@@ -344,6 +370,18 @@ def test_rate_report_is_internally_consistent():
         covert_rate(rep.logM_finite, s.n, rep.willie_div_total), rel=1e-14
     )
     assert rep.capacity_lb == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
+
+
+def test_grid_forms_match_pointwise_forms():
+    # the per-q constants are computed once per grid, with the same values
+    q, nu = 0.4, 0.07
+    ns = [10**3, 10**5, 10**7]
+    reports = rate_reports(ns, nu, q)
+    assert reports == [rate_report(ScheduleParams(n, nu), q) for n in ns]
+    assert {r.covert_rate_limit for r in reports} == {rate_limit(nu, q)}
+    assert {r.capacity_lb for r in reports} == {capacity_lower_bound(q)}
+    alphas = [0.0, 1e-9, 1e-4, 0.3, 1.0]
+    assert leading_moments(alphas, q) == [dvq_asymptotic(a, q) for a in alphas]
 
 
 def test_finite_rate_convergence_approaches_limit():

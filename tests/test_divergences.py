@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import eta, moments
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
-from qcovert.divergences import DvqTriple, eta, moments, relative_entropy
+from qcovert.divergences import DvqTriple, relative_entropy
 from qcovert.linalg import projector
 
 LN2 = math.log(2.0)
@@ -33,6 +34,18 @@ def test_relative_entropy_classical_pair():
     expected = classical_dvq(p, r).d
     got = relative_entropy(np.diag(p).astype(complex), np.diag(r).astype(complex))
     assert got == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("t", [1e-13, 5e-13, 2e-12])
+def test_relative_entropy_keeps_small_genuine_eigenvalues(t):
+    # diag(1-t, t) || diag(1-2t, 2t): both small eigenvalues are genuine,
+    # far above eigensolver noise, so neither may be dropped as kernel nor
+    # flagged as a support violation
+    expected = (1.0 - t) * math.log1p(t / (1.0 - 2.0 * t)) / LN2 - t
+    got = relative_entropy(np.diag([1.0 - t, t]).astype(complex),
+                           np.diag([1.0 - 2.0 * t, 2.0 * t]).astype(complex))
+    # a difference of O(1)-bit logarithms: a few ulp of absolute error
+    assert got == pytest.approx(expected, rel=0.0, abs=1e-15)
 
 
 def test_relative_entropy_pure_vs_maximally_mixed():
