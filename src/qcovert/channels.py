@@ -1,11 +1,14 @@
-"""Qubit depolarizing channel, its isometric dilation, and the warden marginals.
+"""Warden marginals of the qubit depolarizing channel, in closed form.
 
-The dilation maps the input qubit into B (x) E1 (x) E2 with B most
-significant and E1 before E2 inside the environment.  A warden listening
-on different environment subsets sees one of three marginal channels;
-which subset decides whether covert signalling is impossible, free, or
-genuinely constrained.  ``scenario_support_report`` states that verdict
-numerically from support containment and trace distance.
+The channel's Stinespring dilation maps the input qubit into
+B (x) E1 (x) E2 with B most significant and E1 before E2 inside the
+environment, and the marginals here are written in that register order.
+A warden listening on different environment subsets sees one of three
+marginal channels; which subset decides whether covert signalling is
+impossible, free, or genuinely constrained.  ``scenario_support_report``
+states that verdict numerically from support containment and trace
+distance.  The dilation itself, the dense channel and the partial-trace
+route to the marginals are the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -16,19 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .linalg import (
-    _support_floor,
-    _support_mask,
-    density_operator,
-    eig_hermitian,
-    partial_trace,
-    trace_distance,
-)
-
-SIGMA_I = np.eye(2, dtype=np.complex128)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+from .linalg import _support_floor, _support_mask, eig_hermitian, trace_distance
 
 
 class Scenario(IntEnum):
@@ -59,83 +50,6 @@ class ChannelSpec:
 def _check_q(q: float):
     if not (0.0 <= q <= 1.0) or math.isnan(q):
         raise ValueError(f"noise parameter q={q!r} outside [0, 1]")
-
-
-def _require_qubit(rho) -> np.ndarray:
-    rho = density_operator(rho)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a qubit state, got shape {rho.shape}")
-    return rho
-
-
-def depolarize(rho, q: float) -> np.ndarray:
-    """Apply the qubit depolarizing channel with noise parameter q.
-
-    Returns (1-q) rho + q I/2.  Equivalently, by the Pauli twirl
-    identity, (1 - 3q/4) rho + (q/4)(X rho X + Y rho Y + Z rho Z);
-    ``depolarize_pauli_form`` computes that version for cross-checking.
-    """
-    _check_q(q)
-    rho = _require_qubit(rho)
-    return (1.0 - q) * rho + (q / 2.0) * SIGMA_I
-
-
-def depolarize_pauli_form(rho, q: float) -> np.ndarray:
-    """Depolarizing channel as an explicit Pauli mixture (twirl form)."""
-    _check_q(q)
-    rho = _require_qubit(rho)
-    flipped = sum(p @ rho @ p for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
-    return (1.0 - 0.75 * q) * rho + 0.25 * q * flipped
-
-
-def stinespring_isometry(q: float) -> np.ndarray:
-    """8x2 isometry dilating the depolarizing channel into (B, E1, E2).
-
-    Column action on the input qubit:
-
-        V |psi> = sqrt(1 - 3q/4) |psi>|00>
-                + sqrt(q/4) (X|psi>|01> + Y|psi>|11> + Z|psi>|10>)
-
-    with the environment kets labelled |E1 E2>.  Satisfies V^dag V = I_2.
-    """
-    _check_q(q)
-    env = np.eye(4, dtype=np.complex128)  # index = 2*E1 + E2
-    terms = (
-        (math.sqrt(1.0 - 0.75 * q), SIGMA_I, env[0]),
-        (math.sqrt(0.25 * q), SIGMA_X, env[1]),
-        (math.sqrt(0.25 * q), SIGMA_Y, env[3]),
-        (math.sqrt(0.25 * q), SIGMA_Z, env[2]),
-    )
-    v = np.zeros((8, 2), dtype=np.complex128)
-    for weight, pauli, ket in terms:
-        v += weight * np.kron(pauli, ket.reshape(4, 1))
-    defect = np.max(np.abs(v.conj().T @ v - SIGMA_I))
-    if defect > 1e-12:
-        raise ArithmeticError(f"isometry defect {defect:g} exceeds 1e-12")
-    return v
-
-
-def dilated_output(rho, q: float) -> np.ndarray:
-    """Joint (B, E1, E2) output state V rho V^dag of the dilation."""
-    rho = _require_qubit(rho)
-    v = stinespring_isometry(q)
-    return v @ rho @ v.conj().T
-
-
-def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
-    """Warden's output state, obtained from the dilation by partial trace.
-
-    Dimension 4 (on E1 (x) E2) for ALL_ENV, 2 otherwise.  This is the
-    ground-truth route; ``basis_marginal_pair`` provides the closed forms
-    it is cross-checked against.
-    """
-    joint = dilated_output(rho, spec.q)
-    keep = {
-        Scenario.ALL_ENV: [1, 2],
-        Scenario.E2_ONLY: [2],
-        Scenario.E1_ONLY: [1],
-    }[spec.scenario]
-    return partial_trace(joint, [2, 2, 2], keep)
 
 
 def basis_marginal_pair(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -41,8 +41,8 @@ MAX_GRID_POINTS = 10_000
 def parse_grid(text: str) -> list[float]:
     """Parse a grid spec: either 'a:b:step' or a comma-separated list.
 
-    A range has at most MAX_GRID_POINTS entries; its length is checked
-    before any list is built.
+    Every entry must be finite.  A range has at most MAX_GRID_POINTS
+    entries; its length is checked before any list is built.
     """
     text = text.strip()
     if not text:
@@ -64,6 +64,8 @@ def parse_grid(text: str) -> list[float]:
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError(f"grid {text!r} is empty")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"grid {text!r} has a non-finite entry")
     return values
 
 

@@ -1,10 +1,13 @@
 """Achievable covert throughput over the depolarizing channel.
 
-Builds the weakly entangled input family, the exact joint sender/receiver
-output and its closed-form spectrum, exact and leading-order relative
-entropy moments, the finite-blocklength achievable message size and its
-asymptotic form, the warden's total divergence budget under the
-blocklength schedule, and the covert rate with its capacity lower bound.
+For the weakly entangled input sqrt(1-alpha)|00> + sqrt(alpha)|11>
+this module gives the arrow parameters of the joint sender/receiver
+output, its exact and leading-order relative entropy moments, the
+finite-blocklength achievable message size and its asymptotic form, the
+warden's total divergence budget under the blocklength schedule, and
+the covert rate with its capacity lower bound.  The dense input state,
+arrow matrix and spectral decomposition that these closed forms are
+checked against live in ``tests/oracles.py``.
 
 Message sizes are in bits (all logs base 2).  The natural rate unit is
 log M / (log2(n) sqrt(n * divergence)), which stays finite when the
@@ -27,10 +30,7 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .divergences import DvqTriple
-from .linalg import SpectralDecomposition, order_eigensystem, pure_state
 
 # Berry-Esseen constant: the true value is only known to sit in
 # [0.40973, 0.4784]; the upper end keeps the bound valid.
@@ -118,30 +118,6 @@ class RateReport:
     covert_rate_limit: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Covert rate along a geometric blocklength grid versus its limit."""
-
-    q: float
-    nu: float
-    eps: float
-    blocklengths: tuple[int, ...]
-    rates: tuple[float, ...]
-    limit: float
-
-    @property
-    def gaps(self) -> tuple[float, ...]:
-        return tuple(self.limit - r for r in self.rates)
-
-
-def entangled_input(alpha: float) -> np.ndarray:
-    """Weakly entangled sender state sqrt(1-alpha)|00> + sqrt(alpha)|11>."""
-    _check_unit("alpha", alpha)
-    return pure_state(
-        [math.sqrt(1.0 - alpha), 0.0, 0.0, math.sqrt(alpha)]
-    )
-
-
 def arrow_params(alpha: float, q: float) -> ArrowMatrixParams:
     """Arrow parameters of the joint retained/received output state."""
     _check_unit("alpha", alpha)
@@ -154,40 +130,6 @@ def arrow_params(alpha: float, q: float) -> ArrowMatrixParams:
         d=(1.0 - half) * alpha,
         e=(1.0 - q) * math.sqrt(alpha * (1.0 - alpha)),
     )
-
-
-def arrow_matrix(p: ArrowMatrixParams) -> np.ndarray:
-    """Assemble the 4x4 arrow matrix from its parameters."""
-    m = np.diag([p.a, p.b, p.c, p.d]).astype(np.complex128)
-    m[0, 3] = m[3, 0] = p.e
-    return m
-
-
-def joint_output_closed_form(alpha: float, q: float) -> np.ndarray:
-    """Joint state of the retained qubit and the channel output.
-
-    The entangled input with weight alpha, sent through the depolarizing
-    channel on its second half, lands on the arrow matrix with diagonal
-    ((1-q/2)(1-alpha), (q/2)(1-alpha), (q/2)alpha, (1-q/2)alpha) and
-    corner coupling (1-q) sqrt(alpha(1-alpha)).
-    """
-    return arrow_matrix(arrow_params(alpha, q))
-
-
-def binary_convolution(a: float, b: float) -> float:
-    """Probability that exactly one of two independent biased bits is 1."""
-    return (1.0 - a) * b + a * (1.0 - b)
-
-
-def product_of_marginals(alpha: float, q: float) -> np.ndarray:
-    """Tensor product of the joint output's two marginals (diagonal)."""
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    m0 = binary_convolution(1.0 - q / 2.0, alpha)
-    m1 = binary_convolution(q / 2.0, alpha)
-    return np.diag(
-        [(1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1]
-    ).astype(np.complex128)
 
 
 def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
@@ -215,36 +157,6 @@ def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, floa
     return lam1, lam4, gap1, gap4
 
 
-def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
-    """Closed-form spectral decomposition of an arrow matrix.
-
-    The uncoupled middle entries b and c are eigenvalues outright; the
-    corner-coupled 2x2 block contributes
-
-        lambda_{1,4} = ((a+d) +/- sqrt((a+d)^2 - 4(ad - e^2))) / 2
-
-    with eigenvectors proportional to (e, 0, 0, lambda - a).  Both the
-    small eigenvalue and the eigenvector gaps are computed in
-    cancellation-free forms so the decomposition stays accurate when e
-    or the gap a-d is tiny.
-    """
-    a, b, c, d, e = p
-    if e == 0.0:
-        return order_eigensystem([a, b, c, d], np.eye(4, dtype=np.complex128))
-
-    lam1, lam4, gap1, gap4 = _coupled_pair(a, d, e, a * d - e * e)
-    v1 = np.array([e, 0.0, 0.0, gap1], dtype=np.complex128)
-    v4 = np.array([e, 0.0, 0.0, gap4], dtype=np.complex128)
-    v1 /= np.linalg.norm(v1)
-    v4 /= np.linalg.norm(v4)
-    basis = np.zeros((4, 4), dtype=np.complex128)
-    basis[:, 0] = v1
-    basis[1, 1] = 1.0
-    basis[2, 2] = 1.0
-    basis[:, 3] = v4
-    return order_eigensystem([lam1, b, c, lam4], basis)
-
-
 def dvq_exact(alpha: float, q: float) -> DvqTriple:
     """Exact relative entropy moments of the joint output vs its marginals.
 
@@ -252,7 +164,7 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     with L = log2 rho - log2 sigma, rho the arrow-matrix joint output and
     sigma the (diagonal) product of its marginals.  Both operators are
     block diagonal: the {0, 3} block of rho has the closed-form
-    eigenpairs of ``arrow_spectral``, and indices 1, 2 are the scalars
+    eigenpairs of ``_coupled_pair``, and indices 1, 2 are the scalars
     b, c against sigma_1, sigma_2, so the moments are scalar algebra on
     two eigenvalues, the block's rotation angle and two scalars.
 
@@ -607,31 +519,3 @@ def rate_report(s: ScheduleParams, q: float, eps: float = 0.05) -> RateReport:
     return rate_reports([s.n], s.nu, q, eps)[0]
 
 
-def finite_rate_convergence(
-    s: ScheduleParams, q: float, eps: float = 0.05, points: int = 4, ratio: int = 10
-) -> ConvergenceReport:
-    """Covert rate along a geometric blocklength grid ending at s.n.
-
-    Each point recomputes the schedule at its own blocklength; the
-    reported limit is rate_limit(s.nu, q).  The finite-n rate climbs
-    toward it and can overshoot slightly before the slowly decaying
-    surplus of the exact divergence over its leading form dies out.
-    """
-    if points < 1 or ratio < 2:
-        raise ValueError(f"need points >= 1 and ratio >= 2, got {points}, {ratio}")
-    blocklengths = []
-    for k in range(points - 1, -1, -1):
-        n_k = s.n // ratio**k
-        if n_k >= 2 and n_k not in blocklengths:
-            blocklengths.append(n_k)
-    if not blocklengths:
-        raise ValueError(f"no valid blocklengths below {s.n}")
-    reports = rate_reports(blocklengths, s.nu, q, eps)
-    return ConvergenceReport(
-        q=q,
-        nu=s.nu,
-        eps=eps,
-        blocklengths=tuple(blocklengths),
-        rates=tuple(r.covert_rate_L for r in reports),
-        limit=reports[0].covert_rate_limit,
-    )

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, Scenario, basis_marginal_pair
-from .covert import ScheduleParams
-from .divergences import relative_entropy
+from .covert import ScheduleParams, willie_divergence
 from .linalg import symmetric_power
 
 LN2 = math.log(2.0)
@@ -111,7 +110,9 @@ def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
     Takes the trace distance T of the two n-copy hypothesis states block
     by block (see the module docstring) and reports E = (1 - T)/2
     together with the divergence budget n * D(omega_alpha || omega_0) and
-    its Pinsker floor.
+    its Pinsker floor.  The budget is 0 when the hypotheses coincide,
+    +inf for ALL_ENV at alpha > 0 (omega_alpha leaves the support of
+    omega_0), and n times the closed form ``willie_divergence`` for E1_ONLY.
     """
     cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
     if n < 1 or n != int(n):
@@ -137,8 +138,14 @@ def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
             _power_blocks(omega_alpha, n), _power_blocks(omega_0, n)
         )
     )
-    div_single = relative_entropy(omega_alpha, omega_0)
-    div_total = n * div_single
+    if omega_alpha is omega_0:  # alpha = 0, or omega_1 == omega_0 (E2_ONLY, q = 0)
+        div_total = 0.0
+    elif spec.scenario is Scenario.ALL_ENV:
+        # omega_alpha weights e_0 of ``allenv_null_vectors``, a kernel
+        # vector of omega_0, by alpha * q / 2 > 0: the support escapes.
+        div_total = math.inf
+    else:
+        div_total = n * willie_divergence(alpha, spec.q)
     return DetectionResult(
         n=n,
         alpha=alpha,

@@ -1,13 +1,14 @@
 """Dense complex Hermitian linear algebra on small dimensions.
 
-The dense routes of the other modules (channels, divergences, detection)
-run through the handful of primitives here: validated operator
-construction, Kronecker products, symmetric powers of 2x2 matrices,
-partial traces, a Hermitian eigensolver with a deterministic ordering
-convention and one support rule for its kernel, operator logarithms in
-base 2, and the trace distance.  The scalar closed forms of ``covert``
-(moments, warden divergence, curvature) need none of them.  Dimensions
-are capped at 2**12 so tensor powers stay comfortably in memory.
+The few matrix steps of the library run through the primitives here:
+Hermitian validation, symmetric powers of 2x2 matrices (the Schur-Weyl
+blocks of ``detection``), a Hermitian eigensolver with a deterministic
+ordering convention and one support rule for its kernel (the feasibility
+verdicts of ``channels``), and the trace distance.  The scalar closed
+forms of ``covert`` (moments, warden divergence, curvature) need none of
+them.  The validated states, Kronecker and tensor powers, partial traces
+and operator logarithms that the tests check the library against live in
+``tests/oracles.py``.  Dimensions are capped at 2**12.
 
 All functions are pure: inputs are never mutated and outputs are fresh
 arrays, so values are safe to share between threads.
@@ -23,9 +24,6 @@ import numpy as np
 DIM_CAP = 2**12
 
 HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
-NORM_TOL = 1e-12
 # Support rule, shared by every kernel test: an eigenvalue or a weight at or
 # below SUPPORT_RTOL * dim * lambda_max counts as zero.  A backward-stable
 # Hermitian eigensolver moves eigenvalues by a small multiple of
@@ -69,66 +67,6 @@ def hermitian_operator(matrix) -> np.ndarray:
     return a
 
 
-def density_operator(matrix) -> np.ndarray:
-    """Validate a density operator: Hermitian, unit trace, PSD up to tolerance."""
-    a = hermitian_operator(matrix)
-    tr = a.trace().real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
-    smallest = np.linalg.eigvalsh(a)[0]
-    if smallest < -PSD_TOL:
-        raise ValueError(f"negative eigenvalue {smallest:g} below -{PSD_TOL:g}")
-    return a
-
-
-def pure_state(vector) -> np.ndarray:
-    """Validate a unit-norm complex state vector."""
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
-        raise ValueError("vector contains non-finite entries")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > NORM_TOL:
-        raise ValueError(f"norm {norm!r} differs from 1 by more than {NORM_TOL:g}")
-    return v
-
-
-def projector(psi) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a state vector."""
-    v = np.asarray(psi, dtype=np.complex128)
-    return np.outer(v, v.conj())
-
-
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product, first factor's indices most significant.
-
-    Accepts matrices or vectors.  Raises ValueError if the result's
-    leading dimension would exceed DIM_CAP.
-    """
-    if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(factors[0], dtype=np.complex128)
-    for f in factors[1:]:
-        f = np.asarray(f, dtype=np.complex128)
-        if out.shape[0] * f.shape[0] > DIM_CAP:
-            raise ValueError(
-                f"tensor result dimension {out.shape[0] * f.shape[0]} exceeds cap {DIM_CAP}"
-            )
-        out = np.kron(out, f)
-    return out
-
-
-def tensor_power(op, n: int) -> np.ndarray:
-    """n-fold Kronecker power of an operator."""
-    if n < 1:
-        raise ValueError(f"power {n} must be a positive integer")
-    out = np.asarray(op, dtype=np.complex128)
-    for _ in range(n - 1):
-        out = tensor(out, op)
-    return out
-
-
 def symmetric_power(a, k: int) -> np.ndarray:
     """k-th symmetric power Sym^k(A) of a 2x2 matrix, in the Dicke basis.
 
@@ -154,39 +92,6 @@ def symmetric_power(a, k: int) -> np.ndarray:
     # Dicke vector m is sqrt(C(k, m)) times the monomial's symmetric tensor.
     root = np.sqrt([float(math.comb(k, m)) for m in range(k + 1)])
     return mono * (root[np.newaxis, :] / root[:, np.newaxis])
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out all subsystems not listed in `keep`.
-
-    Parameters
-    ----------
-    rho : array_like
-        Operator on the composite space, dimension prod(dims).
-    dims : sequence of int
-        Subsystem dimensions, most significant first.
-    keep : iterable of int
-        Indices (into dims) of the subsystems to retain; the result keeps
-        them in their original order.
-    """
-    a = np.asarray(rho, dtype=np.complex128)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
-    total = math.prod(dims)
-    if a.ndim != 2 or a.shape != (total, total):
-        raise ValueError(f"shape {a.shape} does not match subsystem dims {dims}")
-    keep = sorted(set(int(k) for k in keep))
-    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
-        raise ValueError(f"keep={keep} is not a nonempty subset of subsystem indices")
-
-    t = a.reshape(dims + dims)
-    # Trace out in descending index order so earlier axis numbers stay valid.
-    for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        half = t.ndim // 2
-        t = np.trace(t, axis1=ax, axis2=ax + half)
-    kept = math.prod(dims[k] for k in keep)
-    return t.reshape(kept, kept)
 
 
 class SpectralDecomposition(NamedTuple):
@@ -248,32 +153,6 @@ def _support_floor(eigenvalues: np.ndarray) -> float:
 def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
     """Boolean mask of the eigenvalues above the support floor."""
     return eigenvalues > _support_floor(eigenvalues)
-
-
-def matrix_log2(rho, kernel_policy: str = "on_support") -> np.ndarray:
-    """Operator logarithm base 2 of a positive semidefinite matrix.
-
-    kernel_policy "on_support" maps kernel eigenvalues to 0, giving the
-    log on the support only; "reject" raises if the kernel is nontrivial.
-    Eigenvalues below -PSD_TOL are a domain error.
-    """
-    if kernel_policy not in ("on_support", "reject"):
-        raise ValueError(f"unknown kernel_policy {kernel_policy!r}")
-    w, v = eig_hermitian(rho)
-    if w[-1] < -PSD_TOL:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w[-1]:g}")
-    support = _support_mask(w)
-    if kernel_policy == "reject" and not support.all():
-        raise ValueError("matrix has a nontrivial kernel; log rejected")
-    logw = np.zeros_like(w)
-    logw[support] = np.log2(w[support])
-    return (v * logw) @ v.conj().T
-
-
-def matrix_exp2(h) -> np.ndarray:
-    """Operator power 2**H of a Hermitian matrix."""
-    w, v = eig_hermitian(h)
-    return (v * np.exp2(w)) @ v.conj().T
 
 
 def trace_distance(rho, sigma) -> float:

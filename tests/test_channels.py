@@ -3,20 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from oracles import (
+    depolarize,
+    depolarize_pauli_form,
+    dilated_output,
+    partial_trace,
+    projector,
+    pure_state,
+    stinespring_isometry,
+    willie_marginal,
+)
 from qcovert.channels import (
     ChannelSpec,
     Scenario,
     allenv_null_vectors,
     basis_marginal_pair,
-    depolarize,
-    depolarize_pauli_form,
-    dilated_output,
     e1only_marginal,
     scenario_support_report,
-    stinespring_isometry,
-    willie_marginal,
 )
-from qcovert.linalg import partial_trace, projector, pure_state
 
 Q_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 

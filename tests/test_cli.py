@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import mp_willie_divergence
 from qcovert import cli
 from qcovert.covert import capacity_lower_bound
 
@@ -30,7 +31,9 @@ def test_parse_grid_comma_and_single():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1:2", "0:1:0", "0:1:-0.1", ",", "0:1:inf", "0:inf:1", "0:10000:1"]
+    "bad",
+    ["", "1:2", "0:1:0", "0:1:-0.1", ",", "0:1:inf", "0:inf:1", "0:10000:1",
+     "inf", "1,inf", "1e400", "nan"],
 )
 def test_parse_grid_rejections(bad):
     with pytest.raises(ValueError):
@@ -201,6 +204,48 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "willie_eta", boom)
     assert cli.main(["bound-curve", "--q-grid", "0.5"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_non_finite_grid_entries_exit_two(capsys):
+    # an overflowing entry is bad input, not a numerical failure
+    for argv in (["rate-table", "--n-grid", "inf"], ["rate-table", "--n-grid", "1e400"],
+                 ["detect-sim", "--n-grid", "inf"]):
+        assert cli.main(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
+def _csv_row(path):
+    (row,) = csv.DictReader(path.read_text().splitlines())
+    return row
+
+
+def test_detect_sim_budget_where_the_dense_route_failed(tmp_path):
+    # E1 at a small weight: the dense relative entropy cancelled to a
+    # negative number here and the run exited 2
+    code, path = run(["detect-sim", "--n-grid", "100", "--alpha-grid", "1e-8", "--q", "0.5",
+                      "--scenario", "3"], tmp_path, "e1.csv")
+    assert code == 0
+    row = _csv_row(path)
+    div = 100 * mp_willie_divergence(1e-8, 0.5)
+    assert float(row["div_total"]) == pytest.approx(float(div), rel=1e-11)
+    floor = 0.5 * (1.0 - math.sqrt(math.log(2.0) * float(div) / 2.0))
+    assert float(row["pinsker_floor"]) == pytest.approx(floor, rel=1e-11)
+    # ALL_ENV: omega_alpha leaves the support of omega_0, so the budget is
+    # infinite at any alpha > 0; the dense route printed 5.5e-17 here
+    code, path = run(["detect-sim", "--scenario", "1", "--n-grid", "1", "--alpha-grid", "1e-16"],
+                     tmp_path, "all.csv")
+    assert code == 0
+    row = _csv_row(path)
+    assert (row["div_total"], row["pinsker_floor"]) == ("inf", "-inf")
+
+
+def test_detect_sim_underflowing_budget_exits_three(capsys):
+    # E1 at alpha = 1e-200: the single-use warden divergence (~1e-400
+    # bits) is below the smallest double, so the budget cannot be given
+    # to any relative accuracy and the row is refused, as on the rate path
+    argv = ["detect-sim", "--scenario", "3", "--n-grid", "1", "--alpha-grid", "1e-200"]
+    assert cli.main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

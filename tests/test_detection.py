@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import relative_entropy, tensor_power
 from qcovert import detection
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
 from qcovert.covert import ScheduleParams
@@ -14,8 +15,7 @@ from qcovert.detection import (
     pinsker_floor,
     warden_error,
 )
-from qcovert.divergences import relative_entropy
-from qcovert.linalg import tensor_power, trace_distance
+from qcovert.linalg import trace_distance
 
 LN2 = math.log(2.0)
 

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eta, moments
+from oracles import eta, moments, projector, relative_entropy
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
-from qcovert.divergences import DvqTriple, relative_entropy
-from qcovert.linalg import projector
+from qcovert.divergences import DvqTriple
 
 LN2 = math.log(2.0)
 

