@@ -38,7 +38,13 @@ from .covert import (
     willie_divergence_total,
     willie_eta,
 )
-from .detection import DetectionResult, covertness_sweep, pinsker_floor, warden_error
+from .detection import (
+    DetectionResult,
+    covertness_sweep,
+    pinsker_floor,
+    warden_error,
+    warden_errors,
+)
 from .divergences import DvqTriple
 from .linalg import (
     DIM_CAP,

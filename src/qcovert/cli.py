@@ -32,7 +32,7 @@ from .covert import (
     rate_reports,
     willie_eta,
 )
-from .detection import warden_error
+from .detection import warden_errors
 
 
 MAX_GRID_POINTS = 10_000
@@ -205,14 +205,14 @@ def cmd_detect_sim(args):
         "alpha_grid": alpha_grid,
     }
     columns = ["n", "alpha", "trace_dist", "E_n", "pinsker_floor", "div_total"]
-    rows = []
-    for n in n_grid:
-        alphas = alpha_grid if alpha_grid is not None else [ScheduleParams(n, args.nu).alpha_n]
-        for alpha in alphas:
-            r = warden_error(n, alpha, spec)
-            rows.append(
-                [r.n, r.alpha, r.trace_dist, r.error_prob, r.pinsker_floor, r.div_total]
-            )
+    if alpha_grid is None:
+        cells = [(n, ScheduleParams(n, args.nu).alpha_n) for n in n_grid]
+    else:
+        cells = [(n, alpha) for n in n_grid for alpha in alpha_grid]
+    rows = [
+        [r.n, r.alpha, r.trace_dist, r.error_prob, r.pinsker_floor, r.div_total]
+        for r in warden_errors([n for n, _ in cells], [a for _, a in cells], spec)
+    ]
     return config, columns, rows
 
 

@@ -9,38 +9,63 @@ the two n-copy states, and it can never drop below the Pinsker floor
 T is computed exactly without any 2^n-dimensional matrix.  By Schur-Weyl
 duality the n-fold power of a qubit operator A splits over the spin
 irreps j = n/2, n/2 - 1, ...: the block of spin j is
-det(A)^(n/2-j) Sym^(2j)(A), of dimension 2j + 1, repeated
-C(n, n/2-j) - C(n, n/2-j-1) times.  Both hypotheses share this block
-structure, so the trace norm of their difference is the multiplicity-
-weighted sum of the blockwise trace norms.  The 4x4 ALL_ENV marginals
-are block diagonal in the E2 register (E2 records whether B was flipped
-by X or Y, a classical bit for diagonal inputs), so their n-fold power
-splits into sectors with k copies in the E2 = 1 block, C(n, k) of each,
-and every sector is a Kronecker product of two qubit Schur-Weyl blocks.
+det(A)^r Sym^k(A) with k = 2j = n - 2r, of dimension k + 1, repeated
+C(n, r) - C(n, r-1) times.  Both hypotheses share this block structure,
+so the trace norm of their difference is the multiplicity-weighted sum
+of the blockwise trace norms.  The 4x4 ALL_ENV marginals are block
+diagonal in the E2 register (E2 records whether B was flipped by X or Y,
+a classical bit for diagonal inputs), so their n-fold power splits into
+sectors with k copies in the E2 = 1 block, C(n, k) of each, and every
+sector block is a Kronecker product of two qubit spin blocks.
+
+Three things keep the route cheap and accurate at every weight:
+
+* Degree recurrence.  Sym^k for k = 0..n comes from one two-tap step per
+  degree on the monomial matrix (``linalg.monomial_step``), then the
+  fixed Dicke scaling; each degree reuses the one before it.
+* Difference form.  The step is linear in A, so with
+  omega_alpha = omega_0 + alpha Delta the block difference is carried
+  through the recurrence itself:
+  D_(k+1) = L[omega_alpha](D_k) + L[alpha Delta](M_k(omega_0)).  The
+  determinant factor uses det_a^(s+1) - det_0^(s+1) =
+  det_a (det_a^s - det_0^s) + delta det_0^s with
+  delta = alpha lin + alpha^2 det(Delta), and the ALL_ENV sectors use
+  kron(Z_a, O_a) - kron(Z_0, O_0) = kron(dZ, O_a) + kron(Z_0, dO).  No
+  step subtracts two O(1) numbers, so T keeps its relative accuracy as
+  alpha -> 0 (T is linear in alpha there).
+* One table, one eigvalsh per block shape.  omega_0's monomial matrices
+  are built once per table, every row's difference is stacked on a
+  leading axis, and all blocks of one shape are diagonalized together.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import ChannelSpec, Scenario, basis_marginal_pair
 from .covert import ScheduleParams, willie_divergence
-from .linalg import symmetric_power
+from .linalg import dicke_scaling, monomial_step
 
 LN2 = math.log(2.0)
 
 # Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
-# (n+1) x (n+1) and a call costs O(n^4) flops, about 0.1 s at the cap on a
+# (n+1) x (n+1) and a row costs O(n^4) flops, about 0.04 s at the cap on a
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
 # few uses, so five show it.  Past that the cost rises steeply: the sector
 # blocks grow to (n/2 + 1)^2 dimensions and their count like n^3/24 (about
-# 2 s at n = 30 on the same host).
+# 1.6 s for one row at n = 30 on the same host).
 MAX_USES_ALLENV = 5
+# Rows are processed in chunks whose stacked spin blocks of all degrees
+# hold at most about this many complex entries (8 MB), however long the
+# table is; at n = 100 a chunk is one row.
+CHUNK_ENTRIES = 2**19
 
 
 @dataclass(frozen=True)
@@ -62,14 +87,28 @@ def pinsker_floor(div_total_bits: float) -> float:
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
 
 
-def _qubit_power_blocks(a: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
-    """Spin blocks det(a)^r Sym^(n-2r)(a), r = 0..n//2, with multiplicities."""
-    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    return [
-        (math.comb(n, r) - (math.comb(n, r - 1) if r else 0),
-         det**r * symmetric_power(a, n - 2 * r))
-        for r in range(n // 2 + 1)
-    ]
+@functools.cache
+def _spin_multiplicities(n: int) -> tuple[float, ...]:
+    """C(n, r) - C(n, r-1) for r = 0..n//2: the repeats of spin block r of n qubits."""
+    return tuple(float(math.comb(n, r) - (math.comb(n, r - 1) if r else 0))
+                 for r in range(n // 2 + 1))
+
+
+@functools.cache
+def _sector_blocks(n: int) -> tuple[tuple[int, int, int, int, float], ...]:
+    """(p0, p1, r0, r1, multiplicity) of every block of an ALL_ENV n-fold power.
+
+    The sector with k copies in the E2 = 1 block repeats C(n, k) times and
+    holds the blocks det(Z)^r0 Sym^p0(Z) (x) det(O)^r1 Sym^p1(O) with
+    p0 = n - k - 2 r0 and p1 = k - 2 r1.
+    """
+    return tuple(
+        (n - k - 2 * r0, k - 2 * r1, r0, r1,
+         math.comb(n, k) * _spin_multiplicities(n - k)[r0] * _spin_multiplicities(k)[r1])
+        for k in range(n + 1)
+        for r0 in range((n - k) // 2 + 1)
+        for r1 in range(k // 2 + 1)
+    )
 
 
 def _e2_sectors(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,77 +122,173 @@ def _e2_sectors(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return omega[0::2, 0::2], omega[1::2, 1::2]
 
 
-def _power_blocks(omega: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
-    """Block-diagonal form of omega^{(x)n} as (multiplicity, block) pairs.
+def _det(a: np.ndarray) -> float:
+    return (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
 
-    omega is a 2x2 qubit marginal or a 4x4 ALL_ENV marginal.  The blocks
-    come in an order fixed by n and omega's shape alone, so the lists of
-    two states of the same shape pair up block by block.  Summing
-    multiplicity * dimension gives omega's dimension to the n.
+
+class _Powers:
+    """Spin blocks of omega_0 and omega_a = omega_0 + alpha Delta for stacked rows.
+
+    ``levels[k]`` is (Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0)),
+    the second stacked over the rows; ``pow_0[r]``, ``pow_a[r]`` and
+    ``pow_d[r]`` are det_0^r, det_a^r and det_a^r - det_0^r.
     """
-    if omega.shape == (2, 2):
-        return _qubit_power_blocks(omega, n)
-    zero, one = _e2_sectors(omega)
-    blocks = []
-    for k in range(n + 1):
-        inner = _qubit_power_blocks(one, k)
-        for m0, b0 in _qubit_power_blocks(zero, n - k):
-            blocks.extend(
-                (math.comb(n, k) * m0 * m1, np.kron(b0, b1)) for m1, b1 in inner
-            )
-    return blocks
+
+    def __init__(self, omega_0: np.ndarray, delta: np.ndarray, alphas: np.ndarray, top: int):
+        shift = alphas[:, np.newaxis, np.newaxis] * delta
+        omega_a = omega_0 + shift
+        mono_0 = np.ones((1, 1), dtype=np.complex128)
+        mono_d = np.zeros((len(alphas), 1, 1), dtype=np.complex128)
+        self.levels = [(mono_0, mono_d)]
+        for k in range(1, top + 1):
+            mono_d = monomial_step(omega_a, mono_d) + monomial_step(shift, mono_0)
+            mono_0 = monomial_step(omega_0, mono_0)
+            scale = dicke_scaling(k)
+            self.levels.append((mono_0 * scale, mono_d * scale))
+        det_0 = _det(omega_0)
+        lin = (omega_0[0, 0] * delta[1, 1] + delta[0, 0] * omega_0[1, 1]
+               - omega_0[0, 1] * delta[1, 0] - delta[0, 1] * omega_0[1, 0]).real
+        det_d = alphas * lin + alphas**2 * _det(delta)
+        det_a = det_0 + det_d
+        rmax = top // 2
+        self.pow_0 = det_0 ** np.arange(rmax + 1)
+        self.pow_a = np.ones((rmax + 1, len(alphas)))
+        self.pow_d = np.zeros((rmax + 1, len(alphas)))
+        for s in range(rmax):
+            self.pow_a[s + 1] = det_a * self.pow_a[s]
+            self.pow_d[s + 1] = det_a * self.pow_d[s] + det_d * self.pow_0[s]
+
+    def zero(self, k: int, r: np.ndarray) -> np.ndarray:
+        """det_0^r Sym^k(omega_0), stacked over r."""
+        return self.pow_0[r, np.newaxis, np.newaxis] * self.levels[k][0]
+
+    def diff(self, k: int, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """det_a^r Sym^k(omega_a) - det_0^r Sym^k(omega_0) for the given rows."""
+        sym_0, sym_d = self.levels[k]
+        return (self.pow_a[r, rows, np.newaxis, np.newaxis] * sym_d[rows]
+                + self.pow_d[r, rows, np.newaxis, np.newaxis] * sym_0)
+
+
+def _trace_norms(blocks: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(blocks)).sum(axis=-1)
+
+
+def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """T for qubit marginals: one eigvalsh per degree k over every row's block."""
+    top = int(ns.max())
+    powers = _Powers(omega_0, delta, alphas, top)
+    total = np.zeros(len(ns))
+    for k in range(top, -1, -1):
+        rows = np.flatnonzero((ns >= k) & ((ns - k) % 2 == 0))
+        if rows.size:
+            r = (ns[rows] - k) // 2
+            mult = np.array([_spin_multiplicities(int(n))[s] for n, s in zip(ns[rows], r)])
+            total[rows] += mult * _trace_norms(powers.diff(k, rows, r))
+    return 0.5 * total
+
+
+def _allenv_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """T for the 4x4 ALL_ENV marginals: one einsum and eigvalsh per block shape.
+
+    With Z and O the E2 = 0 and E2 = 1 blocks, a sector block difference
+    is kron(dZ, O_a) + kron(Z_0, dO), dZ and dO from the difference
+    recurrence and O_a = O_0 + dO.
+    """
+    (z_0, o_0), (z_d, o_d) = _e2_sectors(omega_0), _e2_sectors(delta)
+    top = int(ns.max())
+    zs, os_ = _Powers(z_0, z_d, alphas, top), _Powers(o_0, o_d, alphas, top)
+    groups: dict[tuple[int, int], list] = {}
+    for i, n in enumerate(ns):
+        for p0, p1, r0, r1, mult in _sector_blocks(int(n)):
+            groups.setdefault((p0, p1), []).append((i, r0, r1, mult))
+    total = np.zeros(len(ns))
+    # A fixed group order keeps each row's sum independent of the other rows.
+    for (p0, p1), entries in sorted(groups.items()):
+        rows, r0, r1, mult = (np.array(column) for column in zip(*entries))
+        dz, do = zs.diff(p0, rows, r0), os_.diff(p1, rows, r1)
+        left = np.stack((dz, zs.zero(p0, r0)), axis=1)
+        right = np.stack((os_.zero(p1, r1) + do, do), axis=1)
+        dim = (p0 + 1) * (p1 + 1)
+        blocks = np.einsum("ctij,ctkl->cikjl", left, right).reshape(-1, dim, dim)
+        np.add.at(total, rows, mult * _trace_norms(blocks))
+    return 0.5 * total
+
+
+def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
+    """Exact warden error probabilities for the rows (ns[i], alphas[i]).
+
+    Takes the trace distance T of the two n-copy hypothesis states block
+    by block, all rows together (see the module docstring), and reports
+    E = (1 - T)/2 together with the divergence budget
+    n * D(omega_alpha || omega_0) and its Pinsker floor.  The budget is 0
+    when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
+    (omega_alpha leaves the support of omega_0), and n times the closed
+    form ``willie_divergence`` for E1_ONLY.  A row whose hypotheses differ
+    but whose T is not a positive normal float raises ArithmeticError.
+    """
+    ns, alphas = list(ns), list(alphas)
+    if len(ns) != len(alphas):
+        raise ValueError(f"{len(ns)} blocklengths for {len(alphas)} weights")
+    cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
+    for n, alpha in zip(ns, alphas):
+        if n < 1 or n != int(n):
+            raise ValueError(f"number of uses n={n!r} must be a positive integer")
+        if n > cap:
+            raise ValueError(f"n={n} exceeds the cap {cap} for scenario {spec.scenario.name}")
+        if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
+            raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+
+    omega_0, omega_1 = basis_marginal_pair(spec)
+    allenv = spec.scenario is Scenario.ALL_ENV
+    if allenv:  # the sector split needs exact zeros between the E2 blocks
+        for omega in (omega_0, omega_1):
+            _e2_sectors(omega)
+    # Channel linearity: the response to diag(1-alpha, alpha) is
+    # omega_0 + alpha (omega_1 - omega_0).  At alpha = 0, and at every
+    # alpha when omega_1 == omega_0 (E2_ONLY, q = 0), it is omega_0
+    # itself: T = 0 exactly, the budget is 0, and no block is built.
+    blind = np.array_equal(omega_0, omega_1)
+    signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
+    dist = np.zeros(len(ns))
+    if signal:
+        route = _allenv_distances if allenv else _qubit_distances
+        sig_ns = np.array([int(ns[i]) for i in signal])
+        sig_alphas = np.array([float(alphas[i]) for i in signal])
+        top = int(sig_ns.max())
+        width = max(1, CHUNK_ENTRIES * 6 // ((top + 1) * (top + 2) * (2 * top + 3)))
+        for lo in range(0, len(signal), width):
+            part = slice(lo, lo + width)
+            dist[signal[part]] = route(omega_0, omega_1 - omega_0, sig_ns[part], sig_alphas[part])
+    results = []
+    for i, (n, alpha) in enumerate(zip(ns, alphas)):
+        # T <= 1 exactly; the sum of the block norms can round a few ulps past it.
+        t = min(float(dist[i]), 1.0)
+        if alpha == 0.0 or blind:
+            div_total = 0.0
+        else:
+            if not sys.float_info.min <= t < math.inf:
+                raise ArithmeticError(
+                    f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
+            # omega_alpha weights e_0 of ``allenv_null_vectors``, a kernel
+            # vector of omega_0, by alpha * q / 2 > 0: the support escapes.
+            div_total = math.inf if allenv else n * willie_divergence(alpha, spec.q)
+        results.append(DetectionResult(
+            n=n,
+            alpha=alpha,
+            trace_dist=t,
+            error_prob=0.5 * (1.0 - t),
+            pinsker_floor=pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf,
+            div_total=div_total,
+        ))
+    return results
 
 
 def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
     """Exact warden error probability for n channel uses at weight alpha.
 
-    Takes the trace distance T of the two n-copy hypothesis states block
-    by block (see the module docstring) and reports E = (1 - T)/2
-    together with the divergence budget n * D(omega_alpha || omega_0) and
-    its Pinsker floor.  The budget is 0 when the hypotheses coincide,
-    +inf for ALL_ENV at alpha > 0 (omega_alpha leaves the support of
-    omega_0), and n times the closed form ``willie_divergence`` for E1_ONLY.
+    The one-row case of ``warden_errors``.
     """
-    cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
-    if n < 1 or n != int(n):
-        raise ValueError(f"number of uses n={n!r} must be a positive integer")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds the cap {cap} for scenario {spec.scenario.name}")
-    if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
-
-    omega_0, omega_1 = basis_marginal_pair(spec)
-    # Channel linearity: the response to diag(1-alpha, alpha) is the
-    # alpha-mixture of the basis responses.  alpha = 0 and omega_1 ==
-    # omega_0 (E2_ONLY) short-circuit to omega_0 itself, because the
-    # rounded mixture need not equal omega_0; those rows come out exactly
-    # zero.
-    if alpha == 0.0 or np.array_equal(omega_0, omega_1):
-        omega_alpha = omega_0
-    else:
-        omega_alpha = (1.0 - alpha) * omega_0 + alpha * omega_1
-    dist = 0.5 * sum(
-        mult * float(np.sum(np.abs(np.linalg.eigvalsh(block_a - block_0))))
-        for (mult, block_a), (_, block_0) in zip(
-            _power_blocks(omega_alpha, n), _power_blocks(omega_0, n)
-        )
-    )
-    if omega_alpha is omega_0:  # alpha = 0, or omega_1 == omega_0 (E2_ONLY, q = 0)
-        div_total = 0.0
-    elif spec.scenario is Scenario.ALL_ENV:
-        # omega_alpha weights e_0 of ``allenv_null_vectors``, a kernel
-        # vector of omega_0, by alpha * q / 2 > 0: the support escapes.
-        div_total = math.inf
-    else:
-        div_total = n * willie_divergence(alpha, spec.q)
-    return DetectionResult(
-        n=n,
-        alpha=alpha,
-        trace_dist=dist,
-        error_prob=0.5 * (1.0 - dist),
-        pinsker_floor=pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf,
-        div_total=div_total,
-    )
+    return warden_errors([n], [alpha], spec)[0]
 
 
 def covertness_sweep(nu: float, q: float, n_list) -> list[DetectionResult]:
@@ -162,15 +297,13 @@ def covertness_sweep(nu: float, q: float, n_list) -> list[DetectionResult]:
     Runs the single-environment-qubit warden scenario and checks the
     Pinsker consistency E >= floor at every point before returning.
     """
-    spec = ChannelSpec(q, Scenario.E1_ONLY)
-    results = []
-    for n in n_list:
-        sched = ScheduleParams(int(n), nu)
-        result = warden_error(sched.n, sched.alpha_n, spec)
+    schedule = [ScheduleParams(int(n), nu) for n in n_list]
+    results = warden_errors([s.n for s in schedule], [s.alpha_n for s in schedule],
+                            ChannelSpec(q, Scenario.E1_ONLY))
+    for result in results:
         if result.error_prob < result.pinsker_floor - 1e-12:
             raise ArithmeticError(
                 f"error probability {result.error_prob} fell below the "
-                f"Pinsker floor {result.pinsker_floor} at n={n}"
+                f"Pinsker floor {result.pinsker_floor} at n={result.n}"
             )
-        results.append(result)
     return results

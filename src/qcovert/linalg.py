@@ -1,7 +1,8 @@
 """Dense complex Hermitian linear algebra on small dimensions.
 
 The few matrix steps of the library run through the primitives here:
-Hermitian validation, symmetric powers of 2x2 matrices (the Schur-Weyl
+Hermitian validation, symmetric powers of 2x2 matrices by a degree
+recurrence (``monomial_step`` and ``dicke_scaling``, the Schur-Weyl
 blocks of ``detection``), a Hermitian eigensolver with a deterministic
 ordering convention and one support rule for its kernel (the feasibility
 verdicts of ``channels``), and the trace distance.  The scalar closed
@@ -11,11 +12,13 @@ and operator logarithms that the tests check the library against live in
 ``tests/oracles.py``.  Dimensions are capped at 2**12.
 
 All functions are pure: inputs are never mutated and outputs are fresh
-arrays, so values are safe to share between threads.
+arrays (``dicke_scaling``'s are cached and read-only), so values are
+safe to share between threads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -67,6 +70,43 @@ def hermitian_operator(matrix) -> np.ndarray:
     return a
 
 
+def monomial_step(a, mono) -> np.ndarray:
+    """Monomial matrix of Sym^(k+1)(A) from that of Sym^k(A), stacked.
+
+    On the monomial basis x^(k-l) y^l of degree-k polynomials, A sends
+    x -> a00 x + a10 y and y -> a01 x + a11 y, so column m of the monomial
+    matrix M_k(A) holds the coefficients of (a00 x + a10 y)^(k-m)
+    (a01 x + a11 y)^m.  One more factor a00 x + a10 y gives the columns
+    m <= k of M_(k+1), and one more a01 x + a11 y on column k gives the
+    new last column: two taps per column, no polynomial product.  The
+    step is linear in A and in M separately.  ``a`` has shape (..., 2, 2)
+    and ``mono`` (..., k+1, k+1); their leading axes broadcast.
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], mono.shape[:-2])
+    size = mono.shape[-1] + 1
+    out = np.zeros(lead + (size, size), dtype=np.result_type(a, mono))
+    a00, a01, a10, a11 = (a[..., i, j, np.newaxis] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    out[..., :-1, :-1] = a00[..., np.newaxis] * mono
+    out[..., 1:, :-1] += a10[..., np.newaxis] * mono
+    last = mono[..., -1]
+    out[..., :-1, -1] = a01 * last
+    out[..., 1:, -1] += a11 * last
+    return out
+
+
+@functools.lru_cache(maxsize=256)
+def dicke_scaling(k: int) -> np.ndarray:
+    """Entrywise factors sqrt(C(k, m) / C(k, l)) taking M_k(A) to Sym^k(A).
+
+    Dicke vector m is sqrt(C(k, m)) times the monomial's symmetric
+    tensor.  The array is cached per k and read-only.
+    """
+    root = np.sqrt([float(math.comb(k, m)) for m in range(k + 1)])
+    scale = root[np.newaxis, :] / root[:, np.newaxis]
+    scale.flags.writeable = False
+    return scale
+
+
 def symmetric_power(a, k: int) -> np.ndarray:
     """k-th symmetric power Sym^k(A) of a 2x2 matrix, in the Dicke basis.
 
@@ -74,24 +114,18 @@ def symmetric_power(a, k: int) -> np.ndarray:
     whose orthonormal Dicke basis vector m (0 <= m <= k) is the uniform
     superposition of the C(k, m) strings with m ones.  The map is a
     representation: Sym^k(AB) = Sym^k(A) Sym^k(B), Sym^k(I) = I,
-    Sym^1(A) = A, and Sym^0(A) = [[1]].  Cost O(k^3) with no k-qubit matrix.
+    Sym^1(A) = A, and Sym^0(A) = [[1]].  Built by k ``monomial_step``
+    calls and one ``dicke_scaling``, cost O(k^3) with no k-qubit matrix.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
     if k < 0 or k != int(k):
         raise ValueError(f"power {k!r} must be a nonnegative integer")
-    # On the monomial basis x^(k-m) y^m, A sends x -> a00 x + a10 y and
-    # y -> a01 x + a11 y, so column m holds the coefficients in t of
-    # (a00 + a10 t)^(k-m) (a01 + a11 t)^m.
-    u_pow, v_pow = [np.ones(1, dtype=np.complex128)], [np.ones(1, dtype=np.complex128)]
-    for _ in range(k):
-        u_pow.append(np.convolve(u_pow[-1], a[:, 0]))
-        v_pow.append(np.convolve(v_pow[-1], a[:, 1]))
-    mono = np.column_stack([np.convolve(u_pow[k - m], v_pow[m]) for m in range(k + 1)])
-    # Dicke vector m is sqrt(C(k, m)) times the monomial's symmetric tensor.
-    root = np.sqrt([float(math.comb(k, m)) for m in range(k + 1)])
-    return mono * (root[np.newaxis, :] / root[:, np.newaxis])
+    mono = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(int(k)):
+        mono = monomial_step(a, mono)
+    return mono * dicke_scaling(int(k))
 
 
 class SpectralDecomposition(NamedTuple):

@@ -489,3 +489,101 @@ def mp_willie_eta(q: float):
                     coeff = (mp.log(w[i]) - mp.log(w[j])) / (w[i] - w[j])
                 total += coeff * abs(m[i, j]) ** 2
         return total / mp.log(2)
+
+
+def _mp_symmetric_power(a, k: int):
+    """Sym^k of a 2x2 mpmath matrix in the Dicke basis, by the binomial expansion.
+
+    Entry (l, m) is sqrt(C(k, m) / C(k, l)) times the coefficient of
+    x^(k-l) y^l in (a00 x + a10 y)^(k-m) (a01 x + a11 y)^m.
+    """
+    p00, p01, p10, p11 = ([x**e for e in range(k + 1)]
+                          for x in (a[0, 0], a[0, 1], a[1, 0], a[1, 1]))
+    s = mp.matrix(k + 1, k + 1)
+    for m in range(k + 1):
+        for l in range(k + 1):
+            coeff = mp.fsum(
+                math.comb(k - m, j) * math.comb(m, l - j)
+                * p00[k - m - j] * p10[j] * p01[m - l + j] * p11[l - j]
+                for j in range(max(0, l - m), min(k - m, l) + 1)
+            )
+            s[l, m] = mp.sqrt(mp.mpf(math.comb(k, m)) / math.comb(k, l)) * coeff
+    return s
+
+
+def _mp_spin_blocks(a, n: int):
+    """(multiplicity, det(a)^r Sym^(n-2r)(a)) for r = 0..n//2."""
+    det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
+    return [(math.comb(n, r) - (math.comb(n, r - 1) if r else 0),
+             det**r * _mp_symmetric_power(a, n - 2 * r)) for r in range(n // 2 + 1)]
+
+
+def _mp_kron(a, b):
+    out = mp.matrix(a.rows * b.rows, a.cols * b.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[i * b.rows + k, j * b.cols + l] = a[i, j] * b[k, l]
+    return out
+
+
+def _mp_trace_norm(m):
+    return sum(abs(w) for w in mp.eighe(m, eigvals_only=True))
+
+
+def _mp_warden_blocks(alpha, q, scenario: Scenario):
+    """Real 2x2 blocks of the warden marginal at weight alpha, in a rotated basis.
+
+    E1_ONLY: the marginal itself, after the diagonal unitary that makes
+    its off-diagonal (1 - 2 alpha)(s - i q/4) real, of modulus
+    (1 - 2 alpha) sqrt(q (2 - q) / 8).  ALL_ENV: its E2 = 0 block, which is
+    real, and its E2 = 1 block after the same kind of rotation.  The
+    rotation does not depend on alpha, so applied to every copy of both
+    hypotheses it leaves their trace distance unchanged; real blocks
+    halve the cost of ``mp.eighe``.
+    """
+    sign = 1 - 2 * alpha
+    if scenario is Scenario.E1_ONLY:
+        off = sign * mp.sqrt(q * (2 - q) / 8)
+        return (mp.matrix([[1 - q / 2, off], [off, q / 2]]),)
+    s = mp.sqrt((1 - 3 * q / 4) * q / 4)
+    return (mp.matrix([[1 - 3 * q / 4, sign * s], [sign * s, q / 4]]),
+            mp.matrix([[q / 4, sign * q / 4], [sign * q / 4, q / 4]]))
+
+
+def mp_warden_trace_distances(n: int, alphas, q: float, scenario: Scenario, dps: int = 40):
+    """T of the n-copy warden hypotheses by the Schur-Weyl block sum, one per alpha.
+
+    Every block difference det(A_a)^r Sym^k(A_a) - det(A_0)^r Sym^k(A_0)
+    (for ALL_ENV, the Kronecker product of an E2 = 0 and an E2 = 1 block
+    in each of the C(n, k) sectors) is formed by subtraction at ``dps``
+    digits, with Sym^k by the binomial expansion, and diagonalized with
+    ``mp.eighe``.
+    """
+    with mp.workdps(dps):
+        q_ = mp.mpf(q)
+        if scenario is Scenario.E1_ONLY:
+            sectors = [(1, n, 0)]
+        elif scenario is Scenario.ALL_ENV:
+            sectors = [(math.comb(n, k), n - k, k) for k in range(n + 1)]
+        else:
+            raise ValueError(f"no block-sum reference for {scenario.name}")
+
+        def blocks(alpha):
+            halves = _mp_warden_blocks(alpha, q_, scenario)
+            out = []
+            for weight, k0, k1 in sectors:
+                for m0, b0 in _mp_spin_blocks(halves[0], k0):
+                    if len(halves) == 1:
+                        out.append((weight * m0, b0))
+                        continue
+                    out.extend((weight * m0 * m1, _mp_kron(b0, b1))
+                               for m1, b1 in _mp_spin_blocks(halves[1], k1))
+            return out
+
+        null = blocks(mp.mpf(0))
+        return [
+            sum(m * _mp_trace_norm(b_a - b_0) for (m, b_a), (_, b_0) in zip(blocks(mp.mpf(a)), null)) / 2
+            for a in alphas
+        ]

@@ -12,19 +12,21 @@ Stated bounds (relative):
     ``div_total`` = n D(omega_alpha || omega_0)   1e-13
     ``willie_eta``                               1e-14
     detect-sim ``div_total`` (E1_ONLY)           1e-13
+    detect-sim trace distance T                  1e-10
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
 moments at q = 1e-6 and 1 - 1e-6 and 2.8e-16 for the warden divergence
-at weights past 1/2; 7.3e-16 for the detect-sim budget.  The
-bounds are a factor of about 1000 inside the project target of 1e-10
-for D and ``div_total``.  Printed values carry 12 significant digits,
-so CLI rows are held to 1e-11.
+at weights past 1/2; 7.3e-16 for the detect-sim budget and 8.5e-16 for
+its trace distance.  The bounds are a factor of about 1000 inside the
+project target of 1e-10 for D and ``div_total``; T is held to the
+target itself, since its reference is a 40-digit block sum.  Printed
+values carry 12 significant digits, so CLI rows are held to 1e-11.
 
 The detect-sim budget is exact outside E1_ONLY: +inf for ALL_ENV at
 alpha > 0 and q > 0 (the support escape), and exactly 0 for ALL_ENV at
-alpha = 0 or q = 0 and for E2_ONLY.  Its trace distance is not audited
-here.
+alpha = 0 or q = 0 and for E2_ONLY.  E2_ONLY's T is exactly 0 too
+(``test_detection.py``), so T is audited on E1_ONLY and ALL_ENV.
 """
 
 import csv
@@ -33,7 +35,7 @@ import math
 import mpmath as mp
 import pytest
 
-from oracles import mp_dvq, mp_willie_divergence, mp_willie_eta
+from oracles import mp_dvq, mp_warden_trace_distances, mp_willie_divergence, mp_willie_eta
 from qcovert import cli
 from qcovert.channels import ChannelSpec, Scenario
 from qcovert.covert import (
@@ -43,11 +45,12 @@ from qcovert.covert import (
     willie_divergence_total,
     willie_eta,
 )
-from qcovert.detection import warden_error
+from qcovert.detection import warden_error, warden_errors
 
 TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
 TOL_ETA = 1e-14
+TOL_T = 1e-10
 TOL_PRINTED = 1e-11
 
 Q_GRID = (0.05, 0.3, 0.5, 0.8, 0.95)
@@ -183,3 +186,22 @@ def test_detect_budget_is_exactly_zero_without_signal():
     for alpha in (0.0, 1e-15, 0.3, 1.0):
         for q in (0.05, 0.5, 1.0):
             assert warden_error(7, alpha, ChannelSpec(q, Scenario.E2_ONLY)).div_total == 0.0
+
+
+# ----------------------------------------------------------------------
+# detect-sim: the trace distance T of the two n-copy hypotheses
+
+T_ALPHAS = (1e-15, 1e-9, 1e-3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("q", (0.05, 0.5, 0.95))
+@pytest.mark.parametrize(
+    "scenario, n",
+    [(Scenario.E1_ONLY, n) for n in (1, 2, 7, 20)] + [(Scenario.ALL_ENV, n) for n in (1, 3, 5)],
+    ids=lambda v: v.name if isinstance(v, Scenario) else str(v),
+)
+def test_detect_trace_distance_matches_mpmath(scenario, n, q):
+    rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, ChannelSpec(q, scenario))
+    refs = mp_warden_trace_distances(n, T_ALPHAS, q, scenario)
+    worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
+    assert worst <= TOL_T, f"T off by {worst:.2e}"

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from oracles import mp_willie_divergence
+from oracles import mp_warden_trace_distances, mp_willie_divergence
 from qcovert import cli
+from qcovert.channels import Scenario
 from qcovert.covert import capacity_lower_bound
 
 
@@ -247,6 +248,37 @@ def test_detect_sim_underflowing_budget_exits_three(capsys):
     argv = ["detect-sim", "--scenario", "3", "--n-grid", "1", "--alpha-grid", "1e-200"]
     assert cli.main(argv) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario", [Scenario.ALL_ENV, Scenario.E1_ONLY], ids=["1", "3"])
+def test_detect_sim_single_use_trace_distance_at_tiny_weight(scenario, tmp_path):
+    # At n = 1, T(alpha) = alpha T(1).  Subtracting the O(1) blocks printed
+    # 1.39e-16 (scenario 1) and 1.14e-16 (scenario 3) here, for the true
+    # 8.09e-17 and 6.12e-17.
+    code, path = run(["detect-sim", "--scenario", str(int(scenario)), "--n-grid", "1",
+                      "--alpha-grid", "1e-16", "--q", "0.5"], tmp_path, "t.csv")
+    assert code == 0
+    (t_one,) = mp_warden_trace_distances(1, [1.0], 0.5, scenario)
+    assert float(_csv_row(path)["trace_dist"]) == pytest.approx(1e-16 * float(t_one), rel=1e-12, abs=0.0)
+
+
+def test_detect_sim_trace_distance_is_linear_at_tiny_weight(tmp_path):
+    # T = alpha T'(0) + O(alpha^2); the subtracting route printed 0 at 1e-100
+    values = []
+    for alpha in ("1e-100", "1e-50"):
+        code, path = run(["detect-sim", "--n-grid", "3", "--alpha-grid", alpha], tmp_path, "t.csv")
+        assert code == 0
+        values.append(float(_csv_row(path)["trace_dist"]) / float(alpha))
+    assert values[0] > 0.0
+    assert values[0] == pytest.approx(values[1], rel=1e-11)
+
+
+def test_detect_sim_subnormal_trace_distance_exits_three(capsys):
+    # ALL_ENV at alpha = 1e-320: T ~ 8e-321 is subnormal, so it has lost
+    # its relative accuracy and the row is refused, as on the closed forms
+    argv = ["detect-sim", "--scenario", "1", "--n-grid", "1", "--alpha-grid", "1e-320"]
+    assert cli.main(argv) == 3
+    assert "trace distance" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_two():

@@ -195,3 +195,29 @@ def test_e1_at_the_use_cap_obeys_fidelity_bounds():
     # Fuchs-van de Graaf with the multiplicative n-copy fidelity fid**n
     assert 1.0 - fid**n <= r.trace_dist <= math.sqrt(1.0 - fid ** (2 * n))
     assert elapsed < 2.0
+
+
+@pytest.mark.parametrize(
+    "scenario, ns",
+    [(Scenario.E1_ONLY, [3, 10, 1, 7, 2, 10]), (Scenario.ALL_ENV, [1, 3, 5, 2, 4, 5])],
+    ids=["E1_ONLY", "ALL_ENV"],
+)
+def test_table_rows_do_not_depend_on_their_neighbours(scenario, ns):
+    # rows of small n come first, so a block order taken from the table
+    # (rather than fixed per shape) would change the larger rows' sums
+    rng = np.random.default_rng(17)
+    spec = ChannelSpec(0.9157811524513488, scenario)
+    alphas = [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns))]
+    table = detection.warden_errors(ns, alphas, spec)
+    assert table == [warden_error(n, a, spec) for n, a in zip(ns, alphas)]
+    assert detection.warden_errors(ns[::-1], alphas[::-1], spec) == table[::-1]
+
+
+@pytest.mark.parametrize("q", [0.99, 0.999, 1.0])
+def test_saturated_trace_distance_stays_a_probability(q):
+    # at alpha = 1 and q near 1, T is within an ulp or two of 1, and the
+    # block sum can round past it
+    for scenario, n in ((Scenario.ALL_ENV, MAX_USES_ALLENV), (Scenario.E1_ONLY, MAX_USES)):
+        r = warden_error(n, 1.0, ChannelSpec(q, scenario))
+        assert 0.0 < r.trace_dist <= 1.0
+        assert 0.0 <= r.error_prob < 0.5

@@ -5,7 +5,8 @@ processes.  The ``rate-table``, ``approx-check``, ``bound-curve`` and
 ``scenario`` files predate the move of the dense routes into
 ``tests/oracles.py``; the ``detect-sim`` files were written after its
 budget moved to the closed form and are cell for cell the same as
-before.  Each command runs at its defaults and once with arguments
+before, and the two ``*_alpha_grid`` files (rows n x alpha) predate the
+table-level block route.  Each command runs at its defaults and once with arguments
 shaped like a benchmark round.  To regenerate a file after a deliberate
 output change, run its argv with ``--out tests/golden/<name>``.
 """
@@ -60,6 +61,14 @@ CASES = {
     "detect_sim_allenv.csv": [
         "detect-sim", "--scenario", "1", "--n-grid", "1:5:1", "--q", "0.775748",
         "--nu", "0.118861",
+    ],
+    "detect_sim_e1_alpha_grid.csv": [
+        "detect-sim", "--scenario", "3", "--n-grid", "1,4,9", "--alpha-grid", "0,0.05,0.25,1",
+        "--q", "0.3",
+    ],
+    "detect_sim_allenv_alpha_grid.csv": [
+        "detect-sim", "--scenario", "1", "--n-grid", "1,3,5", "--alpha-grid", "0,0.05,0.25,1",
+        "--q", "0.3",
     ],
     "detect_sim_e2.csv": [
         "detect-sim", "--scenario", "2", "--n-grid", "1:10:1", "--q", "0.775748",

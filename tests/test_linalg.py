@@ -17,6 +17,8 @@ from qcovert.linalg import (
     eig_hermitian,
     hermitian_operator,
     order_eigensystem,
+    dicke_scaling,
+    monomial_step,
     symmetric_power,
     trace_distance,
 )
@@ -135,6 +137,19 @@ def test_symmetric_power_is_the_symmetric_block_of_the_tensor_power():
         symmetric_power(np.eye(3), 2)
     with pytest.raises(ValueError):
         symmetric_power(a, -1)
+
+
+def test_monomial_step_broadcasts_over_stacked_matrices():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    mono = np.ones((1, 1), dtype=np.complex128)
+    stacked = [mono]
+    for _ in range(5):
+        stacked.append(monomial_step(a, stacked[-1]))
+    for i in range(4):
+        np.testing.assert_allclose(stacked[-1][i] * dicke_scaling(5), symmetric_power(a[i], 5),
+                                   rtol=0.0, atol=1e-13 * np.linalg.norm(a[i], 2) ** 5)
+    assert not dicke_scaling(5).flags.writeable
 
 
 def test_partial_trace_of_product_state():
