@@ -51,7 +51,6 @@ from .linalg import (
     SpectralDecomposition,
     eig_hermitian,
     hermitian_operator,
-    symmetric_power,
     trace_distance,
 )
 

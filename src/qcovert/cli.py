@@ -1,12 +1,8 @@
 """qcovert: deterministic CSV/JSON sweep tables for the analysis library.
 
-Commands
---------
-bound-curve   capacity lower bound versus noise q
-approx-check  exact vs leading-order divergence moments over an alpha grid
-rate-table    finite-blocklength covert rates under the schedule
-scenario      feasibility report per warden scenario (JSON only)
-detect-sim    exact warden detection simulation, n <= 100 (5 for scenario 1)
+``COMMANDS`` is the one command table: each command's handler, one-line
+help and options (``qcovert --help`` lists the commands).  A call parses
+the command name first and then builds the parser of that command alone.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -26,7 +22,7 @@ import numpy as np
 from .channels import ChannelSpec, Scenario, scenario_support_report
 from .covert import (
     ScheduleParams,
-    capacity_lower_bound,
+    _capacity,
     dvq_exact,
     leading_moments,
     rate_reports,
@@ -115,7 +111,7 @@ def cmd_bound_curve(args):
             raise ValueError(f"q={q:g} outside (0, 1)")
     config = {"command": "bound-curve", "q_grid": q_grid}
     columns = ["q", "eta", "capacity_lb"]
-    rows = [[q, willie_eta(q), capacity_lower_bound(q)] for q in q_grid]
+    rows = [[q, eta, _capacity(q, eta)] for q, eta in zip(q_grid, map(willie_eta, q_grid))]
     return config, columns, rows
 
 
@@ -196,6 +192,8 @@ def cmd_detect_sim(args):
     n_grid = parse_int_grid(args.n_grid)
     spec = ChannelSpec(args.q, Scenario(args.scenario))
     alpha_grid = parse_grid(args.alpha_grid) if args.alpha_grid else None
+    if alpha_grid and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
+        raise ValueError(f"the n x alpha grid has more than {MAX_GRID_POINTS} entries")
     config = {
         "command": "detect-sim",
         "n_grid": n_grid,
@@ -216,61 +214,63 @@ def cmd_detect_sim(args):
     return config, columns, rows
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qcovert",
+# Each command: its handler's name here (looked up per call, so a replaced cmd_* is what
+# runs), its one-line help, and its options beyond --out and --format as add_argument keywords.
+COMMANDS = {
+    "bound-curve": ("cmd_bound_curve", "capacity lower bound and eta versus q", {
+        "--q-grid": {"default": "0.05:0.95:0.05", "help": "q values: a:b:step or comma list"}}),
+    "approx-check": ("cmd_approx_check", "exact vs leading-order D, V, Q over an alpha grid", {
+        "--q": {"type": float, "default": 0.5},
+        "--alpha-grid": {"default": "1e-3,1e-4,1e-5,1e-6"}}),
+    "rate-table": ("cmd_rate_table", "finite-blocklength covert rates under the schedule", {
+        "--n-grid": {"default": "1e4,1e5,1e6"},
+        "--nu": {"type": float, "default": 0.05},
+        "--eps": {"type": float, "default": 0.05},
+        "--q": {"type": float, "default": 0.5}}),
+    "scenario": ("cmd_scenario", "feasibility report per warden scenario (JSON only)", {
+        "--q": {"type": float, "default": 0.5},
+        "--scenario": {"type": int, "choices": (1, 2, 3),
+                       "help": "restrict to one scenario (default: all three)"}}),
+    "detect-sim": ("cmd_detect_sim",
+                   "exact warden detection simulation, n <= 100 (5 for scenario 1)", {
+        "--n-grid": {"default": "1,2,3,4,5,6,7,8"},
+        "--q": {"type": float, "default": 0.5},
+        "--scenario": {"type": int, "choices": (1, 2, 3), "default": 3},
+        "--nu": {"type": float, "default": 0.05,
+                 "help": "schedule exponent setting alpha_n = n**(nu - 2/3)"},
+        "--alpha-grid": {"help": "fixed alpha values instead of the schedule"}}),
+}
+
+
+def _parse_args(argv):
+    """Return the handler of argv's command and the options the command's own parser read."""
+    top = argparse.ArgumentParser(
+        prog="qcovert", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Covert-communication analysis tables for the qubit depolarizing channel.",
+        epilog="commands:\n" + "".join(f"  {n:<14}{h}\n" for n, (_, h, _) in COMMANDS.items()),
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def add(name, handler, **help_kw):
-        p = sub.add_parser(name, aliases=[name.replace("-", "_")], **help_kw)
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", help="output file path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"),
-                       default="json" if name == "scenario" else "csv")
-        return p
-
-    p = add("bound-curve", cmd_bound_curve,
-            help="capacity lower bound and eta versus q")
-    p.add_argument("--q-grid", default="0.05:0.95:0.05",
-                   help="q values: a:b:step or comma list")
-
-    p = add("approx-check", cmd_approx_check,
-            help="exact vs leading-order D, V, Q over an alpha grid")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--alpha-grid", default="1e-3,1e-4,1e-5,1e-6")
-
-    p = add("rate-table", cmd_rate_table,
-            help="finite-blocklength covert rates under the schedule")
-    p.add_argument("--n-grid", default="1e4,1e5,1e6")
-    p.add_argument("--nu", type=float, default=0.05)
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--q", type=float, default=0.5)
-
-    p = add("scenario", cmd_scenario,
-            help="feasibility report per warden scenario (JSON only)")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3),
-                   help="restrict to one scenario (default: all three)")
-
-    p = add("detect-sim", cmd_detect_sim,
-            help="exact warden detection simulation, n <= 100 (5 for scenario 1)")
-    p.add_argument("--n-grid", default="1,2,3,4,5,6,7,8")
-    p.add_argument("--q", type=float, default=0.5)
-    p.add_argument("--scenario", type=int, choices=(1, 2, 3), default=3)
-    p.add_argument("--nu", type=float, default=0.05,
-                   help="schedule exponent setting alpha_n = n**(nu - 2/3)")
-    p.add_argument("--alpha-grid",
-                   help="fixed alpha values instead of the schedule")
-
-    return parser
+    top.add_argument("command", metavar="command",
+                     choices=dict.fromkeys(a for n in COMMANDS for a in (n, n.replace("-", "_"))),
+                     help="one of the commands below, or its underscore alias")
+    rest = top.add_argument("args", nargs=argparse.REMAINDER,
+                            help="the command's options, listed by: qcovert command --help")
+    rest.required = False  # with no argv, name only the missing command
+    head = top.parse_args(argv)
+    name = head.command.replace("_", "-")
+    handler, help_text, options = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=help_text)
+    parser.add_argument("--out", help="output file path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"),
+                        default="json" if name == "scenario" else "csv")
+    for flag, kwargs in options.items():
+        parser.add_argument(flag, **kwargs)
+    return globals()[handler], parser.parse_args(head.args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    handler, args = _parse_args(argv)
     try:
-        config, columns, rows = args.handler(args)
+        config, columns, rows = handler(args)
         write_output(config, columns, rows, args)
     except (ValueError, OSError) as exc:
         print(f"qcovert: error: {exc}", file=sys.stderr)

@@ -7,9 +7,10 @@ blocks of ``detection``), a Hermitian eigensolver with a deterministic
 ordering convention and one support rule for its kernel (the feasibility
 verdicts of ``channels``), and the trace distance.  The scalar closed
 forms of ``covert`` (moments, warden divergence, curvature) need none of
-them.  The validated states, Kronecker and tensor powers, partial traces
-and operator logarithms that the tests check the library against live in
-``tests/oracles.py``.  Dimensions are capped at 2**12.
+them.  The validated states, Kronecker, tensor and one-matrix symmetric
+powers, partial traces and operator logarithms that the tests check the
+library against live in ``tests/oracles.py``.  Dimensions are capped at
+2**12.
 
 All functions are pure: inputs are never mutated and outputs are fresh
 arrays (``dicke_scaling``'s are cached and read-only), so values are
@@ -105,27 +106,6 @@ def dicke_scaling(k: int) -> np.ndarray:
     scale = root[np.newaxis, :] / root[:, np.newaxis]
     scale.flags.writeable = False
     return scale
-
-
-def symmetric_power(a, k: int) -> np.ndarray:
-    """k-th symmetric power Sym^k(A) of a 2x2 matrix, in the Dicke basis.
-
-    Sym^k(A) is A^{(x)k} restricted to the symmetric subspace of k qubits,
-    whose orthonormal Dicke basis vector m (0 <= m <= k) is the uniform
-    superposition of the C(k, m) strings with m ones.  The map is a
-    representation: Sym^k(AB) = Sym^k(A) Sym^k(B), Sym^k(I) = I,
-    Sym^1(A) = A, and Sym^0(A) = [[1]].  Built by k ``monomial_step``
-    calls and one ``dicke_scaling``, cost O(k^3) with no k-qubit matrix.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    if a.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
-    if k < 0 or k != int(k):
-        raise ValueError(f"power {k!r} must be a nonnegative integer")
-    mono = np.ones((1, 1), dtype=np.complex128)
-    for _ in range(int(k)):
-        mono = monomial_step(a, mono)
-    return mono * dicke_scaling(int(k))
 
 
 class SpectralDecomposition(NamedTuple):

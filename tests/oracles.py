@@ -5,12 +5,14 @@ None of these is used by the library itself.  Three kinds live here:
 * Dense double-precision linear algebra and channel routes, the generic
   matrices behind the library's closed forms: validated states
   (``density_operator``, ``pure_state``), ``projector``, Kronecker
-  ``tensor`` and ``tensor_power``, ``partial_trace`` and the operator
-  logarithm ``matrix_log2``; the depolarizing channel (``depolarize``
-  and its Pauli-twirl form), its Stinespring isometry and dilated
-  output, and the warden marginal ``willie_marginal`` by partial trace;
-  the entangled input, the arrow-matrix joint output, the product of its
-  marginals and the arrow matrix's spectral decomposition.
+  ``tensor`` and ``tensor_power``, ``symmetric_power`` of one 2x2 matrix
+  (the library's degree recurrence, which ``detection`` runs stacked),
+  ``partial_trace`` and the operator logarithm ``matrix_log2``; the
+  depolarizing channel (``depolarize`` and its Pauli-twirl form), its
+  Stinespring isometry and dilated output, and the warden marginal
+  ``willie_marginal`` by partial trace; the entangled input, the
+  arrow-matrix joint output, the product of its marginals and the arrow
+  matrix's spectral decomposition.
 * Dense double-precision functionals on arbitrary density matrices:
   ``relative_entropy``, ``moments`` (D, V, Q from operator logarithms)
   and ``eta`` (the divided-difference curvature).  They are the generic
@@ -36,8 +38,10 @@ from qcovert.linalg import (
     SpectralDecomposition,
     _support_floor,
     _support_mask,
+    dicke_scaling,
     eig_hermitian,
     hermitian_operator,
+    monomial_step,
     order_eigensystem,
 )
 
@@ -112,6 +116,27 @@ def tensor_power(op, n: int) -> np.ndarray:
     for _ in range(n - 1):
         out = tensor(out, op)
     return out
+
+
+def symmetric_power(a, k: int) -> np.ndarray:
+    """k-th symmetric power Sym^k(A) of a 2x2 matrix, in the Dicke basis.
+
+    Sym^k(A) is A^{(x)k} restricted to the symmetric subspace of k qubits,
+    whose orthonormal Dicke basis vector m (0 <= m <= k) is the uniform
+    superposition of the C(k, m) strings with m ones.  The map is a
+    representation: Sym^k(AB) = Sym^k(A) Sym^k(B), Sym^k(I) = I,
+    Sym^1(A) = A, and Sym^0(A) = [[1]].  Built by k ``monomial_step``
+    calls and one ``dicke_scaling``, cost O(k^3) with no k-qubit matrix.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {a.shape}")
+    if k < 0 or k != int(k):
+        raise ValueError(f"power {k!r} must be a nonnegative integer")
+    mono = np.ones((1, 1), dtype=np.complex128)
+    for _ in range(int(k)):
+        mono = monomial_step(a, mono)
+    return mono * dicke_scaling(int(k))
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:

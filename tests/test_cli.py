@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -48,6 +49,14 @@ def test_parse_grid_length_cap():
 def test_oversized_grid_exits_two_at_once(capsys):
     start = time.perf_counter()
     assert cli.main(["bound-curve", "--q-grid", "0:1e9:1e-9"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "entries" in capsys.readouterr().err
+
+
+def test_detect_sim_table_size_cap_exits_two_at_once(capsys):
+    # 2 x 10 000 rows: each grid is within the cap, their product is not
+    start = time.perf_counter()
+    assert cli.main(["detect-sim", "--n-grid", "1,2", "--alpha-grid", "0:0.9999:0.0001"]) == 2
     assert time.perf_counter() - start < 1.0
     assert "entries" in capsys.readouterr().err
 
@@ -180,6 +189,77 @@ def test_stdout_output(capsys):
 def test_underscore_alias(capsys):
     assert cli.main(["bound_curve", "--q-grid", "0.5"]) == 0
     assert capsys.readouterr().out.startswith("q,eta,capacity_lb")
+    for argv in (["approx_check", "--alpha-grid", "1e-3"], ["rate_table", "--n-grid", "1e4"],
+                 ["detect_sim", "--n-grid", "2"]):
+        assert cli.main(argv) == 0
+        alias = capsys.readouterr().out
+        assert cli.main([argv[0].replace("_", "-")] + argv[1:]) == 0
+        assert alias == capsys.readouterr().out
+
+
+COMMAND_HELP = {
+    "bound-curve": "capacity lower bound and eta versus q",
+    "approx-check": "exact vs leading-order D, V, Q over an alpha grid",
+    "rate-table": "finite-blocklength covert rates under the schedule",
+    "scenario": "feasibility report per warden scenario (JSON only)",
+    "detect-sim": "exact warden detection simulation, n <= 100 (5 for scenario 1)",
+}
+
+
+def test_top_level_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name, help_text in COMMAND_HELP.items():
+        assert f"  {name:<14}{help_text}\n" in out
+
+
+@pytest.mark.parametrize("name, options", [
+    ("bound-curve", ["--q-grid"]),
+    ("approx-check", ["--q", "--alpha-grid"]),
+    ("rate-table", ["--n-grid", "--nu", "--eps", "--q"]),
+    ("scenario", ["--q", "--scenario"]),
+    ("detect-sim", ["--n-grid", "--q", "--scenario", "--nu", "--alpha-grid"]),
+])
+def test_command_help_lists_its_options(name, options, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main([name, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: qcovert {name} ")
+    assert COMMAND_HELP[name] in out
+    listed = {word for word in out.split() if word.startswith("--")}
+    assert listed == {"--help", "--out", "--format", *options}
+
+
+def test_only_the_invoked_command_parser_is_built(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _ = run(["rate-table", "--n-grid", "1e4"], tmp_path)
+    assert code == 0
+    assert built == ["qcovert", "qcovert rate-table"]
+
+
+def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
+    # a handler table frozen at import would miss a replaced cmd_* (and the
+    # benchmark's tracing wrappers, which replace them the same way)
+    seen = []
+
+    def fake(args):
+        seen.append(args.q_grid)
+        return {"command": "bound-curve"}, ["q"], [[0.25]]
+
+    monkeypatch.setattr(cli, "cmd_bound_curve", fake)
+    assert cli.main(["bound-curve", "--q-grid", "0.25"]) == 0
+    assert seen == ["0.25"]
+    assert capsys.readouterr().out == "q\r\n0.25\r\n"
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):
@@ -281,10 +361,13 @@ def test_detect_sim_subnormal_trace_distance_exits_three(capsys):
     assert "trace distance" in capsys.readouterr().err
 
 
-def test_unknown_command_exits_two():
-    with pytest.raises(SystemExit) as info:
-        cli.main(["no-such-command"])
-    assert info.value.code == 2
+def test_unknown_command_exits_two(capsys):
+    for argv in (["no-such-command"], [], ["--no-such-option"], ["rate-table", "--no-such-option"],
+                 ["scenario", "--scenario", "4"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+    assert "required: command\n" in capsys.readouterr().err
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

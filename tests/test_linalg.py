@@ -9,6 +9,7 @@ from oracles import (
     partial_trace,
     projector,
     pure_state,
+    symmetric_power,
     tensor,
     tensor_power,
 )
@@ -19,7 +20,6 @@ from qcovert.linalg import (
     order_eigensystem,
     dicke_scaling,
     monomial_step,
-    symmetric_power,
     trace_distance,
 )
 
