@@ -46,12 +46,5 @@ from .detection import (
     warden_errors,
 )
 from .divergences import DvqTriple
-from .linalg import (
-    DIM_CAP,
-    SpectralDecomposition,
-    eig_hermitian,
-    hermitian_operator,
-    trace_distance,
-)
 
 __version__ = "0.1.0"

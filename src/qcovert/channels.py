@@ -6,9 +6,11 @@ environment, and the marginals here are written in that register order.
 A warden listening on different environment subsets sees one of three
 marginal channels; which subset decides whether covert signalling is
 impossible, free, or genuinely constrained.  ``scenario_support_report``
-states that verdict numerically from support containment and trace
-distance.  The dilation itself, the dense channel and the partial-trace
-route to the marginals are the test oracles in ``tests/oracles.py``.
+states that verdict from closed forms of the kernel overlap, trace
+distance and determinants, with no eigensolver.  The dilation itself,
+the dense channel, the partial-trace route to the marginals and the
+eigensolver route to the support report (``dense_support_report``) are
+the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-
-from .linalg import _support_floor, _support_mask, eig_hermitian, trace_distance
 
 
 class Scenario(IntEnum):
@@ -162,19 +162,30 @@ def scenario_support_report(spec: ChannelSpec) -> SupportReport:
     when omega_0 = omega_1 (the warden learns nothing at any power),
     "nontrivial" otherwise, and "degenerate" at the q in {0, 1}
     boundaries where the channel itself collapses.
+
+    Every field is a closed form in q.  E2_ONLY: omega_0 = omega_1 =
+    diag(1 - q/2, q/2).  E1_ONLY: that diagonal with coherences of
+    opposite sign and squared modulus q/4 - q^2/8, so both states have
+    determinant q(2 - q)/8 and their difference has eigenvalues
+    +-sqrt(q - q^2/2).  ALL_ENV: both states have rank 2, their
+    difference has eigenvalues +-2s and +-q/2 with s^2 = (1 - 3q/4) q/4,
+    and omega_1 does not couple the kernel vectors e_0 and f of
+    ``allenv_null_vectors``, so the kernel overlap is the larger of
+    <e_0|omega_1|e_0> = q/2 and <f|omega_1|f> = q(4 - 3q)/(2(2 - q)),
+    which is the second for q <= 1.  The rational fields are computed in
+    Python integers from q = m/d and rounded once, correctly.
     """
-    omega_0, omega_1 = basis_marginal_pair(spec)
-    w, v = eig_hermitian(omega_0)
-    kernel = v[:, ~_support_mask(w)]
-    if kernel.shape[1] == 0:
-        overlap = 0.0
+    m, d = spec.q.as_integer_ratio()
+    q = m / d  # spec.q, with -0.0 as +0.0 so that no field is a signed zero
+    if spec.scenario is Scenario.E2_ONLY:
+        overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
+    elif spec.scenario is Scenario.E1_ONLY:
+        overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
+        dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
     else:
-        compressed = kernel.conj().T @ omega_1 @ kernel
-        overlap = float(np.max(np.abs(np.linalg.eigvalsh(compressed))))
-    contained = overlap <= _support_floor(w)
-    dist = trace_distance(omega_0, omega_1)
-    det0 = float(np.linalg.det(omega_0).real)
-    det1 = float(np.linalg.det(omega_1).real)
+        overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
+        dist = 0.5 * (math.sqrt(q * (4.0 - 3.0 * q)) + q)  # 2s + q/2
+    contained = overlap == 0.0
 
     if spec.boundary:
         verdict, note = "degenerate", _BOUNDARY_NOTES[spec.q]
@@ -190,8 +201,8 @@ def scenario_support_report(spec: ChannelSpec) -> SupportReport:
         support_contained=contained,
         kernel_overlap=overlap,
         trace_dist=dist,
-        det_omega0=det0,
-        det_omega1=det1,
+        det_omega0=det,
+        det_omega1=det,
         verdict=verdict,
         note=note,
     )

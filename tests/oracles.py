@@ -3,14 +3,18 @@
 None of these is used by the library itself.  Three kinds live here:
 
 * Dense double-precision linear algebra and channel routes, the generic
-  matrices behind the library's closed forms: validated states
+  matrices behind the library's closed forms: Hermitian validation
+  (``hermitian_operator``), the eigensolver ``eig_hermitian`` with its
+  ordering convention (``order_eigensystem``) and support rule, the
+  ``trace_distance``, validated states
   (``density_operator``, ``pure_state``), ``projector``, Kronecker
   ``tensor`` and ``tensor_power``, ``symmetric_power`` of one 2x2 matrix
   (the library's degree recurrence, which ``detection`` runs stacked),
   ``partial_trace`` and the operator logarithm ``matrix_log2``; the
   depolarizing channel (``depolarize`` and its Pauli-twirl form), its
   Stinespring isometry and dilated output, and the warden marginal
-  ``willie_marginal`` by partial trace; the entangled input, the
+  ``willie_marginal`` by partial trace, and the eigensolver route to the
+  feasibility verdicts (``dense_support_report``); the entangled input, the
   arrow-matrix joint output, the product of its marginals and the arrow
   matrix's spectral decomposition.
 * Dense double-precision functionals on arbitrary density matrices:
@@ -26,24 +30,22 @@ None of these is used by the library itself.  Three kinds live here:
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
 
-from qcovert.channels import ChannelSpec, Scenario, _check_q
+from qcovert.channels import (
+    _BOUNDARY_NOTES,
+    ChannelSpec,
+    Scenario,
+    SupportReport,
+    _check_q,
+    basis_marginal_pair,
+)
 from qcovert.covert import ArrowMatrixParams, _check_unit, _coupled_pair, arrow_params
 from qcovert.divergences import DvqTriple
-from qcovert.linalg import (
-    DIM_CAP,
-    SpectralDecomposition,
-    _support_floor,
-    _support_mask,
-    dicke_scaling,
-    eig_hermitian,
-    hermitian_operator,
-    monomial_step,
-    order_eigensystem,
-)
+from qcovert.linalg import dicke_scaling, monomial_step
 
 LN2 = math.log(2.0)
 DPS = 50
@@ -51,6 +53,122 @@ DPS = 50
 
 # ----------------------------------------------------------------------
 # Dense linear algebra
+
+
+DIM_CAP = 2**12
+
+HERMITICITY_TOL = 1e-12
+# Support rule, shared by every kernel test: an eigenvalue or a weight at or
+# below SUPPORT_RTOL * dim * lambda_max counts as zero.  A backward-stable
+# Hermitian eigensolver moves eigenvalues by a small multiple of
+# eps * lambda_max (at most 5 eps * lambda_max measured on rank-deficient
+# states up to dim 1024), so anything above the floor is a genuine
+# eigenvalue and keeps its logarithm.
+SUPPORT_RTOL = 4.0 * float(np.finfo(np.float64).eps)
+
+
+def hermitian_operator(matrix) -> np.ndarray:
+    """Validate a dense Hermitian matrix and return it as complex128.
+
+    Parameters
+    ----------
+    matrix : array_like
+        Square matrix expected to satisfy A = A^dagger entrywise within
+        HERMITICITY_TOL.
+
+    Returns
+    -------
+    numpy.ndarray
+        The validated matrix, dtype complex128.
+
+    Raises
+    ------
+    ValueError
+        If the matrix is not square, contains non-finite entries,
+        violates Hermiticity, or its dimension falls outside [1, DIM_CAP].
+    """
+    a = np.asarray(matrix, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    dim = a.shape[0]
+    if dim < 1 or dim > DIM_CAP:
+        raise ValueError(f"dimension {dim} outside [1, {DIM_CAP}]")
+    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+        raise ValueError("matrix contains non-finite entries")
+    defect = np.max(np.abs(a - a.conj().T))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max |A - A^dag| = {defect:g}")
+    return a
+
+
+class SpectralDecomposition(NamedTuple):
+    """Eigenvalues (real, descending) and matching orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    def reconstruct(self) -> np.ndarray:
+        """Reassemble sum_i lambda_i |v_i><v_i|."""
+        w, v = self
+        return (v * w) @ v.conj().T
+
+
+def _lexicographic_key(column: np.ndarray):
+    return tuple(x for entry in column for x in (entry.real, entry.imag))
+
+
+def order_eigensystem(eigenvalues, eigenvectors) -> SpectralDecomposition:
+    """Put an eigensystem into the package's deterministic convention.
+
+    Eigenvalues sorted descending; each eigenvector's first entry of
+    non-negligible magnitude is rotated to be real positive; exact
+    eigenvalue ties are broken by lexicographic comparison of the
+    phase-fixed vectors.  Equal inputs therefore give identical outputs.
+    """
+    w = np.asarray(eigenvalues, dtype=np.float64).copy()
+    v = np.asarray(eigenvectors, dtype=np.complex128).copy()
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    for k in range(v.shape[1]):
+        col = v[:, k]
+        lead = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        z = col[lead]
+        v[:, k] = col * (z.conjugate() / abs(z))
+    start = 0
+    for stop in range(1, len(w) + 1):
+        if stop == len(w) or w[stop] != w[start]:
+            if stop - start > 1:
+                cols = sorted(range(start, stop), key=lambda k: _lexicographic_key(v[:, k]))
+                v[:, start:stop] = v[:, cols]
+            start = stop
+    return SpectralDecomposition(w, v)
+
+
+def eig_hermitian(h) -> SpectralDecomposition:
+    """Spectral decomposition of a Hermitian matrix, deterministically ordered."""
+    a = hermitian_operator(h)
+    w, v = np.linalg.eigh(a)
+    return order_eigensystem(w, v)
+
+
+def _support_floor(eigenvalues: np.ndarray) -> float:
+    """Largest magnitude that counts as zero beside these (descending) eigenvalues."""
+    return SUPPORT_RTOL * len(eigenvalues) * max(float(eigenvalues[0]), 0.0)
+
+
+def _support_mask(eigenvalues: np.ndarray) -> np.ndarray:
+    """Boolean mask of the eigenvalues above the support floor."""
+    return eigenvalues > _support_floor(eigenvalues)
+
+
+def trace_distance(rho, sigma) -> float:
+    """Half the trace norm of rho - sigma for Hermitian arguments."""
+    r = np.asarray(rho, dtype=np.complex128)
+    s = np.asarray(sigma, dtype=np.complex128)
+    if r.shape != s.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise ValueError(f"incompatible shapes {r.shape} and {s.shape}")
+    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
 
 
 TRACE_TOL = 1e-10
@@ -274,6 +392,54 @@ def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
     return partial_trace(joint, [2, 2, 2], keep)
 
 
+def dense_support_report(spec: ChannelSpec) -> SupportReport:
+    """Feasibility verdict from a dense eigensolve of the basis marginals.
+
+    The route ``channels.scenario_support_report`` replaced with closed
+    forms: the kernel of omega_0 under the support rule, the largest
+    eigenvalue of omega_1 compressed to it, the trace distance from
+    ``eigvalsh`` and LU determinants.
+
+    Verdicts: "impossible" when supp(omega_1) escapes supp(omega_0) (the
+    warden detects a single use with positive probability), "trivial"
+    when omega_0 = omega_1 (the warden learns nothing at any power),
+    "nontrivial" otherwise, and "degenerate" at the q in {0, 1}
+    boundaries where the channel itself collapses.
+    """
+    omega_0, omega_1 = basis_marginal_pair(spec)
+    w, v = eig_hermitian(omega_0)
+    kernel = v[:, ~_support_mask(w)]
+    if kernel.shape[1] == 0:
+        overlap = 0.0
+    else:
+        compressed = kernel.conj().T @ omega_1 @ kernel
+        overlap = float(np.max(np.abs(np.linalg.eigvalsh(compressed))))
+    contained = overlap <= _support_floor(w)
+    dist = trace_distance(omega_0, omega_1)
+    det0 = float(np.linalg.det(omega_0).real)
+    det1 = float(np.linalg.det(omega_1).real)
+
+    if spec.boundary:
+        verdict, note = "degenerate", _BOUNDARY_NOTES[spec.q]
+    elif not contained:
+        verdict, note = "impossible", ""
+    elif dist == 0.0:
+        verdict, note = "trivial", ""
+    else:
+        verdict, note = "nontrivial", ""
+    return SupportReport(
+        scenario=spec.scenario,
+        q=spec.q,
+        support_contained=contained,
+        kernel_overlap=overlap,
+        trace_dist=dist,
+        det_omega0=det0,
+        det_omega1=det1,
+        verdict=verdict,
+        note=note,
+    )
+
+
 # ----------------------------------------------------------------------
 # Dense joint output of the entangled input
 
@@ -487,6 +653,49 @@ def _e1_marginal(alpha, q):
     s = mp.sqrt((1 - 3 * q / 4) * q / 4)
     off = (1 - 2 * alpha) * (s - 0.25j * q)
     return mp.matrix([[1 - q / 2, off], [mp.conj(off), q / 2]])
+
+
+def _mp_basis_marginals(q, scenario: Scenario):
+    """(omega_0, omega_1) for the basis inputs, as dense mpmath matrices."""
+    if scenario is Scenario.E2_ONLY:
+        omega = mp.diag([1 - q / 2, q / 2])
+        return omega, omega
+    if scenario is Scenario.E1_ONLY:
+        return _e1_marginal(mp.mpf(0), q), _e1_marginal(mp.mpf(1), q)
+    s = mp.sqrt((1 - 3 * q / 4) * q / 4)
+    c = q / 4
+    return tuple(
+        mp.matrix([[1 - 3 * c, 0, sign * s, 0],
+                   [0, c, 0, -sign * 1j * c],
+                   [sign * s, 0, c, 0],
+                   [0, sign * 1j * c, 0, c]])
+        for sign in (1, -1)
+    )
+
+
+def mp_support_fields(q: float, scenario: Scenario) -> tuple:
+    """(kernel_overlap, trace_dist, det_omega0, det_omega1) of a scenario report.
+
+    From ``mp.eighe`` of the dense marginals at enough digits that an
+    eigenvalue of size q stands DPS digits above the working precision:
+    the kernel of omega_0 is spanned by the eigenvectors whose
+    eigenvalues are at most 10**(10 - dps), the overlap is the largest
+    eigenvalue of omega_1 compressed to the kernel, and a rank-deficient
+    omega has determinant exactly 0.
+    """
+    dps = _digits(q) + 10
+    with mp.workdps(dps):
+        omega_0, omega_1 = _mp_basis_marginals(mp.mpf(q), scenario)
+        w, v = mp.eighe(omega_0)
+        floor = mp.mpf(10) ** (10 - dps)
+        kernel = [k for k in range(len(w)) if abs(w[k]) <= floor]
+        overlap = mp.mpf(0)
+        if kernel:
+            basis = mp.matrix([[v[i, k] for k in kernel] for i in range(v.rows)])
+            overlap = max(mp.eighe(basis.transpose_conj() * omega_1 * basis, eigvals_only=True))
+        dist = _mp_trace_norm(omega_0 - omega_1) / 2
+        dets = [mp.mpf(0) if kernel else mp.re(mp.det(m)) for m in (omega_0, omega_1)]
+        return (overlap, dist, *dets)
 
 
 def mp_willie_divergence(alpha: float, q: float):

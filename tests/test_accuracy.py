@@ -13,20 +13,25 @@ Stated bounds (relative):
     ``willie_eta``                               1e-14
     detect-sim ``div_total`` (E1_ONLY)           1e-13
     detect-sim trace distance T                  1e-10
+    scenario overlap, trace distance, dets       1e-15
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
 moments at q = 1e-6 and 1 - 1e-6 and 2.8e-16 for the warden divergence
 at weights past 1/2; 7.3e-16 for the detect-sim budget and 8.5e-16 for
-its trace distance.  The bounds are a factor of about 1000 inside the
-project target of 1e-10 for D and ``div_total``; T is held to the
-target itself, since its reference is a 40-digit block sum.  Printed
-values carry 12 significant digits, so CLI rows are held to 1e-11.
+its trace distance; 1.5e-16 for the scenario fields, q from 1e-300 to 1
+(the overlap and the determinants are rounded once, correctly).  The
+bounds are a factor of about 1000 inside the project target of 1e-10
+for D and ``div_total``; T is held to the target itself, since its
+reference is a 40-digit block sum.  Printed values carry 12 significant
+digits, so CLI rows are held to 1e-11.
 
 The detect-sim budget is exact outside E1_ONLY: +inf for ALL_ENV at
 alpha > 0 and q > 0 (the support escape), and exactly 0 for ALL_ENV at
 alpha = 0 or q = 0 and for E2_ONLY.  E2_ONLY's T is exactly 0 too
-(``test_detection.py``), so T is audited on E1_ONLY and ALL_ENV.
+(``test_detection.py``), so T is audited on E1_ONLY and ALL_ENV.  A
+scenario field whose analytic value is 0 (the overlap outside ALL_ENV,
+E2_ONLY's trace distance, ALL_ENV's determinants) must be exactly +0.0.
 """
 
 import csv
@@ -35,9 +40,16 @@ import math
 import mpmath as mp
 import pytest
 
-from oracles import mp_dvq, mp_warden_trace_distances, mp_willie_divergence, mp_willie_eta
+from oracles import (
+    dense_support_report,
+    mp_dvq,
+    mp_support_fields,
+    mp_warden_trace_distances,
+    mp_willie_divergence,
+    mp_willie_eta,
+)
 from qcovert import cli
-from qcovert.channels import ChannelSpec, Scenario
+from qcovert.channels import ChannelSpec, Scenario, scenario_support_report
 from qcovert.covert import (
     ScheduleParams,
     dvq_exact,
@@ -51,6 +63,7 @@ TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
 TOL_ETA = 1e-14
 TOL_T = 1e-10
+TOL_SUPPORT = 1e-15
 TOL_PRINTED = 1e-11
 
 Q_GRID = (0.05, 0.3, 0.5, 0.8, 0.95)
@@ -205,3 +218,36 @@ def test_detect_trace_distance_matches_mpmath(scenario, n, q):
     refs = mp_warden_trace_distances(n, T_ALPHAS, q, scenario)
     worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
     assert worst <= TOL_T, f"T off by {worst:.2e}"
+
+
+# ----------------------------------------------------------------------
+# scenario: the feasibility report's fields
+
+SUPPORT_FIELDS = ("kernel_overlap", "trace_dist", "det_omega0", "det_omega1")
+SUPPORT_QS = (1e-300, 1e-15, 3e-15, 1e-6, 0.01, 0.3, 0.5, 0.885731, 0.99, 1.0 - 1e-12, 1.0)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.name)
+def test_scenario_fields_match_mpmath(scenario):
+    worst = 0.0
+    for q in SUPPORT_QS:
+        rep = scenario_support_report(ChannelSpec(q, scenario))
+        for name, ref in zip(SUPPORT_FIELDS, mp_support_fields(q, scenario)):
+            got = getattr(rep, name)
+            if ref == 0:
+                # an analytic zero is printed as +0.0, not as a rounding residue
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0, (q, name, got)
+            else:
+                worst = max(worst, _rel(got, ref))
+    assert worst <= TOL_SUPPORT, f"scenario fields off by {worst:.2e}"
+
+
+def test_scenario_fields_match_the_dense_route():
+    for q in (0.01 + 0.98 * k / 49 for k in range(50)):
+        for scenario in Scenario:
+            spec = ChannelSpec(q, scenario)
+            closed, dense = scenario_support_report(spec), dense_support_report(spec)
+            assert (closed.verdict, closed.support_contained) == (
+                dense.verdict, dense.support_contained)
+            for name in SUPPORT_FIELDS:
+                assert getattr(closed, name) == pytest.approx(getattr(dense, name), abs=1e-14)

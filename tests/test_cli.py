@@ -144,6 +144,33 @@ def test_scenario_single_and_boundary(tmp_path):
     assert doc["rows"][0]["note"] != ""
 
 
+@pytest.mark.parametrize("q", ["3e-15", "1e-15", "1e-300"])
+def test_scenario_verdicts_hold_at_tiny_noise(q, tmp_path):
+    # Here the smallest eigenvalues lie below a dense eigensolver's relative
+    # support floor, 4 eps * dim * lambda_max, which would misplace the kernel
+    # of omega_0; the verdicts must still be those of the model.
+    code, path = run(["scenario", "--q", q], tmp_path, "tiny.json")
+    assert code == 0
+    rows = {r["label"]: r for r in json.loads(path.read_text())["rows"]}
+    assert rows["ALL_ENV"]["verdict"] == "impossible"
+    assert rows["ALL_ENV"]["support_contained"] is False
+    assert rows["E1_ONLY"]["verdict"] == "nontrivial"
+    assert rows["E2_ONLY"]["verdict"] == "trivial"
+    assert rows["E2_ONLY"]["kernel_overlap"] == 0.0
+
+
+def test_scenario_prints_no_signed_zero_at_negative_zero_noise(tmp_path):
+    code, path = run(["scenario", "--q", "-0.0"], tmp_path, "zero.json")
+    assert code == 0
+    text = path.read_text()
+    for row in json.loads(text)["rows"]:
+        assert row["verdict"] == "degenerate"
+        for name in ("kernel_overlap", "trace_distance", "det_omega0", "det_omega1"):
+            assert row[name] == 0.0 and math.copysign(1.0, row[name]) == 1.0, name
+    # the only -0.0s are the echoed input: the config's q and each row's q
+    assert text.count("-0.0") == 4
+
+
 def test_scenario_rejects_csv(tmp_path):
     code, _ = run(["scenario", "--format", "csv"], tmp_path)
     assert code == 2
@@ -401,6 +428,8 @@ def test_rate_path_exit_codes_are_truthful(tmp_path, capsys):
         ["rate-table", "--n-grid", "1e2,1e4,1e6,1e12,1e15"],
         ["approx-check", "--alpha-grid", "0,1e-12,2e-12,1e-6,0.3,0.7"],
         ["bound-curve"],
+        ["scenario"],
+        ["scenario", "--q", "3e-15"],
     ],
 )
 def test_closed_form_commands_call_no_eigensolver(argv, tmp_path, monkeypatch):
@@ -411,6 +440,7 @@ def test_closed_form_commands_call_no_eigensolver(argv, tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "det", forbidden)
     code, path = run(argv, tmp_path, "guarded.csv")
     assert code == 0
     assert path.read_bytes() == expected.read_bytes()

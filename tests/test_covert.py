@@ -7,6 +7,7 @@ from oracles import (
     arrow_matrix,
     arrow_spectral,
     binary_convolution,
+    eig_hermitian,
     entangled_input,
     eta,
     joint_output_closed_form,
@@ -40,7 +41,6 @@ from qcovert.covert import (
     willie_eta,
 )
 from qcovert.divergences import DvqTriple
-from qcovert.linalg import eig_hermitian
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 

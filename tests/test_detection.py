@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import relative_entropy, tensor_power
+from oracles import relative_entropy, tensor_power, trace_distance
 from qcovert import detection
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
 from qcovert.covert import ScheduleParams
@@ -15,7 +15,6 @@ from qcovert.detection import (
     pinsker_floor,
     warden_error,
 )
-from qcovert.linalg import trace_distance
 
 LN2 = math.log(2.0)
 

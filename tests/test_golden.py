@@ -1,14 +1,18 @@
 """CLI outputs against golden files, byte for byte.
 
 The goldens in ``tests/golden`` are the outputs of fresh ``qcovert``
-processes.  The ``rate-table``, ``approx-check``, ``bound-curve`` and
-``scenario`` files predate the move of the dense routes into
-``tests/oracles.py``; the ``detect-sim`` files were written after its
-budget moved to the closed form and are cell for cell the same as
-before, and the two ``*_alpha_grid`` files (rows n x alpha) predate the
-table-level block route.  Each command runs at its defaults and once with arguments
-shaped like a benchmark round.  To regenerate a file after a deliberate
-output change, run its argv with ``--out tests/golden/<name>``.
+processes.  The ``rate-table``, ``approx-check`` and ``bound-curve``
+files predate the move of the dense routes into ``tests/oracles.py``.
+The ``scenario`` files were regenerated when the support report became
+closed forms: at q = 0.5 the ALL_ENV kernel overlap and the E1_ONLY
+determinants moved by one or two ulps to the doubles nearest their exact
+values (5/12 and 3/32), and nothing else changed.  The ``detect-sim``
+files were written after its budget moved to the closed form and are
+cell for cell the same as before, and the two ``*_alpha_grid`` files
+(rows n x alpha) predate the table-level block route.  Each command
+runs at its defaults and once with arguments shaped like a benchmark
+round.  To regenerate a file after a deliberate output change, run its
+argv with ``--out tests/golden/<name>``.
 """
 
 from pathlib import Path

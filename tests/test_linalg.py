@@ -4,24 +4,21 @@ import numpy as np
 import pytest
 
 from oracles import (
+    DIM_CAP,
     density_operator,
+    eig_hermitian,
+    hermitian_operator,
     matrix_log2,
+    order_eigensystem,
     partial_trace,
     projector,
     pure_state,
     symmetric_power,
     tensor,
     tensor_power,
-)
-from qcovert.linalg import (
-    DIM_CAP,
-    eig_hermitian,
-    hermitian_operator,
-    order_eigensystem,
-    dicke_scaling,
-    monomial_step,
     trace_distance,
 )
+from qcovert.linalg import dicke_scaling, monomial_step
 
 
 def random_density(rng, dim):

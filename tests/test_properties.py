@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import trace_distance
 from qcovert.channels import ChannelSpec, Scenario, e1only_marginal
 from qcovert.covert import dvq_exact, willie_divergence
 from qcovert.detection import MAX_USES_ALLENV, warden_error, warden_errors
-from qcovert.linalg import trace_distance
 
 LN2 = math.log(2.0)
 
