@@ -86,6 +86,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _json_ready(value):
+    """``value`` with every non-finite float as the string the CSV prints."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _json_ready(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    return value
+
+
 def write_output(config: dict, columns: list[str], rows: list[list], args) -> None:
     if args.format == "csv":
         buf = io.StringIO()
@@ -96,7 +107,7 @@ def write_output(config: dict, columns: list[str], rows: list[list], args) -> No
         text = buf.getvalue()
     else:
         payload = {"config": config, "rows": [dict(zip(columns, row)) for row in rows]}
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(_json_ready(payload), indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)

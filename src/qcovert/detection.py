@@ -12,11 +12,19 @@ irreps j = n/2, n/2 - 1, ...: the block of spin j is
 det(A)^r Sym^k(A) with k = 2j = n - 2r, of dimension k + 1, repeated
 C(n, r) - C(n, r-1) times.  Both hypotheses share this block structure,
 so the trace norm of their difference is the multiplicity-weighted sum
-of the blockwise trace norms.  The 4x4 ALL_ENV marginals are block
-diagonal in the E2 register (E2 records whether B was flipped by X or Y,
-a classical bit for diagonal inputs), so their n-fold power splits into
-sectors with k copies in the E2 = 1 block, C(n, k) of each, and every
-sector block is a Kronecker product of two qubit spin blocks.
+of the blockwise trace norms.
+
+The 4x4 ALL_ENV marginals reduce to the same blocks.  They are block
+diagonal in the E2 register (E2 records whether B was flipped by X or
+Y), and E2 = 1 has weight q/2 under both hypotheses.  Given E2 = 1 the
+two states are diagonal in one alpha-independent basis, the innocent
+one pure, so k such copies differ only by the factor (1 - alpha)^k on
+the innocent string.  Given E2 = 0 the innocent block Z_0 has rank one,
+so (1 - alpha)^k Z_alpha^(x m) - Z_0^(x m), m = n - k, has a single
+negative eigenvalue, in its top spin block, and the trace fixes the
+rest of the trace norm:
+
+  T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_alpha) - Sym^m(Z_0)).
 
 Three things keep the route cheap and accurate at every weight:
 
@@ -26,13 +34,12 @@ Three things keep the route cheap and accurate at every weight:
 * Difference form.  The step is linear in A, so with
   omega_alpha = omega_0 + alpha Delta the block difference is carried
   through the recurrence itself:
-  D_(k+1) = L[omega_alpha](D_k) + L[alpha Delta](M_k(omega_0)).  The
-  determinant factor uses det_a^(s+1) - det_0^(s+1) =
-  det_a (det_a^s - det_0^s) + delta det_0^s with
-  delta = alpha lin + alpha^2 det(Delta), and the ALL_ENV sectors use
-  kron(Z_a, O_a) - kron(Z_0, O_0) = kron(dZ, O_a) + kron(Z_0, dO).  No
-  step subtracts two O(1) numbers, so T keeps its relative accuracy as
-  alpha -> 0 (T is linear in alpha there).
+  D_(k+1) = L[omega_alpha](D_k) + L[alpha Delta](M_k(omega_0)).  Powers
+  use b_a^(s+1) - b_0^(s+1) = b_a (b_a^s - b_0^s) + (b_a - b_0) b_0^s,
+  for the determinant factor (b_a - b_0 = alpha lin + alpha^2 det(Delta))
+  and for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
+  numbers, so T keeps its relative accuracy as alpha -> 0 (T is linear
+  in alpha there).
 * One table, one eigvalsh per block shape.  omega_0's monomial matrices
   are built once per table, every row's difference is stacked on a
   leading axis, and all blocks of one shape are diagonalized together.
@@ -58,9 +65,7 @@ LN2 = math.log(2.0)
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
-# few uses, so five show it.  Past that the cost rises steeply: the sector
-# blocks grow to (n/2 + 1)^2 dimensions and their count like n^3/24 (about
-# 1.6 s for one row at n = 30 on the same host).
+# few uses, so five show it.
 MAX_USES_ALLENV = 5
 # Rows are processed in chunks whose stacked spin blocks of all degrees
 # hold at most about this many complex entries (8 MB), however long the
@@ -94,23 +99,6 @@ def _spin_multiplicities(n: int) -> tuple[float, ...]:
                  for r in range(n // 2 + 1))
 
 
-@functools.cache
-def _sector_blocks(n: int) -> tuple[tuple[int, int, int, int, float], ...]:
-    """(p0, p1, r0, r1, multiplicity) of every block of an ALL_ENV n-fold power.
-
-    The sector with k copies in the E2 = 1 block repeats C(n, k) times and
-    holds the blocks det(Z)^r0 Sym^p0(Z) (x) det(O)^r1 Sym^p1(O) with
-    p0 = n - k - 2 r0 and p1 = k - 2 r1.
-    """
-    return tuple(
-        (n - k - 2 * r0, k - 2 * r1, r0, r1,
-         math.comb(n, k) * _spin_multiplicities(n - k)[r0] * _spin_multiplicities(k)[r1])
-        for k in range(n + 1)
-        for r0 in range((n - k) // 2 + 1)
-        for r1 in range(k // 2 + 1)
-    )
-
-
 def _e2_sectors(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """E2 = 0 and E2 = 1 blocks of a 4x4 marginal on E1 (x) E2 (index 2*E1 + E2).
 
@@ -126,12 +114,28 @@ def _det(a: np.ndarray) -> float:
     return (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
 
 
+def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_a^s and b_a^s - b_0^s for s < count, b_a = b_0 + b_d, stacked on axis 0.
+
+    The difference is carried as b_a (b_a^s - b_0^s) + b_d b_0^s, so no
+    step subtracts two O(1) powers.
+    """
+    base_a = base_0 + base_d
+    pow_0 = base_0 ** np.arange(count)
+    pow_a = np.ones((count, len(base_d)))
+    pow_d = np.zeros((count, len(base_d)))
+    for s in range(count - 1):
+        pow_a[s + 1] = base_a * pow_a[s]
+        pow_d[s + 1] = base_a * pow_d[s] + base_d * pow_0[s]
+    return pow_a, pow_d
+
+
 class _Powers:
     """Spin blocks of omega_0 and omega_a = omega_0 + alpha Delta for stacked rows.
 
     ``levels[k]`` is (Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0)),
-    the second stacked over the rows; ``pow_0[r]``, ``pow_a[r]`` and
-    ``pow_d[r]`` are det_0^r, det_a^r and det_a^r - det_0^r.
+    the second stacked over the rows; ``pow_a[r]`` and ``pow_d[r]`` are
+    det_a^r and det_a^r - det_0^r.
     """
 
     def __init__(self, omega_0: np.ndarray, delta: np.ndarray, alphas: np.ndarray, top: int):
@@ -145,32 +149,16 @@ class _Powers:
             mono_0 = monomial_step(omega_0, mono_0)
             scale = dicke_scaling(k)
             self.levels.append((mono_0 * scale, mono_d * scale))
-        det_0 = _det(omega_0)
         lin = (omega_0[0, 0] * delta[1, 1] + delta[0, 0] * omega_0[1, 1]
                - omega_0[0, 1] * delta[1, 0] - delta[0, 1] * omega_0[1, 0]).real
         det_d = alphas * lin + alphas**2 * _det(delta)
-        det_a = det_0 + det_d
-        rmax = top // 2
-        self.pow_0 = det_0 ** np.arange(rmax + 1)
-        self.pow_a = np.ones((rmax + 1, len(alphas)))
-        self.pow_d = np.zeros((rmax + 1, len(alphas)))
-        for s in range(rmax):
-            self.pow_a[s + 1] = det_a * self.pow_a[s]
-            self.pow_d[s + 1] = det_a * self.pow_d[s] + det_d * self.pow_0[s]
+        self.pow_a, self.pow_d = _power_pair(_det(omega_0), det_d, top // 2 + 1)
 
-    def zero(self, k: int, r: np.ndarray) -> np.ndarray:
-        """det_0^r Sym^k(omega_0), stacked over r."""
-        return self.pow_0[r, np.newaxis, np.newaxis] * self.levels[k][0]
-
-    def diff(self, k: int, rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """det_a^r Sym^k(omega_a) - det_0^r Sym^k(omega_0) for the given rows."""
+    def diff(self, k: int, rows: np.ndarray, coef_a: np.ndarray, coef_d: np.ndarray) -> np.ndarray:
+        """coef_a Sym^k(omega_a) - (coef_a - coef_d) Sym^k(omega_0) for the given rows."""
         sym_0, sym_d = self.levels[k]
-        return (self.pow_a[r, rows, np.newaxis, np.newaxis] * sym_d[rows]
-                + self.pow_d[r, rows, np.newaxis, np.newaxis] * sym_0)
-
-
-def _trace_norms(blocks: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh(blocks)).sum(axis=-1)
+        return (coef_a[:, np.newaxis, np.newaxis] * sym_d[rows]
+                + coef_d[:, np.newaxis, np.newaxis] * sym_0)
 
 
 def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -183,35 +171,30 @@ def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.n
         if rows.size:
             r = (ns[rows] - k) // 2
             mult = np.array([_spin_multiplicities(int(n))[s] for n, s in zip(ns[rows], r)])
-            total[rows] += mult * _trace_norms(powers.diff(k, rows, r))
+            blocks = powers.diff(k, rows, powers.pow_a[r, rows], powers.pow_d[r, rows])
+            total[rows] += mult * np.abs(np.linalg.eigvalsh(blocks)).sum(axis=-1)
     return 0.5 * total
 
 
 def _allenv_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for the 4x4 ALL_ENV marginals: one einsum and eigvalsh per block shape.
+    """T for the 4x4 ALL_ENV marginals: one eigvalsh per E2 = 0 degree m.
 
-    With Z and O the E2 = 0 and E2 = 1 blocks, a sector block difference
-    is kron(dZ, O_a) + kron(Z_0, dO), dZ and dO from the difference
-    recurrence and O_a = O_0 + dO.
+    T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_a) - Sym^m(Z_0))
+    with m = n - k and Z the E2 = 0 block (see the module docstring).
     """
-    (z_0, o_0), (z_d, o_d) = _e2_sectors(omega_0), _e2_sectors(delta)
+    (z_0, o_0), (z_d, _) = _e2_sectors(omega_0), _e2_sectors(delta)
     top = int(ns.max())
-    zs, os_ = _Powers(z_0, z_d, alphas, top), _Powers(o_0, o_d, alphas, top)
-    groups: dict[tuple[int, int], list] = {}
-    for i, n in enumerate(ns):
-        for p0, p1, r0, r1, mult in _sector_blocks(int(n)):
-            groups.setdefault((p0, p1), []).append((i, r0, r1, mult))
+    zs = _Powers(z_0, z_d, alphas, top)
+    keep, lose = _power_pair(1.0, -alphas, top + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
+    weight = np.trace(o_0).real  # q/2, the probability of E2 = 1
     total = np.zeros(len(ns))
-    # A fixed group order keeps each row's sum independent of the other rows.
-    for (p0, p1), entries in sorted(groups.items()):
-        rows, r0, r1, mult = (np.array(column) for column in zip(*entries))
-        dz, do = zs.diff(p0, rows, r0), os_.diff(p1, rows, r1)
-        left = np.stack((dz, zs.zero(p0, r0)), axis=1)
-        right = np.stack((os_.zero(p1, r1) + do, do), axis=1)
-        dim = (p0 + 1) * (p1 + 1)
-        blocks = np.einsum("ctij,ctkl->cikjl", left, right).reshape(-1, dim, dim)
-        np.add.at(total, rows, mult * _trace_norms(blocks))
-    return 0.5 * total
+    for m in range(top, -1, -1):
+        rows = np.flatnonzero(ns >= m)
+        k = ns[rows] - m
+        mult = np.array([math.comb(int(n), int(j)) for n, j in zip(ns[rows], k)]) * weight**k
+        blocks = zs.diff(m, rows, keep[k, rows], lose[k, rows])
+        total[rows] -= mult * np.linalg.eigvalsh(blocks)[:, 0]
+    return total
 
 
 def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:

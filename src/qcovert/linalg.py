@@ -6,8 +6,8 @@ monomial matrix to Sym^k(A) on the orthonormal Dicke basis.  They build
 the Schur-Weyl blocks of ``detection``.  Every other quantity the
 library prints is a scalar closed form in ``channels`` or ``covert``
 and needs no matrix step.  The validated states, Hermitian eigensolver
-with its ordering convention and support rule, trace distance,
-Kronecker, tensor and one-matrix symmetric powers, partial traces and
+with its ordering convention and support rule, trace distance, tensor
+products and powers, one-matrix symmetric powers, partial traces and
 operator logarithms that the tests check the library against live in
 ``tests/oracles.py``.
 

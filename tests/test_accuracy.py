@@ -18,9 +18,10 @@ Stated bounds (relative):
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
 moments at q = 1e-6 and 1 - 1e-6 and 2.8e-16 for the warden divergence
-at weights past 1/2; 7.3e-16 for the detect-sim budget and 8.5e-16 for
-its trace distance; 1.5e-16 for the scenario fields, q from 1e-300 to 1
-(the overlap and the determinants are rounded once, correctly).  The
+at weights past 1/2; 7.3e-16 for the detect-sim budget and 8.0e-16 for
+its trace distance (ALL_ENV: 6.2e-16 at n = 1..5, q from 1e-6 to 1);
+1.5e-16 for the scenario fields, q from 1e-300 to 1 (the overlap and
+the determinants are rounded once, correctly).  The
 bounds are a factor of about 1000 inside the project target of 1e-10
 for D and ``div_total``; T is held to the target itself, since its
 reference is a 40-digit block sum.  Printed values carry 12 significant
@@ -218,6 +219,16 @@ def test_detect_trace_distance_matches_mpmath(scenario, n, q):
     refs = mp_warden_trace_distances(n, T_ALPHAS, q, scenario)
     worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
     assert worst <= TOL_T, f"T off by {worst:.2e}"
+
+
+@pytest.mark.parametrize("q", (1e-6, 0.999, 1.0))
+def test_detect_all_env_trace_distance_at_the_q_edges(q):
+    """ALL_ENV at every n up to its cap, at the ends of the q range."""
+    for n in range(1, 6):
+        rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, ChannelSpec(q, Scenario.ALL_ENV))
+        refs = mp_warden_trace_distances(n, T_ALPHAS, q, Scenario.ALL_ENV)
+        worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
+        assert worst <= TOL_T, f"T off by {worst:.2e} at n={n}"
 
 
 # ----------------------------------------------------------------------

@@ -207,6 +207,16 @@ def test_detect_sim_trivial_scenario_is_blind(tmp_path):
     assert row["div_total"] == 0.0
 
 
+def test_json_output_is_strict(capsys):
+    """Non-finite values print as the CSV's strings, never as Infinity or NaN."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    assert cli.main(["detect-sim", "--scenario", "1", "--n-grid", "1", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+    assert (row["div_total"], row["pinsker_floor"]) == ("inf", "-inf")
+
+
 def test_stdout_output(capsys):
     assert cli.main(["bound-curve", "--q-grid", "0.5"]) == 0
     out = capsys.readouterr().out

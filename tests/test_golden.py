@@ -9,19 +9,29 @@ determinants moved by one or two ulps to the doubles nearest their exact
 values (5/12 and 3/32), and nothing else changed.  The ``detect-sim``
 files were written after its budget moved to the closed form and are
 cell for cell the same as before, and the two ``*_alpha_grid`` files
-(rows n x alpha) predate the table-level block route.  Each command
-runs at its defaults and once with arguments shaped like a benchmark
-round.  To regenerate a file after a deliberate output change, run its
-argv with ``--out tests/golden/<name>``.
+(rows n x alpha) predate the table-level block route; the ALL_ENV
+files also predate its reduction to one qubit spin block per k.  Each
+command runs at its defaults and once with arguments shaped like a
+benchmark round.  To regenerate a file after a deliberate output change,
+run its argv with ``--out tests/golden/<name>``.
+
+The ``demo_<name>.txt`` files are the stdout of ``demos/<name>.py`` run
+from the repository root with ``PYTHONPATH=src``; regenerate one the
+same way, redirecting stdout to the file.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from qcovert import cli
 
+ROOT = Path(__file__).parent.parent
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = sorted(path.stem for path in (ROOT / "demos").glob("*.py"))
 
 CASES = {
     "rate_table_default.csv": ["rate-table"],
@@ -86,3 +96,11 @@ def test_cli_output_matches_golden(name, tmp_path):
     path = tmp_path / name
     assert cli.main(CASES[name] + ["--out", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_demo_output_matches_golden(name):
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")], cwd=ROOT,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, check=True)
+    assert done.stdout == (GOLDEN / f"demo_{name}.txt").read_bytes()
