@@ -1,8 +1,12 @@
 """qcovert: deterministic CSV/JSON sweep tables for the analysis library.
 
 ``COMMANDS`` is the one command table: each command's handler, one-line
-help and options (``qcovert --help`` lists the commands).  A call parses
-the command name first and then builds the parser of that command alone.
+help and options (``qcovert --help`` lists the commands).  A call builds
+one parser.  An argv that starts with a command name (or its underscore
+alias) and holds no ``--`` goes straight to that command's parser.  Any
+other argv (none, ``--help``, an unknown command, an option before the
+command, or one with ``--`` in it) goes to the top-level parser, which
+prints the help or the error or hands the command its options.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -16,8 +20,6 @@ import io
 import json
 import math
 import sys
-
-import numpy as np
 
 from .channels import ChannelSpec, Scenario, scenario_support_report
 from .covert import (
@@ -253,8 +255,8 @@ COMMANDS = {
 }
 
 
-def _parse_args(argv):
-    """Return the handler of argv's command and the options the command's own parser read."""
+def _top_parser() -> argparse.ArgumentParser:
+    """The parser of ``qcovert [-h] command ...``: the command, then its options unread."""
     top = argparse.ArgumentParser(
         prog="qcovert", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Covert-communication analysis tables for the qubit depolarizing channel.",
@@ -266,8 +268,24 @@ def _parse_args(argv):
     rest = top.add_argument("args", nargs=argparse.REMAINDER,
                             help="the command's options, listed by: qcovert command --help")
     rest.required = False  # with no argv, name only the missing command
-    head = top.parse_args(argv)
-    name = head.command.replace("_", "-")
+    return top
+
+
+def _parse_args(argv):
+    """Return the handler of argv's command and the options the command's own parser read.
+
+    For a command-first argv the top-level parser's REMAINDER would hand the
+    command argv[1:] unchanged, so it is skipped; only a "--" (which that
+    REMAINDER may strip) keeps such an argv on the top-level route.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # No command name has two hyphens, so this accepts exactly the top parser's choices.
+    name = argv[0].replace("_", "-") if argv else None
+    if name in COMMANDS and "--" not in argv:
+        rest = argv[1:]
+    else:
+        head = _top_parser().parse_args(argv)
+        name, rest = head.command.replace("_", "-"), head.args
     handler, help_text, options = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=help_text)
     parser.add_argument("--out", help="output file path (default: stdout)")
@@ -275,7 +293,7 @@ def _parse_args(argv):
                         default="json" if name == "scenario" else "csv")
     for flag, kwargs in options.items():
         parser.add_argument(flag, **kwargs)
-    return globals()[handler], parser.parse_args(head.args)
+    return globals()[handler], parser.parse_args(rest)
 
 
 def main(argv=None) -> int:
@@ -286,7 +304,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"qcovert: error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         print(f"qcovert: numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

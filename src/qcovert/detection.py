@@ -40,9 +40,15 @@ Three things keep the route cheap and accurate at every weight:
   and for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
   numbers, so T keeps its relative accuracy as alpha -> 0 (T is linear
   in alpha there).
-* One table, one eigvalsh per block shape.  omega_0's monomial matrices
-  are built once per table, every row's difference is stacked on a
-  leading axis, and all blocks of one shape are diagonalized together.
+* One chunk of rows, one eigvalsh per block shape.  The rows are sorted
+  by n, descending, and cut into chunks of bounded memory (at n <= 100,
+  up to 51 rows make one chunk).  Within a chunk, omega_0's monomial
+  matrix of each degree is built once, every row's difference is stacked
+  on a leading axis, and all blocks of one shape are diagonalized
+  together.  The degrees are streamed: each is built from the one before
+  and then dropped, and a row leaves the stack once k passes its n.
+  Each row's block norms are still added k descending, so T does not
+  depend on the chunking or on the order of the rows.
 """
 
 from __future__ import annotations
@@ -67,9 +73,9 @@ MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
 # few uses, so five show it.
 MAX_USES_ALLENV = 5
-# Rows are processed in chunks whose stacked spin blocks of all degrees
+# Rows are processed in chunks whose stacked spin blocks of one degree
 # hold at most about this many complex entries (8 MB), however long the
-# table is; at n = 100 a chunk is one row.
+# table is; at n = 100 a chunk is 51 rows.
 CHUNK_ENTRIES = 2**19
 
 
@@ -130,71 +136,83 @@ def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.
     return pow_a, pow_d
 
 
-class _Powers:
-    """Spin blocks of omega_0 and omega_a = omega_0 + alpha Delta for stacked rows.
+def _sym_levels(omega_0, delta, alphas: np.ndarray, ns: np.ndarray):
+    """Yield Sym^k(omega_0) and Sym^k(omega_a) - Sym^k(omega_0) for k = 0..ns[0].
 
-    ``levels[k]`` is (Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0)),
-    the second stacked over the rows; ``pow_a[r]`` and ``pow_d[r]`` are
-    det_a^r and det_a^r - det_0^r.
+    omega_a = omega_0 + alpha Delta per row.  ``ns`` is sorted descending,
+    so the rows with n >= k are a prefix of the stack: the difference at
+    degree k holds those rows only.  Each degree is built from the one
+    before it, which is then dropped.
     """
+    shift = alphas[:, np.newaxis, np.newaxis] * delta
+    omega_a = omega_0 + shift
+    mono_0 = np.ones((1, 1), dtype=np.complex128)
+    mono_d = np.zeros((len(alphas), 1, 1), dtype=np.complex128)
+    yield mono_0, mono_d
+    for k in range(1, int(ns[0]) + 1):
+        live = np.count_nonzero(ns >= k)
+        mono_d = monomial_step(omega_a[:live], mono_d[:live]) + monomial_step(shift[:live], mono_0)
+        mono_0 = monomial_step(omega_0, mono_0)
+        scale = dicke_scaling(k)
+        yield mono_0 * scale, mono_d * scale
 
-    def __init__(self, omega_0: np.ndarray, delta: np.ndarray, alphas: np.ndarray, top: int):
-        shift = alphas[:, np.newaxis, np.newaxis] * delta
-        omega_a = omega_0 + shift
-        mono_0 = np.ones((1, 1), dtype=np.complex128)
-        mono_d = np.zeros((len(alphas), 1, 1), dtype=np.complex128)
-        self.levels = [(mono_0, mono_d)]
-        for k in range(1, top + 1):
-            mono_d = monomial_step(omega_a, mono_d) + monomial_step(shift, mono_0)
-            mono_0 = monomial_step(omega_0, mono_0)
-            scale = dicke_scaling(k)
-            self.levels.append((mono_0 * scale, mono_d * scale))
-        lin = (omega_0[0, 0] * delta[1, 1] + delta[0, 0] * omega_0[1, 1]
-               - omega_0[0, 1] * delta[1, 0] - delta[0, 1] * omega_0[1, 0]).real
-        det_d = alphas * lin + alphas**2 * _det(delta)
-        self.pow_a, self.pow_d = _power_pair(_det(omega_0), det_d, top // 2 + 1)
 
-    def diff(self, k: int, rows: np.ndarray, coef_a: np.ndarray, coef_d: np.ndarray) -> np.ndarray:
-        """coef_a Sym^k(omega_a) - (coef_a - coef_d) Sym^k(omega_0) for the given rows."""
-        sym_0, sym_d = self.levels[k]
-        return (coef_a[:, np.newaxis, np.newaxis] * sym_d[rows]
-                + coef_d[:, np.newaxis, np.newaxis] * sym_0)
+def _block_diff(sym_0, sym_d, coef_a: np.ndarray, coef_d: np.ndarray) -> np.ndarray:
+    """coef_a Sym^k(omega_a) - (coef_a - coef_d) Sym^k(omega_0), stacked like sym_d."""
+    return coef_a[:, np.newaxis, np.newaxis] * sym_d + coef_d[:, np.newaxis, np.newaxis] * sym_0
+
+
+def _eigvalsh(blocks: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh``, looked up per call; a solver failure is an ArithmeticError."""
+    try:
+        return np.linalg.eigvalsh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise ArithmeticError(f"eigensolver failed: {exc}") from exc
+
+
+def _sum_descending(terms: list, count: int) -> np.ndarray:
+    """Per-row sums of the (rows, values) terms of degrees k = 0, 1, ..., added k descending."""
+    total = np.zeros(count)
+    for index, values in reversed(terms):
+        total[index] += values
+    return total
 
 
 def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for qubit marginals: one eigvalsh per degree k over every row's block."""
-    top = int(ns.max())
-    powers = _Powers(omega_0, delta, alphas, top)
-    total = np.zeros(len(ns))
-    for k in range(top, -1, -1):
+    """T for qubit marginals, rows sorted by n descending: one eigvalsh per degree k."""
+    lin = (omega_0[0, 0] * delta[1, 1] + delta[0, 0] * omega_0[1, 1]
+           - omega_0[0, 1] * delta[1, 0] - delta[0, 1] * omega_0[1, 0]).real
+    det_d = alphas * lin + alphas**2 * _det(delta)
+    # det_a^r and det_a^r - det_0^r
+    pow_a, pow_d = _power_pair(_det(omega_0), det_d, int(ns[0]) // 2 + 1)
+    terms = []
+    for k, (sym_0, sym_d) in enumerate(_sym_levels(omega_0, delta, alphas, ns)):
         rows = np.flatnonzero((ns >= k) & ((ns - k) % 2 == 0))
         if rows.size:
             r = (ns[rows] - k) // 2
             mult = np.array([_spin_multiplicities(int(n))[s] for n, s in zip(ns[rows], r)])
-            blocks = powers.diff(k, rows, powers.pow_a[r, rows], powers.pow_d[r, rows])
-            total[rows] += mult * np.abs(np.linalg.eigvalsh(blocks)).sum(axis=-1)
-    return 0.5 * total
+            blocks = _block_diff(sym_0, sym_d[rows], pow_a[r, rows], pow_d[r, rows])
+            terms.append((rows, mult * np.abs(_eigvalsh(blocks)).sum(axis=-1)))
+    return 0.5 * _sum_descending(terms, len(ns))
 
 
 def _allenv_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for the 4x4 ALL_ENV marginals: one eigvalsh per E2 = 0 degree m.
+    """T for the 4x4 ALL_ENV marginals, rows sorted by n descending: one eigvalsh per degree m.
 
     T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_a) - Sym^m(Z_0))
     with m = n - k and Z the E2 = 0 block (see the module docstring).
     """
     (z_0, o_0), (z_d, _) = _e2_sectors(omega_0), _e2_sectors(delta)
-    top = int(ns.max())
-    zs = _Powers(z_0, z_d, alphas, top)
-    keep, lose = _power_pair(1.0, -alphas, top + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
+    keep, lose = _power_pair(1.0, -alphas, int(ns[0]) + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
     weight = np.trace(o_0).real  # q/2, the probability of E2 = 1
-    total = np.zeros(len(ns))
-    for m in range(top, -1, -1):
-        rows = np.flatnonzero(ns >= m)
+    terms = []
+    for m, (sym_0, sym_d) in enumerate(_sym_levels(z_0, z_d, alphas, ns)):
+        rows = np.arange(len(sym_d))  # the rows with n >= m
         k = ns[rows] - m
         mult = np.array([math.comb(int(n), int(j)) for n, j in zip(ns[rows], k)]) * weight**k
-        blocks = zs.diff(m, rows, keep[k, rows], lose[k, rows])
-        total[rows] -= mult * np.linalg.eigvalsh(blocks)[:, 0]
-    return total
+        blocks = _block_diff(sym_0, sym_d, keep[k, rows], lose[k, rows])
+        terms.append((rows, -mult * _eigvalsh(blocks)[:, 0]))
+    return _sum_descending(terms, len(ns))
 
 
 def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
@@ -235,10 +253,10 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     dist = np.zeros(len(ns))
     if signal:
         route = _allenv_distances if allenv else _qubit_distances
+        signal.sort(key=lambda i: -int(ns[i]))
         sig_ns = np.array([int(ns[i]) for i in signal])
         sig_alphas = np.array([float(alphas[i]) for i in signal])
-        top = int(sig_ns.max())
-        width = max(1, CHUNK_ENTRIES * 6 // ((top + 1) * (top + 2) * (2 * top + 3)))
+        width = max(1, CHUNK_ENTRIES // (int(sig_ns[0]) + 1) ** 2)
         for lo in range(0, len(signal), width):
             part = slice(lo, lo + width)
             dist[signal[part]] = route(omega_0, omega_1 - omega_0, sig_ns[part], sig_alphas[part])

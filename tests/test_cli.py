@@ -281,7 +281,83 @@ def test_only_the_invoked_command_parser_is_built(monkeypatch, tmp_path):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     code, _ = run(["rate-table", "--n-grid", "1e4"], tmp_path)
     assert code == 0
-    assert built == ["qcovert", "qcovert rate-table"]
+    assert built == ["qcovert rate-table"]
+    for argv in (["--help"], ["no-such-command"]):
+        built.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert built == ["qcovert"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate-table"], ["rate_table", "--n-grid", "1e4"], ["detect-sim", "-h"], ["scenario", "--he"],
+    ["bound-curve", "--q-grid", "0.5", "extra"], ["approx_check", "--q", "-0.5"],
+    ["rate-table", "-"], ["rate-table", "--q=0.3"], ["scenario", "--format", "csv", "--help", "x"],
+])
+def test_top_parser_passes_a_command_first_argv_through(argv):
+    # the top-level parser would hand the command argv[1:] unchanged, so
+    # building it for such an argv changes nothing
+    head = cli._top_parser().parse_args(argv)
+    assert (head.command, head.args) == (argv[0], argv[1:])
+
+
+TOP_USAGE = "usage: qcovert [-h] command ...\n"
+CHOICES = ("(choose from 'bound-curve', 'bound_curve', 'approx-check', 'approx_check', "
+           "'rate-table', 'rate_table', 'scenario', 'detect-sim', 'detect_sim')\n")
+RATE_USAGE = ("usage: qcovert rate-table [-h] [--out OUT] [--format {csv,json}]\n"
+              "                          [--n-grid N_GRID] [--nu NU] [--eps EPS] [--q Q]\n")
+RATE_HEAD = "n,nu,q,alpha_n,logM_lemma1,logM_lemma2,div_total,L_n,L_limit\r\n"
+RATE_ROW_Q05 = ("10000,0.05,0.5,0.00341454887383,58.4325530378,93.2637279796,0.269153233838,"
+                "0.0847627116627,0.134993554613\r\n")
+
+# (argv, exit code, stdout, stderr), as the two-parser dispatch printed them
+# before a command-first argv skipped the top-level parser
+EDGE_ARGVS = [
+    ([], 2, "", TOP_USAGE + "qcovert: error: the following arguments are required: command\n"),
+    (["-h"], 0,
+     TOP_USAGE + "\nCovert-communication analysis tables for the qubit depolarizing channel.\n"
+     "\npositional arguments:\n"
+     "  command     one of the commands below, or its underscore alias\n"
+     "  args        the command's options, listed by: qcovert command --help\n"
+     "\noptions:\n  -h, --help  show this help message and exit\n"
+     "\ncommands:\n"
+     "  bound-curve   capacity lower bound and eta versus q\n"
+     "  approx-check  exact vs leading-order D, V, Q over an alpha grid\n"
+     "  rate-table    finite-blocklength covert rates under the schedule\n"
+     "  scenario      feasibility report per warden scenario (JSON only)\n"
+     "  detect-sim    exact warden detection simulation, n <= 100 (5 for scenario 1)\n", ""),
+    (["nope"], 2, "",
+     TOP_USAGE + "qcovert: error: argument command: invalid choice: 'nope' " + CHOICES),
+    (["--format", "csv", "rate-table"], 2, "",
+     TOP_USAGE + "qcovert: error: argument command: invalid choice: 'csv' " + CHOICES),
+    (["--q", "-0.5"], 2, "",
+     TOP_USAGE + "qcovert: error: argument command: invalid choice: '-0.5' " + CHOICES),
+    (["rate_table", "--n-grid", "1e4"], 0, RATE_HEAD + RATE_ROW_Q05, ""),
+    (["rate-table", "--", "--q", "0.3", "--n-grid", "1e4"], 0,
+     RATE_HEAD + "10000,0.05,0.3,0.00341454887383,144.127108003,161.291388388,0.199652512757,"
+     "0.242749342984,0.271092377837\r\n", ""),
+    (["--", "rate-table", "--n-grid", "1e4"], 0, RATE_HEAD + RATE_ROW_Q05, ""),
+    (["rate-table", "--n-grid", "1e4", "--"], 2, "",
+     RATE_USAGE + "qcovert rate-table: error: unrecognized arguments: --\n"),
+    (["rate-table", "--he"], 0,
+     RATE_USAGE + "\nfinite-blocklength covert rates under the schedule\n"
+     "\noptions:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --out OUT            output file path (default: stdout)\n"
+     "  --format {csv,json}\n  --n-grid N_GRID\n  --nu NU\n  --eps EPS\n  --q Q\n", ""),
+    (["rate-table", "--q", "-0.5"], 2, "", "qcovert: error: q=-0.5 outside (0, 1)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", EDGE_ARGVS,
+                         ids=[" ".join(argv) for argv, *_ in EDGE_ARGVS])
+def test_help_errors_and_double_dash_print_as_before(argv, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its help to the terminal width
+    try:
+        status = cli.main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    assert (status, *capsys.readouterr()) == (code, out, err)
 
 
 def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
@@ -323,6 +399,17 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
     monkeypatch.setattr(cli, "willie_eta", boom)
     assert cli.main(["bound-curve", "--q-grid", "0.5"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_eigensolver_failure_exits_three(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError, so uncaught it would read as bad input
+    def diverge(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", diverge)
+    assert cli.main(["detect-sim", "--n-grid", "3"]) == 3
+    err = capsys.readouterr().err
+    assert err == "qcovert: numerical failure: eigensolver failed: Eigenvalues did not converge\n"
 
 
 def test_non_finite_grid_entries_exit_two(capsys):

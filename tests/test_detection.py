@@ -212,6 +212,26 @@ def test_table_rows_do_not_depend_on_their_neighbours(scenario, ns):
     assert detection.warden_errors(ns[::-1], alphas[::-1], spec) == table[::-1]
 
 
+@pytest.mark.parametrize(
+    "scenario, ns",
+    [(Scenario.E1_ONLY, [100, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 99, 100, 4]),
+     (Scenario.ALL_ENV, [1, 2, 3, 4, 5, 5, 3, 1])],
+    ids=["E1_ONLY", "ALL_ENV"],
+)
+def test_streamed_chunks_leave_every_row_bit_identical(scenario, ns, monkeypatch):
+    # rows are sorted by n, cut into chunks and streamed degree by degree;
+    # none of that may move a row's T by one bit
+    rng = np.random.default_rng(23)
+    spec = ChannelSpec(0.775748, scenario)
+    alphas = [1.0, 1e-15] + [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns) - 2)]
+    table = [r.trace_dist for r in detection.warden_errors(ns, alphas, spec)]
+    assert table == [warden_error(n, a, spec).trace_dist for n, a in zip(ns, alphas)]
+    order = rng.permutation(len(ns))
+    monkeypatch.setattr(detection, "CHUNK_ENTRIES", 2 * (max(ns) + 1) ** 2)  # two rows a chunk
+    shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order], spec)
+    assert [r.trace_dist for r in shuffled] == [table[i] for i in order]
+
+
 @pytest.mark.parametrize("q", [0.99, 0.999, 1.0])
 def test_saturated_trace_distance_stays_a_probability(q):
     # at alpha = 1 and q near 1, T is within an ulp or two of 1, and the
