@@ -19,7 +19,6 @@ from .channels import (
 )
 from .covert import (
     ArrowMatrixParams,
-    DivergenceTotal,
     RateReport,
     ScheduleParams,
     arrow_params,
@@ -35,7 +34,6 @@ from .covert import (
     rate_report,
     rate_reports,
     willie_divergence,
-    willie_divergence_total,
     willie_eta,
 )
 from .detection import (

@@ -42,6 +42,9 @@ LN2 = math.log(2.0)
 # Smallest positive normal float.  A closed-form quantity below it has lost
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
+# Weight at which ``leading_moments`` reads the fourth-moment constant off
+# ``dvq_exact``.
+_REFERENCE_ALPHA = 1e-3
 
 
 def _check_unit(name: str, x: float):
@@ -92,13 +95,6 @@ class ArrowMatrixParams(NamedTuple):
     c: float
     d: float
     e: float
-
-
-class DivergenceTotal(NamedTuple):
-    """Warden's n-use divergence: exact value and quadratic approximation."""
-
-    exact: float
-    quadratic: float
 
 
 @dataclass(frozen=True)
@@ -251,15 +247,15 @@ def _dvq_noiseless(alpha: float) -> DvqTriple:
     return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
 
 
-def leading_moments(alphas, q: float, reference_alpha: float = 1e-3) -> list[DvqTriple]:
+def leading_moments(alphas, q: float) -> list[DvqTriple]:
     """``dvq_asymptotic`` over a grid of weights at one q.
 
     The fourth-moment constant is computed once for the whole grid.
     """
     _check_unit("q", q)
     coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
-    q4_const = dvq_exact(reference_alpha, q).q4 / (
-        reference_alpha * math.log2(reference_alpha) ** 2
+    q4_const = dvq_exact(_REFERENCE_ALPHA, q).q4 / (
+        _REFERENCE_ALPHA * math.log2(_REFERENCE_ALPHA) ** 2
     )
     rows = []
     for alpha in alphas:
@@ -276,9 +272,7 @@ def leading_moments(alphas, q: float, reference_alpha: float = 1e-3) -> list[Dvq
     return rows
 
 
-def dvq_asymptotic(
-    alpha: float, q: float, reference_alpha: float = 1e-3
-) -> DvqTriple:
+def dvq_asymptotic(alpha: float, q: float) -> DvqTriple:
     """Leading small-alpha terms of the joint-vs-product moments.
 
     D and V both carry the coefficient 2(1-q)^2/(2-q):
@@ -288,9 +282,9 @@ def dvq_asymptotic(
 
     The fourth moment is only an order class, O(alpha log^2 alpha); it is
     reported with its constant estimated once from the exact computation
-    at ``reference_alpha``.  ``leading_moments`` takes a whole grid.
+    at alpha = 1e-3.  ``leading_moments`` takes a whole grid.
     """
-    return leading_moments([alpha], q, reference_alpha)[0]
+    return leading_moments([alpha], q)[0]
 
 
 def inverse_normal_cdf(p: float) -> float:
@@ -424,23 +418,6 @@ def willie_eta(q: float) -> float:
     eta = 4.0 * perp2 / (s_len * s_len * LN2) * (1.0 + z * z * atanh_s / s_len)
     _require_normal("eta", eta)
     return eta
-
-
-def willie_divergence_total(s: ScheduleParams, q: float) -> DivergenceTotal:
-    """Warden's divergence budget over n scheduled uses.
-
-    Under the product encoding the warden's average state is exactly the
-    n-fold power of the single-use response to weight alpha_n, so the
-    total is exactly n times the single-use relative entropy
-    (``willie_divergence``).  The quadratic form n * alpha_n^2 * eta/2 is
-    returned alongside.
-    """
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
-    alpha = s.alpha_n
-    exact = s.n * willie_divergence(alpha, q)
-    quadratic = s.n * alpha * alpha * willie_eta(q) / 2.0
-    return DivergenceTotal(exact=exact, quadratic=quadratic)
 
 
 def covert_rate(logM: float, n: int, div_total: float) -> float:

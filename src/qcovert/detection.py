@@ -14,15 +14,22 @@ C(n, r) - C(n, r-1) times.  Both hypotheses share this block structure,
 so the trace norm of their difference is the multiplicity-weighted sum
 of the blockwise trace norms.
 
-The 4x4 ALL_ENV marginals reduce to the same blocks.  They are block
-diagonal in the E2 register (E2 records whether B was flipped by X or
-Y), and E2 = 1 has weight q/2 under both hypotheses.  Given E2 = 1 the
-two states are diagonal in one alpha-independent basis, the innocent
-one pure, so k such copies differ only by the factor (1 - alpha)^k on
-the innocent string.  Given E2 = 0 the innocent block Z_0 has rank one,
-so (1 - alpha)^k Z_alpha^(x m) - Z_0^(x m), m = n - k, has a single
-negative eigenvalue, in its top spin block, and the trace fixes the
-rest of the trace norm:
+Every warden is one real 2x2 block
+[[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]] at input weight alpha.  The
+E1 marginal has diagonal (1 - q/2, q/2) and coherence (1 - 2 alpha) w;
+the alpha-independent diagonal unitary diag(1, conj(w)/|w|) on every copy
+makes it real, c = |w| = sqrt(q (2 - q)/8), and leaves T unchanged.
+E2_ONLY's marginal is diag(1 - q/2, q/2) under both hypotheses, c = 0,
+and a warden with c = 0 is blind: T = 0 exactly.  ALL_ENV's 4x4
+marginals are block diagonal in the E2 register (E2 records whether B
+was flipped by X or Y), and E2 = 1 has weight q/2 under both hypotheses.
+Given E2 = 1 the two states are diagonal in one alpha-independent basis,
+the innocent one pure, so k such copies differ only by the factor
+(1 - alpha)^k on the innocent string.  Given E2 = 0 the block Z_alpha
+has a = 1 - 3q/4, b = q/4 and c = sqrt(ab), so the innocent Z_0 has rank
+one and (1 - alpha)^k Z_alpha^(x m) - Z_0^(x m), m = n - k, has a single
+negative eigenvalue, in its top spin block; the trace fixes the rest of
+the trace norm:
 
   T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_alpha) - Sym^m(Z_0)).
 
@@ -36,8 +43,8 @@ Three things keep the route cheap and accurate at every weight:
   through the recurrence itself:
   D_(k+1) = L[omega_alpha](D_k) + L[alpha Delta](M_k(omega_0)).  Powers
   use b_a^(s+1) - b_0^(s+1) = b_a (b_a^s - b_0^s) + (b_a - b_0) b_0^s,
-  for the determinant factor (b_a - b_0 = alpha lin + alpha^2 det(Delta))
-  and for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
+  for the determinant factor (b_a - b_0 = 4 c^2 alpha (1 - alpha)) and
+  for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
   numbers, so T keeps its relative accuracy as alpha -> 0 (T is linear
   in alpha there).
 * One chunk of rows, one eigvalsh per block shape.  The rows are sorted
@@ -60,22 +67,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSpec, Scenario, basis_marginal_pair
+from .channels import ChannelSpec, Scenario
 from .covert import ScheduleParams, willie_divergence
 from .linalg import dicke_scaling, monomial_step
 
 LN2 = math.log(2.0)
 
 # Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
-# (n+1) x (n+1) and a row costs O(n^4) flops, about 0.04 s at the cap on a
+# (n+1) x (n+1) and a row costs O(n^4) flops, about 0.02 s at the cap on a
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
 # few uses, so five show it.
 MAX_USES_ALLENV = 5
-# Rows are processed in chunks whose stacked spin blocks of one degree
-# hold at most about this many complex entries (8 MB), however long the
-# table is; at n = 100 a chunk is 51 rows.
+# Rows are processed in chunks of CHUNK_ENTRIES // (n + 1)**2 rows, n the
+# chunk's largest (51 rows at n = 100), however long the table is.  The
+# constant bounds the float64 entries of one degree's stacked block
+# differences (4 MB); monomial_step, the Dicke scaling, _block_diff and
+# eigvalsh each hold a temporary of that size at once, so a chunk's working
+# set is a few times 4 MB.
 CHUNK_ENTRIES = 2**19
 
 
@@ -105,19 +115,20 @@ def _spin_multiplicities(n: int) -> tuple[float, ...]:
                  for r in range(n // 2 + 1))
 
 
-def _e2_sectors(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E2 = 0 and E2 = 1 blocks of a 4x4 marginal on E1 (x) E2 (index 2*E1 + E2).
+def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
+    """(a, b, c) of the warden's real block [[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]].
 
-    Raises ArithmeticError unless every entry between the two blocks is
-    exactly zero, since the sector split is exact only then.
+    The E1 marginal after the diagonal unitary, ALL_ENV's E2 = 0 block,
+    or E2_ONLY's marginal (c = 0).  c is 0 exactly when the innocent and
+    signal marginals of ``channels.basis_marginal_pair`` are equal, down
+    to subnormal q: c's square root takes the factor q/4 first.
     """
-    if np.any(omega[0::2, 1::2]) or np.any(omega[1::2, 0::2]):
-        raise ArithmeticError("warden marginal is not block diagonal in E2")
-    return omega[0::2, 0::2], omega[1::2, 1::2]
-
-
-def _det(a: np.ndarray) -> float:
-    return (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]).real
+    q = spec.q
+    if spec.scenario is Scenario.ALL_ENV:
+        return 1.0 - 0.75 * q, 0.25 * q, math.sqrt((1.0 - 0.75 * q) * 0.25 * q)
+    if spec.scenario is Scenario.E2_ONLY:
+        return 1.0 - q / 2.0, q / 2.0, 0.0
+    return 1.0 - q / 2.0, q / 2.0, math.sqrt(0.25 * q * (1.0 - 0.5 * q))
 
 
 def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -136,18 +147,21 @@ def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.
     return pow_a, pow_d
 
 
-def _sym_levels(omega_0, delta, alphas: np.ndarray, ns: np.ndarray):
+def _sym_levels(block, alphas: np.ndarray, ns: np.ndarray):
     """Yield Sym^k(omega_0) and Sym^k(omega_a) - Sym^k(omega_0) for k = 0..ns[0].
 
-    omega_a = omega_0 + alpha Delta per row.  ``ns`` is sorted descending,
-    so the rows with n >= k are a prefix of the stack: the difference at
-    degree k holds those rows only.  Each degree is built from the one
-    before it, which is then dropped.
+    omega_0 is the block (a, b, c) at alpha = 0 and omega_a = omega_0 +
+    alpha Delta per row, Delta = [[0, -2c], [-2c, 0]].  ``ns`` is sorted
+    descending, so the rows with n >= k are a prefix of the stack: the
+    difference at degree k holds those rows only.  Each degree is built
+    from the one before it, which is then dropped.
     """
-    shift = alphas[:, np.newaxis, np.newaxis] * delta
+    a, b, c = block
+    omega_0 = np.array([[a, c], [c, b]])
+    shift = alphas[:, np.newaxis, np.newaxis] * np.array([[0.0, -2.0 * c], [-2.0 * c, 0.0]])
     omega_a = omega_0 + shift
-    mono_0 = np.ones((1, 1), dtype=np.complex128)
-    mono_d = np.zeros((len(alphas), 1, 1), dtype=np.complex128)
+    mono_0 = np.ones((1, 1))
+    mono_d = np.zeros((len(alphas), 1, 1))
     yield mono_0, mono_d
     for k in range(1, int(ns[0]) + 1):
         live = np.count_nonzero(ns >= k)
@@ -178,15 +192,14 @@ def _sum_descending(terms: list, count: int) -> np.ndarray:
     return total
 
 
-def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for qubit marginals, rows sorted by n descending: one eigvalsh per degree k."""
-    lin = (omega_0[0, 0] * delta[1, 1] + delta[0, 0] * omega_0[1, 1]
-           - omega_0[0, 1] * delta[1, 0] - delta[0, 1] * omega_0[1, 0]).real
-    det_d = alphas * lin + alphas**2 * _det(delta)
-    # det_a^r and det_a^r - det_0^r
-    pow_a, pow_d = _power_pair(_det(omega_0), det_d, int(ns[0]) // 2 + 1)
+def _qubit_distances(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """T for a qubit warden's block, rows sorted by n descending: one eigvalsh per degree k."""
+    a, b, c = block
+    # det_a^r and det_a^r - det_0^r, with det_a - det_0 = 4 c^2 alpha (1 - alpha)
+    pow_a, pow_d = _power_pair(a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas),
+                               int(ns[0]) // 2 + 1)
     terms = []
-    for k, (sym_0, sym_d) in enumerate(_sym_levels(omega_0, delta, alphas, ns)):
+    for k, (sym_0, sym_d) in enumerate(_sym_levels(block, alphas, ns)):
         rows = np.flatnonzero((ns >= k) & ((ns - k) % 2 == 0))
         if rows.size:
             r = (ns[rows] - k) // 2
@@ -196,17 +209,16 @@ def _qubit_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.n
     return 0.5 * _sum_descending(terms, len(ns))
 
 
-def _allenv_distances(omega_0, delta, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for the 4x4 ALL_ENV marginals, rows sorted by n descending: one eigvalsh per degree m.
+def _allenv_distances(block, ns: np.ndarray, alphas: np.ndarray, weight: float) -> np.ndarray:
+    """T for ALL_ENV, rows sorted by n descending: one eigvalsh per degree m.
 
-    T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_a) - Sym^m(Z_0))
-    with m = n - k and Z the E2 = 0 block (see the module docstring).
+    T = -sum_k C(n, k) weight^k lambda_min((1 - alpha)^k Sym^m(Z_a) - Sym^m(Z_0))
+    with m = n - k, Z the E2 = 0 block ``block`` and weight = q/2 the
+    probability of E2 = 1 (see the module docstring).
     """
-    (z_0, o_0), (z_d, _) = _e2_sectors(omega_0), _e2_sectors(delta)
     keep, lose = _power_pair(1.0, -alphas, int(ns[0]) + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
-    weight = np.trace(o_0).real  # q/2, the probability of E2 = 1
     terms = []
-    for m, (sym_0, sym_d) in enumerate(_sym_levels(z_0, z_d, alphas, ns)):
+    for m, (sym_0, sym_d) in enumerate(_sym_levels(block, alphas, ns)):
         rows = np.arange(len(sym_d))  # the rows with n >= m
         k = ns[rows] - m
         mult = np.array([math.comb(int(n), int(j)) for n, j in zip(ns[rows], k)]) * weight**k
@@ -239,27 +251,25 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
         if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
             raise ValueError(f"alpha={alpha!r} outside [0, 1]")
 
-    omega_0, omega_1 = basis_marginal_pair(spec)
+    block = _warden_block(spec)
     allenv = spec.scenario is Scenario.ALL_ENV
-    if allenv:  # the sector split needs exact zeros between the E2 blocks
-        for omega in (omega_0, omega_1):
-            _e2_sectors(omega)
     # Channel linearity: the response to diag(1-alpha, alpha) is
     # omega_0 + alpha (omega_1 - omega_0).  At alpha = 0, and at every
-    # alpha when omega_1 == omega_0 (E2_ONLY, q = 0), it is omega_0
-    # itself: T = 0 exactly, the budget is 0, and no block is built.
-    blind = np.array_equal(omega_0, omega_1)
+    # alpha when c = 0 (omega_1 == omega_0: E2_ONLY, or q = 0), it is
+    # omega_0 itself: T = 0 exactly, the budget is 0, and no block is built.
+    blind = block[2] == 0.0
     signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
     dist = np.zeros(len(ns))
     if signal:
-        route = _allenv_distances if allenv else _qubit_distances
+        route = (functools.partial(_allenv_distances, weight=spec.q / 2.0) if allenv
+                 else _qubit_distances)
         signal.sort(key=lambda i: -int(ns[i]))
         sig_ns = np.array([int(ns[i]) for i in signal])
         sig_alphas = np.array([float(alphas[i]) for i in signal])
         width = max(1, CHUNK_ENTRIES // (int(sig_ns[0]) + 1) ** 2)
         for lo in range(0, len(signal), width):
             part = slice(lo, lo + width)
-            dist[signal[part]] = route(omega_0, omega_1 - omega_0, sig_ns[part], sig_alphas[part])
+            dist[signal[part]] = route(block, sig_ns[part], sig_alphas[part])
     results = []
     for i, (n, alpha) in enumerate(zip(ns, alphas)):
         # T <= 1 exactly; the sum of the block norms can round a few ulps past it.

@@ -54,8 +54,8 @@ from qcovert.channels import ChannelSpec, Scenario, scenario_support_report
 from qcovert.covert import (
     ScheduleParams,
     dvq_exact,
+    rate_reports,
     willie_divergence,
-    willie_divergence_total,
     willie_eta,
 )
 from qcovert.detection import warden_error, warden_errors
@@ -90,10 +90,9 @@ def test_dvq_exact_matches_mpmath(q):
 @pytest.mark.parametrize("q", Q_GRID)
 def test_div_total_matches_mpmath(q):
     worst = 0.0
-    for n in N_GRID:
-        s = ScheduleParams(n, 0.05)
-        got = willie_divergence_total(s, q).exact
-        worst = max(worst, _rel(got, n * mp_willie_divergence(s.alpha_n, q)))
+    for row in rate_reports(N_GRID, 0.05, q):
+        ref = row.n * mp_willie_divergence(row.alpha_n, q)
+        worst = max(worst, _rel(row.willie_div_total, ref))
     assert worst <= TOL_DIV, f"div_total off by {worst:.2e}"
 
 

@@ -37,7 +37,6 @@ from qcovert.covert import (
     rate_report,
     rate_reports,
     willie_divergence,
-    willie_divergence_total,
     willie_eta,
 )
 from qcovert.divergences import DvqTriple
@@ -231,10 +230,10 @@ def test_dvq_asymptotic_fourth_moment_calibration():
     # weight, so the two agree there by construction
     q = 0.5
     ref = 1e-3
-    lead = dvq_asymptotic(ref, q, reference_alpha=ref)
+    lead = dvq_asymptotic(ref, q)
     assert lead.q4 == pytest.approx(dvq_exact(ref, q).q4, rel=1e-12)
     # and stays the right order of magnitude two decades down
-    small = dvq_asymptotic(1e-5, q, reference_alpha=ref)
+    small = dvq_asymptotic(1e-5, q)
     assert dvq_exact(1e-5, q).q4 == pytest.approx(small.q4, rel=0.5)
 
 
@@ -315,18 +314,16 @@ def test_willie_eta_pins_and_quadratic_limit():
 def test_willie_divergence_total_exact_additivity():
     s = ScheduleParams(10**4, 0.05)
     q = 0.5
-    total = willie_divergence_total(s, q)
+    exact = s.n * willie_divergence(s.alpha_n, q)
+    quadratic = s.n * s.alpha_n**2 * willie_eta(q) / 2.0
     # n times the single-use divergence, against the 50-digit reference
     # (the dense double-precision route is itself 7e-12 off here)
     single = mp_willie_divergence(s.alpha_n, q)
-    assert total.exact == pytest.approx(float(s.n * single), rel=1e-14)
-    assert total.quadratic == pytest.approx(
-        s.n * s.alpha_n**2 * willie_eta(q) / 2.0, rel=1e-14
-    )
+    assert exact == pytest.approx(float(s.n * single), rel=1e-14)
     # quadratic law is within half a percent at this weight (alpha ~ 3e-3)
-    assert total.exact / total.quadratic == pytest.approx(1.0, abs=6e-3)
+    assert exact / quadratic == pytest.approx(1.0, abs=6e-3)
     with pytest.raises(ValueError):
-        willie_divergence_total(s, 1.0)
+        rate_reports([s.n], s.nu, 1.0)
 
 
 def test_covert_rate_formula_and_validation():

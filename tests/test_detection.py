@@ -173,13 +173,26 @@ def test_all_env_marginals_split_exactly_over_e2():
             assert not np.any(omega[1::2, 0::2])
 
 
-def test_all_env_cross_entries_are_verified(monkeypatch):
-    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(0.5, Scenario.ALL_ENV))
-    leaky = omega_1.copy()
-    leaky[0, 1] = leaky[1, 0] = 1e-300
-    monkeypatch.setattr(detection, "basis_marginal_pair", lambda spec: (omega_0, leaky))
-    with pytest.raises(ArithmeticError):
-        warden_error(2, 0.3, ChannelSpec(0.5, Scenario.ALL_ENV))
+@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-320, 1e-300, 1e-6, 0.5, 1.0])
+def test_warden_block_matches_the_marginals(q):
+    """The real block (a, b, c) that ``warden_errors`` runs on, tied to the array marginals."""
+    e1 = ChannelSpec(q, Scenario.E1_ONLY)
+    a, b, c = detection._warden_block(e1)
+    omega_0, omega_1 = basis_marginal_pair(e1)
+    assert (a, b) == (omega_0[0, 0], omega_0[1, 1])
+    assert c == pytest.approx(abs(omega_0[0, 1]), rel=1e-15, abs=0.0)
+    assert omega_1[0, 1] == -omega_0[0, 1]
+    # ALL_ENV: E2 = 0 blocks [[a, +-c], [+-c, b]], E2 = 1 weight q/2 (index 2*E1 + E2)
+    allenv = ChannelSpec(q, Scenario.ALL_ENV)
+    a, b, c = detection._warden_block(allenv)
+    for omega, sign in zip(basis_marginal_pair(allenv), (1.0, -1.0)):
+        assert np.array_equal(omega[0::2, 0::2], [[a, sign * c], [sign * c, b]])
+        assert np.trace(omega[1::2, 1::2]) == q / 2.0
+    # c == 0 is the blind rule; near q = 0 the order of c's factors decides it
+    for scenario in Scenario:
+        spec = ChannelSpec(q, scenario)
+        blind = detection._warden_block(spec)[2] == 0.0
+        assert blind == np.array_equal(*basis_marginal_pair(spec))
 
 
 def test_e1_at_the_use_cap_obeys_fidelity_bounds():
