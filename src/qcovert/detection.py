@@ -36,8 +36,8 @@ the trace norm:
 Three things keep the route cheap and accurate at every weight:
 
 * Degree recurrence.  Sym^k for k = 0..n comes from one two-tap step per
-  degree on the monomial matrix (``linalg.monomial_step``), then the
-  fixed Dicke scaling; each degree reuses the one before it.
+  degree on the monomial matrix, then the fixed Dicke scaling
+  (``linalg.dicke_scaling``); each degree reuses the one before it.
 * Difference form.  The step is linear in A, so with
   omega_alpha = omega_0 + alpha Delta the block difference is carried
   through the recurrence itself:
@@ -47,15 +47,20 @@ Three things keep the route cheap and accurate at every weight:
   for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
   numbers, so T keeps its relative accuracy as alpha -> 0 (T is linear
   in alpha there).
-* One chunk of rows, one eigvalsh per block shape.  The rows are sorted
+* One chunk of rows, one stacked step per degree.  The rows are sorted
   by n, descending, and cut into chunks of bounded memory (at n <= 100,
-  up to 51 rows make one chunk).  Within a chunk, omega_0's monomial
-  matrix of each degree is built once, every row's difference is stacked
-  on a leading axis, and all blocks of one shape are diagonalized
-  together.  The degrees are streamed: each is built from the one before
-  and then dropped, and a row leaves the stack once k passes its n.
-  Each row's block norms are still added k descending, so T does not
-  depend on the chunking or on the order of the rows.
+  up to 51 rows make one chunk).  Within a chunk one stack holds
+  omega_0's monomial matrix in slot 0 and every row's difference behind
+  it, so a single two-tap step per degree advances them all (each slot
+  with its own off-diagonal, the L[alpha Delta] taps read from slot 0)
+  and a single Dicke multiply scales them.  The degrees are streamed:
+  each is built from the one before and then dropped, and a row leaves
+  the stack once k passes its n.  The rows of each parity, the spin
+  multiplicities, ALL_ENV's binomial weights and the power coefficients
+  are tables built once per chunk, so the degree loop is array
+  operations only, with one eigvalsh for all blocks of one shape.  Each
+  row's block norms are still added k descending, so T does not depend
+  on the chunking or on the order of the rows.
 """
 
 from __future__ import annotations
@@ -69,12 +74,12 @@ import numpy as np
 
 from .channels import ChannelSpec, Scenario
 from .covert import ScheduleParams, willie_divergence
-from .linalg import dicke_scaling, monomial_step
+from .linalg import dicke_scaling
 
 LN2 = math.log(2.0)
 
 # Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
-# (n+1) x (n+1) and a row costs O(n^4) flops, about 0.02 s at the cap on a
+# (n+1) x (n+1) and a row costs O(n^4) flops, about 0.015 s at the cap on a
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
@@ -82,10 +87,11 @@ MAX_USES = 100
 MAX_USES_ALLENV = 5
 # Rows are processed in chunks of CHUNK_ENTRIES // (n + 1)**2 rows, n the
 # chunk's largest (51 rows at n = 100), however long the table is.  The
-# constant bounds the float64 entries of one degree's stacked block
-# differences (4 MB); monomial_step, the Dicke scaling, _block_diff and
-# eigvalsh each hold a temporary of that size at once, so a chunk's working
-# set is a few times 4 MB.
+# constant bounds the float64 entries of one degree's stack of block
+# differences (4 MB; the stack holds rows + 1 blocks).  While a degree is
+# built, the stack it comes from, the new stack, its Dicke-scaled copy and
+# the previous degree's scaled copy and blocks are alive at once, so a
+# chunk's working set is about five times 4 MB.
 CHUNK_ENTRIES = 2**19
 
 
@@ -106,13 +112,6 @@ def pinsker_floor(div_total_bits: float) -> float:
     if div_total_bits < 0.0:
         raise ValueError(f"divergence {div_total_bits!r} must be nonnegative")
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
-
-
-@functools.cache
-def _spin_multiplicities(n: int) -> tuple[float, ...]:
-    """C(n, r) - C(n, r-1) for r = 0..n//2: the repeats of spin block r of n qubits."""
-    return tuple(float(math.comb(n, r) - (math.comb(n, r - 1) if r else 0))
-                 for r in range(n // 2 + 1))
 
 
 def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
@@ -148,27 +147,39 @@ def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.
 
 
 def _sym_levels(block, alphas: np.ndarray, ns: np.ndarray):
-    """Yield Sym^k(omega_0) and Sym^k(omega_a) - Sym^k(omega_0) for k = 0..ns[0].
+    """Yield [Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0) per live row] for k = 0..ns[0].
 
     omega_0 is the block (a, b, c) at alpha = 0 and omega_a = omega_0 +
     alpha Delta per row, Delta = [[0, -2c], [-2c, 0]].  ``ns`` is sorted
-    descending, so the rows with n >= k are a prefix of the stack: the
-    difference at degree k holds those rows only.  Each degree is built
-    from the one before it, which is then dropped.
+    descending, so the rows with n >= k are a prefix: the stack at degree k
+    holds slot 0 and those rows only.  Each degree is built from the one
+    before it, which is then dropped.
     """
     a, b, c = block
-    omega_0 = np.array([[a, c], [c, b]])
-    shift = alphas[:, np.newaxis, np.newaxis] * np.array([[0.0, -2.0 * c], [-2.0 * c, 0.0]])
-    omega_a = omega_0 + shift
-    mono_0 = np.ones((1, 1))
-    mono_d = np.zeros((len(alphas), 1, 1))
-    yield mono_0, mono_d
-    for k in range(1, int(ns[0]) + 1):
-        live = np.count_nonzero(ns >= k)
-        mono_d = monomial_step(omega_a[:live], mono_d[:live]) + monomial_step(shift[:live], mono_0)
-        mono_0 = monomial_step(omega_0, mono_0)
-        scale = dicke_scaling(k)
-        yield mono_0 * scale, mono_d * scale
+    shift = np.concatenate(([0.0], alphas * (-2.0 * c)))[:, np.newaxis, np.newaxis]
+    edge = c + shift  # the off-diagonal of omega_0 on slot 0, of omega_a on row i's
+    lives = np.searchsorted(-ns, -np.arange(int(ns[0]) + 1), side="right").tolist()
+    stack = np.zeros((len(alphas) + 1, 1, 1))
+    stack[0] = 1.0
+    yield stack
+    for k in range(1, len(lives)):
+        prev = stack[:lives[k] + 1]
+        e, s = edge[:len(prev)], shift[1:len(prev)]
+        # Column m of M_(k-1)(A) holds the coefficients of (a x + e y)^(k-1-m)
+        # (e x + b y)^m on x^(k-1-l) y^l: one more factor a x + e y gives the
+        # columns m < k, one more e x + b y on column k - 1 the last.  Each
+        # difference then adds L[alpha Delta](M_(k-1)(omega_0)), taps s on slot
+        # 0 whose diagonal is exactly zero, so it rounds as three separate steps.
+        stack = np.zeros((len(prev), k + 1, k + 1))
+        sym = np.empty_like(stack)  # holds each tap product, then Sym^k
+        taps = sym[:, :-1, :-1]
+        np.multiply(prev, a, out=stack[:, :-1, :-1])
+        stack[:, 1:, :-1] += np.multiply(prev, e, out=taps)
+        stack[:, :-1, -1] = e[..., 0] * prev[:, :, -1]
+        stack[:, 1:, -1] += b * prev[:, :, -1]
+        stack[1:, 1:, :-1] += np.multiply(prev[0], s, out=taps[1:])
+        stack[1:, :-1, -1] += s[..., 0] * prev[0, :, -1]
+        yield np.multiply(stack, dicke_scaling(k), out=sym)
 
 
 def _block_diff(sym_0, sym_d, coef_a: np.ndarray, coef_d: np.ndarray) -> np.ndarray:
@@ -195,16 +206,25 @@ def _sum_descending(terms: list, count: int) -> np.ndarray:
 def _qubit_distances(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """T for a qubit warden's block, rows sorted by n descending: one eigvalsh per degree k."""
     a, b, c = block
+    top = int(ns[0])
     # det_a^r and det_a^r - det_0^r, with det_a - det_0 = 4 c^2 alpha (1 - alpha)
-    pow_a, pow_d = _power_pair(a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas),
-                               int(ns[0]) // 2 + 1)
+    pow_a, pow_d = _power_pair(a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas), top // 2 + 1)
+    # C(n, r) - C(n, r-1) = C(n+1, r) (n - 2r + 1) / (n + 1): the repeats of spin block r
+    repeats = np.array([[float(math.comb(n + 1, r) * max(n - 2 * r + 1, 0) // (n + 1))
+                         for r in range(top // 2 + 1)] for n in ns.tolist()])
+    # coefs[:, k, i]: row i's repeats, det_a^r and det_a^r - det_0^r at degree k, r = (n - k) / 2
+    degrees = np.arange(top + 1)
+    spin = np.maximum(ns - degrees[:, np.newaxis], 0) // 2
+    coefs = np.stack((repeats.T, pow_a, pow_d))[:, spin, np.arange(len(ns))]
+    # the rows of each parity; at degree k those with n >= k are a prefix
+    parity = [np.flatnonzero(ns % 2 == p) for p in (0, 1)]
+    counts = [np.searchsorted(-ns[rows], -degrees, side="right").tolist() for rows in parity]
     terms = []
-    for k, (sym_0, sym_d) in enumerate(_sym_levels(block, alphas, ns)):
-        rows = np.flatnonzero((ns >= k) & ((ns - k) % 2 == 0))
+    for k, stack in enumerate(_sym_levels(block, alphas, ns)):
+        rows = parity[k % 2][:counts[k % 2][k]]
         if rows.size:
-            r = (ns[rows] - k) // 2
-            mult = np.array([_spin_multiplicities(int(n))[s] for n, s in zip(ns[rows], r)])
-            blocks = _block_diff(sym_0, sym_d[rows], pow_a[r, rows], pow_d[r, rows])
+            mult, coef_a, coef_d = coefs[:, k, rows]
+            blocks = _block_diff(stack[0], stack[rows + 1], coef_a, coef_d)
             terms.append((rows, mult * np.abs(_eigvalsh(blocks)).sum(axis=-1)))
     return 0.5 * _sum_descending(terms, len(ns))
 
@@ -216,14 +236,19 @@ def _allenv_distances(block, ns: np.ndarray, alphas: np.ndarray, weight: float) 
     with m = n - k, Z the E2 = 0 block ``block`` and weight = q/2 the
     probability of E2 = 1 (see the module docstring).
     """
-    keep, lose = _power_pair(1.0, -alphas, int(ns[0]) + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
+    top = int(ns[0])
+    keep, lose = _power_pair(1.0, -alphas, top + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
+    degrees = np.arange(top + 1)[:, np.newaxis]
+    binom = np.array([[math.comb(n, k) for n in ns.tolist()] for k in range(top + 1)])
+    # coefs[:, m, i]: C(n, k) weight^k, keep and lose of row i at degree m, k = n - m
+    coefs = np.stack((binom * weight**degrees, keep, lose))[
+        :, np.maximum(ns - degrees, 0), np.arange(len(ns))]
     terms = []
-    for m, (sym_0, sym_d) in enumerate(_sym_levels(block, alphas, ns)):
-        rows = np.arange(len(sym_d))  # the rows with n >= m
-        k = ns[rows] - m
-        mult = np.array([math.comb(int(n), int(j)) for n, j in zip(ns[rows], k)]) * weight**k
-        blocks = _block_diff(sym_0, sym_d, keep[k, rows], lose[k, rows])
-        terms.append((rows, -mult * _eigvalsh(blocks)[:, 0]))
+    for m, stack in enumerate(_sym_levels(block, alphas, ns)):
+        live = len(stack) - 1  # the rows with n >= m
+        mult, coef_keep, coef_lose = coefs[:, m, :live]
+        blocks = _block_diff(stack[0], stack[1:], coef_keep, coef_lose)
+        terms.append((slice(live), -mult * _eigvalsh(blocks)[:, 0]))
     return _sum_descending(terms, len(ns))
 
 

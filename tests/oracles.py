@@ -9,7 +9,8 @@ None of these is used by the library itself.  Three kinds live here:
   ``trace_distance``, validated states
   (``density_operator``, ``pure_state``), ``projector``, Kronecker
   ``tensor`` and ``tensor_power``, ``symmetric_power`` of one 2x2 matrix
-  (the library's degree recurrence, which ``detection`` runs stacked),
+  by the degree step ``monomial_step`` (which ``detection`` runs fused
+  over a stack of blocks),
   ``partial_trace`` and the operator logarithm ``matrix_log2``; the
   depolarizing channel (``depolarize`` and its Pauli-twirl form), its
   Stinespring isometry and dilated output, and the warden marginal
@@ -45,7 +46,7 @@ from qcovert.channels import (
 )
 from qcovert.covert import ArrowMatrixParams, _check_unit, _coupled_pair, arrow_params
 from qcovert.divergences import DvqTriple
-from qcovert.linalg import dicke_scaling, monomial_step
+from qcovert.linalg import dicke_scaling
 
 LN2 = math.log(2.0)
 DPS = 50
@@ -233,6 +234,30 @@ def tensor_power(op, n: int) -> np.ndarray:
     out = np.asarray(op, dtype=np.complex128)
     for _ in range(n - 1):
         out = tensor(out, op)
+    return out
+
+
+def monomial_step(a, mono) -> np.ndarray:
+    """Monomial matrix of Sym^(k+1)(A) from that of Sym^k(A), stacked.
+
+    On the monomial basis x^(k-l) y^l of degree-k polynomials, A sends
+    x -> a00 x + a10 y and y -> a01 x + a11 y, so column m of the monomial
+    matrix M_k(A) holds the coefficients of (a00 x + a10 y)^(k-m)
+    (a01 x + a11 y)^m.  One more factor a00 x + a10 y gives the columns
+    m <= k of M_(k+1), and one more a01 x + a11 y on column k gives the
+    new last column: two taps per column, no polynomial product.  The
+    step is linear in A and in M separately.  ``a`` has shape (..., 2, 2)
+    and ``mono`` (..., k+1, k+1); their leading axes broadcast.
+    """
+    lead = np.broadcast_shapes(a.shape[:-2], mono.shape[:-2])
+    size = mono.shape[-1] + 1
+    out = np.zeros(lead + (size, size), dtype=np.result_type(a, mono))
+    a00, a01, a10, a11 = (a[..., i, j, np.newaxis] for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    out[..., :-1, :-1] = a00[..., np.newaxis] * mono
+    out[..., 1:, :-1] += a10[..., np.newaxis] * mono
+    last = mono[..., -1]
+    out[..., :-1, -1] = a01 * last
+    out[..., 1:, -1] += a11 * last
     return out
 
 

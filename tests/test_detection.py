@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import relative_entropy, tensor_power, trace_distance
+from oracles import relative_entropy, symmetric_power, tensor_power, trace_distance
 from qcovert import detection
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
 from qcovert.covert import ScheduleParams
@@ -240,9 +240,32 @@ def test_streamed_chunks_leave_every_row_bit_identical(scenario, ns, monkeypatch
     table = [r.trace_dist for r in detection.warden_errors(ns, alphas, spec)]
     assert table == [warden_error(n, a, spec).trace_dist for n, a in zip(ns, alphas)]
     order = rng.permutation(len(ns))
-    monkeypatch.setattr(detection, "CHUNK_ENTRIES", 2 * (max(ns) + 1) ** 2)  # two rows a chunk
-    shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order], spec)
-    assert [r.trace_dist for r in shuffled] == [table[i] for i in order]
+    for rows_per_chunk in (2, 1):  # one row a chunk: slot 0 with a single live row
+        monkeypatch.setattr(detection, "CHUNK_ENTRIES", rows_per_chunk * (max(ns) + 1) ** 2)
+        shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order], spec)
+        assert [r.trace_dist for r in shuffled] == [table[i] for i in order]
+
+
+@pytest.mark.parametrize("q", [1e-6, 0.5, 1.0])
+def test_fused_step_carries_every_slot_on_its_own_block(q):
+    # slot 0 of each degree's stack is Sym^k(omega_0), slot 1 + i row i's
+    # difference Sym^k(omega_a) - Sym^k(omega_0); rows leave the stack
+    # once k passes their n
+    block = detection._warden_block(ChannelSpec(q, Scenario.E1_ONLY))
+    a, b, c = block
+    ns = np.array([9, 7, 7, 4, 2, 1])
+    alphas = np.array([1e-15, 0.3, 1.0, 0.3, 1.0, 1e-15])
+    omega_0 = np.array([[a, c], [c, b]])
+    delta = np.array([[0.0, -2.0 * c], [-2.0 * c, 0.0]])
+    levels = list(detection._sym_levels(block, alphas, ns))
+    assert len(levels) == ns[0] + 1
+    for k, stack in enumerate(levels):
+        assert stack.shape == (1 + np.count_nonzero(ns >= k), k + 1, k + 1)
+        assert np.array_equal(stack[0], symmetric_power(omega_0, k))
+        for diff, alpha in zip(stack[1:], alphas):
+            sym_a = symmetric_power(omega_0 + alpha * delta, k)
+            np.testing.assert_allclose(stack[0] + diff, sym_a, rtol=0.0,
+                                       atol=1e-14 * np.linalg.norm(sym_a, 2))
 
 
 @pytest.mark.parametrize("q", [0.99, 0.999, 1.0])

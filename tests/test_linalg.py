@@ -9,6 +9,7 @@ from oracles import (
     eig_hermitian,
     hermitian_operator,
     matrix_log2,
+    monomial_step,
     order_eigensystem,
     partial_trace,
     projector,
@@ -18,7 +19,7 @@ from oracles import (
     tensor_power,
     trace_distance,
 )
-from qcovert.linalg import dicke_scaling, monomial_step
+from qcovert.linalg import dicke_scaling
 
 
 def random_density(rng, dim):
