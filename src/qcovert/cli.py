@@ -2,11 +2,17 @@
 
 ``COMMANDS`` is the one command table: each command's handler, one-line
 help and options (``qcovert --help`` lists the commands).  A call builds
-one parser.  An argv that starts with a command name (or its underscore
-alias) and holds no ``--`` goes straight to that command's parser.  Any
-other argv (none, ``--help``, an unknown command, an option before the
-command, or one with ``--`` in it) goes to the top-level parser, which
-prints the help or the error or hands the command its options.
+at most one parser, and a well-formed argv builds none.  An argv that
+starts with a command name (or its underscore alias) and holds no ``--``
+goes straight to that command; any other argv (none, ``--help``, an
+unknown command, an option before the command, or one with ``--`` in it)
+goes to the top-level parser, which prints the help or the error or
+hands the command its options.  Options made only of ``--flag value``
+pairs, with exact flag names, values that do not start with ``-`` and
+each value of its option's type and choices, are read straight from the
+table.  Anything else (help, an abbreviation, ``--flag=value``, a
+negative number, a bad value) goes to the command's argparse parser,
+which reads it or prints the help or the error.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -228,7 +234,8 @@ def cmd_detect_sim(args):
 
 
 # Each command: its handler's name here (looked up per call, so a replaced cmd_* is what
-# runs), its one-line help, and its options beyond --out and --format as add_argument keywords.
+# runs), its one-line help, and its options beyond --out and --format (see ``_options``) as
+# add_argument keywords.
 COMMANDS = {
     "bound-curve": ("cmd_bound_curve", "capacity lower bound and eta versus q", {
         "--q-grid": {"default": "0.05:0.95:0.05", "help": "q values: a:b:step or comma list"}}),
@@ -255,6 +262,38 @@ COMMANDS = {
 }
 
 
+def _options(name: str) -> dict:
+    """Every option of command ``name`` as add_argument keywords: --out, --format, its own."""
+    fmt = {"choices": ("csv", "json"), "default": "json" if name == "scenario" else "csv"}
+    return {"--out": {"help": "output file path (default: stdout)"}, "--format": fmt,
+            **COMMANDS[name][2]}
+
+
+def _plain_options(options: dict, rest: list):
+    """The Namespace argparse would read from ``rest``, or None to leave ``rest`` to argparse.
+
+    Reads only ``--flag value`` pairs: each flag one of ``options`` exactly,
+    each value not starting with "-", converted by the option's type and
+    within its choices; the last of a repeated flag wins, as in argparse.
+    """
+    if len(rest) % 2:
+        return None
+    read = {}
+    for flag, text in zip(rest[::2], rest[1::2]):
+        spec = options.get(flag)
+        if spec is None or text.startswith("-"):
+            return None
+        try:
+            value = spec["type"](text) if "type" in spec else text
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        read[flag] = value
+    return argparse.Namespace(**{flag[2:].replace("-", "_"): read.get(flag, spec.get("default"))
+                                 for flag, spec in options.items()})
+
+
 def _top_parser() -> argparse.ArgumentParser:
     """The parser of ``qcovert [-h] command ...``: the command, then its options unread."""
     top = argparse.ArgumentParser(
@@ -271,12 +310,21 @@ def _top_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _command_parser(name: str, options: dict) -> argparse.ArgumentParser:
+    """The parser of ``qcovert name [-h] [options]``, for help, abbreviations and errors."""
+    parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=COMMANDS[name][1])
+    for flag, spec in options.items():
+        parser.add_argument(flag, **spec)
+    return parser
+
+
 def _parse_args(argv):
-    """Return the handler of argv's command and the options the command's own parser read.
+    """Return the handler of argv's command and the options read for it.
 
     For a command-first argv the top-level parser's REMAINDER would hand the
     command argv[1:] unchanged, so it is skipped; only a "--" (which that
-    REMAINDER may strip) keeps such an argv on the top-level route.
+    REMAINDER may strip) keeps such an argv on the top-level route.  The
+    command's own parser is built only when ``_plain_options`` declines.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     # No command name has two hyphens, so this accepts exactly the top parser's choices.
@@ -286,14 +334,11 @@ def _parse_args(argv):
     else:
         head = _top_parser().parse_args(argv)
         name, rest = head.command.replace("_", "-"), head.args
-    handler, help_text, options = COMMANDS[name]
-    parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=help_text)
-    parser.add_argument("--out", help="output file path (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        default="json" if name == "scenario" else "csv")
-    for flag, kwargs in options.items():
-        parser.add_argument(flag, **kwargs)
-    return globals()[handler], parser.parse_args(rest)
+    options = _options(name)
+    args = _plain_options(options, rest)
+    if args is None:
+        args = _command_parser(name, options).parse_args(rest)
+    return globals()[COMMANDS[name][0]], args
 
 
 def main(argv=None) -> int:

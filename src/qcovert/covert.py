@@ -386,7 +386,9 @@ def willie_divergence(alpha: float, q: float) -> float:
     binary = (0.5 * (1.0 + s_len) * _g(-delta / (1.0 + s_len))
               + 0.5 * one_minus_s * _g(delta / one_minus_s))
     if u >= 0.0:  # (RS - r.s) = |r x s|^2 / (RS + r.s), r.s = u P + z^2 >= 0
-        excess = 4.0 * alpha * alpha * z * z * perp2 / (r_len * s_len + u * perp2 + z * z)
+        # |r x s|^2 carries z^2, so it is 0 at q = 1 (where alpha = 1/2 makes the form 0/0)
+        excess = 0.0 if z == 0.0 else (
+            4.0 * alpha * alpha * z * z * perp2 / (r_len * s_len + u * perp2 + z * z))
     else:  # r.s may be negative: RS - z^2 rationalized, -u P added
         excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
                   - u * perp2)

@@ -17,8 +17,8 @@ Stated bounds (relative):
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
-moments at q = 1e-6 and 1 - 1e-6 and 2.8e-16 for the warden divergence
-at weights past 1/2; 7.3e-16 for the detect-sim budget and 8.0e-16 for
+moments at q = 1e-6 and 1 - 1e-6 and 5.6e-16 for the warden divergence
+at weights from 1/2 on; 7.3e-16 for the detect-sim budget and 8.0e-16 for
 its trace distance (ALL_ENV: 6.2e-16 at n = 1..5, q from 1e-6 to 1);
 1.5e-16 for the scenario fields, q from 1e-300 to 1 (the overlap and
 the determinants are rounded once, correctly).  The
@@ -97,7 +97,7 @@ def test_div_total_matches_mpmath(q):
 
 
 def test_closed_forms_near_the_edges():
-    """q near 0 and 1, and warden weights past 1/2, where the branches matter."""
+    """q near 0 and 1, and warden weights from 1/2 on, where the branches matter."""
     worst = 0.0
     for q in (1e-6, 1.0 - 1e-6):
         for alpha in (1e-12, 1e-6, 1e-2, 0.3, 0.5):
@@ -106,7 +106,7 @@ def test_closed_forms_near_the_edges():
     assert worst <= TOL_MOMENT, f"D, V, Q off by {worst:.2e}"
     worst = 0.0
     for q in (0.95, 1.0 - 1e-6, 1.0):
-        for alpha in (0.6, 0.9, 1.0):
+        for alpha in (0.5, 0.6, 0.9, 1.0):
             worst = max(worst, _rel(willie_divergence(alpha, q), mp_willie_divergence(alpha, q)))
     assert worst <= TOL_DIV, f"warden divergence off by {worst:.2e}"
 

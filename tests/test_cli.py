@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import random
 import time
 
 import numpy as np
@@ -207,6 +208,14 @@ def test_detect_sim_trivial_scenario_is_blind(tmp_path):
     assert row["div_total"] == 0.0
 
 
+def test_detect_sim_at_full_noise_and_half_weight(tmp_path):
+    # q = 1, alpha = 1/2: omega_alpha = I/2, so D = -1 - log2(det omega_0)/2 = 1/2 bit
+    # per use; the divergence's perpendicular term was 0/0 here and the run exited 3
+    code, path = run(["detect-sim", "--q", "1", "--n-grid", "3", "--alpha-grid", "0.5"], tmp_path)
+    assert code == 0
+    assert _csv_row(path)["div_total"] == "1.5"
+
+
 def test_json_output_is_strict(capsys):
     """Non-finite values print as the CSV's strings, never as Infinity or NaN."""
     def reject(token):
@@ -270,7 +279,7 @@ def test_command_help_lists_its_options(name, options, capsys):
     assert listed == {"--help", "--out", "--format", *options}
 
 
-def test_only_the_invoked_command_parser_is_built(monkeypatch, tmp_path):
+def test_only_the_invoked_command_parser_is_built(monkeypatch, tmp_path, capsys):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -281,12 +290,65 @@ def test_only_the_invoked_command_parser_is_built(monkeypatch, tmp_path):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     code, _ = run(["rate-table", "--n-grid", "1e4"], tmp_path)
     assert code == 0
-    assert built == ["qcovert rate-table"]
-    for argv in (["--help"], ["no-such-command"]):
+    assert built == []  # a well-formed argv is read without argparse
+    for argv, expected in (
+        (["rate-table", "--help"], ["qcovert rate-table"]),
+        (["rate-table", "--n", "1e4"], ["qcovert rate-table"]),  # an (ambiguous) abbreviation
+        (["rate-table", "--q=0.3", "--n-grid", "1e4"], ["qcovert rate-table"]),
+        (["--help"], ["qcovert"]),
+        (["no-such-command"], ["qcovert"]),
+    ):
         built.clear()
-        with pytest.raises(SystemExit):
+        try:
             cli.main(argv)
-        assert built == ["qcovert"]
+        except SystemExit:
+            pass
+        assert built == expected, argv
+    capsys.readouterr()
+
+
+# Tokens for the direct read's differential test: flags argparse reads other
+# than by exact name, and values it reads differently or refuses.
+ODD_FLAGS = ["--sc", "--n", "--q=0.3", "--format=json", "-h", "--help", "--", "-", "--nope",
+             "", "x", "-q"]
+VALUES = ["0.3", "1e4", "1,2", "1:5:1", "0", "1", "2", "3", "4", "csv", "json", "xml", "nan",
+          " 2", "1_0", "", "-0.5", "-1", "-h", "--", "--q", "-", "0.5x", "inf", "out.csv"]
+
+
+def _draw_argv(rng, flags):
+    """A seeded argv: mostly --flag value pairs, some with odd flags, dropped or extra tokens."""
+    argv = []
+    for _ in range(rng.randrange(5)):
+        argv.append(rng.choice(flags) if rng.random() < 0.85 else rng.choice(ODD_FLAGS))
+        argv.append(rng.choice(VALUES))
+    if argv and rng.random() < 0.1:
+        del argv[rng.randrange(len(argv))]
+    if rng.random() < 0.1:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(ODD_FLAGS + VALUES))
+    return argv
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_plain_options_read_what_argparse_reads(name):
+    """The direct read gives argparse's own Namespace, or declines."""
+    options = cli._options(name)
+    parser = cli._command_parser(name, options)
+    rng = random.Random(f"plain-options:{name}")
+    read = 0
+    for _ in range(5000):
+        argv = _draw_argv(rng, list(options))
+        plain = cli._plain_options(options, argv)
+        if plain is None:
+            continue
+        read += 1
+        try:
+            expected = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"read {argv!r} that argparse refuses")
+        assert repr(plain) == repr(expected), argv
+        assert ({k: type(v) for k, v in vars(plain).items()}
+                == {k: type(v) for k, v in vars(expected).items()}), argv
+    assert read >= 1000  # the draws reach the direct read, not only its refusals
 
 
 @pytest.mark.parametrize("argv", [
