@@ -59,6 +59,11 @@ def _require_normal(what: str, *values: float):
             raise ArithmeticError(f"{what} {x!r} is not a positive normal float")
 
 
+def _check_nu(nu: float):
+    if not (0.0 < nu < 1.0 / 6.0):
+        raise ValueError(f"schedule exponent nu={nu!r} outside (0, 1/6)")
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     """Blocklength n with the covertness schedule exponent nu.
@@ -75,8 +80,7 @@ class ScheduleParams:
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
             raise ValueError(f"blocklength n={self.n!r} must be a positive integer")
-        if not (0.0 < self.nu < 1.0 / 6.0):
-            raise ValueError(f"schedule exponent nu={self.nu!r} outside (0, 1/6)")
+        _check_nu(self.nu)
 
     @property
     def alpha_n(self) -> float:

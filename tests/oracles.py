@@ -26,10 +26,16 @@ None of these is used by the library itself.  Three kinds live here:
   joint-output moments, the E1 warden's single-use divergence and its
   curvature, each from a high-precision eigendecomposition of the dense
   matrices, so none shares a formula with the closed forms it checks.
+* The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
+  over the formatted values, and ``json.dumps(indent=2)`` with non-finite
+  floats as the CSV's strings, which the CLI's row templates replaced.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
 from typing import NamedTuple
 
@@ -846,3 +852,42 @@ def mp_warden_trace_distances(n: int, alphas, q: float, scenario: Scenario, dps:
             sum(m * _mp_trace_norm(b_a - b_0) for (m, b_a), (_, b_0) in zip(blocks(mp.mpf(a)), null)) / 2
             for a in alphas
         ]
+
+
+# ----------------------------------------------------------------------
+# CLI tables by the standard library
+
+
+def _fmt(value) -> str:
+    """A CSV field: lowercase booleans, ints as they are, floats to 12 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
+def _json_ready(value):
+    """``value`` with every non-finite float as the string the CSV prints."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _json_ready(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    return value
+
+
+def stdlib_table_text(config: dict, columns: list, rows: list, fmt: str) -> str:
+    """The text ``qcovert.cli.write_output`` writes for a table in format ``fmt``."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+        return buf.getvalue()
+    payload = {"config": config, "rows": [dict(zip(columns, row)) for row in rows]}
+    return json.dumps(_json_ready(payload), indent=2, allow_nan=False) + "\n"

@@ -168,8 +168,49 @@ def test_scenario_prints_no_signed_zero_at_negative_zero_noise(tmp_path):
         assert row["verdict"] == "degenerate"
         for name in ("kernel_overlap", "trace_distance", "det_omega0", "det_omega1"):
             assert row[name] == 0.0 and math.copysign(1.0, row[name]) == 1.0, name
-    # the only -0.0s are the echoed input: the config's q and each row's q
-    assert text.count("-0.0") == 4
+    # the echoed input too: --q is read as 0.0
+    assert "-0.0" not in text
+
+
+def _signed_zeros(value):
+    """The number of -0.0 floats in a parsed JSON document."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return sum(map(_signed_zeros, value))
+    return isinstance(value, float) and value == 0.0 and math.copysign(1.0, value) < 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx-check", "--alpha-grid=-0,1e-3"],
+    ["approx-check", "--alpha-grid=-0:1e-3:1e-3"],
+    ["detect-sim", "--n-grid", "2", "--alpha-grid=-0,0.5"],
+    ["detect-sim", "--n-grid", "2", "--q=-0.0"],
+    ["detect-sim", "--n-grid", "2", "--q=-0.0", "--alpha-grid=-0"],
+])
+def test_negative_zero_input_is_read_as_zero(argv, tmp_path):
+    code, path = run(argv + ["--format", "json"], tmp_path, "zero.json")
+    assert code == 0
+    assert _signed_zeros(json.loads(path.read_text())) == 0
+    code, path = run(argv, tmp_path, "zero.csv")
+    assert code == 0
+    assert "-0" not in [field for row in csv.reader(path.read_text().splitlines()) for field in row]
+
+
+@pytest.mark.parametrize("argv", [["rate-table", "--q=-0.0"], ["rate-table", "--nu=-0.0"],
+                                  ["rate-table", "--eps=-0.0"], ["bound-curve", "--q-grid=-0"]])
+def test_negative_zero_is_rejected_where_zero_is(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "-0" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nu", ["5", "nan", "0"])
+def test_detect_sim_checks_nu_with_an_alpha_grid(nu, capsys):
+    argv = ["detect-sim", "--n-grid", "1", "--alpha-grid", "0.5", "--nu", nu, "--format", "json"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"qcovert: error: schedule exponent nu={float(nu)!r} outside (0, 1/6)\n"
 
 
 def test_scenario_rejects_csv(tmp_path):

@@ -12,7 +12,9 @@ cell for cell the same as before, and the two ``*_alpha_grid`` files
 (rows n x alpha) predate the table-level block route; the ALL_ENV
 files also predate its reduction to one qubit spin block per k.  Each
 command runs at its defaults and once with arguments shaped like a
-benchmark round.  To regenerate a file after a deliberate output change,
+benchmark round, and the numeric commands' benchmark-shaped tables run
+once more as JSON; those five ``.json`` files were written by the
+``json.dumps`` route before the CLI's row templates replaced it.  To regenerate a file after a deliberate output change,
 run its argv with ``--out tests/golden/<name>``.
 
 The ``demo_<name>.txt`` files are the stdout of ``demos/<name>.py`` run
@@ -89,6 +91,12 @@ CASES = {
         "--nu", "0.118861",
     ],
 }
+# Each numeric command's benchmark-shaped table once more as JSON.
+CASES.update({
+    name.replace(".csv", ".json"): CASES[name] + ["--format", "json"]
+    for name in ("rate_table_workload.csv", "approx_check_workload.csv",
+                 "bound_curve_workload.csv", "detect_sim_e1.csv", "detect_sim_allenv.csv")
+})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
