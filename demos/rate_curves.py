@@ -4,23 +4,21 @@ import qcovert as qc
 
 print("capacity lower bound vs depolarizing weight")
 print("q      eta        capacity_lb")
-for k in range(1, 20):
-    q = round(0.05 * k, 2)
-    print(f"{q:4.2f}   {qc.willie_eta(q):8.4f}   {qc.capacity_lower_bound(q):.6f}")
+q_grid = [round(0.05 * k, 2) for k in range(1, 20)]
+for q, (eta, capacity) in zip(q_grid, qc.capacity_curve(q_grid)):
+    print(f"{q:4.2f}   {eta:8.4f}   {capacity:.6f}")
 
 print()
 nu, eps, q = 0.05, 0.05, 0.5
-limit = qc.rate_limit(nu, q)
+reports = qc.rate_reports([10**4, 10**5, 10**6, 10**7], nu, q, eps)
 print(f"finite-blocklength rates at nu={nu}, eps={eps}, q={q} "
-      f"(limit L = {limit:.5f})")
+      f"(limit L = {reports[0].covert_rate_limit:.5f})")
 print("n        alpha_n     logM_finite   logM_asym     L_n")
-for n in (10**4, 10**5, 10**6, 10**7):
-    rep = qc.rate_report(qc.ScheduleParams(n, nu), q, eps)
-    print(f"{n:<8d} {rep.alpha_n:.4e}  {rep.logM_finite:12.2f}  "
+for rep in reports:
+    print(f"{rep.n:<8d} {rep.alpha_n:.4e}  {rep.logM_finite:12.2f}  "
           f"{rep.logM_asymptotic:12.2f}  {rep.covert_rate_L:.5f}")
 
 print()
 print("the per-use message count logM/n still vanishes (square-root law):")
-for n in (10**4, 10**6, 10**8):
-    rep = qc.rate_report(qc.ScheduleParams(n, nu), q, eps)
-    print(f"  n={n:<10d} logM/n = {rep.logM_finite / n:.3e}")
+for rep in qc.rate_reports([10**4, 10**6, 10**8], nu, q, eps):
+    print(f"  n={rep.n:<10d} logM/n = {rep.logM_finite / rep.n:.3e}")

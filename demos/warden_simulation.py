@@ -17,16 +17,19 @@ import qcovert as qc
 nu, q = 0.05, 0.5
 print(f"schedule nu={nu}, channel q={q}, warden holds E1 only")
 print("n     alpha_n     trace_dist   error_prob   pinsker_floor")
-for r in qc.covertness_sweep(nu, q, [1, 2, 3, 5, 8, 13, 20, 32, 50, 79, 100]):
+ns = [1, 2, 3, 5, 8, 13, 20, 32, 50, 79, 100]
+alphas = [qc.ScheduleParams(n, nu).alpha_n for n in ns]
+for r in qc.warden_errors(ns, alphas, qc.ChannelSpec(q, qc.Scenario.E1_ONLY)):
     print(f"{r.n:<4}  {r.alpha:.4e}  {r.trace_dist:.6f}     {r.error_prob:.6f}     "
           f"{r.pinsker_floor:.6f}")
 
 print()
 print("same weight, warden holds the whole environment (q=0.5, alpha=0.3):")
-for n in (1, 2, 3, 4, 5):
-    full = qc.warden_error(n, 0.3, qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
-    part = qc.warden_error(n, 0.3, qc.ChannelSpec(q, qc.Scenario.E1_ONLY))
-    print(f"  n={n}  error ALL_ENV={full.error_prob:.4f}  "
-          f"E1_ONLY={part.error_prob:.4f}")
+ns = [1, 2, 3, 4, 5]
+full = qc.warden_errors(ns, [0.3] * len(ns), qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+part = qc.warden_errors(ns, [0.3] * len(ns), qc.ChannelSpec(q, qc.Scenario.E1_ONLY))
+for f, p in zip(full, part):
+    print(f"  n={f.n}  error ALL_ENV={f.error_prob:.4f}  "
+          f"E1_ONLY={p.error_prob:.4f}")
 print("the ALL_ENV divergence is infinite (support violation), so no")
 print("schedule can hide from a warden who keeps every environment qubit")

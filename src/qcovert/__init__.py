@@ -18,31 +18,18 @@ from .channels import (
     scenario_support_report,
 )
 from .covert import (
-    ArrowMatrixParams,
     RateReport,
     ScheduleParams,
-    arrow_params,
-    asymptotic_logM,
-    capacity_lower_bound,
-    covert_rate,
-    dvq_asymptotic,
+    capacity_curve,
     dvq_exact,
     finite_blocklength_logM,
     inverse_normal_cdf,
     leading_moments,
-    rate_limit,
-    rate_report,
     rate_reports,
     willie_divergence,
     willie_eta,
 )
-from .detection import (
-    DetectionResult,
-    covertness_sweep,
-    pinsker_floor,
-    warden_error,
-    warden_errors,
-)
+from .detection import DetectionResult, pinsker_floor, warden_errors
 from .divergences import DvqTriple
 
 __version__ = "0.1.0"

@@ -66,7 +66,7 @@ def basis_marginal_pair(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
     if spec.scenario is Scenario.E1_ONLY:
         return e1only_marginal(0.0, q), e1only_marginal(1.0, q)
     # ALL_ENV: rank-2 4x4 states on E1 (x) E2, index = 2*E1 + E2.
-    s = math.sqrt((1.0 - 0.75 * q) * 0.25 * q)
+    s = 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
     omega_0 = np.array(
         [
             [1.0 - 0.75 * q, 0.0, s, 0.0],
@@ -98,7 +98,7 @@ def e1only_marginal(alpha: float, q: float) -> np.ndarray:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     _check_q(q)
-    s = math.sqrt((1.0 - 0.75 * q) * 0.25 * q)
+    s = 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
     off = (1.0 - 2.0 * alpha) * (s - 0.25j * q)
     return np.array(
         [[1.0 - q / 2.0, off], [np.conj(off), q / 2.0]], dtype=np.complex128

@@ -41,14 +41,7 @@ from json.encoder import encode_basestring_ascii
 
 from .channels import ChannelSpec, Scenario, scenario_support_report
 from .covert import (
-    ScheduleParams,
-    _capacity,
-    _check_nu,
-    dvq_exact,
-    leading_moments,
-    rate_reports,
-    willie_eta,
-)
+    ScheduleParams, capacity_curve, check_nu, dvq_exact, leading_moments, rate_reports)
 from .detection import warden_errors
 
 
@@ -217,12 +210,9 @@ def write_output(config: dict, columns: list[str], rows: list[list], args) -> No
 
 def cmd_bound_curve(args):
     q_grid = parse_grid(args.q_grid)
-    for q in q_grid:
-        if not (0.0 < q < 1.0):
-            raise ValueError(f"q={q:g} outside (0, 1)")
     config = {"command": "bound-curve", "q_grid": q_grid}
     columns = ["q", "eta", "capacity_lb"]
-    rows = [[q, eta, _capacity(q, eta)] for q, eta in zip(q_grid, map(willie_eta, q_grid))]
+    rows = [[q, eta, cap] for q, (eta, cap) in zip(q_grid, capacity_curve(q_grid))]
     return config, columns, rows
 
 
@@ -300,7 +290,7 @@ def cmd_scenario(args):
 
 
 def cmd_detect_sim(args):
-    _check_nu(args.nu)  # echoed in the config even when --alpha-grid replaces the schedule
+    check_nu(args.nu)  # echoed in the config even when --alpha-grid replaces the schedule
     n_grid = parse_int_grid(args.n_grid)
     spec = ChannelSpec(args.q, Scenario(args.scenario))
     alpha_grid = parse_grid(args.alpha_grid) if args.alpha_grid else None

@@ -1,13 +1,15 @@
 """Achievable covert throughput over the depolarizing channel.
 
 For the weakly entangled input sqrt(1-alpha)|00> + sqrt(alpha)|11>
-this module gives the arrow parameters of the joint sender/receiver
-output, its exact and leading-order relative entropy moments, the
-finite-blocklength achievable message size and its asymptotic form, the
-warden's total divergence budget under the blocklength schedule, and
-the covert rate with its capacity lower bound.  The dense input state,
-arrow matrix and spectral decomposition that these closed forms are
-checked against live in ``tests/oracles.py``.
+this module gives the exact and leading-order relative entropy moments
+of the joint sender/receiver output, the finite-blocklength achievable
+message size, the warden's single-use divergence and its curvature, and
+two tables: ``rate_reports`` (message sizes, divergence budget and
+covert rate per blocklength under the schedule) and ``capacity_curve``
+(the capacity lower bound per q).  The dense input state, the arrow
+matrix of the joint output, its parameters and spectral decomposition
+that these closed forms are checked against live in
+``tests/oracles.py``.
 
 Message sizes are in bits (all logs base 2).  The natural rate unit is
 log M / (log2(n) sqrt(n * divergence)), which stays finite when the
@@ -15,11 +17,13 @@ message size grows like sqrt(n) log n.
 
 The moments D, V, Q, the warden's single-use divergence and its
 curvature eta are scalar closed forms in plain ``math``: no matrix, no
-eigensolver, each written so that no subtraction cancels.  A closed-form
-value that is not a positive normal float (inputs near the float
-underflow) raises ArithmeticError instead of being returned.  The grid
-forms ``rate_reports`` and ``leading_moments`` compute their per-q
-constants once.
+eigensolver, each written so that no subtraction cancels but the one
+centring of V and Q, whose rounding is bounded.  A closed-form value that
+is not a positive normal float (inputs near the float underflow), or V
+and Q within the rounding of that centring, raises ArithmeticError
+instead of being returned.  The grid forms ``rate_reports``,
+``leading_moments`` and ``capacity_curve`` compute their per-q constants
+once.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .divergences import DvqTriple
 
@@ -42,6 +45,7 @@ LN2 = math.log(2.0)
 # Smallest positive normal float.  A closed-form quantity below it has lost
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
+_EPS = sys.float_info.epsilon
 # Weight at which ``leading_moments`` reads the fourth-moment constant off
 # ``dvq_exact``.
 _REFERENCE_ALPHA = 1e-3
@@ -59,7 +63,7 @@ def _require_normal(what: str, *values: float):
             raise ArithmeticError(f"{what} {x!r} is not a positive normal float")
 
 
-def _check_nu(nu: float):
+def check_nu(nu: float):
     if not (0.0 < nu < 1.0 / 6.0):
         raise ValueError(f"schedule exponent nu={nu!r} outside (0, 1/6)")
 
@@ -80,7 +84,7 @@ class ScheduleParams:
     def __post_init__(self):
         if self.n < 1 or self.n != int(self.n):
             raise ValueError(f"blocklength n={self.n!r} must be a positive integer")
-        _check_nu(self.nu)
+        check_nu(self.nu)
 
     @property
     def alpha_n(self) -> float:
@@ -89,16 +93,6 @@ class ScheduleParams:
     @property
     def gamma_n(self) -> float:
         return float(self.n) ** (self.nu - 1.0 / 6.0)
-
-
-class ArrowMatrixParams(NamedTuple):
-    """Parameters of a 4x4 arrow matrix: diagonal (a, b, c, d), corners e."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
 
 
 @dataclass(frozen=True)
@@ -116,20 +110,6 @@ class RateReport:
     covert_rate_L: float
     capacity_lb: float
     covert_rate_limit: float
-
-
-def arrow_params(alpha: float, q: float) -> ArrowMatrixParams:
-    """Arrow parameters of the joint retained/received output state."""
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    half = q / 2.0
-    return ArrowMatrixParams(
-        a=(1.0 - half) * (1.0 - alpha),
-        b=half * (1.0 - alpha),
-        c=half * alpha,
-        d=(1.0 - half) * alpha,
-        e=(1.0 - q) * math.sqrt(alpha * (1.0 - alpha)),
-    )
 
 
 def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
@@ -169,18 +149,21 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     two eigenvalues, the block's rotation angle and two scalars.
 
     D is written as KL(diag rho || sigma) + S(diag rho) - S(rho), a sum
-    of seven nonnegative terms in g(u) = (1+u) log(1+u) - u; V and Q are
-    sums of nonnegative terms whose logarithms are formed from ratios
-    near 1 (log1p of closed-form differences).  Nothing cancels, so the
-    relative error stays near 1e-15 from alpha ~ 1e-300 to 1/2 and for q
-    from 1e-9 to 1 - 1e-9.
+    of seven nonnegative terms in g(u) = (1+u) log(1+u) - u (with 1 + u
+    taken as a quotient where it is near 0); V and Q are sums of
+    nonnegative terms whose logarithms are formed from ratios near 1
+    (log1p of closed-form differences), centred by D.  The relative error
+    stays near 1e-15 from alpha ~ 1e-300 to 1/2 and for q from 1e-300 to
+    1 - 1e-9, except near alpha = 1/2 at q below about 1e-20: there V is
+    about q log^2 q and the centring's rounding can dominate it, so V and
+    Q are refused where that rounding could move them by 1e-14.
 
     The moments are symmetric under alpha -> 1 - alpha (X (x) X maps one
     input onto the other and commutes with the channel), so the form is
     evaluated at min(alpha, 1 - alpha).  Raises ArithmeticError when an
     eigenvalue, a marginal or a moment is not a positive normal float
-    (alpha near the float underflow), instead of returning a number that
-    has lost its precision.
+    (alpha q near the float underflow), or on that refusal of V and Q,
+    instead of returning a number that has lost its precision.
     """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
@@ -189,51 +172,74 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
         return DvqTriple(0.0, 0.0, 0.0)
     if q == 0.0:
         return _dvq_noiseless(alpha)
-    p = arrow_params(alpha, q)
     half, eps = q / 2.0, 1.0 - q
+    # rho: diagonal (a, b, c, d) with the corner coupling e between a and d
+    a, b = (1.0 - half) * (1.0 - alpha), half * (1.0 - alpha)
+    c, d = half * alpha, (1.0 - half) * alpha
+    e = eps * math.sqrt(alpha * (1.0 - alpha))
     shift = alpha * eps
     m0, m1 = (1.0 - half) - shift, half + shift  # retained-qubit marginal
     det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)  # ad - e^2
-    lam1, lam4, gap, _ = _coupled_pair(p.a, p.d, p.e, det)  # gap = lam1 - a = d - lam4
+    lam1, lam4, gap, _ = _coupled_pair(a, d, e, det)  # gap = lam1 - a = d - lam4
     sigma = ((1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1)
-    _require_normal("spectral term", lam4, gap, p.c, sigma[3])
+    _require_normal("spectral term", lam4, gap, c, sigma[3])
     # rho_ii / sigma_i - 1 for the diagonal (a, b, c, d), each in closed form.
     rel = (shift / m0, -shift / m1, -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1)
     # D = KL(diag rho || sigma) + S(diag rho) - S(rho), both parts sums of
     # nonnegative terms: sigma_i g(rel_i) and a g(gap/a) + d g(-gap/d)
     # + gap log(a/d), where g(u) = (1+u) log(1+u) - u.
     log_ad = math.log1p((1.0 - 2.0 * alpha) / alpha)  # log(a/d) = log((1-alpha)/alpha)
-    d = (sum(s * _g(u) for s, u in zip(sigma, rel))
-         + p.a * _g(gap / p.a) + p.d * _g(-gap / p.d) + gap * log_ad)
+    mean = (sigma[0] * _g(rel[0]) + sigma[1] * _g_ratio(rel[1], half, m1)
+            + sigma[2] * _g_ratio(rel[2], half, m0) + sigma[3] * _g(rel[3])
+            + a * _g(gap / a) + d * _g_ratio(-gap / d, lam4, d) + gap * log_ad)
 
     # L = log rho - log sigma in rho's eigenbasis (cos, sin), (-sin, cos)
     # of the block, tan = gap / e, in nats, from logs of ratios near 1.
-    h = math.hypot(p.e, gap)
-    cos, sin = p.e / h, gap / h
+    h = math.hypot(e, gap)
+    cos, sin = e / h, gap / h
     cos2, sin2 = cos * cos, sin * sin
     l0, l3 = math.log1p(rel[0]), math.log1p(rel[3])  # log(rho_ii / sigma_i)
     l_b = _log_ratio(rel[1], half, m1)
     l_c = _log_ratio(rel[2], half, m0)
     log_s03 = log_ad + math.log1p(eps * (1.0 - 2.0 * alpha) / m1)  # log(sigma_0/sigma_3)
-    l11 = math.log1p(gap / p.a) + cos2 * l0 + sin2 * (log_ad + l3)
-    l44 = _log_ratio(-gap / p.d, lam4, p.d) + l3 - sin2 * log_s03
+    l11 = math.log1p(gap / a) + cos2 * l0 + sin2 * (log_ad + l3)
+    l44 = _log_ratio(-gap / d, lam4, d) + l3 - sin2 * log_s03
     l14 = cos * sin * log_s03
 
-    c11, c44, c_b, c_c = l11 - d, l44 - d, l_b - d, l_c - d
+    logs, weights = (l11, l44, l_b, l_c), (lam1, lam4, b, c)
+    v, q4 = _central_moments([x - mean for x in logs], l14, weights)
+    # Each L_ii - D is off by up to an ulp of |L_ii| + |D|; where that can move V or Q by
+    # 1e-14 relative (alpha near 1/2 at q below about 1e-20, V ~ q log^2 q), both refuse.
+    slack = [math.copysign(_EPS * (abs(x) + abs(mean)), x - mean) for x in logs]
+    v_hi, q4_hi = _central_moments([x - mean + s for x, s in zip(logs, slack)], l14, weights)
+    if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
+        raise ArithmeticError(f"V={v / LN2**2!r}, Q={q4 / LN2**4!r} are within rounding of L - D")
+    moments = DvqTriple(mean / LN2, v / LN2**2, q4 / LN2**4)
+    _require_normal("moment", *moments)
+    return moments
+
+
+def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
+    """(V, Q) in nats from L - D in rho's eigenbasis: its diagonal ``centered``, coupling l14."""
+    c11, c44, c_b, c_c = centered
+    lam1, lam4, b, c = weights
     sq11 = c11 * c11 + l14 * l14
     sq44 = c44 * c44 + l14 * l14
     sq14 = l14 * (c11 + c44)
-    v = lam1 * sq11 + lam4 * sq44 + p.b * c_b**2 + p.c * c_c**2
+    v = lam1 * sq11 + lam4 * sq44 + b * c_b**2 + c * c_c**2
     q4 = (lam1 * (sq11 * sq11 + sq14 * sq14) + lam4 * (sq44 * sq44 + sq14 * sq14)
-          + p.b * c_b**4 + p.c * c_c**4)
-    moments = DvqTriple(d / LN2, v / LN2**2, q4 / LN2**4)
-    _require_normal("moment", *moments)
-    return moments
+          + b * c_b**4 + c * c_c**4)
+    return v, q4
 
 
 def _log_ratio(u: float, num: float, den: float) -> float:
     """log(1 + u) for 1 + u = num / den: log1p near 1, the quotient near 0."""
     return math.log1p(u) if u > -0.5 else math.log(num / den)
+
+
+def _g_ratio(u: float, num: float, den: float) -> float:
+    """g(u) for 1 + u = num / den: ``_g``, or the quotient where 1 + u < 1e-3 may round to 0."""
+    return _g(u) if u > -0.999 else num / den * math.log(num / den) - u
 
 
 def _dvq_noiseless(alpha: float) -> DvqTriple:
@@ -252,9 +258,16 @@ def _dvq_noiseless(alpha: float) -> DvqTriple:
 
 
 def leading_moments(alphas, q: float) -> list[DvqTriple]:
-    """``dvq_asymptotic`` over a grid of weights at one q.
+    """Leading small-alpha terms of the joint-vs-product moments, one per weight.
 
-    The fourth-moment constant is computed once for the whole grid.
+    D and V both carry the coefficient 2(1-q)^2/(2-q):
+
+        D ~ -coeff * alpha * log2(alpha)
+        V ~ +coeff * alpha * log2(alpha)^2
+
+    The fourth moment is only an order class, O(alpha log^2 alpha); it is
+    reported with its constant estimated from the exact computation at
+    alpha = 1e-3, once for the whole grid.
     """
     _check_unit("q", q)
     coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
@@ -274,21 +287,6 @@ def leading_moments(alphas, q: float) -> list[DvqTriple]:
             q4=q4_const * alpha * log_a * log_a,
         ))
     return rows
-
-
-def dvq_asymptotic(alpha: float, q: float) -> DvqTriple:
-    """Leading small-alpha terms of the joint-vs-product moments.
-
-    D and V both carry the coefficient 2(1-q)^2/(2-q):
-
-        D ~ -coeff * alpha * log2(alpha)
-        V ~ +coeff * alpha * log2(alpha)^2
-
-    The fourth moment is only an order class, O(alpha log^2 alpha); it is
-    reported with its constant estimated once from the exact computation
-    at alpha = 1e-3.  ``leading_moments`` takes a whole grid.
-    """
-    return leading_moments([alpha], q)[0]
 
 
 def inverse_normal_cdf(p: float) -> float:
@@ -325,25 +323,16 @@ def finite_blocklength_logM(n: int, eps: float, dvq: DvqTriple) -> float:
     return n * dvq.d + math.sqrt(n * dvq.v) * inverse_normal_cdf(eps) - c_n
 
 
-def asymptotic_logM(s: ScheduleParams, q: float) -> float:
-    """Leading-order message size under the schedule, in bits.
-
-    2 (2/3 - nu) (1-q)^2/(2-q) * gamma_n * sqrt(n) * log2(n): the
-    sqrt(n) log n growth that survives the covertness constraint.
-    """
-    _check_unit("q", q)
-    coeff = 2.0 * (2.0 / 3.0 - s.nu) * (1.0 - q) ** 2 / (2.0 - q)
-    return coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n)
-
-
 def _e1_bloch(q: float) -> tuple[float, float, float]:
     """(P, z, S) of the E1 warden's innocent marginal omega_0.
 
     omega_alpha has Bloch vector ((1 - 2 alpha) p, z) with p the part
     perpendicular to the z axis: |p|^2 = P = q - q^2/2 and z = 1 - q, so
-    omega_0's length is S = sqrt(P + z^2) and 1 - S^2 = P exactly.
+    omega_0's length is S = sqrt(P + z^2) and 1 - S^2 = P exactly.  A
+    subnormal P (q below the smallest normal float) raises ArithmeticError.
     """
     perp2 = q * (1.0 - 0.5 * q)
+    _require_normal("warden's Bloch weight P = q(1 - q/2)", perp2)
     z = 1.0 - q
     return perp2, z, math.sqrt(perp2 + z * z)
 
@@ -426,56 +415,37 @@ def willie_eta(q: float) -> float:
     return eta
 
 
-def covert_rate(logM: float, n: int, div_total: float) -> float:
-    """Covert rate L = logM / (log2(n) sqrt(n * div_total))."""
-    if n < 2 or n != int(n):
-        raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
-    if not (div_total > 0.0) or not math.isfinite(div_total):
-        raise ValueError(f"divergence total {div_total!r} must be positive and finite")
-    return logM / (math.log2(n) * math.sqrt(n * div_total))
-
-
 def _capacity(q: float, eta: float) -> float:
     return 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
 
 
-def _rate_limit(nu: float, q: float, eta: float) -> float:
-    return 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q) / math.sqrt(eta / 2.0)
+def capacity_curve(q_grid) -> list[tuple[float, float]]:
+    """(eta, capacity lower bound) per q, the bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
 
-
-def capacity_lower_bound(q: float) -> float:
-    """Covert capacity lower bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
-
-    Unbounded at q=0 (noiseless channel, reported as +inf) and zero at
-    q=1 (nothing is transmitted).
+    Every q must lie in (0, 1); the whole grid is checked before any is computed.
     """
-    _check_unit("q", q)
-    if q == 0.0:
-        return math.inf
-    if q == 1.0:
-        return 0.0
-    return _capacity(q, willie_eta(q))
-
-
-def rate_limit(nu: float, q: float) -> float:
-    """Limit of the covert rate under the nu-schedule as n grows."""
-    if not (0.0 < nu < 1.0 / 6.0):
-        raise ValueError(f"schedule exponent nu={nu!r} outside (0, 1/6)")
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
-    return _rate_limit(nu, q, willie_eta(q))
+    for q in q_grid:
+        if not (0.0 < q < 1.0):
+            raise ValueError(f"q={q:g} outside (0, 1)")
+    return [(eta, _capacity(q, eta)) for q, eta in zip(q_grid, map(willie_eta, q_grid))]
 
 
 def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
     """Full covert-rate rows at one (nu, q, eps), one per blocklength.
 
-    The per-q constant eta, behind ``capacity_lb`` and
-    ``covert_rate_limit``, is computed once for all rows.
+    logM_asymptotic is the leading-order message size under the schedule,
+    2 (2/3 - nu) (1-q)^2/(2-q) * gamma_n * sqrt(n) * log2(n) bits: the
+    sqrt(n) log n growth that survives the covertness constraint.  The
+    covert rate is L = logM / (log2(n) sqrt(n * div_total)), and its
+    limit as n grows is covert_rate_limit.  The per-q constants (eta,
+    behind capacity_lb and covert_rate_limit, and the coefficient of
+    logM_asymptotic) are computed once for all rows.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
     eta = willie_eta(q)
-    capacity, limit = _capacity(q, eta), _rate_limit(nu, q, eta)
+    coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
+    capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
     rows = []
     for n in blocklengths:
         s = ScheduleParams(n, nu)
@@ -488,17 +458,10 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
             alpha_n=s.alpha_n,
             eps=eps,
             logM_finite=logM,
-            logM_asymptotic=asymptotic_logM(s, q),
+            logM_asymptotic=coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
             willie_div_total=div,
-            covert_rate_L=covert_rate(logM, s.n, div),
+            covert_rate_L=logM / (math.log2(s.n) * math.sqrt(s.n * div)),
             capacity_lb=capacity,
             covert_rate_limit=limit,
         ))
     return rows
-
-
-def rate_report(s: ScheduleParams, q: float, eps: float = 0.05) -> RateReport:
-    """Assemble the full covert-rate row for one blocklength."""
-    return rate_reports([s.n], s.nu, q, eps)[0]
-
-

@@ -4,7 +4,9 @@ The warden performs a binary hypothesis test between the n-fold innocent
 output and the n-fold response to input weight alpha, at equal priors.
 The optimal error probability is (1 - T)/2 with T the trace distance of
 the two n-copy states, and it can never drop below the Pinsker floor
-(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D.
+(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D; ``warden_errors``
+checks every row against it.  A schedule's sweep is one table: the
+blocklengths with their weights ``ScheduleParams(n, nu).alpha_n``.
 
 T is computed exactly without any 2^n-dimensional matrix.  By Schur-Weyl
 duality the n-fold power of a qubit operator A splits over the spin
@@ -73,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelSpec, Scenario
-from .covert import ScheduleParams, willie_divergence
+from .covert import willie_divergence
 from .linalg import dicke_scaling
 
 LN2 = math.log(2.0)
@@ -120,14 +122,15 @@ def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
     The E1 marginal after the diagonal unitary, ALL_ENV's E2 = 0 block,
     or E2_ONLY's marginal (c = 0).  c is 0 exactly when the innocent and
     signal marginals of ``channels.basis_marginal_pair`` are equal, down
-    to subnormal q: c's square root takes the factor q/4 first.
+    to subnormal q: c is 0.5 sqrt(q) times a square root near 1, so no
+    product under a root underflows.
     """
     q = spec.q
     if spec.scenario is Scenario.ALL_ENV:
-        return 1.0 - 0.75 * q, 0.25 * q, math.sqrt((1.0 - 0.75 * q) * 0.25 * q)
+        return 1.0 - 0.75 * q, 0.25 * q, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
     if spec.scenario is Scenario.E2_ONLY:
         return 1.0 - q / 2.0, q / 2.0, 0.0
-    return 1.0 - q / 2.0, q / 2.0, math.sqrt(0.25 * q * (1.0 - 0.5 * q))
+    return 1.0 - q / 2.0, q / 2.0, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)
 
 
 def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -262,7 +265,9 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
     (omega_alpha leaves the support of omega_0), and n times the closed
     form ``willie_divergence`` for E1_ONLY.  A row whose hypotheses differ
-    but whose T is not a positive normal float raises ArithmeticError.
+    but whose T is not a positive normal float raises ArithmeticError, as
+    does a row whose E falls more than 1e-12 below its Pinsker floor (a
+    consistency check that no exact T can fail).
     """
     ns, alphas = list(ns), list(alphas)
     if len(ns) != len(alphas):
@@ -308,38 +313,10 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             # omega_alpha weights e_0 of ``allenv_null_vectors``, a kernel
             # vector of omega_0, by alpha * q / 2 > 0: the support escapes.
             div_total = math.inf if allenv else n * willie_divergence(alpha, spec.q)
-        results.append(DetectionResult(
-            n=n,
-            alpha=alpha,
-            trace_dist=t,
-            error_prob=0.5 * (1.0 - t),
-            pinsker_floor=pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf,
-            div_total=div_total,
-        ))
-    return results
-
-
-def warden_error(n: int, alpha: float, spec: ChannelSpec) -> DetectionResult:
-    """Exact warden error probability for n channel uses at weight alpha.
-
-    The one-row case of ``warden_errors``.
-    """
-    return warden_errors([n], [alpha], spec)[0]
-
-
-def covertness_sweep(nu: float, q: float, n_list) -> list[DetectionResult]:
-    """Scheduled detection sweep: alpha_n = n**(nu - 2/3) at each n.
-
-    Runs the single-environment-qubit warden scenario and checks the
-    Pinsker consistency E >= floor at every point before returning.
-    """
-    schedule = [ScheduleParams(int(n), nu) for n in n_list]
-    results = warden_errors([s.n for s in schedule], [s.alpha_n for s in schedule],
-                            ChannelSpec(q, Scenario.E1_ONLY))
-    for result in results:
-        if result.error_prob < result.pinsker_floor - 1e-12:
+        error = 0.5 * (1.0 - t)
+        floor = pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf
+        if error < floor - 1e-12:
             raise ArithmeticError(
-                f"error probability {result.error_prob} fell below the "
-                f"Pinsker floor {result.pinsker_floor} at n={result.n}"
-            )
+                f"error probability {error} fell below the Pinsker floor {floor} at n={n}")
+        results.append(DetectionResult(n, alpha, t, error, floor, div_total))
     return results

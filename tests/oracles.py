@@ -16,8 +16,8 @@ None of these is used by the library itself.  Three kinds live here:
   Stinespring isometry and dilated output, and the warden marginal
   ``willie_marginal`` by partial trace, and the eigensolver route to the
   feasibility verdicts (``dense_support_report``); the entangled input, the
-  arrow-matrix joint output, the product of its marginals and the arrow
-  matrix's spectral decomposition.
+  arrow-matrix joint output with its parameters (``arrow_params``), the
+  product of its marginals and the arrow matrix's spectral decomposition.
 * Dense double-precision functionals on arbitrary density matrices:
   ``relative_entropy``, ``moments`` (D, V, Q from operator logarithms)
   and ``eta`` (the divided-difference curvature).  They are the generic
@@ -50,7 +50,7 @@ from qcovert.channels import (
     _check_q,
     basis_marginal_pair,
 )
-from qcovert.covert import ArrowMatrixParams, _check_unit, _coupled_pair, arrow_params
+from qcovert.covert import _check_unit, _coupled_pair
 from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
@@ -483,6 +483,30 @@ def entangled_input(alpha: float) -> np.ndarray:
     )
 
 
+class ArrowMatrixParams(NamedTuple):
+    """Parameters of a 4x4 arrow matrix: diagonal (a, b, c, d), corners e."""
+
+    a: float
+    b: float
+    c: float
+    d: float
+    e: float
+
+
+def arrow_params(alpha: float, q: float) -> ArrowMatrixParams:
+    """Arrow parameters of the joint retained/received output state."""
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    half = q / 2.0
+    return ArrowMatrixParams(
+        a=(1.0 - half) * (1.0 - alpha),
+        b=half * (1.0 - alpha),
+        c=half * alpha,
+        d=(1.0 - half) * alpha,
+        e=(1.0 - q) * math.sqrt(alpha * (1.0 - alpha)),
+    )
+
+
 def arrow_matrix(p: ArrowMatrixParams) -> np.ndarray:
     """Assemble the 4x4 arrow matrix from its parameters."""
     m = np.diag([p.a, p.b, p.c, p.d]).astype(np.complex128)
@@ -639,9 +663,9 @@ def eta(rho, sigma) -> float:
 # mpmath references
 
 
-def _digits(tiny: float) -> int:
-    """Working digits that leave DPS digits after cancelling down to ``tiny``."""
-    return DPS + max(0, int(-math.log10(tiny)))
+def _digits(*tiny: float) -> int:
+    """Working digits that leave DPS digits after cancelling down to the product of ``tiny``."""
+    return DPS + sum(max(0, int(-math.log10(x))) for x in tiny)
 
 
 def _logm_hermitian(m):
@@ -658,8 +682,10 @@ def mp_dvq(alpha: float, q: float) -> tuple:
 
     Builds the 4x4 joint output and the product of its marginals from
     the model, and takes log rho by a high-precision eigendecomposition.
+    rho's smallest eigenvalue is about alpha q, and near alpha = 1/2 V is
+    about q log^2 q, so the digits grow with log(1/q) as well as log(1/alpha).
     """
-    with mp.workdps(_digits(alpha)):
+    with mp.workdps(_digits(alpha, q)):
         a, q_ = mp.mpf(alpha), mp.mpf(q)
         half = q_ / 2
         e = (1 - q_) * mp.sqrt(a * (1 - a))
@@ -730,8 +756,12 @@ def mp_support_fields(q: float, scenario: Scenario) -> tuple:
 
 
 def mp_willie_divergence(alpha: float, q: float):
-    """D(omega_alpha || omega_0) in bits for the E1 warden's 2x2 marginals."""
-    with mp.workdps(2 * _digits(alpha)):
+    """D(omega_alpha || omega_0) in bits for the E1 warden's 2x2 marginals.
+
+    D is about alpha^2 q log(1/q) against logarithms of size log(1/q), so
+    the digits grow with log(1/q) as well as log(1/alpha).
+    """
+    with mp.workdps(2 * _digits(alpha, q)):
         a, q_ = mp.mpf(alpha), mp.mpf(q)
         omega_a, omega_0 = _e1_marginal(a, q_), _e1_marginal(mp.mpf(0), q_)
         diff = _logm_hermitian(omega_a) - _logm_hermitian(omega_0)

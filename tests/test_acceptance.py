@@ -92,7 +92,7 @@ def test_criterion_03_arrow_closed_forms():
     worst_eig = worst_recon = 0.0
     for alpha in grid:
         for q in grid:
-            p = qc.arrow_params(float(alpha), float(q))
+            p = oracles.arrow_params(float(alpha), float(q))
             m = oracles.arrow_matrix(p)
             closed = oracles.arrow_spectral(p)
             generic = oracles.eig_hermitian(m)
@@ -151,9 +151,9 @@ def test_criterion_04_leading_order_ratios():
     q = 0.5
     a_coeff, b_coeff = _first_moment_coefficients(q)
     d_devs, v_devs, two_term_errs, two_term_bounds = [], [], [], []
-    for alpha in ALPHA_GRID:
+    leads = qc.leading_moments(ALPHA_GRID, q)
+    for alpha, lead in zip(ALPHA_GRID, leads):
         exact = qc.dvq_exact(alpha, q)
-        lead = qc.dvq_asymptotic(alpha, q)
         d_devs.append(abs(exact.d / lead.d - 1.0))
         v_devs.append(abs(exact.v / lead.v - 1.0))
         log_inv = math.log(1.0 / alpha)
@@ -173,8 +173,7 @@ def test_criterion_04_leading_order_ratios():
     v_band = v_devs[-1] <= 0.25
     # sign arbitration: with a negated second-moment coefficient the same
     # band must be violated by a wide margin
-    exact = qc.dvq_exact(1e-6, q)
-    lead = qc.dvq_asymptotic(1e-6, q)
+    exact, lead = qc.dvq_exact(ALPHA_GRID[-1], q), leads[-1]
     negated_fails = abs(exact.v / (-lead.v) - 1.0) > 0.25
     elapsed = time.perf_counter() - start
     ok = decreasing and two_term_ok and remainder_ok and v_band and negated_fails
@@ -221,12 +220,12 @@ def test_criterion_05_quadratic_divergence_law():
 
 def test_criterion_06_capacity_curve_shape():
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    caps = [qc.capacity_lower_bound(q) for q in grid]
+    caps = [capacity for _, capacity in qc.capacity_curve(grid)]
     decreasing = all(b < a for a, b in zip(caps, caps[1:]))
     edge_ratio = caps[-1] / caps[0]
     # regression pin established once from the curvature-functional oracle
     pin = 0.1459389779600682
-    mid = qc.capacity_lower_bound(0.5)
+    mid = caps[grid.index(0.5)]
     pinned = abs(mid / pin - 1.0) <= 1e-12
     ok = decreasing and edge_ratio < 0.05 and pinned
     _verdict(
@@ -244,11 +243,8 @@ def test_criterion_06_capacity_curve_shape():
 def test_criterion_07_finite_vs_asymptotic_logM():
     start = time.perf_counter()
     nu, eps, q = 0.05, 0.05, 0.5
-    ratios = {}
-    for n in (10**6, 10**9):
-        s = qc.ScheduleParams(n, nu)
-        finite = qc.finite_blocklength_logM(n, eps, qc.dvq_exact(s.alpha_n, q))
-        ratios[n] = finite / qc.asymptotic_logM(s, q)
+    ratios = {rep.n: rep.logM_finite / rep.logM_asymptotic
+              for rep in qc.rate_reports([10**6, 10**9], nu, q, eps)}
     elapsed = time.perf_counter() - start
     wide = 0.8 <= ratios[10**6] <= 1.2
     narrow = 0.9 <= ratios[10**9] <= 1.1
@@ -296,11 +292,12 @@ def test_criterion_09_detection_simulator():
     start = time.perf_counter()
     nu, q = 0.05, 0.5
     spec = qc.ChannelSpec(q, qc.Scenario.E1_ONLY)
-    results = qc.covertness_sweep(nu, q, range(1, 9))
+    ns = list(range(1, 9))
+    results = qc.warden_errors(ns, [qc.ScheduleParams(n, nu).alpha_n for n in ns], spec)
     margin = min(r.error_prob - r.pinsker_floor for r in results)
     floor_ok = all(r.error_prob >= r.pinsker_floor for r in results)
 
-    null_dev = max(abs(qc.warden_error(n, 0.0, spec).error_prob - 0.5) for n in (1, 4, 8))
+    null_dev = max(abs(r.error_prob - 0.5) for r in qc.warden_errors([1, 4, 8], [0.0] * 3, spec))
 
     div_dev = 0.0
     for r in results:

@@ -58,7 +58,7 @@ from qcovert.covert import (
     willie_divergence,
     willie_eta,
 )
-from qcovert.detection import warden_error, warden_errors
+from qcovert.detection import warden_errors
 
 TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
@@ -161,6 +161,53 @@ def test_huge_n_is_accurate_or_refused(n, tmp_path):
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
 
 
+# q down to 1e-300.  D and the warden divergence keep their precision; a
+# row is refused where an eigenvalue alpha q / 2 or the divergence
+# underflows (alpha = 1e-12), or where V ~ q log^2 q near alpha = 1/2 is
+# within the rounding of L - D.  At alpha = 1, rho = sigma and the moments
+# are exactly 0 (the reference would take log 0).
+SMALL_QS = (1e-300, 1e-200, 1e-100, 1e-20, 1e-17)
+SMALL_Q_ALPHAS = (1e-12, 1e-3, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("q", SMALL_QS)
+def test_closed_forms_at_tiny_noise_are_accurate_or_refused(q):
+    worst_moment = worst_div = 0.0
+    refused = set()
+    for alpha in SMALL_Q_ALPHAS:
+        try:
+            got = dvq_exact(alpha, q)
+            if alpha == 1.0:
+                assert got == (0.0, 0.0, 0.0)
+            else:
+                worst_moment = max([worst_moment] + [_rel(g, r) for g, r in zip(got, mp_dvq(alpha, q))])
+        except ArithmeticError:
+            refused.add(alpha)
+        try:
+            worst_div = max(worst_div, _rel(willie_divergence(alpha, q), mp_willie_divergence(alpha, q)))
+        except ArithmeticError:
+            refused.add(alpha)
+    assert worst_moment <= TOL_MOMENT, f"D, V, Q off by {worst_moment:.2e}"
+    assert worst_div <= TOL_DIV, f"warden divergence off by {worst_div:.2e}"
+    assert refused <= {1e-12, 0.5}
+
+
+@pytest.mark.parametrize("q", [str(q) for q in SMALL_QS])
+def test_tiny_noise_on_the_cli_is_accurate_or_refused(q, tmp_path):
+    for alpha in SMALL_Q_ALPHAS[:-1]:
+        code, rows = _cli_rows(["approx-check", "--q", q, "--alpha-grid", str(alpha)], tmp_path)
+        assert code in (0, 3)
+        if code == 0:
+            (row,) = rows
+            for name, value in zip(("D_exact", "V_exact", "Q_exact"), mp_dvq(alpha, float(q))):
+                assert _rel(row[name], value) <= TOL_PRINTED
+    code, rows = _cli_rows(["rate-table", "--q", q], tmp_path)
+    assert code in (0, 3)
+    for row in rows or []:
+        ref = row["n"] * mp_willie_divergence(ScheduleParams(int(row["n"]), 0.05).alpha_n, float(q))
+        assert _rel(row["div_total"], ref) <= TOL_PRINTED
+
+
 # ----------------------------------------------------------------------
 # detect-sim: the warden's divergence budget n D(omega_alpha || omega_0)
 
@@ -176,7 +223,7 @@ def test_detect_e1_div_total_matches_mpmath(q):
     worst = 0.0
     for k, alpha in enumerate(DETECT_ALPHAS):
         n = DETECT_NS[k % len(DETECT_NS)]
-        got = warden_error(n, alpha, spec).div_total
+        got = warden_errors([n], [alpha], spec)[0].div_total
         worst = max(worst, _rel(got, n * mp_willie_divergence(alpha, q)))
     assert worst <= TOL_DIV, f"detect-sim div_total off by {worst:.2e}"
 
@@ -186,19 +233,19 @@ def test_detect_all_env_budget_is_infinite(q):
     spec = ChannelSpec(q, Scenario.ALL_ENV)
     for alpha in (1e-16, 1e-15, 1e-14, 0.3):
         for n in (1, 5):
-            r = warden_error(n, alpha, spec)
+            r = warden_errors([n], [alpha], spec)[0]
             assert r.div_total == math.inf
             assert r.pinsker_floor == -math.inf
 
 
 def test_detect_budget_is_exactly_zero_without_signal():
     for alpha, q in ((0.0, 0.5), (0.3, 0.0), (1.0, 0.0)):
-        r = warden_error(3, alpha, ChannelSpec(q, Scenario.ALL_ENV))
+        r = warden_errors([3], [alpha], ChannelSpec(q, Scenario.ALL_ENV))[0]
         assert r.div_total == 0.0
         assert r.pinsker_floor == 0.5
     for alpha in (0.0, 1e-15, 0.3, 1.0):
         for q in (0.05, 0.5, 1.0):
-            assert warden_error(7, alpha, ChannelSpec(q, Scenario.E2_ONLY)).div_total == 0.0
+            assert warden_errors([7], [alpha], ChannelSpec(q, Scenario.E2_ONLY))[0].div_total == 0.0
 
 
 # ----------------------------------------------------------------------

@@ -1,17 +1,21 @@
 import argparse
+import ast
 import csv
 import json
 import math
 import random
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcovert
 from oracles import mp_warden_trace_distances, mp_willie_divergence
 from qcovert import cli
 from qcovert.channels import Scenario
-from qcovert.covert import capacity_lower_bound
+from qcovert import covert, detection
 
 
 def run(argv, tmp_path, name="out"):
@@ -79,7 +83,8 @@ def test_bound_curve_csv(tmp_path):
     assert len(rows) == 1 + 19
     # values carry 12 significant digits of the library computation
     q = float(rows[10][0])
-    assert rows[10][2] == f"{capacity_lower_bound(q):.12g}"
+    ((eta, capacity),) = covert.capacity_curve([q])
+    assert rows[10][1:] == [f"{eta:.12g}", f"{capacity:.12g}"]
 
 
 def test_bound_curve_json_config(tmp_path):
@@ -482,6 +487,10 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     # q grid touching the open boundary
     assert cli.main(["bound-curve", "--q-grid", "0:1:0.5"]) == 2
     assert "error" in capsys.readouterr().err
+    # 5e-324 alone is a numerical failure (3); the whole grid is checked before any q is computed
+    assert cli.main(["bound-curve", "--q-grid", "5e-324"]) == 3
+    assert cli.main(["bound-curve", "--q-grid", "5e-324,1.5"]) == 2
+    assert "q=1.5 outside (0, 1)" in capsys.readouterr().err
     assert cli.main(["approx-check", "--q", "1.5"]) == 2
     assert cli.main(["rate-table", "--q", "1.0"]) == 2
     assert cli.main(["rate-table", "--nu", "0.3"]) == 2
@@ -499,7 +508,7 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
     def boom(q):
         raise ArithmeticError("synthetic eigensolver breakdown")
 
-    monkeypatch.setattr(cli, "willie_eta", boom)
+    monkeypatch.setattr(covert, "willie_eta", boom)
     assert cli.main(["bound-curve", "--q-grid", "0.5"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -588,6 +597,50 @@ def test_detect_sim_subnormal_trace_distance_exits_three(capsys):
     assert "trace distance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["5e-324", "1e-323", "1.5e-323"])
+def test_detect_sim_at_subnormal_noise(q, tmp_path, capsys):
+    # The coherence is 0.5 sqrt(q) sqrt(1 - 3q/4); formed as the root of a
+    # product with q/4 it underflowed to 0, and T printed as 0 with exit 0.
+    code, path = run(["detect-sim", "--q", q, "--scenario", "1", "--n-grid", "1",
+                      "--alpha-grid", "1"], tmp_path, "t.csv")
+    assert code == 0
+    (ref,) = mp_warden_trace_distances(1, [1.0], float(q), Scenario.ALL_ENV)
+    assert float(_csv_row(path)["trace_dist"]) == pytest.approx(float(ref), rel=1e-11, abs=0.0)
+    # E1's budget n D ~ q log(1/q) is subnormal: refused by name, not by a division by zero
+    argv = ["detect-sim", "--q", q, "--scenario", "3", "--n-grid", "1", "--alpha-grid", "1"]
+    assert cli.main(argv) == 3
+    assert "warden's Bloch weight" in capsys.readouterr().err
+
+
+def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys):
+    # every exact T keeps E >= floor - 1e-12; a row that breaks it is a numerical failure
+    monkeypatch.setattr(detection, "pinsker_floor", lambda div_total: 1.0)
+    assert cli.main(["detect-sim", "--n-grid", "3"]) == 3
+    assert "fell below the Pinsker floor" in capsys.readouterr().err
+
+
+ROOT_EXPORTS = {
+    "ChannelSpec", "Scenario", "SupportReport", "allenv_null_vectors", "basis_marginal_pair",
+    "e1only_marginal", "scenario_support_report", "RateReport", "ScheduleParams",
+    "capacity_curve", "dvq_exact", "finite_blocklength_logM", "inverse_normal_cdf",
+    "leading_moments", "rate_reports", "willie_divergence", "willie_eta", "DetectionResult",
+    "pinsker_floor", "warden_errors", "DvqTriple",
+}
+
+
+def test_package_root_exports_the_table_api():
+    public = {name for name, value in vars(qcovert).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == ROOT_EXPORTS
+
+
+def test_cli_imports_no_private_name():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert names and not [name for name in names if name.startswith("_")]
+
+
 def test_unknown_command_exits_two(capsys):
     for argv in (["no-such-command"], [], ["--no-such-option"], ["rate-table", "--no-such-option"],
                  ["scenario", "--scenario", "4"]):
@@ -607,7 +660,8 @@ def test_rate_path_exit_codes_are_truthful(tmp_path, capsys):
     # n = 1e300 is valid input, but its single-use warden divergence
     # (~1e-370 bits) underflows: a numerical failure, not a usage error
     assert cli.main(["rate-table", "--n-grid", "1e300"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "warden divergence" in err
     # alpha = 1e-300 is still representable and comes out positive and
     # accurate; a subnormal alpha has lost its precision and is refused
     code, path = run(["approx-check", "--alpha-grid", "1e-300", "--format", "json"], tmp_path)

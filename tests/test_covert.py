@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    ArrowMatrixParams,
     arrow_matrix,
+    arrow_params,
     arrow_spectral,
     binary_convolution,
     eig_hermitian,
@@ -19,22 +21,16 @@ from oracles import (
     relative_entropy,
     stinespring_isometry,
 )
+from qcovert import covert
 from qcovert.channels import e1only_marginal
 from qcovert.covert import (
     BERRY_ESSEEN,
-    ArrowMatrixParams,
     ScheduleParams,
-    arrow_params,
-    asymptotic_logM,
-    capacity_lower_bound,
-    covert_rate,
-    dvq_asymptotic,
+    capacity_curve,
     dvq_exact,
     finite_blocklength_logM,
     inverse_normal_cdf,
     leading_moments,
-    rate_limit,
-    rate_report,
     rate_reports,
     willie_divergence,
     willie_eta,
@@ -216,13 +212,13 @@ def test_warden_closed_forms_match_dense_oracles():
 
 def test_dvq_asymptotic_leading_forms():
     alpha, q = 1e-4, 0.5
-    lead = dvq_asymptotic(alpha, q)
+    lead, zero = leading_moments([alpha, 0.0], q)
     coeff = 2.0 * 0.25 / 1.5  # 2(1-q)^2/(2-q) = 1/3 at q = 0.5
     assert lead.d == pytest.approx(-coeff * alpha * math.log2(alpha), rel=1e-14)
     assert lead.d == pytest.approx(4.429e-4, abs=1e-7)
     assert lead.v == pytest.approx(coeff * alpha * math.log2(alpha) ** 2, rel=1e-14)
     assert lead.v > 0.0
-    assert dvq_asymptotic(0.0, q) == DvqTriple(0.0, 0.0, 0.0)
+    assert zero == DvqTriple(0.0, 0.0, 0.0)
 
 
 def test_dvq_asymptotic_fourth_moment_calibration():
@@ -230,18 +226,17 @@ def test_dvq_asymptotic_fourth_moment_calibration():
     # weight, so the two agree there by construction
     q = 0.5
     ref = 1e-3
-    lead = dvq_asymptotic(ref, q)
+    lead, small = leading_moments([ref, 1e-5], q)
     assert lead.q4 == pytest.approx(dvq_exact(ref, q).q4, rel=1e-12)
     # and stays the right order of magnitude two decades down
-    small = dvq_asymptotic(1e-5, q)
     assert dvq_exact(1e-5, q).q4 == pytest.approx(small.q4, rel=0.5)
 
 
 def test_dvq_ratio_regression_values():
     """Exact-to-leading ratio minus one, pinned along the alpha grid."""
     pins = {1e-3: 0.277163, 1e-4: 0.207750, 1e-5: 0.166181, 1e-6: 0.138481}
-    for alpha, pin in pins.items():
-        exact, lead = dvq_exact(alpha, 0.5), dvq_asymptotic(alpha, 0.5)
+    for (alpha, pin), lead in zip(pins.items(), leading_moments(list(pins), 0.5)):
+        exact = dvq_exact(alpha, 0.5)
         assert exact.d / lead.d - 1.0 == pytest.approx(pin, abs=5e-6)
 
 
@@ -297,7 +292,8 @@ def test_asymptotic_logM_formula():
     expected = (
         2.0 * (2.0 / 3.0 - 0.08) * 0.36 / 1.6 * s.gamma_n * math.sqrt(s.n) * math.log2(s.n)
     )
-    assert asymptotic_logM(s, q) == pytest.approx(expected, rel=1e-13)
+    (rep,) = rate_reports([s.n], s.nu, q)
+    assert rep.logM_asymptotic == pytest.approx(expected, rel=1e-13)
 
 
 def test_willie_eta_pins_and_quadratic_limit():
@@ -327,51 +323,62 @@ def test_willie_divergence_total_exact_additivity():
 
 
 def test_covert_rate_formula_and_validation():
-    assert covert_rate(100.0, 10**4, 0.5) == pytest.approx(
-        100.0 / (math.log2(10**4) * math.sqrt(10**4 * 0.5)), rel=1e-14
+    (rep,) = rate_reports([10**4], 0.05, 0.5)
+    assert rep.covert_rate_L == pytest.approx(
+        rep.logM_finite / (math.log2(10**4) * math.sqrt(10**4 * rep.willie_div_total)), rel=1e-14
     )
     with pytest.raises(ValueError):
-        covert_rate(100.0, 1, 0.5)
-    with pytest.raises(ValueError):
-        covert_rate(100.0, 100, 0.0)
-    with pytest.raises(ValueError):
-        covert_rate(100.0, 100, math.inf)
+        rate_reports([1], 0.05, 0.5)  # the finite-blocklength bound needs n >= 2
+    # the rate's divergence is a positive normal float, or the row is refused
+    with pytest.raises(ArithmeticError, match="warden divergence"):
+        rate_reports([10**300], 0.05, 0.5)
 
 
-def test_capacity_lower_bound_values():
-    assert capacity_lower_bound(0.0) == math.inf
-    assert capacity_lower_bound(1.0) == 0.0
-    assert capacity_lower_bound(0.5) == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
+def test_capacity_lower_bound_values(monkeypatch):
+    ((eta, capacity),) = capacity_curve([0.5])
+    assert eta == willie_eta(0.5)
+    assert capacity == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
     # closed form against the pinned eta
     q = 0.5
     expected = 4.0 * math.sqrt(2.0) / 3.0 * 0.25 / (1.5 * math.sqrt(ETA_PINS[q]))
-    assert capacity_lower_bound(q) == pytest.approx(expected, rel=1e-12)
+    assert capacity == pytest.approx(expected, rel=1e-12)
+    # q = 0 and q = 1 are outside the open interval, and the whole grid is
+    # checked before any eta is computed
+    monkeypatch.setattr(covert, "willie_eta", lambda q: 1 / 0)
+    for grid in ([0.0], [1.0], [0.5, 1.0]):
+        with pytest.raises(ValueError):
+            capacity_curve(grid)
 
 
 def test_rate_limit_formula():
     nu, q = 0.05, 0.5
     coeff = 2.0 * (2.0 / 3.0 - nu) * 0.25 / 1.5
-    assert rate_limit(nu, q) == pytest.approx(
+    (rep,) = rate_reports([10**4], nu, q)
+    assert rep.covert_rate_limit == pytest.approx(
         coeff / math.sqrt(willie_eta(q) / 2.0), rel=1e-13
     )
     with pytest.raises(ValueError):
-        rate_limit(0.2, 0.5)
+        rate_reports([10**4], 0.2, 0.5)
     with pytest.raises(ValueError):
-        rate_limit(0.05, 0.0)
+        rate_reports([10**4], 0.05, 0.0)
 
 
 def test_rate_report_is_internally_consistent():
     s = ScheduleParams(10**5, 0.05)
-    rep = rate_report(s, 0.5, eps=0.05)
+    (rep,) = rate_reports([s.n], s.nu, 0.5, eps=0.05)
     assert rep.n == s.n and rep.q == 0.5 and rep.eps == 0.05
     assert rep.alpha_n == s.alpha_n
     dvq = dvq_exact(s.alpha_n, 0.5)
     assert rep.logM_finite == pytest.approx(
         finite_blocklength_logM(s.n, 0.05, dvq), rel=1e-14
     )
-    assert rep.logM_asymptotic == pytest.approx(asymptotic_logM(s, 0.5), rel=1e-14)
+    assert rep.logM_asymptotic == pytest.approx(
+        2.0 * (2.0 / 3.0 - s.nu) * 0.25 / 1.5 * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
+        rel=1e-14,
+    )
+    assert rep.willie_div_total == s.n * willie_divergence(s.alpha_n, 0.5)
     assert rep.covert_rate_L == pytest.approx(
-        covert_rate(rep.logM_finite, s.n, rep.willie_div_total), rel=1e-14
+        rep.logM_finite / (math.log2(s.n) * math.sqrt(s.n * rep.willie_div_total)), rel=1e-14
     )
     assert rep.capacity_lb == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
 
@@ -381,11 +388,10 @@ def test_grid_forms_match_pointwise_forms():
     q, nu = 0.4, 0.07
     ns = [10**3, 10**5, 10**7]
     reports = rate_reports(ns, nu, q)
-    assert reports == [rate_report(ScheduleParams(n, nu), q) for n in ns]
-    assert {r.covert_rate_limit for r in reports} == {rate_limit(nu, q)}
-    assert {r.capacity_lb for r in reports} == {capacity_lower_bound(q)}
+    assert reports == [rate_reports([n], nu, q)[0] for n in ns]
+    assert {r.capacity_lb for r in reports} == {capacity_curve([q])[0][1]}
     alphas = [0.0, 1e-9, 1e-4, 0.3, 1.0]
-    assert leading_moments(alphas, q) == [dvq_asymptotic(a, q) for a in alphas]
+    assert leading_moments(alphas, q) == [leading_moments([a], q)[0] for a in alphas]
 
 
 def test_finite_rate_convergence_approaches_limit():
@@ -400,4 +406,5 @@ def test_finite_rate_convergence_approaches_limit():
     assert rates == sorted(rates)
     assert abs(gaps[-1]) < abs(gaps[0]) / 5.0
     assert abs(gaps[-1]) < 0.05 * limit
-    assert limit == pytest.approx(rate_limit(0.05, 0.5), rel=1e-14)
+    coeff = 2.0 * (2.0 / 3.0 - 0.05) * 0.25 / 1.5
+    assert limit == pytest.approx(coeff / math.sqrt(willie_eta(0.5) / 2.0), rel=1e-14)

@@ -8,13 +8,7 @@ from oracles import relative_entropy, symmetric_power, tensor_power, trace_dista
 from qcovert import detection
 from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
 from qcovert.covert import ScheduleParams
-from qcovert.detection import (
-    MAX_USES,
-    MAX_USES_ALLENV,
-    covertness_sweep,
-    pinsker_floor,
-    warden_error,
-)
+from qcovert.detection import MAX_USES, MAX_USES_ALLENV, pinsker_floor, warden_errors
 
 LN2 = math.log(2.0)
 
@@ -42,7 +36,7 @@ def test_pinsker_floor_values():
 @pytest.mark.parametrize("scenario", list(Scenario))
 @pytest.mark.parametrize("n", [1, 2])
 def test_null_input_gives_exactly_half(scenario, n):
-    result = warden_error(n, 0.0, ChannelSpec(0.5, scenario))
+    result = warden_errors([n], [0.0], ChannelSpec(0.5, scenario))[0]
     assert result.error_prob == 0.5
     assert result.trace_dist == 0.0
     assert result.div_total == 0.0
@@ -54,7 +48,7 @@ def test_warden_error_matches_direct_computation():
     omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
     diff = tensor_power(omega_a, n) - tensor_power(omega_0, n)
     dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    result = warden_error(n, alpha, E1_SPEC)
+    result = warden_errors([n], [alpha], E1_SPEC)[0]
     assert result.trace_dist == pytest.approx(dist, abs=1e-14)
     assert result.error_prob == pytest.approx(0.5 * (1.0 - dist), abs=1e-14)
 
@@ -65,7 +59,7 @@ def test_divergence_budget_is_additive():
     omega_0, omega_1 = basis_marginal_pair(E1_SPEC)
     omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
     joint = relative_entropy(tensor_power(omega_a, 3), tensor_power(omega_0, 3))
-    result = warden_error(3, alpha, E1_SPEC)
+    result = warden_errors([3], [alpha], E1_SPEC)[0]
     assert result.div_total == pytest.approx(joint, abs=1e-11)
     assert result.div_total == pytest.approx(
         3.0 * relative_entropy(omega_a, omega_0), rel=1e-14
@@ -77,13 +71,13 @@ def test_error_never_below_pinsker_floor():
     for _ in range(20):
         alpha = rng.uniform(0.0, 1.0)
         n = int(rng.integers(1, 6))
-        r = warden_error(n, alpha, E1_SPEC)
+        r = warden_errors([n], [alpha], E1_SPEC)[0]
         assert r.error_prob >= r.pinsker_floor - 1e-12
 
 
 def test_all_env_divergence_is_infinite():
     # support escape: the budget blows up while the error itself stays sane
-    r = warden_error(2, 0.3, ChannelSpec(0.5, Scenario.ALL_ENV))
+    r = warden_errors([2], [0.3], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
     assert r.div_total == math.inf
     assert r.pinsker_floor == -math.inf
     assert 0.0 < r.error_prob < 0.5
@@ -92,26 +86,27 @@ def test_all_env_divergence_is_infinite():
 def test_all_env_warden_detects_faster():
     # watching the whole environment strictly beats watching one qubit of it
     for n in (1, 2, 3):
-        full = warden_error(n, 0.5, ChannelSpec(0.5, Scenario.ALL_ENV))
-        part = warden_error(n, 0.5, E1_SPEC)
+        full = warden_errors([n], [0.5], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
+        part = warden_errors([n], [0.5], E1_SPEC)[0]
         assert full.error_prob < part.error_prob
 
 
 def test_use_caps_and_validation():
     with pytest.raises(ValueError):
-        warden_error(MAX_USES + 1, 0.1, E1_SPEC)
+        warden_errors([MAX_USES + 1], [0.1], E1_SPEC)
     with pytest.raises(ValueError):
-        warden_error(MAX_USES_ALLENV + 1, 0.1, ChannelSpec(0.5, Scenario.ALL_ENV))
+        warden_errors([MAX_USES_ALLENV + 1], [0.1], ChannelSpec(0.5, Scenario.ALL_ENV))
     with pytest.raises(ValueError):
-        warden_error(0, 0.1, E1_SPEC)
+        warden_errors([0], [0.1], E1_SPEC)
     with pytest.raises(ValueError):
-        warden_error(2, 1.1, E1_SPEC)
+        warden_errors([2], [1.1], E1_SPEC)
     # the all-env cap is tighter because the per-use dimension is 4, not 2
-    assert warden_error(MAX_USES_ALLENV, 0.0, ChannelSpec(0.5, Scenario.ALL_ENV)).n == 5
+    assert warden_errors([MAX_USES_ALLENV], [0.0], ChannelSpec(0.5, Scenario.ALL_ENV))[0].n == 5
 
 
 def test_covertness_sweep_follows_schedule():
-    results = covertness_sweep(0.05, 0.5, [1, 2, 4])
+    schedule = [ScheduleParams(n, 0.05) for n in (1, 2, 4)]
+    results = warden_errors([s.n for s in schedule], [s.alpha_n for s in schedule], E1_SPEC)
     assert [r.n for r in results] == [1, 2, 4]
     for r in results:
         assert r.alpha == pytest.approx(ScheduleParams(r.n, 0.05).alpha_n, rel=1e-14)
@@ -122,10 +117,13 @@ def test_covertness_sweep_follows_schedule():
 
 
 def test_covertness_sweep_validation():
+    # a sweep's inputs are checked where they are built: the schedule, the channel, the table
     with pytest.raises(ValueError):
-        covertness_sweep(0.5, 0.5, [1, 2])  # exponent outside the schedule range
+        ScheduleParams(1, 0.5)  # exponent outside the schedule range
     with pytest.raises(ValueError):
-        covertness_sweep(0.05, 1.5, [1, 2])
+        ChannelSpec(1.5, Scenario.E1_ONLY)
+    with pytest.raises(ValueError):
+        warden_errors([1, 2], [0.1], E1_SPEC)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0 / 3.0, 0.7, 0.9, 1.0])
@@ -133,7 +131,7 @@ def test_covertness_sweep_validation():
 def test_trivial_scenario_is_exactly_blind(alpha, n):
     # omega_1 == omega_0 in E2_ONLY; a rounded mixture of the two used to
     # give a -2e-16 divergence that the Pinsker floor rejected as bad input
-    r = warden_error(n, alpha, ChannelSpec(0.4, Scenario.E2_ONLY))
+    r = warden_errors([n], [alpha], ChannelSpec(0.4, Scenario.E2_ONLY))[0]
     assert r.trace_dist == 0.0
     assert r.error_prob == 0.5
     assert r.div_total == 0.0
@@ -159,7 +157,7 @@ def test_block_route_matches_dense_oracle(scenario, cap):
         for alpha in _oracle_alphas(rng, n):
             omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
             dense = trace_distance(tensor_power(omega_a, n), dense_0)
-            assert warden_error(n, alpha, spec).trace_dist == pytest.approx(dense, abs=1e-12)
+            assert warden_errors([n], [alpha], spec)[0].trace_dist == pytest.approx(dense, abs=1e-12)
 
 
 def test_all_env_marginals_split_exactly_over_e2():
@@ -199,7 +197,7 @@ def test_e1_at_the_use_cap_obeys_fidelity_bounds():
     n = MAX_USES
     alpha = ScheduleParams(n, 0.05).alpha_n
     start = time.perf_counter()
-    r = warden_error(n, alpha, E1_SPEC)
+    r = warden_errors([n], [alpha], E1_SPEC)[0]
     elapsed = time.perf_counter() - start
     omega_0, omega_1 = basis_marginal_pair(E1_SPEC)
     fid = root_fidelity((1.0 - alpha) * omega_0 + alpha * omega_1, omega_0)
@@ -221,7 +219,7 @@ def test_table_rows_do_not_depend_on_their_neighbours(scenario, ns):
     spec = ChannelSpec(0.9157811524513488, scenario)
     alphas = [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns))]
     table = detection.warden_errors(ns, alphas, spec)
-    assert table == [warden_error(n, a, spec) for n, a in zip(ns, alphas)]
+    assert table == [warden_errors([n], [a], spec)[0] for n, a in zip(ns, alphas)]
     assert detection.warden_errors(ns[::-1], alphas[::-1], spec) == table[::-1]
 
 
@@ -238,7 +236,7 @@ def test_streamed_chunks_leave_every_row_bit_identical(scenario, ns, monkeypatch
     spec = ChannelSpec(0.775748, scenario)
     alphas = [1.0, 1e-15] + [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns) - 2)]
     table = [r.trace_dist for r in detection.warden_errors(ns, alphas, spec)]
-    assert table == [warden_error(n, a, spec).trace_dist for n, a in zip(ns, alphas)]
+    assert table == [warden_errors([n], [a], spec)[0].trace_dist for n, a in zip(ns, alphas)]
     order = rng.permutation(len(ns))
     for rows_per_chunk in (2, 1):  # one row a chunk: slot 0 with a single live row
         monkeypatch.setattr(detection, "CHUNK_ENTRIES", rows_per_chunk * (max(ns) + 1) ** 2)
@@ -273,6 +271,6 @@ def test_saturated_trace_distance_stays_a_probability(q):
     # at alpha = 1 and q near 1, T is within an ulp or two of 1, and the
     # block sum can round past it
     for scenario, n in ((Scenario.ALL_ENV, MAX_USES_ALLENV), (Scenario.E1_ONLY, MAX_USES)):
-        r = warden_error(n, 1.0, ChannelSpec(q, scenario))
+        r = warden_errors([n], [1.0], ChannelSpec(q, scenario))[0]
         assert 0.0 < r.trace_dist <= 1.0
         assert 0.0 <= r.error_prob < 0.5

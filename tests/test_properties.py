@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from oracles import trace_distance
 from qcovert.channels import ChannelSpec, Scenario, e1only_marginal
 from qcovert.covert import dvq_exact, willie_divergence
-from qcovert.detection import MAX_USES_ALLENV, warden_error, warden_errors
+from qcovert.detection import MAX_USES_ALLENV, warden_errors
 
 LN2 = math.log(2.0)
 
@@ -72,8 +72,8 @@ def test_trace_distance_grows_with_uses_and_stays_in_unit_interval(case, alpha, 
 def test_single_use_trace_distance_is_linear_in_weight(case, alpha, q):
     # omega_alpha - omega_0 = alpha (omega_1 - omega_0)
     spec = ChannelSpec(q, case[0])
-    t_one = warden_error(1, 1.0, spec).trace_dist
-    assert warden_error(1, alpha, spec).trace_dist == pytest.approx(alpha * t_one, rel=1e-14, abs=0.0)
+    t_one = warden_errors([1], [1.0], spec)[0].trace_dist
+    assert warden_errors([1], [alpha], spec)[0].trace_dist == pytest.approx(alpha * t_one, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,4 +86,4 @@ def test_one_row_equals_its_table_row_bit_for_bit(case, q, data):
     spec = ChannelSpec(q, scenario)
     table = warden_errors(ns, alphas, spec)
     for n, alpha, row in zip(ns, alphas, table):
-        assert warden_error(n, alpha, spec) == row
+        assert warden_errors([n], [alpha], spec)[0] == row
