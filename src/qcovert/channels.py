@@ -1,16 +1,17 @@
-"""Warden marginals of the qubit depolarizing channel, in closed form.
+"""The warden scenarios of the qubit depolarizing channel and their verdicts.
 
 The channel's Stinespring dilation maps the input qubit into
 B (x) E1 (x) E2 with B most significant and E1 before E2 inside the
-environment, and the marginals here are written in that register order.
-A warden listening on different environment subsets sees one of three
-marginal channels; which subset decides whether covert signalling is
-impossible, free, or genuinely constrained.  ``scenario_support_report``
-states that verdict from closed forms of the kernel overlap, trace
-distance and determinants, with no eigensolver.  The dilation itself,
-the dense channel, the partial-trace route to the marginals and the
-eigensolver route to the support report (``dense_support_report``) are
-the test oracles in ``tests/oracles.py``.
+environment.  A warden listening on different environment subsets sees
+one of three marginal channels; which subset decides whether covert
+signalling is impossible, free, or genuinely constrained.
+``scenario_support_report`` states that verdict from closed forms of the
+kernel overlap, trace distance and determinants, with no eigensolver.
+The warden's states themselves have one closed form, the real block
+``detection._warden_block``.  The dilation, the dense channel, the
+partial-trace route to the marginals and the eigensolver route to the
+support report (``dense_support_report``) are the test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-
-import numpy as np
 
 
 class Scenario(IntEnum):
@@ -50,80 +49,6 @@ class ChannelSpec:
 def _check_q(q: float):
     if not (0.0 <= q <= 1.0) or math.isnan(q):
         raise ValueError(f"noise parameter q={q!r} outside [0, 1]")
-
-
-def basis_marginal_pair(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form warden marginals (omega_0, omega_1) for the basis inputs.
-
-    omega_0 is the response to the innocent input |0><0|, omega_1 to
-    |1><1|.  In the E2_ONLY scenario the two matrices are built from the
-    same expression, so omega_0 == omega_1 holds bit for bit.
-    """
-    q = spec.q
-    if spec.scenario is Scenario.E2_ONLY:
-        omega = np.diag([1.0 - q / 2.0, q / 2.0]).astype(np.complex128)
-        return omega, omega.copy()
-    if spec.scenario is Scenario.E1_ONLY:
-        return e1only_marginal(0.0, q), e1only_marginal(1.0, q)
-    # ALL_ENV: rank-2 4x4 states on E1 (x) E2, index = 2*E1 + E2.
-    s = 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
-    omega_0 = np.array(
-        [
-            [1.0 - 0.75 * q, 0.0, s, 0.0],
-            [0.0, 0.25 * q, 0.0, -0.25j * q],
-            [s, 0.0, 0.25 * q, 0.0],
-            [0.0, 0.25j * q, 0.0, 0.25 * q],
-        ],
-        dtype=np.complex128,
-    )
-    omega_1 = np.array(
-        [
-            [1.0 - 0.75 * q, 0.0, -s, 0.0],
-            [0.0, 0.25 * q, 0.0, 0.25j * q],
-            [-s, 0.0, 0.25 * q, 0.0],
-            [0.0, -0.25j * q, 0.0, 0.25 * q],
-        ],
-        dtype=np.complex128,
-    )
-    return omega_0, omega_1
-
-
-def e1only_marginal(alpha: float, q: float) -> np.ndarray:
-    """Closed-form E1 marginal for the input diag(1-alpha, alpha).
-
-    The diagonal (1-q/2, q/2) is input-independent; only the off-diagonal
-    coherence sqrt((1-3q/4) q/4) - i q/4, weighted by (1-2 alpha),
-    distinguishes the hypotheses.
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha={alpha!r} outside [0, 1]")
-    _check_q(q)
-    s = 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
-    off = (1.0 - 2.0 * alpha) * (s - 0.25j * q)
-    return np.array(
-        [[1.0 - q / 2.0, off], [np.conj(off), q / 2.0]], dtype=np.complex128
-    )
-
-
-def allenv_null_vectors(q: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis (e_0, f) of the ALL_ENV omega_0 kernel.
-
-    e_0 = (0, i, 0, 1)/sqrt(2) is noise-independent and satisfies
-    <e_0| omega_1 |e_0> = q/2, which is what makes detection of a single
-    use already conclusive in that scenario.  f completes the kernel.
-    """
-    _check_q(q)
-    e0 = np.array([0.0, 1.0j, 0.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    f = np.array(
-        [math.sqrt(0.25 * q), 0.0, -math.sqrt(1.0 - 0.75 * q), 0.0],
-        dtype=np.complex128,
-    )
-    norm = np.linalg.norm(f)
-    if norm == 0.0:  # q = 0: omega_0 = |00><00|, f reduces to -|10>
-        f = np.array([0.0, 0.0, -1.0, 0.0], dtype=np.complex128)
-    else:
-        f = f / norm
-    return e0, f
 
 
 @dataclass(frozen=True)
@@ -169,8 +94,9 @@ def scenario_support_report(spec: ChannelSpec) -> SupportReport:
     determinant q(2 - q)/8 and their difference has eigenvalues
     +-sqrt(q - q^2/2).  ALL_ENV: both states have rank 2, their
     difference has eigenvalues +-2s and +-q/2 with s^2 = (1 - 3q/4) q/4,
-    and omega_1 does not couple the kernel vectors e_0 and f of
-    ``allenv_null_vectors``, so the kernel overlap is the larger of
+    and omega_1 does not couple the kernel vectors e_0 = (0, i, 0, 1)/sqrt(2)
+    and f ~ (sqrt(q/4), 0, -sqrt(1 - 3q/4), 0) of omega_0 (index
+    2*E1 + E2), so the kernel overlap is the larger of
     <e_0|omega_1|e_0> = q/2 and <f|omega_1|f> = q(4 - 3q)/(2(2 - q)),
     which is the second for q <= 1.  The rational fields are computed in
     Python integers from q = m/d and rounded once, correctly.

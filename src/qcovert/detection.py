@@ -120,10 +120,10 @@ def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
     """(a, b, c) of the warden's real block [[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]].
 
     The E1 marginal after the diagonal unitary, ALL_ENV's E2 = 0 block,
-    or E2_ONLY's marginal (c = 0).  c is 0 exactly when the innocent and
-    signal marginals of ``channels.basis_marginal_pair`` are equal, down
-    to subnormal q: c is 0.5 sqrt(q) times a square root near 1, so no
-    product under a root underflows.
+    or E2_ONLY's marginal (c = 0).  This is the one closed form of the
+    warden's single-use states.  c is 0 exactly when the innocent and
+    signal marginals are equal, down to subnormal q: c is 0.5 sqrt(q)
+    times a square root near 1, so no product under a root underflows.
     """
     q = spec.q
     if spec.scenario is Scenario.ALL_ENV:
@@ -310,8 +310,8 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             if not sys.float_info.min <= t < math.inf:
                 raise ArithmeticError(
                     f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
-            # omega_alpha weights e_0 of ``allenv_null_vectors``, a kernel
-            # vector of omega_0, by alpha * q / 2 > 0: the support escapes.
+            # omega_alpha weights e_0 = (0, i, 0, 1)/sqrt(2), a kernel vector
+            # of omega_0, by alpha * q / 2 > 0: the support escapes.
             div_total = math.inf if allenv else n * willie_divergence(alpha, spec.q)
         error = 0.5 * (1.0 - t)
         floor = pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf

@@ -13,9 +13,11 @@ None of these is used by the library itself.  Three kinds live here:
   over a stack of blocks),
   ``partial_trace`` and the operator logarithm ``matrix_log2``; the
   depolarizing channel (``depolarize`` and its Pauli-twirl form), its
-  Stinespring isometry and dilated output, and the warden marginal
-  ``willie_marginal`` by partial trace, and the eigensolver route to the
-  feasibility verdicts (``dense_support_report``); the entangled input, the
+  Stinespring isometry and dilated output, the warden marginal
+  ``willie_marginal`` by partial trace and the dense warden states built
+  from it (``basis_marginal_pair``, ``e1only_marginal``), and the
+  eigensolver route to the feasibility verdicts
+  (``dense_support_report``); the entangled input, the
   arrow-matrix joint output with its parameters (``arrow_params``), the
   product of its marginals and the arrow matrix's spectral decomposition.
 * Dense double-precision functionals on arbitrary density matrices:
@@ -48,7 +50,6 @@ from qcovert.channels import (
     Scenario,
     SupportReport,
     _check_q,
-    basis_marginal_pair,
 )
 from qcovert.covert import _check_unit, _coupled_pair
 from qcovert.divergences import DvqTriple
@@ -410,9 +411,10 @@ def dilated_output(rho, q: float) -> np.ndarray:
 def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
     """Warden's output state, obtained from the dilation by partial trace.
 
-    Dimension 4 (on E1 (x) E2) for ALL_ENV, 2 otherwise.  This is the
-    ground-truth route; ``basis_marginal_pair`` provides the closed forms
-    it is cross-checked against.
+    Dimension 4 (on E1 (x) E2, index 2*E1 + E2) for ALL_ENV, 2 otherwise.
+    This is the ground truth of the warden's states: the tests take every
+    dense omega from it, and check ``detection._warden_block``, the one
+    closed form of those states, against it.
     """
     joint = dilated_output(rho, spec.q)
     keep = {
@@ -421,6 +423,16 @@ def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
         Scenario.E1_ONLY: [1],
     }[spec.scenario]
     return partial_trace(joint, [2, 2, 2], keep)
+
+
+def basis_marginal_pair(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Warden states (omega_0, omega_1) for the inputs |0><0| and |1><1|."""
+    return willie_marginal(np.diag([1.0, 0.0]), spec), willie_marginal(np.diag([0.0, 1.0]), spec)
+
+
+def e1only_marginal(alpha: float, q: float) -> np.ndarray:
+    """E1 warden state for the input diag(1 - alpha, alpha)."""
+    return willie_marginal(np.diag([1.0 - alpha, alpha]), ChannelSpec(q, Scenario.E1_ONLY))
 
 
 def dense_support_report(spec: ChannelSpec) -> SupportReport:

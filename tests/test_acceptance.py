@@ -61,8 +61,8 @@ def test_criterion_02_scenario_verdicts():
     ok = True
     for q in Q_TRIPLE:
         full = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
-        e0, _ = qc.allenv_null_vectors(q)
-        _, omega_1 = qc.basis_marginal_pair(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+        e0 = np.array([0.0, 1.0j, 0.0, 1.0]) / math.sqrt(2.0)  # kernel vector of omega_0
+        _, omega_1 = oracles.basis_marginal_pair(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
         direct = float(np.vdot(e0, omega_1 @ e0).real)
         overlaps.append(min(full.kernel_overlap, direct))
         ok &= not full.support_contained
@@ -203,7 +203,7 @@ def test_criterion_05_quadratic_divergence_law():
         curvature = qc.willie_eta(q)
         for alpha in worst:
             d = oracles.relative_entropy(
-                qc.e1only_marginal(alpha, q), qc.e1only_marginal(0.0, q)
+                oracles.e1only_marginal(alpha, q), oracles.e1only_marginal(0.0, q)
             )
             ratio = d / (alpha * alpha * curvature / 2.0)
             worst[alpha] = max(worst[alpha], abs(ratio - 1.0))
@@ -302,7 +302,7 @@ def test_criterion_09_detection_simulator():
     div_dev = 0.0
     for r in results:
         single = oracles.relative_entropy(
-            qc.e1only_marginal(r.alpha, q), qc.e1only_marginal(0.0, q)
+            oracles.e1only_marginal(r.alpha, q), oracles.e1only_marginal(0.0, q)
         )
         div_dev = max(div_dev, abs(r.div_total - r.n * single))
     elapsed = time.perf_counter() - start

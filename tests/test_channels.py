@@ -4,28 +4,24 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _support_mask,
+    basis_marginal_pair,
     depolarize,
     depolarize_pauli_form,
     dilated_output,
+    e1only_marginal,
+    eig_hermitian,
     partial_trace,
     projector,
     pure_state,
     stinespring_isometry,
-    willie_marginal,
 )
-from qcovert.channels import (
-    ChannelSpec,
-    Scenario,
-    allenv_null_vectors,
-    basis_marginal_pair,
-    e1only_marginal,
-    scenario_support_report,
-)
+from qcovert import detection
+from qcovert.channels import ChannelSpec, Scenario, scenario_support_report
 
 Q_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
-
-KET0 = projector([1.0, 0.0])
-KET1 = projector([0.0, 1.0])
+# the noise-independent kernel vector of ALL_ENV's omega_0 (index 2*E1 + E2)
+E0 = np.array([0.0, 1.0j, 0.0, 1.0]) / math.sqrt(2.0)
 
 
 def random_qubit(rng):
@@ -90,18 +86,32 @@ def test_dilation_recovers_channel():
 
 
 @pytest.mark.parametrize("scenario", list(Scenario))
-@pytest.mark.parametrize("q", Q_GRID)
+@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-320, 1e-300, 1e-6, *Q_GRID, 1.0])
 def test_closed_form_marginals_match_dilation(scenario, q):
+    """``_warden_block``, the one closed form of the warden's states, against the dilation.
+
+    Its accuracy where the dilation underflows, and the blind rule, are
+    checked in ``test_detection.py::test_warden_block_matches_the_marginals``.
+    """
     spec = ChannelSpec(q, scenario)
+    a, b, c = detection._warden_block(spec)
     omega_0, omega_1 = basis_marginal_pair(spec)
-    np.testing.assert_allclose(willie_marginal(KET0, spec), omega_0, atol=1e-14)
-    np.testing.assert_allclose(willie_marginal(KET1, spec), omega_1, atol=1e-14)
+    if scenario is Scenario.ALL_ENV:
+        # E2 = 0 blocks [[a, +-c], [+-c, b]], E2 = 1 trace q/2 (index 2*E1 + E2)
+        for omega, sign in zip((omega_0, omega_1), (1.0, -1.0)):
+            block = [[a, sign * c], [sign * c, b]]
+            np.testing.assert_allclose(omega[0::2, 0::2], block, rtol=0.0, atol=1e-15)
+            assert np.trace(omega[1::2, 1::2]) == pytest.approx(q / 2.0, rel=0.0, abs=1e-15)
+    else:
+        # the diagonal, and c as the modulus of coherences of opposite sign
+        np.testing.assert_allclose(omega_0.diagonal(), [a, b], rtol=0.0, atol=1e-15)
+        assert c == pytest.approx(abs(omega_0[0, 1]), rel=0.0, abs=1e-15)
+        assert omega_1[0, 1] == pytest.approx(-omega_0[0, 1], rel=0.0, abs=1e-15)
 
 
 def test_e2only_marginals_identical_bitwise():
     omega_0, omega_1 = basis_marginal_pair(ChannelSpec(0.37, Scenario.E2_ONLY))
     assert np.array_equal(omega_0, omega_1)
-    assert omega_0 is not omega_1
 
 
 def test_e1only_marginal_is_affine_in_alpha():
@@ -118,33 +128,34 @@ def test_e1only_marginal_is_affine_in_alpha():
     np.testing.assert_array_equal(pair[1], omega_1)
 
 
-def test_e1only_marginal_validation():
-    with pytest.raises(ValueError):
-        e1only_marginal(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        e1only_marginal(0.5, 2.0)
+def allenv_kernel(q):
+    """ALL_ENV's omega_1 and the unit vector f that completes E0 to omega_0's kernel."""
+    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.ALL_ENV))
+    w, v = eig_hermitian(omega_0)
+    kernel = v[:, ~_support_mask(w)]
+    rest = kernel - np.outer(E0, E0.conj() @ kernel)  # the kernel with E0 projected out
+    f = rest[:, np.argmax(np.linalg.norm(rest, axis=0))]
+    return omega_0, omega_1, f / np.linalg.norm(f)
 
 
 @pytest.mark.parametrize("q", [0.0, 0.2, 0.5, 0.8])
 def test_allenv_null_vectors_span_the_kernel(q):
-    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.ALL_ENV))
-    e0, f = allenv_null_vectors(q)
+    omega_0, omega_1, f = allenv_kernel(q)
     # orthonormal
-    assert np.vdot(e0, e0).real == pytest.approx(1.0, abs=1e-15)
+    assert np.vdot(E0, E0).real == pytest.approx(1.0, abs=1e-15)
     assert np.vdot(f, f).real == pytest.approx(1.0, abs=1e-15)
-    assert abs(np.vdot(e0, f)) < 1e-15
+    assert abs(np.vdot(E0, f)) < 1e-15
     # annihilated by the innocent marginal
-    assert np.linalg.norm(omega_0 @ e0) < 1e-15
+    assert np.linalg.norm(omega_0 @ E0) < 1e-15
     assert np.linalg.norm(omega_0 @ f) < 1e-15
     # overlap of the active marginal with the noise-independent kernel vector
-    assert np.vdot(e0, omega_1 @ e0).real == pytest.approx(q / 2.0, abs=1e-14)
+    assert np.vdot(E0, omega_1 @ E0).real == pytest.approx(q / 2.0, abs=1e-14)
 
 
 def test_allenv_second_kernel_vector_overlap():
-    # <f| omega_1 |f> = q(1 - 3q/4)/(1 - q/2)
+    # <f| omega_1 |f> = q(1 - 3q/4)/(1 - q/2), the kernel overlap of ``scenario_support_report``
     for q in (0.25, 0.5, 0.75):
-        _, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.ALL_ENV))
-        _, f = allenv_null_vectors(q)
+        _, omega_1, f = allenv_kernel(q)
         expected = q * (1.0 - 0.75 * q) / (1.0 - 0.5 * q)
         assert np.vdot(f, omega_1 @ f).real == pytest.approx(expected, abs=1e-14)
 

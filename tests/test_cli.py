@@ -13,9 +13,8 @@ import pytest
 
 import qcovert
 from oracles import mp_warden_trace_distances, mp_willie_divergence
-from qcovert import cli
+from qcovert import channels, cli, covert, detection
 from qcovert.channels import Scenario
-from qcovert import covert, detection
 
 
 def run(argv, tmp_path, name="out"):
@@ -620,11 +619,10 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
 
 
 ROOT_EXPORTS = {
-    "ChannelSpec", "Scenario", "SupportReport", "allenv_null_vectors", "basis_marginal_pair",
-    "e1only_marginal", "scenario_support_report", "RateReport", "ScheduleParams",
-    "capacity_curve", "dvq_exact", "finite_blocklength_logM", "inverse_normal_cdf",
-    "leading_moments", "rate_reports", "willie_divergence", "willie_eta", "DetectionResult",
-    "pinsker_floor", "warden_errors", "DvqTriple",
+    "ChannelSpec", "Scenario", "SupportReport", "scenario_support_report", "RateReport",
+    "ScheduleParams", "capacity_curve", "dvq_exact", "finite_blocklength_logM",
+    "inverse_normal_cdf", "leading_moments", "rate_reports", "willie_divergence", "willie_eta",
+    "DetectionResult", "pinsker_floor", "warden_errors", "DvqTriple",
 }
 
 
@@ -639,6 +637,16 @@ def test_cli_imports_no_private_name():
     names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names]
     assert names and not [name for name in names if name.startswith("_")]
+
+
+@pytest.mark.parametrize("module", [channels, covert], ids=["channels", "covert"])
+def test_closed_form_modules_import_no_numpy(module):
+    """The scenario and rate tables need no numpy, so a launch that runs only them can skip it."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]
 
 
 def test_unknown_command_exits_two(capsys):

@@ -9,6 +9,7 @@ from oracles import (
     arrow_params,
     arrow_spectral,
     binary_convolution,
+    e1only_marginal,
     eig_hermitian,
     entangled_input,
     eta,
@@ -22,7 +23,6 @@ from oracles import (
     stinespring_isometry,
 )
 from qcovert import covert
-from qcovert.channels import e1only_marginal
 from qcovert.covert import (
     BERRY_ESSEEN,
     ScheduleParams,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import eta, moments, projector, relative_entropy
-from qcovert.channels import ChannelSpec, Scenario, basis_marginal_pair
+from oracles import basis_marginal_pair, eta, moments, projector, relative_entropy
+from qcovert.channels import ChannelSpec, Scenario
 from qcovert.divergences import DvqTriple
 
 LN2 = math.log(2.0)

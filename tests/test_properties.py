@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trace_distance
-from qcovert.channels import ChannelSpec, Scenario, e1only_marginal
+from oracles import e1only_marginal, trace_distance
+from qcovert.channels import ChannelSpec, Scenario
 from qcovert.covert import dvq_exact, willie_divergence
 from qcovert.detection import MAX_USES_ALLENV, warden_errors
 
