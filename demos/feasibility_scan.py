@@ -12,8 +12,8 @@ import qcovert as qc
 
 for q in (0.1, 0.25, 0.5, 0.75, 0.9):
     print(f"--- depolarizing weight q = {q} ---")
-    for scenario in qc.Scenario:
-        rep = qc.scenario_support_report(qc.ChannelSpec(q, scenario))
+    for rep in qc.scenario_reports(q, qc.Scenario):
+        scenario = rep.scenario
         print(f"  {scenario.name:8s} verdict={rep.verdict:10s} "
               f"contained={rep.support_contained} "
               f"trace_dist={rep.trace_dist:.6f}")
@@ -31,7 +31,7 @@ for q in (0.1, 0.25, 0.5, 0.75, 0.9):
 # kernel holds e0 = (0, i, 0, 1)/sqrt(2), whose weight under the signal
 # state is q/2, and the f that completes it, whose weight is the overlap
 q = 0.5
-rep = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+rep = qc.scenario_reports(q, [qc.Scenario.ALL_ENV])[0]
 print("ALL_ENV null vectors at q = 0.5 and their weight under the signal state:")
 for label, w in (("e0", q / 2.0), ("f", rep.kernel_overlap)):
     print(f"  <{label}| omega_1 |{label}> = {w:.6f}")

@@ -12,7 +12,7 @@ from .channels import (
     ChannelSpec,
     Scenario,
     SupportReport,
-    scenario_support_report,
+    scenario_reports,
 )
 from .covert import (
     RateReport,

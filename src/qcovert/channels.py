@@ -5,8 +5,10 @@ B (x) E1 (x) E2 with B most significant and E1 before E2 inside the
 environment.  A warden listening on different environment subsets sees
 one of three marginal channels; which subset decides whether covert
 signalling is impossible, free, or genuinely constrained.
-``scenario_support_report`` states that verdict from closed forms of the
-kernel overlap, trace distance and determinants, with no eigensolver.
+``scenario_reports`` states that verdict for a table of scenarios at one
+q, from closed forms of the kernel overlap, trace distance and
+determinants, with no eigensolver.  ``ChannelSpec`` is a validating
+input; ``SupportReport`` is a plain NamedTuple, built without checks.
 The warden's states themselves have one closed form, the real block
 ``detection._warden_block``.  The dilation, the dense channel, the
 partial-trace route to the marginals and the eigensolver route to the
@@ -17,8 +19,9 @@ support report (``dense_support_report``) are the test oracles in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 
 class Scenario(IntEnum):
@@ -51,8 +54,7 @@ def _check_q(q: float):
         raise ValueError(f"noise parameter q={q!r} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class SupportReport:
+class SupportReport(NamedTuple):
     """Numerical feasibility verdict for one warden scenario."""
 
     scenario: Scenario
@@ -63,7 +65,7 @@ class SupportReport:
     det_omega0: float
     det_omega1: float
     verdict: str
-    note: str = field(default="")
+    note: str = ""
 
 
 _BOUNDARY_NOTES = {
@@ -79,8 +81,8 @@ _BOUNDARY_NOTES = {
 }
 
 
-def scenario_support_report(spec: ChannelSpec) -> SupportReport:
-    """Feasibility verdict from support containment and trace distance.
+def scenario_reports(q: float, scenarios) -> list[SupportReport]:
+    """Feasibility verdict at noise q for each of ``scenarios``, in order.
 
     Verdicts: "impossible" when supp(omega_1) escapes supp(omega_0) (the
     warden detects a single use with positive probability), "trivial"
@@ -99,36 +101,30 @@ def scenario_support_report(spec: ChannelSpec) -> SupportReport:
     2*E1 + E2), so the kernel overlap is the larger of
     <e_0|omega_1|e_0> = q/2 and <f|omega_1|f> = q(4 - 3q)/(2(2 - q)),
     which is the second for q <= 1.  The rational fields are computed in
-    Python integers from q = m/d and rounded once, correctly.
+    Python integers from q = m/d and rounded once, correctly.  q is
+    checked once per table.
     """
-    m, d = spec.q.as_integer_ratio()
-    q = m / d  # spec.q, with -0.0 as +0.0 so that no field is a signed zero
-    if spec.scenario is Scenario.E2_ONLY:
-        overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
-    elif spec.scenario is Scenario.E1_ONLY:
-        overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
-        dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
-    else:
-        overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
-        dist = 0.5 * (math.sqrt(q * (4.0 - 3.0 * q)) + q)  # 2s + q/2
-    contained = overlap == 0.0
-
-    if spec.boundary:
-        verdict, note = "degenerate", _BOUNDARY_NOTES[spec.q]
-    elif not contained:
-        verdict, note = "impossible", ""
-    elif dist == 0.0:
-        verdict, note = "trivial", ""
-    else:
-        verdict, note = "nontrivial", ""
-    return SupportReport(
-        scenario=spec.scenario,
-        q=spec.q,
-        support_contained=contained,
-        kernel_overlap=overlap,
-        trace_dist=dist,
-        det_omega0=det,
-        det_omega1=det,
-        verdict=verdict,
-        note=note,
-    )
+    _check_q(q)
+    m, d = q.as_integer_ratio()
+    q_pos = m / d  # q, with -0.0 as +0.0 so that no field is a signed zero
+    note = _BOUNDARY_NOTES.get(q, "")
+    reports = []
+    for scenario in map(Scenario, scenarios):
+        if scenario is Scenario.E2_ONLY:
+            overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
+        elif scenario is Scenario.E1_ONLY:
+            overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
+            dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
+        else:
+            overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
+            dist = 0.5 * (math.sqrt(q_pos * (4.0 - 3.0 * q_pos)) + q_pos)  # 2s + q/2
+        contained = overlap == 0.0
+        if note:
+            verdict = "degenerate"
+        elif not contained:
+            verdict = "impossible"
+        else:
+            verdict = "trivial" if dist == 0.0 else "nontrivial"
+        reports.append(
+            SupportReport(scenario, q, contained, overlap, dist, det, det, verdict, note))
+    return reports

@@ -21,12 +21,13 @@ any other column is converted per value, and the JSON keys are written
 once per table.  The text is byte for byte what ``csv.writer`` over
 ``_fmt``, and ``json.dumps(indent=2)`` with non-finite floats as the CSV's
 strings, write; that route is kept as the test oracle
-``oracles.stdlib_table_text``.  In process, a ``scenario --q 0.37 --out
-FILE`` call takes about 165 us: 15 us reading the argv, 46 us of closed
-forms, 64 us writing the JSON text (133 us by the stdlib route) and 34 us
-creating and writing the file (medians of 3500 calls, one 2-core x86-64
-host).  A float option and a grid entry of -0.0 are read as 0.0, so no
-echoed input prints a signed zero.
+``oracles.stdlib_table_text``.  ``--out`` gets the encoded text in one
+``os.write`` (looped until every byte is out) on one ``os.open``.  In
+process, a ``scenario --q 0.37 --out FILE`` call to a new file takes about
+125 us: 14 us reading the argv, 27 us of closed forms, 62 us writing the
+JSON text and 19 us creating and writing the file (medians of 3500
+interleaved calls, one 2-core x86-64 host).  A float option and a grid
+entry of -0.0 are read as 0.0, so no echoed input prints a signed zero.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -36,16 +37,19 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .channels import ChannelSpec, Scenario, scenario_support_report
+from .channels import ChannelSpec, Scenario, scenario_reports
 from .covert import (
     ScheduleParams, capacity_curve, check_nu, dvq_exact, leading_moments, rate_reports)
 from .detection import warden_errors
 
 
 MAX_GRID_POINTS = 10_000
+# How ``--out`` is opened: created or truncated, and written as bytes (O_BINARY on Windows).
+_OUT_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
 
 
 def _float(text: str) -> float:
@@ -192,7 +196,7 @@ def _json_text(config: dict, columns: list[str], rows: list[list]) -> str:
         elif kinds == {int}:
             spec, f = "%d", None
         else:
-            spec, f = "%s", _json_cell
+            spec, f = "%s", encode_basestring_ascii if kinds == {str} else _json_cell
         fields.append("\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
         convert.append(f)
     template = "    {" + ",".join(fields) + "\n    }" if fields else "    {}"
@@ -202,8 +206,13 @@ def _json_text(config: dict, columns: list[str], rows: list[list]) -> str:
 def write_output(config: dict, columns: list[str], rows: list[list], args) -> None:
     text = _csv_text(columns, rows) if args.format == "csv" else _json_text(config, columns, rows)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
+        data = text.encode()
+        fd = os.open(args.out, _OUT_FLAGS, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(text)
 
@@ -278,14 +287,9 @@ def cmd_scenario(args):
         "scenario", "label", "q", "support_contained", "kernel_overlap",
         "trace_distance", "det_omega0", "det_omega1", "verdict", "note",
     ]
-    rows = []
-    for s in scenarios:
-        rep = scenario_support_report(ChannelSpec(args.q, s))
-        rows.append(
-            [int(rep.scenario), rep.scenario.name, rep.q, rep.support_contained,
-             rep.kernel_overlap, rep.trace_dist, rep.det_omega0, rep.det_omega1,
-             rep.verdict, rep.note]
-        )
+    # a report's fields after its scenario are the columns after the label, in order
+    rows = [[int(rep.scenario), rep.scenario.name, *rep[1:]]
+            for rep in scenario_reports(args.q, scenarios)]
     return config, columns, rows
 
 
@@ -345,11 +349,19 @@ COMMANDS = {
 }
 
 
+# ``_options`` of each command, built once at import; callers share the dicts and change none.
+_OPTION_TABLES = {
+    name: {"--out": {"help": "output file path (default: stdout)"},
+           "--format": {"choices": ("csv", "json"),
+                        "default": "json" if name == "scenario" else "csv"},
+           **options}
+    for name, (_, _, options) in COMMANDS.items()
+}
+
+
 def _options(name: str) -> dict:
     """Every option of command ``name`` as add_argument keywords: --out, --format, its own."""
-    fmt = {"choices": ("csv", "json"), "default": "json" if name == "scenario" else "csv"}
-    return {"--out": {"help": "output file path (default: stdout)"}, "--format": fmt,
-            **COMMANDS[name][2]}
+    return _OPTION_TABLES[name]
 
 
 def _plain_options(options: dict, rest: list):

@@ -32,6 +32,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .divergences import DvqTriple
 
@@ -95,8 +96,7 @@ class ScheduleParams:
         return float(self.n) ** (self.nu - 1.0 / 6.0)
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """One row of the covert-rate analysis at a fixed blocklength."""
 
     n: int

@@ -70,7 +70,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ MAX_USES_ALLENV = 5
 CHUNK_ENTRIES = 2**19
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     """Outcome of the warden's optimal n-use test at one input weight."""
 
     n: int

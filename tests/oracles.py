@@ -383,14 +383,16 @@ def stinespring_isometry(q: float) -> np.ndarray:
                 + sqrt(q/4) (X|psi>|01> + Y|psi>|11> + Z|psi>|10>)
 
     with the environment kets labelled |E1 E2>.  Satisfies V^dag V = I_2.
+    The Pauli weight is written 0.5 sqrt(q), which does not underflow at
+    subnormal q as sqrt(0.25 q) does.
     """
     _check_q(q)
     env = np.eye(4, dtype=np.complex128)  # index = 2*E1 + E2
     terms = (
         (math.sqrt(1.0 - 0.75 * q), SIGMA_I, env[0]),
-        (math.sqrt(0.25 * q), SIGMA_X, env[1]),
-        (math.sqrt(0.25 * q), SIGMA_Y, env[3]),
-        (math.sqrt(0.25 * q), SIGMA_Z, env[2]),
+        (0.5 * math.sqrt(q), SIGMA_X, env[1]),
+        (0.5 * math.sqrt(q), SIGMA_Y, env[3]),
+        (0.5 * math.sqrt(q), SIGMA_Z, env[2]),
     )
     v = np.zeros((8, 2), dtype=np.complex128)
     for weight, pauli, ket in terms:
@@ -438,7 +440,7 @@ def e1only_marginal(alpha: float, q: float) -> np.ndarray:
 def dense_support_report(spec: ChannelSpec) -> SupportReport:
     """Feasibility verdict from a dense eigensolve of the basis marginals.
 
-    The route ``channels.scenario_support_report`` replaced with closed
+    The route ``channels.scenario_reports`` replaced with closed
     forms: the kernel of omega_0 under the support rule, the largest
     eigenvalue of omega_1 compressed to it, the trace distance from
     ``eigvalsh`` and LU determinants.

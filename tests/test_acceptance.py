@@ -60,7 +60,7 @@ def test_criterion_02_scenario_verdicts():
     overlaps, dets = [], []
     ok = True
     for q in Q_TRIPLE:
-        full = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+        full = qc.scenario_reports(q, [qc.Scenario.ALL_ENV])[0]
         e0 = np.array([0.0, 1.0j, 0.0, 1.0]) / math.sqrt(2.0)  # kernel vector of omega_0
         _, omega_1 = oracles.basis_marginal_pair(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
         direct = float(np.vdot(e0, omega_1 @ e0).real)
@@ -69,10 +69,10 @@ def test_criterion_02_scenario_verdicts():
         ok &= full.kernel_overlap >= q / 2.0 - 1e-10  # violation energy vs q/2
         ok &= direct >= q / 2.0 - 1e-10
 
-        middle = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.E2_ONLY))
+        middle = qc.scenario_reports(q, [qc.Scenario.E2_ONLY])[0]
         ok &= middle.trace_dist == 0.0  # exact equality, no tolerance
 
-        part = qc.scenario_support_report(qc.ChannelSpec(q, qc.Scenario.E1_ONLY))
+        part = qc.scenario_reports(q, [qc.Scenario.E1_ONLY])[0]
         dets += [part.det_omega0, part.det_omega1]
         ok &= part.support_contained
         ok &= part.det_omega0 > 1e-3 and part.det_omega1 > 1e-3

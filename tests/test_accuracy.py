@@ -50,7 +50,7 @@ from oracles import (
     mp_willie_eta,
 )
 from qcovert import cli
-from qcovert.channels import ChannelSpec, Scenario, scenario_support_report
+from qcovert.channels import ChannelSpec, Scenario, scenario_reports
 from qcovert.covert import (
     ScheduleParams,
     dvq_exact,
@@ -288,7 +288,7 @@ SUPPORT_QS = (1e-300, 1e-15, 3e-15, 1e-6, 0.01, 0.3, 0.5, 0.885731, 0.99, 1.0 - 
 def test_scenario_fields_match_mpmath(scenario):
     worst = 0.0
     for q in SUPPORT_QS:
-        rep = scenario_support_report(ChannelSpec(q, scenario))
+        rep = scenario_reports(q, [scenario])[0]
         for name, ref in zip(SUPPORT_FIELDS, mp_support_fields(q, scenario)):
             got = getattr(rep, name)
             if ref == 0:
@@ -303,7 +303,7 @@ def test_scenario_fields_match_the_dense_route():
     for q in (0.01 + 0.98 * k / 49 for k in range(50)):
         for scenario in Scenario:
             spec = ChannelSpec(q, scenario)
-            closed, dense = scenario_support_report(spec), dense_support_report(spec)
+            closed, dense = scenario_reports(q, [scenario])[0], dense_support_report(spec)
             assert (closed.verdict, closed.support_contained) == (
                 dense.verdict, dense.support_contained)
             for name in SUPPORT_FIELDS:

@@ -17,7 +17,7 @@ from oracles import (
     stinespring_isometry,
 )
 from qcovert import detection
-from qcovert.channels import ChannelSpec, Scenario, scenario_support_report
+from qcovert.channels import ChannelSpec, Scenario, scenario_reports
 
 Q_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 # the noise-independent kernel vector of ALL_ENV's omega_0 (index 2*E1 + E2)
@@ -109,6 +109,16 @@ def test_closed_form_marginals_match_dilation(scenario, q):
         assert omega_1[0, 1] == pytest.approx(-omega_0[0, 1], rel=0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("q", [5e-324, 1e-320])
+def test_dilation_keeps_the_coherence_at_subnormal_q(q):
+    """The dilation's Pauli weight is 0.5 sqrt(q): with sqrt(0.25 q) the E1 coherence was 0."""
+    spec = ChannelSpec(q, Scenario.E1_ONLY)
+    omega_0, _ = basis_marginal_pair(spec)
+    coherence = abs(omega_0[0, 1])
+    assert coherence > 0.0
+    assert coherence == pytest.approx(detection._warden_block(spec)[2], rel=1e-15, abs=0.0)
+
+
 def test_e2only_marginals_identical_bitwise():
     omega_0, omega_1 = basis_marginal_pair(ChannelSpec(0.37, Scenario.E2_ONLY))
     assert np.array_equal(omega_0, omega_1)
@@ -153,7 +163,7 @@ def test_allenv_null_vectors_span_the_kernel(q):
 
 
 def test_allenv_second_kernel_vector_overlap():
-    # <f| omega_1 |f> = q(1 - 3q/4)/(1 - q/2), the kernel overlap of ``scenario_support_report``
+    # <f| omega_1 |f> = q(1 - 3q/4)/(1 - q/2), the kernel overlap of ``scenario_reports``
     for q in (0.25, 0.5, 0.75):
         _, omega_1, f = allenv_kernel(q)
         expected = q * (1.0 - 0.75 * q) / (1.0 - 0.5 * q)
@@ -162,7 +172,7 @@ def test_allenv_second_kernel_vector_overlap():
 
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
 def test_support_report_all_env_impossible(q):
-    rep = scenario_support_report(ChannelSpec(q, Scenario.ALL_ENV))
+    rep = scenario_reports(q, [Scenario.ALL_ENV])[0]
     assert rep.verdict == "impossible"
     assert not rep.support_contained
     assert rep.kernel_overlap >= q / 2.0 - 1e-10
@@ -171,7 +181,7 @@ def test_support_report_all_env_impossible(q):
 
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.75])
 def test_support_report_e2_trivial(q):
-    rep = scenario_support_report(ChannelSpec(q, Scenario.E2_ONLY))
+    rep = scenario_reports(q, [Scenario.E2_ONLY])[0]
     assert rep.verdict == "trivial"
     assert rep.support_contained
     assert rep.trace_dist == 0.0
@@ -182,7 +192,7 @@ def test_support_report_e2_trivial(q):
 )
 def test_support_report_e1_nontrivial(q, det):
     """Both hypothesis states are full rank with determinant q(2-q)/8."""
-    rep = scenario_support_report(ChannelSpec(q, Scenario.E1_ONLY))
+    rep = scenario_reports(q, [Scenario.E1_ONLY])[0]
     assert rep.verdict == "nontrivial"
     assert rep.support_contained
     assert rep.trace_dist > 0.0
@@ -193,6 +203,6 @@ def test_support_report_e1_nontrivial(q, det):
 def test_support_report_boundaries_are_degenerate():
     for q in (0.0, 1.0):
         for scenario in Scenario:
-            rep = scenario_support_report(ChannelSpec(q, scenario))
+            rep = scenario_reports(q, [scenario])[0]
             assert rep.verdict == "degenerate"
             assert rep.note != ""

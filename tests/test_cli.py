@@ -619,7 +619,7 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
 
 
 ROOT_EXPORTS = {
-    "ChannelSpec", "Scenario", "SupportReport", "scenario_support_report", "RateReport",
+    "ChannelSpec", "Scenario", "SupportReport", "scenario_reports", "RateReport",
     "ScheduleParams", "capacity_curve", "dvq_exact", "finite_blocklength_logM",
     "inverse_normal_cdf", "leading_moments", "rate_reports", "willie_divergence", "willie_eta",
     "DetectionResult", "pinsker_floor", "warden_errors", "DvqTriple",
@@ -630,6 +630,30 @@ def test_package_root_exports_the_table_api():
     public = {name for name, value in vars(qcovert).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == ROOT_EXPORTS
+
+
+# The output records' fields, in the order they had as frozen dataclasses
+RECORD_FIELDS = {
+    qcovert.SupportReport: ("scenario", "q", "support_contained", "kernel_overlap",
+                            "trace_dist", "det_omega0", "det_omega1", "verdict", "note"),
+    qcovert.RateReport: ("n", "nu", "q", "alpha_n", "eps", "logM_finite", "logM_asymptotic",
+                         "willie_div_total", "covert_rate_L", "capacity_lb",
+                         "covert_rate_limit"),
+    qcovert.DetectionResult: ("n", "alpha", "trace_dist", "error_prob", "pinsker_floor",
+                              "div_total"),
+}
+
+
+@pytest.mark.parametrize("record", list(RECORD_FIELDS), ids=lambda record: record.__name__)
+def test_output_records_are_immutable_named_tuples(record):
+    fields = RECORD_FIELDS[record]
+    assert record._fields == fields
+    assert record._field_defaults == ({"note": ""} if record is qcovert.SupportReport else {})
+    rep = record(**dict.fromkeys(fields, 0.5))  # by keyword, as ``dense_support_report`` does
+    assert repr(rep) == record.__name__ + "(" + ", ".join(f"{f}=0.5" for f in fields) + ")"
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(rep, name, 1.0)
 
 
 def test_cli_imports_no_private_name():

@@ -182,9 +182,9 @@ def test_all_env_marginals_split_exactly_over_e2():
 def test_warden_block_matches_the_marginals(q):
     """The real block (a, b, c) that ``warden_errors`` runs on, at the edges of q.
 
-    c is checked against 50 digits, also at subnormal q where the
-    dilation's coherence underflows; the entries against the dilation are
-    checked in ``test_channels.py::test_closed_form_marginals_match_dilation``.
+    c is checked against 50 digits, also at subnormal q; the entries
+    against the dilation are checked in
+    ``test_channels.py::test_closed_form_marginals_match_dilation``.
     """
     for scenario in Scenario:
         c = detection._warden_block(ChannelSpec(q, scenario))[2]

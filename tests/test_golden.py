@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import stdlib_table_text
 from qcovert import cli
 
 ROOT = Path(__file__).parent.parent
@@ -104,6 +105,24 @@ def test_cli_output_matches_golden(name, tmp_path):
     path = tmp_path / name
     assert cli.main(CASES[name] + ["--out", str(path)]) == 0
     assert path.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_out_file_and_stdout_get_the_stdlib_bytes(name, tmp_path, capsysbinary):
+    """``--out`` writes stdout's bytes over a longer file, and names a path it cannot open."""
+    handler, args = cli._parse_args(CASES[name])
+    expected = stdlib_table_text(*handler(args), args.format).encode()
+    assert cli.main(CASES[name]) == 0
+    assert capsysbinary.readouterr() == (expected, b"")
+    path = tmp_path / name
+    path.write_bytes(b"#" * (2 * len(expected) + 1))
+    assert cli.main(CASES[name] + ["--out", str(path)]) == 0
+    assert path.read_bytes() == expected
+    for target in (tmp_path, tmp_path / "missing" / name):
+        with pytest.raises(OSError) as info:
+            open(target, "w", newline="")  # the error a text-mode open raised
+        assert cli.main(CASES[name] + ["--out", str(target)]) == 2
+        assert capsysbinary.readouterr() == (b"", f"qcovert: error: {info.value}\n".encode())
 
 
 @pytest.mark.parametrize("name", DEMOS)
