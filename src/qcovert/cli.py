@@ -339,7 +339,7 @@ COMMANDS = {
         "--scenario": {"type": int, "choices": (1, 2, 3),
                        "help": "restrict to one scenario (default: all three)"}}),
     "detect-sim": ("cmd_detect_sim",
-                   "exact warden detection simulation, n <= 100 (5 for scenario 1)", {
+                   "exact warden detection simulation, n <= 100 (30 for scenario 1)", {
         "--n-grid": {"default": "1,2,3,4,5,6,7,8"},
         "--q": {"type": _float, "default": 0.5},
         "--scenario": {"type": int, "choices": (1, 2, 3), "default": 3},

@@ -28,14 +28,39 @@ was flipped by X or Y), and E2 = 1 has weight q/2 under both hypotheses.
 Given E2 = 1 the two states are diagonal in one alpha-independent basis,
 the innocent one pure, so k such copies differ only by the factor
 (1 - alpha)^k on the innocent string.  Given E2 = 0 the block Z_alpha
-has a = 1 - 3q/4, b = q/4 and c = sqrt(ab), so the innocent Z_0 has rank
-one and (1 - alpha)^k Z_alpha^(x m) - Z_0^(x m), m = n - k, has a single
-negative eigenvalue, in its top spin block; the trace fixes the rest of
-the trace norm:
+has a = 1 - 3q/4, b = q/4 and c = sqrt(ab), so the innocent Z_0 = v v^T,
+v = (sqrt(a), sqrt(b)), has rank one, and (1 - alpha)^k Z_alpha^(x m) -
+Z_0^(x m), m = n - k, has a single negative eigenvalue -s_k, in its top
+spin block; the trace fixes the rest of the trace norm:
 
-  T = -sum_k C(n, k) (q/2)^k lambda_min((1 - alpha)^k Sym^m(Z_alpha) - Sym^m(Z_0)).
+  T = sum_k C(n, k) (q/2)^k s_k.
 
-Three things keep the route cheap and accurate at every weight:
+s_k is the root of a rank-one secular equation (Golub, SIAM Rev. 15,
+1973; Bunch, Nielsen and Sorensen, Numer. Math. 31, 1978).  Z_alpha has
+closed-form eigenpairs mu_+ >= mu_-, e_+, e_-, with mu_- = det/mu_+ and
+det = 4 c^2 alpha (1 - alpha).  In the Dicke basis of e_+, e_- the top
+block is D - u u^T with D = diag(d_j), d_j = (1 - alpha)^k
+mu_+^(m-j) mu_-^j, and u_j^2 = w_j^2 = C(m, j) p_+^(m-j) p_-^j,
+p_(+/-) = <v, e_(+/-)>^2, so s_k in (0, |u|^2] solves
+sum_j w_j^2/(d_j + s) = 1.  The probability of error needs no
+subtraction either: |u|^2 - s = sum_j w_j^2 d_j/(d_j + s), and
+sum_k C(n, k) (q/2)^k |u|^2 = 1, so
+
+  E = 1/2 sum_k C(n, k) (q/2)^k sum_j w_j^2 d_j/(d_j + s_k),
+
+a sum of positive terms that keeps its relative accuracy when the states
+are all but orthogonal (E ~ 1e-30 and below).  As alpha -> 0, sum_j
+w_j^2/d_j -> 1 and the equation cancels; it is deflated around j = 0:
+s = (w_0^2 - d_0) + (d_0 + s) sum_(j>=1) w_j^2/(d_j + s), with
+w_0^2 - d_0 = (p_+^m - mu_+^m) + mu_+^m (1 - (1 - alpha)^k) built from
+p_+ - mu_+ = <e_+|Z_0 - Z_alpha|e_+> = 4 alpha c e_+x e_+y by two power
+recurrences that add terms of one sign.  For alpha >= 1/2, p_+ < mu_+
+and the two parts have opposite signs, so there (but for k = 0) w_0^2 -
+d_0 is taken directly.  Each equation is solved by Newton's method from
+a proven lower bound inside a proven bracket (``_secular_root``), in
+plain ``math``; no matrix is built and no eigensolver is called.
+
+Three things keep the E1 route cheap and accurate at every weight:
 
 * Degree recurrence.  Sym^k for k = 0..n comes from one two-tap step per
   degree on the monomial matrix, then the fixed Dicke scaling
@@ -44,11 +69,10 @@ Three things keep the route cheap and accurate at every weight:
   omega_alpha = omega_0 + alpha Delta the block difference is carried
   through the recurrence itself:
   D_(k+1) = L[omega_alpha](D_k) + L[alpha Delta](M_k(omega_0)).  Powers
-  use b_a^(s+1) - b_0^(s+1) = b_a (b_a^s - b_0^s) + (b_a - b_0) b_0^s,
-  for the determinant factor (b_a - b_0 = 4 c^2 alpha (1 - alpha)) and
-  for ALL_ENV's (1 - alpha)^k - 1.  No step subtracts two O(1)
-  numbers, so T keeps its relative accuracy as alpha -> 0 (T is linear
-  in alpha there).
+  use b_a^(s+1) - b_0^(s+1) = b_a (b_a^s - b_0^s) + (b_a - b_0) b_0^s
+  for the determinant factor (b_a - b_0 = 4 c^2 alpha (1 - alpha)).  No
+  step subtracts two O(1) numbers, so T keeps its relative accuracy as
+  alpha -> 0 (T is linear in alpha there).
 * One chunk of rows, one stacked step per degree.  The rows are sorted
   by n, descending, and cut into chunks of bounded memory (at n <= 100,
   up to 51 rows make one chunk).  Within a chunk one stack holds
@@ -58,16 +82,15 @@ Three things keep the route cheap and accurate at every weight:
   and a single Dicke multiply scales them.  The degrees are streamed:
   each is built from the one before and then dropped, and a row leaves
   the stack once k passes its n.  The rows of each parity, the spin
-  multiplicities, ALL_ENV's binomial weights and the power coefficients
-  are tables built once per chunk, so the degree loop is array
-  operations only, with one eigvalsh for all blocks of one shape.  Each
-  row's block norms are still added k descending, so T does not depend
-  on the chunking or on the order of the rows.
+  multiplicities and the power coefficients are tables built once per
+  chunk, so the degree loop is array operations only, with one eigvalsh
+  for all blocks of one shape.  Each row's block norms are still added
+  k descending, so T does not depend on the chunking or on the order of
+  the rows.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from typing import NamedTuple
@@ -85,8 +108,12 @@ LN2 = math.log(2.0)
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
 # ALL_ENV: the support escape makes the warden's error collapse within a
-# few uses, so five show it.
-MAX_USES_ALLENV = 5
+# few uses.  A row costs O(n^2) plain-float operations per Newton step, about
+# 0.5 ms at the cap, and T and E are audited to it (tests/test_accuracy.py).
+MAX_USES_ALLENV = 30
+# Newton steps per secular equation: a cap that no input should reach (five at
+# most over n <= 30, q and alpha from 1e-300 to 1).
+NEWTON_STEPS = 60
 # Rows are processed in chunks of CHUNK_ENTRIES // (n + 1)**2 rows, n the
 # chunk's largest (51 rows at n = 100), however long the table is.  The
 # constant bounds the float64 entries of one degree's stack of block
@@ -231,27 +258,115 @@ def _qubit_distances(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return 0.5 * _sum_descending(terms, len(ns))
 
 
-def _allenv_distances(block, ns: np.ndarray, alphas: np.ndarray, weight: float) -> np.ndarray:
-    """T for ALL_ENV, rows sorted by n descending: one eigvalsh per degree m.
+def _positive_root(lin: float, const: float) -> float:
+    """The root x >= 0 of x^2 + lin x - const = 0, const >= 0, without cancellation."""
+    hyp = math.hypot(lin, 2.0 * math.sqrt(const))
+    return 0.5 * (hyp - lin) if lin <= 0.0 else 2.0 * const / (lin + hyp)
 
-    T = -sum_k C(n, k) weight^k lambda_min((1 - alpha)^k Sym^m(Z_a) - Sym^m(Z_0))
-    with m = n - k, Z the E2 = 0 block ``block`` and weight = q/2 the
-    probability of E2 = 1 (see the module docstring).
+
+def _secular_root(base: float, d_0: float, amps: list, poles: list) -> tuple[float, float]:
+    """(s, sum_j w_j^2 d_j/(d_j + s)) at the root s > 0 of g(s) below.
+
+    g(s) = base + (d_0 + s) sum_j w_j^2/(d_j + s) - s, where ``amps`` and
+    ``poles`` hold w_j and d_j for j >= 1, d_0 >= d_1 >= d_j >= 0.  g is
+    convex and decreasing, g' <= -1.  Since d_j <= d_1, moving every pole
+    to d_1 bounds g from below, and moving it to 0 bounds it from above;
+    the two models are quadratics in s = |w| x, solved without
+    cancellation, and their roots bracket the root.  Newton's method
+    starts at the lower one, where it climbs monotonically; a step past
+    the upper bound stops at it, and one below the lower bound is replaced
+    by bisection.  It stops once |g| is at its rounding level.  The
+    weights enter as amplitudes, w_j (w_j / (d_j + s)), so a w_j^2 below
+    the float range does not lose its term at subnormal q.
     """
-    top = int(ns[0])
-    keep, lose = _power_pair(1.0, -alphas, top + 1)  # (1 - alpha)^k and (1 - alpha)^k - 1
-    degrees = np.arange(top + 1)[:, np.newaxis]
-    binom = np.array([[math.comb(n, k) for n in ns.tolist()] for k in range(top + 1)])
-    # coefs[:, m, i]: C(n, k) weight^k, keep and lose of row i at degree m, k = n - m
-    coefs = np.stack((binom * weight**degrees, keep, lose))[
-        :, np.maximum(ns - degrees, 0), np.arange(len(ns))]
-    terms = []
-    for m, stack in enumerate(_sym_levels(block, alphas, ns)):
-        live = len(stack) - 1  # the rows with n >= m
-        mult, coef_keep, coef_lose = coefs[:, m, :live]
-        blocks = _block_diff(stack[0], stack[1:], coef_keep, coef_lose)
-        terms.append((slice(live), -mult * _eigvalsh(blocks)[:, 0]))
-    return _sum_descending(terms, len(ns))
+    norm = math.hypot(*amps)
+    if norm == 0.0:
+        return base, 0.0
+    lo, hi = 0.0, norm * _positive_root(-(base / norm + norm), d_0)
+    if not hi > 0.0:
+        return 0.0, 0.0  # no positive root in floats: the row's T is refused
+    const = (base / norm) * (poles[0] / norm) + d_0
+    if const > 0.0:
+        lo = min(norm * _positive_root((poles[0] - base) / norm - norm, const), hi)
+    s, rest = (lo if lo > 0.0 else 0.5 * hi), 0.0
+    for _ in range(NEWTON_STEPS):
+        total, rest, slope = 0.0, 0.0, 1.0
+        for w, d in zip(amps, poles):
+            ratio = w / (d + s)
+            total += w * ratio
+            rest += w * ratio * d
+            slope += ratio * ratio * (d_0 - d)
+        scaled = (d_0 + s) * total
+        value = base + scaled - s
+        if abs(value) <= 2.0**-50 * (abs(base) + scaled + s):
+            return s + value / slope, rest
+        if value > 0.0:
+            lo = s
+        else:
+            hi = s
+        s += value / slope
+        if s > hi:
+            s = hi  # the upper model can be exact (every d_j = 0)
+        elif not s > lo:
+            s = 0.5 * (lo + hi)
+    return s, rest
+
+
+def _allenv_errors(n: int, alpha: float, q: float, c: float) -> tuple[float, float]:
+    """(T, E) for ALL_ENV at n uses and weight 0 < alpha <= 1 by the secular equation.
+
+    c is ``_warden_block``'s coherence; see the module docstring for the
+    method.
+    """
+    half, gap = 0.5 * q, 1.0 - q  # the weight of E2 = 1, and a - b
+    root_a, root_b = math.sqrt(1.0 - 0.75 * q), 0.5 * math.sqrt(q)  # q/4 underflows first
+    off = (1.0 - 2.0 * alpha) * c
+    radius = math.hypot(0.5 * gap, off)  # (mu_+ - mu_-)/2
+    mu_p = 0.5 * (1.0 - half) + radius
+    mu_m = 4.0 * c * c * alpha * (1.0 - alpha) / mu_p
+    # e_+ = (ex, ey sign(off)); at q = 1, alpha = 1/2, Z_alpha = I/4 and any basis
+    # will do: this is the limit alpha -> 1/2 from above
+    edge = 0.5 * gap + radius
+    norm = math.hypot(edge, off)
+    ex, ey = (edge / norm, abs(off) / norm) if norm else (0.5**0.5, 0.5**0.5)
+    # |<v, e_+> <v, e_->| = <e_-|Z_0 - Z_alpha|e_+>: the amplitude whose two
+    # terms have one sign is summed, the other divided out
+    cross = alpha * c * gap / radius if gap else 0.0
+    excess = 4.0 * alpha * c * ex * ey  # |p_+ - mu_+|
+    deflate = alpha < 0.5
+    if deflate:
+        amp_p = root_a * ex + root_b * ey
+        amp_m = cross / amp_p
+    else:  # p_+ < mu_+
+        amp_m = root_a * ey + root_b * ex
+        amp_p, excess = cross / amp_m, -excess
+    p_p = amp_p * amp_p
+    # powers, and lead[m] = p_+^m - mu_+^m as a sum of terms of one sign
+    pow_p, pow_m, pow_mu_p, pow_mu_m, lead = [1.0], [1.0], [1.0], [1.0], [0.0]
+    for _ in range(n):
+        lead.append(p_p * lead[-1] + excess * pow_mu_p[-1])
+        pow_p.append(pow_p[-1] * amp_p)
+        pow_m.append(pow_m[-1] * amp_m)
+        pow_mu_p.append(pow_mu_p[-1] * mu_p)
+        pow_mu_m.append(pow_mu_m[-1] * mu_m)
+    dist = error = 0.0
+    keep, lose = 1.0, 0.0  # (1 - alpha)^k and 1 - (1 - alpha)^k
+    for k in range(n + 1):
+        m = n - k
+        d_0, w0_sq = keep * pow_mu_p[m], pow_p[m] * pow_p[m]
+        # w_0^2 - d_0, deflated where its two parts have one sign
+        base = lead[m] + pow_mu_p[m] * lose if deflate or k == 0 else w0_sq - d_0
+        s, rest = _secular_root(
+            base, d_0,
+            [math.sqrt(math.comb(m, j)) * pow_p[m - j] * pow_m[j] for j in range(1, m + 1)],
+            [keep * pow_mu_p[m - j] * pow_mu_m[j] for j in range(1, m + 1)])
+        if d_0:
+            rest += w0_sq * (d_0 / (d_0 + s))  # with the j >= 1 part, |u|^2 - s
+        weight = math.comb(n, k) * half**k
+        dist += weight * s
+        error += weight * rest
+        keep, lose = keep * (1.0 - alpha), lose * (1.0 - alpha) + alpha
+    return dist, 0.5 * error
 
 
 def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
@@ -259,7 +374,8 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
 
     Takes the trace distance T of the two n-copy hypothesis states block
     by block, all rows together (see the module docstring), and reports
-    E = (1 - T)/2 together with the divergence budget
+    E = (1 - T)/2 (for ALL_ENV, the same E as its own sum of positive
+    terms, which does not cancel as T -> 1) together with the divergence budget
     n * D(omega_alpha || omega_0) and its Pinsker floor.  The budget is 0
     when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
     (omega_alpha leaves the support of omega_0), and n times the closed
@@ -289,16 +405,19 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     blind = block[2] == 0.0
     signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
     dist = np.zeros(len(ns))
-    if signal:
-        route = (functools.partial(_allenv_distances, weight=spec.q / 2.0) if allenv
-                 else _qubit_distances)
+    errors = {}  # ALL_ENV's E, from its own sum; every other row's is (1 - T)/2
+    if allenv:
+        c = block[2]
+        for i in signal:
+            dist[i], errors[i] = _allenv_errors(int(ns[i]), float(alphas[i]), spec.q, c)
+    elif signal:
         signal.sort(key=lambda i: -int(ns[i]))
         sig_ns = np.array([int(ns[i]) for i in signal])
         sig_alphas = np.array([float(alphas[i]) for i in signal])
         width = max(1, CHUNK_ENTRIES // (int(sig_ns[0]) + 1) ** 2)
         for lo in range(0, len(signal), width):
             part = slice(lo, lo + width)
-            dist[signal[part]] = route(block, sig_ns[part], sig_alphas[part])
+            dist[signal[part]] = _qubit_distances(block, sig_ns[part], sig_alphas[part])
     results = []
     for i, (n, alpha) in enumerate(zip(ns, alphas)):
         # T <= 1 exactly; the sum of the block norms can round a few ulps past it.
@@ -312,7 +431,7 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             # omega_alpha weights e_0 = (0, i, 0, 1)/sqrt(2), a kernel vector
             # of omega_0, by alpha * q / 2 > 0: the support escapes.
             div_total = math.inf if allenv else n * willie_divergence(alpha, spec.q)
-        error = 0.5 * (1.0 - t)
+        error = errors[i] if i in errors else 0.5 * (1.0 - t)
         floor = pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf
         if error < floor - 1e-12:
             raise ArithmeticError(

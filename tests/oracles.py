@@ -27,7 +27,11 @@ None of these is used by the library itself.  Three kinds live here:
 * mpmath references at ``DPS`` digits (more where a value is tiny): the
   joint-output moments, the E1 warden's single-use divergence and its
   curvature, each from a high-precision eigendecomposition of the dense
-  matrices, so none shares a formula with the closed forms it checks.
+  matrices, so none shares a formula with the closed forms it checks;
+  the warden's n-use trace distance as a Schur-Weyl block sum
+  (``mp_warden_trace_distances``), and ALL_ENV's T and error probability
+  from one reduced block per sector (``mp_allenv_distances``), whose
+  values on ``ALLENV_GRID`` are committed (``write_allenv_reference``).
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -896,6 +900,75 @@ def mp_warden_trace_distances(n: int, alphas, q: float, scenario: Scenario, dps:
             sum(m * _mp_trace_norm(b_a - b_0) for (m, b_a), (_, b_0) in zip(blocks(mp.mpf(a)), null)) / 2
             for a in alphas
         ]
+
+
+# An error probability below this is reported as exactly 0: it is far below
+# the smallest subnormal float, and the states are orthogonal there (q = 1,
+# alpha = 1), where no working precision would make the difference exact.
+MP_ZERO_DIGITS = 400
+
+
+def mp_allenv_distances(n: int, alphas, q: float) -> list[tuple]:
+    """(T, E) of the ALL_ENV warden at n uses, one pair per alpha, from the reduced sectors.
+
+    T = sum_k C(n, k) (q/2)^k s_k, with -s_k the smallest eigenvalue of the
+    (n - k + 1)-dimensional block (1 - alpha)^k Sym^(n-k)(Z_alpha) -
+    Sym^(n-k)(Z_0) of the E2 = 0 blocks (the reduction that
+    ``mp_warden_trace_distances`` checks at small n), by ``mp.eigsy``.
+    E = (1 - T)/2 is formed by subtraction, so the working digits grow until
+    E keeps DPS significant digits: 50 plus the decades E lies below 1.
+    """
+    out = []
+    for alpha in alphas:
+        digits = DPS
+        while True:
+            with mp.workdps(digits):
+                q_, a_ = mp.mpf(q), mp.mpf(alpha)
+                (z_0,), (z_a,) = (_mp_warden_blocks(x, q_, Scenario.ALL_ENV)[:1]
+                                  for x in (mp.mpf(0), a_))
+                dist = mp.mpf(0)
+                for k in range(n + 1):
+                    diff = ((1 - a_) ** k * _mp_symmetric_power(z_a, n - k)
+                            - _mp_symmetric_power(z_0, n - k))
+                    dist -= math.comb(n, k) * (q_ / 2) ** k * min(mp.eigsy(diff, eigvals_only=True))
+                error = (1 - dist) / 2
+                lost = int(-mp.log10(error)) + 1 if error > 0 else digits
+                if lost <= digits - DPS or lost > MP_ZERO_DIGITS:
+                    out.append((+dist, +error if lost <= MP_ZERO_DIGITS else mp.mpf(0)))
+                    break
+                digits = lost + DPS + 10
+    return out
+
+
+ALLENV_REFERENCE = "allenv_reference.json"
+ALLENV_GRID = {"n": (1, 3, 5, 10, 30), "q": (1e-6, 0.05, 0.5, 0.9, 0.99, 0.999, 1.0),
+               "alpha": (1e-15, 1e-6, 0.3, 0.7, 1.0)}
+
+
+def allenv_reference() -> dict:
+    """The committed ``write_allenv_reference`` values: {(n, q, alpha): (T, E)} as mpf."""
+    with open(f"{__file__.rsplit('/', 1)[0]}/{ALLENV_REFERENCE}", encoding="utf-8") as data:
+        rows = json.load(data)["rows"]
+    with mp.workdps(30):
+        return {(n, q, alpha): (mp.mpf(dist), mp.mpf(error)) for n, q, alpha, dist, error in rows}
+
+
+def write_allenv_reference(directory="tests") -> None:
+    """Write ``mp_allenv_distances`` on ``ALLENV_GRID`` to ``directory/ALLENV_REFERENCE``.
+
+    Rows are [n, q, alpha, T, E] with T and E as 25-digit strings.  From the
+    repository root: ``PYTHONPATH=src:tests python -c "import oracles;
+    oracles.write_allenv_reference()"`` (about 5 minutes on one core).
+    """
+    rows = []
+    for n in ALLENV_GRID["n"]:
+        for q in ALLENV_GRID["q"]:
+            pairs = mp_allenv_distances(n, ALLENV_GRID["alpha"], q)
+            rows += [[n, q, alpha, mp.nstr(dist, 25), mp.nstr(error, 25)]
+                     for alpha, (dist, error) in zip(ALLENV_GRID["alpha"], pairs)]
+    text = json.dumps({"grid": ALLENV_GRID, "rows": rows}, indent=1)
+    with open(f"{directory}/{ALLENV_REFERENCE}", "w", encoding="utf-8") as out:
+        out.write(text + "\n")
 
 
 # ----------------------------------------------------------------------

@@ -13,19 +13,26 @@ Stated bounds (relative):
     ``willie_eta``                               1e-14
     detect-sim ``div_total`` (E1_ONLY)           1e-13
     detect-sim trace distance T                  1e-10
+    detect-sim ALL_ENV T, n <= 30                1e-13
+    detect-sim ALL_ENV ``E_n``, n <= 30          1e-13
     scenario overlap, trace distance, dets       1e-15
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
 moments at q = 1e-6 and 1 - 1e-6 and 5.6e-16 for the warden divergence
 at weights from 1/2 on; 7.3e-16 for the detect-sim budget and 8.0e-16 for
-its trace distance (ALL_ENV: 6.2e-16 at n = 1..5, q from 1e-6 to 1);
+its trace distance (ALL_ENV: 6.8e-16 at n = 1..5, q from 1e-6 to 1);
+for ALL_ENV against the reduced-sector reference, 6.4e-15 for T and
+1.4e-14 for ``E_n`` at n <= 30 (both at n = 30; at n <= 5, 9.8e-16 and
+2.7e-15), ``E_n`` down to 2.6e-172 at n = 30, q = 0.999, alpha = 1;
 1.5e-16 for the scenario fields, q from 1e-300 to 1 (the overlap and
 the determinants are rounded once, correctly).  The
 bounds are a factor of about 1000 inside the project target of 1e-10
 for D and ``div_total``; T is held to the target itself, since its
-reference is a 40-digit block sum.  Printed values carry 12 significant
-digits, so CLI rows are held to 1e-11.
+reference is a 40-digit block sum.  ALL_ENV's T and ``E_n`` are held to
+1e-13: both are sums of positive terms whose roundings grow about
+linearly in n.  Printed values carry 12 significant digits, so CLI rows
+are held to 1e-11.
 
 The detect-sim budget is exact outside E1_ONLY: +inf for ALL_ENV at
 alpha > 0 and q > 0 (the support escape), and exactly 0 for ALL_ENV at
@@ -42,7 +49,10 @@ import mpmath as mp
 import pytest
 
 from oracles import (
+    ALLENV_GRID,
+    allenv_reference,
     dense_support_report,
+    mp_allenv_distances,
     mp_dvq,
     mp_support_fields,
     mp_warden_trace_distances,
@@ -64,6 +74,7 @@ TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
 TOL_ETA = 1e-14
 TOL_T = 1e-10
+TOL_ALLENV = 1e-13
 TOL_SUPPORT = 1e-15
 TOL_PRINTED = 1e-11
 
@@ -269,12 +280,66 @@ def test_detect_trace_distance_matches_mpmath(scenario, n, q):
 
 @pytest.mark.parametrize("q", (1e-6, 0.999, 1.0))
 def test_detect_all_env_trace_distance_at_the_q_edges(q):
-    """ALL_ENV at every n up to its cap, at the ends of the q range."""
+    """ALL_ENV at every n up to 5 against the full block sum, at the ends of the q range."""
     for n in range(1, 6):
         rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, ChannelSpec(q, Scenario.ALL_ENV))
         refs = mp_warden_trace_distances(n, T_ALPHAS, q, Scenario.ALL_ENV)
         worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
         assert worst <= TOL_T, f"T off by {worst:.2e} at n={n}"
+
+
+# ALL_ENV's T and E_n on the secular-equation route, against the 50-digit
+# reduced-sector references in ``tests/allenv_reference.json`` (n up to the
+# cap of 30 costs minutes in mpmath; ``oracles.write_allenv_reference``
+# regenerates the file).
+
+ALLENV_REFS = allenv_reference()
+
+
+def test_allenv_reference_file_covers_the_grid():
+    assert sorted(ALLENV_REFS) == sorted(
+        (n, q, alpha) for n in ALLENV_GRID["n"] for q in ALLENV_GRID["q"]
+        for alpha in ALLENV_GRID["alpha"])
+
+
+@pytest.mark.parametrize("n", ALLENV_GRID["n"])
+def test_detect_all_env_t_and_error_match_the_reference(n):
+    worst_t = worst_e = 0.0
+    for (n_, q, alpha), (dist, error) in ALLENV_REFS.items():
+        if n_ != n:
+            continue
+        (row,) = warden_errors([n], [alpha], ChannelSpec(q, Scenario.ALL_ENV))
+        worst_t = max(worst_t, _rel(row.trace_dist, dist))
+        if error == 0:
+            # q = 1, alpha = 1: the states are orthogonal and E is exactly 0
+            assert row.error_prob == 0.0, (q, alpha, row)
+        else:
+            worst_e = max(worst_e, _rel(row.error_prob, error))
+    assert worst_t <= TOL_ALLENV, f"T off by {worst_t:.2e}"
+    assert worst_e <= TOL_ALLENV, f"E_n off by {worst_e:.2e}"
+
+
+@pytest.mark.parametrize("q", (0.05, 0.999))
+def test_reduced_reference_matches_the_kronecker_oracle(q):
+    """The reduction to one top block per sector, checked on the full block sum."""
+    alphas = ALLENV_GRID["alpha"]
+    for n in (1, 3, 5):
+        pairs = mp_allenv_distances(n, alphas, q)
+        full = mp_warden_trace_distances(n, alphas, q, Scenario.ALL_ENV)
+        # the 40-digit block sum subtracts its blocks: 25 digits are left at alpha = 1e-15
+        assert all(abs(dist - ref) <= mp.mpf(10) ** -20 * ref
+                   for (dist, _), ref in zip(pairs, full)), (n, q)
+
+
+def test_reference_file_matches_a_fresh_computation():
+    """The committed references at n <= 5, recomputed here (the rest take minutes)."""
+    for n in (1, 3, 5):
+        for q in ALLENV_GRID["q"]:
+            alphas = ALLENV_GRID["alpha"]
+            for alpha, fresh in zip(alphas, mp_allenv_distances(n, alphas, q)):
+                # the file keeps 25 significant digits
+                assert all(abs(kept - value) <= mp.mpf(10) ** -23 * value for kept, value
+                           in zip(ALLENV_REFS[n, q, alpha], fresh)), (n, q, alpha)
 
 
 # ----------------------------------------------------------------------

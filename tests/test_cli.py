@@ -293,7 +293,7 @@ COMMAND_HELP = {
     "approx-check": "exact vs leading-order D, V, Q over an alpha grid",
     "rate-table": "finite-blocklength covert rates under the schedule",
     "scenario": "feasibility report per warden scenario (JSON only)",
-    "detect-sim": "exact warden detection simulation, n <= 100 (5 for scenario 1)",
+    "detect-sim": "exact warden detection simulation, n <= 100 (30 for scenario 1)",
 }
 
 
@@ -432,7 +432,7 @@ EDGE_ARGVS = [
      "  approx-check  exact vs leading-order D, V, Q over an alpha grid\n"
      "  rate-table    finite-blocklength covert rates under the schedule\n"
      "  scenario      feasibility report per warden scenario (JSON only)\n"
-     "  detect-sim    exact warden detection simulation, n <= 100 (5 for scenario 1)\n", ""),
+     "  detect-sim    exact warden detection simulation, n <= 100 (30 for scenario 1)\n", ""),
     (["nope"], 2, "",
      TOP_USAGE + "qcovert: error: argument command: invalid choice: 'nope' " + CHOICES),
     (["--format", "csv", "rate-table"], 2, "",
@@ -493,8 +493,8 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     assert cli.main(["approx-check", "--q", "1.5"]) == 2
     assert cli.main(["rate-table", "--q", "1.0"]) == 2
     assert cli.main(["rate-table", "--nu", "0.3"]) == 2
-    # all-env cap is five uses
-    assert cli.main(["detect-sim", "--scenario", "1", "--n-grid", "1:6:1"]) == 2
+    # all-env cap is thirty uses
+    assert cli.main(["detect-sim", "--scenario", "1", "--n-grid", "1:31:1"]) == 2
     capsys.readouterr()
 
 

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from oracles import (
+    allenv_reference,
     basis_marginal_pair,
+    mp_allenv_distances,
     relative_entropy,
     symmetric_power,
     tensor_power,
     trace_distance,
 )
-from qcovert import detection
+from qcovert import cli, detection
 from qcovert.channels import ChannelSpec, Scenario
 from qcovert.covert import ScheduleParams
 from qcovert.detection import MAX_USES, MAX_USES_ALLENV, pinsker_floor, warden_errors
@@ -107,8 +109,10 @@ def test_use_caps_and_validation():
         warden_errors([0], [0.1], E1_SPEC)
     with pytest.raises(ValueError):
         warden_errors([2], [1.1], E1_SPEC)
-    # the all-env cap is tighter because the per-use dimension is 4, not 2
-    assert warden_errors([MAX_USES_ALLENV], [0.0], ChannelSpec(0.5, Scenario.ALL_ENV))[0].n == 5
+    # the all-env cap is as far as its secular-equation route is audited (test_accuracy.py)
+    assert MAX_USES_ALLENV == 30
+    r = warden_errors([MAX_USES_ALLENV], [0.3], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
+    assert r.n == 30 and 0.0 < r.error_prob < 0.5
 
 
 def test_covertness_sweep_follows_schedule():
@@ -277,4 +281,55 @@ def test_saturated_trace_distance_stays_a_probability(q):
     for scenario, n in ((Scenario.ALL_ENV, MAX_USES_ALLENV), (Scenario.E1_ONLY, MAX_USES)):
         r = warden_errors([n], [1.0], ChannelSpec(q, scenario))[0]
         assert 0.0 < r.trace_dist <= 1.0
-        assert 0.0 <= r.error_prob < 0.5
+        if scenario is Scenario.E1_ONLY:
+            assert 0.0 <= r.error_prob < 0.5
+            continue
+        # ALL_ENV's E is its own sum of positive terms: relative accuracy (the
+        # stated bound of test_accuracy.py) down to 1e-172, and an exact 0 at
+        # q = 1, where the states are orthogonal
+        error = allenv_reference()[n, q, 1.0][1]
+        if error == 0:
+            assert r.error_prob == 0.0
+        else:
+            assert r.error_prob == pytest.approx(float(error), rel=1e-13, abs=0.0)
+
+
+def test_all_env_error_near_orthogonal_states_is_not_printed_as_zero(tmp_path):
+    # (1 - T)/2 printed 0 here with exit 0; the true E is 7.96012e-30
+    path = tmp_path / "saturated.csv"
+    argv = ["detect-sim", "--scenario", "1", "--n-grid", "5", "--alpha-grid", "1", "--q", "0.999"]
+    assert cli.main(argv + ["--out", str(path)]) == 0
+    header, row = path.read_text().splitlines()
+    printed = float(dict(zip(header.split(","), row.split(",")))["E_n"])
+    ((_, error),) = mp_allenv_distances(5, [1.0], 0.999)
+    assert printed == pytest.approx(float(error), rel=1e-11, abs=0.0)
+    assert printed == pytest.approx(7.96012e-30, rel=1e-6)
+
+
+def test_all_env_table_makes_no_eigensolve_and_no_degree_step(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ALL_ENV rows need no matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(detection, "_sym_levels", forbidden)
+    ns = list(range(1, MAX_USES_ALLENV + 1))
+    rows = warden_errors(ns, [0.3] * len(ns), ChannelSpec(0.5, Scenario.ALL_ENV))
+    assert all(0.0 < r.trace_dist < 1.0 and 0.0 < r.error_prob < 0.5 for r in rows)
+    with pytest.raises(AssertionError):
+        warden_errors([2], [0.3], E1_SPEC)  # the E1 route still takes both
+
+
+def test_secular_root_is_the_smallest_eigenvalue():
+    """-s is the smallest eigenvalue of diag(d) - w w^T, d_0 >= d_j >= 0, w_0^2 - d_0 = base."""
+    rng = np.random.default_rng(29)
+    for m in range(1, 9):
+        for _ in range(25):
+            d = np.sort(10.0 ** rng.uniform(-6, 0, size=m + 1))[::-1]
+            w = 10.0 ** rng.uniform(-4, 0, size=m + 1)
+            low = np.linalg.eigvalsh(np.diag(d) - np.outer(w, w))[0]
+            if low >= 0.0:
+                continue  # sum_j w_j^2/d_j <= 1: no negative eigenvalue to find
+            s, rest = detection._secular_root(w[0] ** 2 - d[0], d[0], list(w[1:]), list(d[1:]))
+            # eigvalsh is accurate to about eps times the matrix norm
+            assert s == pytest.approx(-low, rel=1e-12, abs=1e-14 * (d[0] + w @ w)), (d, w)
+            assert rest == pytest.approx(np.sum(w[1:] ** 2 * d[1:] / (d[1:] + s)), rel=1e-12)
