@@ -21,9 +21,10 @@ eigensolver, each written so that no subtraction cancels but the one
 centring of V and Q, whose rounding is bounded.  A closed-form value that
 is not a positive normal float (inputs near the float underflow), or V
 and Q within the rounding of that centring, raises ArithmeticError
-instead of being returned.  The grid forms ``rate_reports``,
-``leading_moments`` and ``capacity_curve`` compute their per-q constants
-once.
+instead of being returned.  The grid forms check their arguments and
+compute what the grid does not vary once per table: ``leading_moments``
+its coefficients, and ``rate_reports`` eta, the schedule exponents,
+Phi^{-1}(eps) and the warden divergence's per-q constants.
 """
 
 from __future__ import annotations
@@ -41,8 +42,10 @@ from .divergences import DvqTriple
 BERRY_ESSEEN = 0.4784
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_BE_SQRT_2PI = BERRY_ESSEEN / _SQRT_2PI
 _NORMAL = statistics.NormalDist()
 LN2 = math.log(2.0)
+_LN2_2, _LN2_4 = LN2**2, LN2**4
 # Smallest positive normal float.  A closed-form quantity below it has lost
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
@@ -112,41 +115,16 @@ class RateReport(NamedTuple):
     covert_rate_limit: float
 
 
-def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
-    """Eigenvalues of the 2x2 block [[a, e], [e, d]] with their offsets from a.
-
-    Returns (lambda_1, lambda_4, lambda_1 - a, lambda_4 - a), lambda_1 the
-    root of larger magnitude; det = ad - e^2 is passed in so callers that
-    know it in product form avoid that subtraction.  The small root and
-    the offsets are rationalized on the branch where direct subtraction
-    would cancel.
-    """
-    r = math.hypot(a - d, 2.0 * e)
-    if a + d >= 0.0:
-        lam1 = 0.5 * (a + d + r)
-        lam4 = det / lam1
-    else:
-        lam4 = 0.5 * (a + d - r)
-        lam1 = det / lam4
-    if a >= d:
-        gap1 = 2.0 * e * e / (r + (a - d))
-        gap4 = -0.5 * ((a - d) + r)
-    else:
-        gap1 = 0.5 * ((d - a) + r)
-        gap4 = -2.0 * e * e / (r + (d - a))
-    return lam1, lam4, gap1, gap4
-
-
 def dvq_exact(alpha: float, q: float) -> DvqTriple:
     """Exact relative entropy moments of the joint output vs its marginals.
 
     D = Tr[rho L], V = Tr[rho (L-D)^2] and Q = Tr[rho (L-D)^4] in bits,
     with L = log2 rho - log2 sigma, rho the arrow-matrix joint output and
     sigma the (diagonal) product of its marginals.  Both operators are
-    block diagonal: the {0, 3} block of rho has the closed-form
-    eigenpairs of ``_coupled_pair``, and indices 1, 2 are the scalars
-    b, c against sigma_1, sigma_2, so the moments are scalar algebra on
-    two eigenvalues, the block's rotation angle and two scalars.
+    block diagonal: the {0, 3} block of rho has closed-form eigenpairs,
+    and indices 1, 2 are the scalars b, c against sigma_1, sigma_2, so the
+    moments are scalar algebra on two eigenvalues, the block's rotation
+    angle and two scalars.
 
     D is written as KL(diag rho || sigma) + S(diag rho) - S(rho), a sum
     of seven nonnegative terms in g(u) = (1+u) log(1+u) - u (with 1 + u
@@ -164,6 +142,9 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     eigenvalue, a marginal or a moment is not a positive normal float
     (alpha q near the float underflow), or on that refusal of V and Q,
     instead of returning a number that has lost its precision.
+
+    Nearly every constant of the form depends on alpha, so none is kept
+    across calls; ``rate_reports`` checks q once and calls ``_dvq`` per row.
     """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
@@ -172,6 +153,11 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
         return DvqTriple(0.0, 0.0, 0.0)
     if q == 0.0:
         return _dvq_noiseless(alpha)
+    return _dvq(alpha, q)
+
+
+def _dvq(alpha: float, q: float) -> DvqTriple:
+    """``dvq_exact`` at 0 < alpha <= 1/2 and 0 < q < 1, with no argument check."""
     half, eps = q / 2.0, 1.0 - q
     # rho: diagonal (a, b, c, d) with the corner coupling e between a and d
     a, b = (1.0 - half) * (1.0 - alpha), half * (1.0 - alpha)
@@ -180,49 +166,62 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     shift = alpha * eps
     m0, m1 = (1.0 - half) - shift, half + shift  # retained-qubit marginal
     det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)  # ad - e^2
-    lam1, lam4, gap, _ = _coupled_pair(a, d, e, det)  # gap = lam1 - a = d - lam4
-    sigma = ((1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1)
-    _require_normal("spectral term", lam4, gap, c, sigma[3])
+    # Eigenvalues lam1 >= lam4 of the block [[a, e], [e, d]] (a >= d, as alpha <= 1/2), the
+    # small one as det / lam1 and gap = lam1 - a = d - lam4 rationalized, so neither cancels.
+    r = math.hypot(a - d, 2.0 * e)
+    lam1 = 0.5 * (a + d + r)
+    lam4 = det / lam1
+    gap = 2.0 * e * e / (r + (a - d))
+    sigma0, sigma1, sigma2, sigma3 = (1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1
+    _require_normal("spectral term", lam4, gap, c, sigma3)
     # rho_ii / sigma_i - 1 for the diagonal (a, b, c, d), each in closed form.
-    rel = (shift / m0, -shift / m1, -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1)
+    rel0, rel1 = shift / m0, -shift / m1
+    rel2, rel3 = -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1
     # D = KL(diag rho || sigma) + S(diag rho) - S(rho), both parts sums of
     # nonnegative terms: sigma_i g(rel_i) and a g(gap/a) + d g(-gap/d)
-    # + gap log(a/d), where g(u) = (1+u) log(1+u) - u.
+    # + gap log(a/d), where g(u) = (1+u) log(1+u) - u, or (num/den) log(num/den) - u
+    # where 1 + u = num / den < 1e-3 may round to 0.
     log_ad = math.log1p((1.0 - 2.0 * alpha) / alpha)  # log(a/d) = log((1-alpha)/alpha)
-    mean = (sigma[0] * _g(rel[0]) + sigma[1] * _g_ratio(rel[1], half, m1)
-            + sigma[2] * _g_ratio(rel[2], half, m0) + sigma[3] * _g(rel[3])
-            + a * _g(gap / a) + d * _g_ratio(-gap / d, lam4, d) + gap * log_ad)
+    u = -gap / d
+    mean = (sigma0 * _g(rel0)
+            + sigma1 * (_g(rel1) if rel1 > -0.999 else half / m1 * math.log(half / m1) - rel1)
+            + sigma2 * (_g(rel2) if rel2 > -0.999 else half / m0 * math.log(half / m0) - rel2)
+            + sigma3 * _g(rel3) + a * _g(gap / a)
+            + d * (_g(u) if u > -0.999 else lam4 / d * math.log(lam4 / d) - u) + gap * log_ad)
 
     # L = log rho - log sigma in rho's eigenbasis (cos, sin), (-sin, cos)
-    # of the block, tan = gap / e, in nats, from logs of ratios near 1.
+    # of the block, tan = gap / e, in nats, from logs of ratios near 1: log(1 + u)
+    # for 1 + u = num / den is log1p(u) near 1 and log(num / den) near 0.
     h = math.hypot(e, gap)
     cos, sin = e / h, gap / h
     cos2, sin2 = cos * cos, sin * sin
-    l0, l3 = math.log1p(rel[0]), math.log1p(rel[3])  # log(rho_ii / sigma_i)
-    l_b = _log_ratio(rel[1], half, m1)
-    l_c = _log_ratio(rel[2], half, m0)
+    l0, l3 = math.log1p(rel0), math.log1p(rel3)  # log(rho_ii / sigma_i)
+    l_b = math.log1p(rel1) if rel1 > -0.5 else math.log(half / m1)
+    l_c = math.log1p(rel2) if rel2 > -0.5 else math.log(half / m0)
     log_s03 = log_ad + math.log1p(eps * (1.0 - 2.0 * alpha) / m1)  # log(sigma_0/sigma_3)
     l11 = math.log1p(gap / a) + cos2 * l0 + sin2 * (log_ad + l3)
-    l44 = _log_ratio(-gap / d, lam4, d) + l3 - sin2 * log_s03
+    l44 = (math.log1p(u) if u > -0.5 else math.log(lam4 / d)) + l3 - sin2 * log_s03
     l14 = cos * sin * log_s03
 
-    logs, weights = (l11, l44, l_b, l_c), (lam1, lam4, b, c)
-    v, q4 = _central_moments([x - mean for x in logs], l14, weights)
+    c11, c44, c_b, c_c = l11 - mean, l44 - mean, l_b - mean, l_c - mean
+    v, q4 = _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c)
     # Each L_ii - D is off by up to an ulp of |L_ii| + |D|; where that can move V or Q by
     # 1e-14 relative (alpha near 1/2 at q below about 1e-20, V ~ q log^2 q), both refuse.
-    slack = [math.copysign(_EPS * (abs(x) + abs(mean)), x - mean) for x in logs]
-    v_hi, q4_hi = _central_moments([x - mean + s for x, s in zip(logs, slack)], l14, weights)
+    abs_mean = abs(mean)
+    v_hi, q4_hi = _central_moments(
+        c11 + math.copysign(_EPS * (abs(l11) + abs_mean), c11),
+        c44 + math.copysign(_EPS * (abs(l44) + abs_mean), c44),
+        c_b + math.copysign(_EPS * (abs(l_b) + abs_mean), c_b),
+        c_c + math.copysign(_EPS * (abs(l_c) + abs_mean), c_c), l14, lam1, lam4, b, c)
     if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
-        raise ArithmeticError(f"V={v / LN2**2!r}, Q={q4 / LN2**4!r} are within rounding of L - D")
-    moments = DvqTriple(mean / LN2, v / LN2**2, q4 / LN2**4)
+        raise ArithmeticError(f"V={v / _LN2_2!r}, Q={q4 / _LN2_4!r} are within rounding of L - D")
+    moments = DvqTriple(mean / LN2, v / _LN2_2, q4 / _LN2_4)
     _require_normal("moment", *moments)
     return moments
 
 
-def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
-    """(V, Q) in nats from L - D in rho's eigenbasis: its diagonal ``centered``, coupling l14."""
-    c11, c44, c_b, c_c = centered
-    lam1, lam4, b, c = weights
+def _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c) -> tuple[float, float]:
+    """(V, Q) in nats from L - D in rho's eigenbasis: diagonal c11, c44, c_b, c_c, coupling l14."""
     sq11 = c11 * c11 + l14 * l14
     sq44 = c44 * c44 + l14 * l14
     sq14 = l14 * (c11 + c44)
@@ -230,16 +229,6 @@ def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
     q4 = (lam1 * (sq11 * sq11 + sq14 * sq14) + lam4 * (sq44 * sq44 + sq14 * sq14)
           + b * c_b**4 + c * c_c**4)
     return v, q4
-
-
-def _log_ratio(u: float, num: float, den: float) -> float:
-    """log(1 + u) for 1 + u = num / den: log1p near 1, the quotient near 0."""
-    return math.log1p(u) if u > -0.5 else math.log(num / den)
-
-
-def _g_ratio(u: float, num: float, den: float) -> float:
-    """g(u) for 1 + u = num / den: ``_g``, or the quotient where 1 + u < 1e-3 may round to 0."""
-    return _g(u) if u > -0.999 else num / den * math.log(num / den) - u
 
 
 def _dvq_noiseless(alpha: float) -> DvqTriple:
@@ -307,49 +296,55 @@ def finite_blocklength_logM(n: int, eps: float, dvq: DvqTriple) -> float:
     """
     if n < 2 or n != int(n):
         raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
-    if not (0.0 < eps < 1.0) or math.isnan(eps):
-        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
+    _check_eps(eps)
     if not all(map(math.isfinite, dvq)):
         raise ValueError(f"moments must be finite, got {dvq}")
     if dvq.v <= 0.0:
         raise ArithmeticError(
             "second moment V must be positive for the correction term"
         )
-    c_n = (
-        BERRY_ESSEEN / _SQRT_2PI * dvq.q4**0.75 / dvq.v
-        + dvq.v / _SQRT_2PI
-        + math.log2(4.0 * eps * n)
-    )
-    return n * dvq.d + math.sqrt(n * dvq.v) * inverse_normal_cdf(eps) - c_n
+    return _logM(n, eps, inverse_normal_cdf(eps), *dvq)
 
 
-def _e1_bloch(q: float) -> tuple[float, float, float]:
-    """(P, z, S) of the E1 warden's innocent marginal omega_0.
+def _check_eps(eps: float):
+    if not (0.0 < eps < 1.0) or math.isnan(eps):
+        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
+
+
+def _logM(n: int, eps: float, z: float, d: float, v: float, q4: float) -> float:
+    """``finite_blocklength_logM`` of the moments (d, v, q4), given z = Phi^{-1}(eps); unchecked."""
+    c_n = _BE_SQRT_2PI * q4**0.75 / v + v / _SQRT_2PI + math.log2(4.0 * eps * n)
+    return n * d + math.sqrt(n * v) * z - c_n
+
+
+def _e1_bloch(q: float) -> tuple[float, float, float, float, float]:
+    """(P, z, S, 1 - S, atanh S) of the E1 warden's innocent marginal omega_0.
 
     omega_alpha has Bloch vector ((1 - 2 alpha) p, z) with p the part
     perpendicular to the z axis: |p|^2 = P = q - q^2/2 and z = 1 - q, so
-    omega_0's length is S = sqrt(P + z^2) and 1 - S^2 = P exactly.  A
-    subnormal P (q below the smallest normal float) raises ArithmeticError.
+    omega_0's length is S = sqrt(P + z^2) and 1 - S^2 = P exactly, which
+    gives 1 - S = P / (1 + S) and atanh S = log((1 + S)^2 / P) / 2 without
+    cancellation.  A subnormal P (q below the smallest normal float)
+    raises ArithmeticError.
     """
     perp2 = q * (1.0 - 0.5 * q)
     _require_normal("warden's Bloch weight P = q(1 - q/2)", perp2)
     z = 1.0 - q
-    return perp2, z, math.sqrt(perp2 + z * z)
-
-
-# Coefficients 1/(k (k-1)), k = 14 down to 2, of g(u) = sum_{k >= 2} (-u)^k / (k (k-1));
-# the terms past k = 14 are below 1e-16 of the sum at |u| = 0.05.
-_G_SERIES = tuple(1.0 / (k * (k - 1)) for k in range(14, 1, -1))
+    s_len = math.sqrt(perp2 + z * z)
+    return perp2, z, s_len, perp2 / (1.0 + s_len), 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
 
 
 def _g(u: float) -> float:
-    """(1 + u) log(1 + u) - u >= 0, by its series where that form would cancel."""
+    """(1 + u) log(1 + u) - u >= 0, by its series where that form would cancel.
+
+    The series is u^2 sum_{k >= 2} (-u)^(k-2) / (k (k-1)) in Horner form; the
+    terms past k = 14 are below 1e-16 of the sum at |u| = 0.05.
+    """
     if abs(u) > 0.05:
         return (1.0 + u) * math.log1p(u) - u
-    total = 0.0
-    for c in _G_SERIES:  # Horner on u^2 sum_j (-u)^j c_{j+2}
-        total = c - u * total
-    return u * u * total
+    return u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (1 / 30 - u * (
+        1 / 42 - u * (1 / 56 - u * (1 / 72 - u * (1 / 90 - u * (1 / 110 - u * (
+            1 / 132 - u * (1 / 156 - u * (1 / 182)))))))))))))
 
 
 def willie_divergence(alpha: float, q: float) -> float:
@@ -371,11 +366,14 @@ def willie_divergence(alpha: float, q: float) -> float:
     _check_unit("q", q)
     if alpha == 0.0 or q == 0.0:  # omega_alpha equals omega_0
         return 0.0
-    perp2, z, s_len = _e1_bloch(q)
+    return _willie_divergence(alpha, *_e1_bloch(q))
+
+
+def _willie_divergence(alpha, perp2, z, s_len, one_minus_s, atanh_s) -> float:
+    """``willie_divergence`` at 0 < alpha <= 1 from q's ``_e1_bloch``; alpha unchecked."""
     u = 1.0 - 2.0 * alpha
     r_len = math.sqrt(u * u * perp2 + z * z)
     delta = 4.0 * alpha * (1.0 - alpha) * perp2 / (s_len + r_len)
-    one_minus_s = perp2 / (1.0 + s_len)
     binary = (0.5 * (1.0 + s_len) * _g(-delta / (1.0 + s_len))
               + 0.5 * one_minus_s * _g(delta / one_minus_s))
     if u >= 0.0:  # (RS - r.s) = |r x s|^2 / (RS + r.s), r.s = u P + z^2 >= 0
@@ -385,7 +383,6 @@ def willie_divergence(alpha: float, q: float) -> float:
     else:  # r.s may be negative: RS - z^2 rationalized, -u P added
         excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
                   - u * perp2)
-    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
     d = (binary + atanh_s * excess / s_len) / LN2
     _require_normal("warden divergence", d)
     return d
@@ -408,8 +405,7 @@ def willie_eta(q: float) -> float:
     _check_unit("q", q)
     if q == 0.0:  # omega_1 = omega_0 = |0><0|
         return 0.0
-    perp2, z, s_len = _e1_bloch(q)
-    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
+    perp2, z, s_len, _, atanh_s = _e1_bloch(q)
     eta = 4.0 * perp2 / (s_len * s_len * LN2) * (1.0 + z * z * atanh_s / s_len)
     _require_normal("eta", eta)
     return eta
@@ -437,31 +433,35 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     2 (2/3 - nu) (1-q)^2/(2-q) * gamma_n * sqrt(n) * log2(n) bits: the
     sqrt(n) log n growth that survives the covertness constraint.  The
     covert rate is L = logM / (log2(n) sqrt(n * div_total)), and its
-    limit as n grows is covert_rate_limit.  The per-q constants (eta,
-    behind capacity_lb and covert_rate_limit, and the coefficient of
-    logM_asymptotic) are computed once for all rows.
+    limit as n grows is covert_rate_limit.
+
+    q, nu and eps are checked once, before any row, and each n must be an
+    integer >= 2.  What does not depend on n is computed once per table:
+    eta (behind capacity_lb and covert_rate_limit), the coefficient of
+    logM_asymptotic, the schedule exponents, Phi^{-1}(eps) and the warden's
+    ``_e1_bloch`` constants.  A row takes alpha_n once, and ``dvq_exact``,
+    ``finite_blocklength_logM`` and ``willie_divergence`` by their unchecked
+    forms, with the same bits.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
     eta = willie_eta(q)
+    check_nu(nu)
+    _check_eps(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
+    alpha_exp, gamma_exp = nu - 2.0 / 3.0, nu - 1.0 / 6.0  # ScheduleParams' exponents
+    z, warden = inverse_normal_cdf(eps), _e1_bloch(q)
     rows = []
     for n in blocklengths:
-        s = ScheduleParams(n, nu)
-        logM = finite_blocklength_logM(s.n, eps, dvq_exact(s.alpha_n, q))
-        div = s.n * willie_divergence(s.alpha_n, q)
-        rows.append(RateReport(
-            n=s.n,
-            nu=s.nu,
-            q=q,
-            alpha_n=s.alpha_n,
-            eps=eps,
-            logM_finite=logM,
-            logM_asymptotic=coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
-            willie_div_total=div,
-            covert_rate_L=logM / (math.log2(s.n) * math.sqrt(s.n * div)),
-            capacity_lb=capacity,
-            covert_rate_limit=limit,
-        ))
+        if n < 2 or n != int(n):  # ScheduleParams' message, or finite_blocklength_logM's at n = 1
+            raise ValueError(f"blocklength n={n!r} must be "
+                             + ("an integer >= 2" if n == 1 else "a positive integer"))
+        alpha = float(n) ** alpha_exp  # in (0, 2**-0.5]
+        logM = _logM(n, eps, z, *_dvq(min(alpha, 1.0 - alpha), q))
+        div = n * _willie_divergence(alpha, *warden)
+        log_n = math.log2(n)
+        rows.append(RateReport(  # the fields in order
+            n, nu, q, alpha, eps, logM, coeff * float(n) ** gamma_exp * math.sqrt(n) * log_n,
+            div, logM / (log_n * math.sqrt(n * div)), capacity, limit))
     return rows

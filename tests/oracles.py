@@ -1,6 +1,6 @@
 """Reference implementations the tests compare the library against.
 
-None of these is used by the library itself.  Three kinds live here:
+None of these is used by the library itself.  These kinds live here:
 
 * Dense double-precision linear algebra and channel routes, the generic
   matrices behind the library's closed forms: Hermitian validation
@@ -32,6 +32,13 @@ None of these is used by the library itself.  Three kinds live here:
   (``mp_warden_trace_distances``), and ALL_ENV's T and error probability
   from one reduced block per sector (``mp_allenv_distances``), whose
   values on ``ALLENV_GRID`` are committed (``write_allenv_reference``).
+* The scalar closed forms by their helper route: ``dvq_reference``,
+  ``willie_divergence_reference``, ``logM_reference`` and
+  ``rate_rows_reference`` sum over lists through helper calls
+  (``_coupled_pair``, ``_g`` by a loop, ``_central_moments``) and check
+  every argument per row.  ``qcovert.covert`` does the same floating-point
+  operations in the same order, written flat with its per-table constants
+  hoisted, so the two must agree bit for bit, refusals included.
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -55,7 +62,16 @@ from qcovert.channels import (
     SupportReport,
     _check_q,
 )
-from qcovert.covert import _check_unit, _coupled_pair
+from qcovert.covert import (
+    BERRY_ESSEEN,
+    RateReport,
+    ScheduleParams,
+    _check_unit,
+    _dvq_noiseless,
+    _require_normal,
+    inverse_normal_cdf,
+    willie_eta,
+)
 from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
@@ -587,6 +603,190 @@ def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
     basis[2, 2] = 1.0
     basis[:, 3] = v4
     return order_eigensystem([lam1, b, c, lam4], basis)
+
+
+# ----------------------------------------------------------------------
+# The closed forms by their helper route
+
+
+def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
+    """Eigenvalues of the 2x2 block [[a, e], [e, d]] with their offsets from a.
+
+    Returns (lambda_1, lambda_4, lambda_1 - a, lambda_4 - a), lambda_1 the
+    root of larger magnitude; det = ad - e^2 is passed in so callers that
+    know it in product form avoid that subtraction.  The small root and
+    the offsets are rationalized on the branch where direct subtraction
+    would cancel.
+    """
+    r = math.hypot(a - d, 2.0 * e)
+    if a + d >= 0.0:
+        lam1 = 0.5 * (a + d + r)
+        lam4 = det / lam1
+    else:
+        lam4 = 0.5 * (a + d - r)
+        lam1 = det / lam4
+    if a >= d:
+        gap1 = 2.0 * e * e / (r + (a - d))
+        gap4 = -0.5 * ((a - d) + r)
+    else:
+        gap1 = 0.5 * ((d - a) + r)
+        gap4 = -2.0 * e * e / (r + (d - a))
+    return lam1, lam4, gap1, gap4
+
+
+_EPS = float(np.finfo(np.float64).eps)
+_G_SERIES = tuple(1.0 / (k * (k - 1)) for k in range(14, 1, -1))
+
+
+def _g(u: float) -> float:
+    """(1 + u) log(1 + u) - u >= 0, by its series where that form would cancel."""
+    if abs(u) > 0.05:
+        return (1.0 + u) * math.log1p(u) - u
+    total = 0.0
+    for c in _G_SERIES:  # Horner on u^2 sum_j (-u)^j c_{j+2}
+        total = c - u * total
+    return u * u * total
+
+
+def _g_ratio(u: float, num: float, den: float) -> float:
+    """g(u) for 1 + u = num / den: ``_g``, or the quotient where 1 + u < 1e-3 may round to 0."""
+    return _g(u) if u > -0.999 else num / den * math.log(num / den) - u
+
+
+def _log_ratio(u: float, num: float, den: float) -> float:
+    """log(1 + u) for 1 + u = num / den: log1p near 1, the quotient near 0."""
+    return math.log1p(u) if u > -0.5 else math.log(num / den)
+
+
+def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
+    """(V, Q) in nats from L - D in rho's eigenbasis: its diagonal ``centered``, coupling l14."""
+    c11, c44, c_b, c_c = centered
+    lam1, lam4, b, c = weights
+    sq11 = c11 * c11 + l14 * l14
+    sq44 = c44 * c44 + l14 * l14
+    sq14 = l14 * (c11 + c44)
+    v = lam1 * sq11 + lam4 * sq44 + b * c_b**2 + c * c_c**2
+    q4 = (lam1 * (sq11 * sq11 + sq14 * sq14) + lam4 * (sq44 * sq44 + sq14 * sq14)
+          + b * c_b**4 + c * c_c**4)
+    return v, q4
+
+
+def dvq_reference(alpha: float, q: float) -> DvqTriple:
+    """``qcovert.covert.dvq_exact`` by helper calls and list comprehensions."""
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    alpha = min(alpha, 1.0 - alpha)
+    if alpha == 0.0 or q == 1.0:  # rho equals sigma exactly
+        return DvqTriple(0.0, 0.0, 0.0)
+    if q == 0.0:
+        return _dvq_noiseless(alpha)
+    half, eps = q / 2.0, 1.0 - q
+    a, b = (1.0 - half) * (1.0 - alpha), half * (1.0 - alpha)
+    c, d = half * alpha, (1.0 - half) * alpha
+    e = eps * math.sqrt(alpha * (1.0 - alpha))
+    shift = alpha * eps
+    m0, m1 = (1.0 - half) - shift, half + shift
+    det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)
+    lam1, lam4, gap, _ = _coupled_pair(a, d, e, det)
+    sigma = ((1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1)
+    _require_normal("spectral term", lam4, gap, c, sigma[3])
+    rel = (shift / m0, -shift / m1, -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1)
+    log_ad = math.log1p((1.0 - 2.0 * alpha) / alpha)
+    mean = (sigma[0] * _g(rel[0]) + sigma[1] * _g_ratio(rel[1], half, m1)
+            + sigma[2] * _g_ratio(rel[2], half, m0) + sigma[3] * _g(rel[3])
+            + a * _g(gap / a) + d * _g_ratio(-gap / d, lam4, d) + gap * log_ad)
+    h = math.hypot(e, gap)
+    cos, sin = e / h, gap / h
+    cos2, sin2 = cos * cos, sin * sin
+    l0, l3 = math.log1p(rel[0]), math.log1p(rel[3])
+    l_b = _log_ratio(rel[1], half, m1)
+    l_c = _log_ratio(rel[2], half, m0)
+    log_s03 = log_ad + math.log1p(eps * (1.0 - 2.0 * alpha) / m1)
+    l11 = math.log1p(gap / a) + cos2 * l0 + sin2 * (log_ad + l3)
+    l44 = _log_ratio(-gap / d, lam4, d) + l3 - sin2 * log_s03
+    l14 = cos * sin * log_s03
+    logs, weights = (l11, l44, l_b, l_c), (lam1, lam4, b, c)
+    v, q4 = _central_moments([x - mean for x in logs], l14, weights)
+    slack = [math.copysign(_EPS * (abs(x) + abs(mean)), x - mean) for x in logs]
+    v_hi, q4_hi = _central_moments([x - mean + s for x, s in zip(logs, slack)], l14, weights)
+    if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
+        raise ArithmeticError(f"V={v / LN2**2!r}, Q={q4 / LN2**4!r} are within rounding of L - D")
+    moments = DvqTriple(mean / LN2, v / LN2**2, q4 / LN2**4)
+    _require_normal("moment", *moments)
+    return moments
+
+
+def willie_divergence_reference(alpha: float, q: float) -> float:
+    """``qcovert.covert.willie_divergence`` with its per-q constants computed per call."""
+    _check_unit("alpha", alpha)
+    _check_unit("q", q)
+    if alpha == 0.0 or q == 0.0:
+        return 0.0
+    perp2 = q * (1.0 - 0.5 * q)
+    _require_normal("warden's Bloch weight P = q(1 - q/2)", perp2)
+    z = 1.0 - q
+    s_len = math.sqrt(perp2 + z * z)
+    u = 1.0 - 2.0 * alpha
+    r_len = math.sqrt(u * u * perp2 + z * z)
+    delta = 4.0 * alpha * (1.0 - alpha) * perp2 / (s_len + r_len)
+    one_minus_s = perp2 / (1.0 + s_len)
+    binary = (0.5 * (1.0 + s_len) * _g(-delta / (1.0 + s_len))
+              + 0.5 * one_minus_s * _g(delta / one_minus_s))
+    if u >= 0.0:
+        excess = 0.0 if z == 0.0 else (
+            4.0 * alpha * alpha * z * z * perp2 / (r_len * s_len + u * perp2 + z * z))
+    else:
+        excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
+                  - u * perp2)
+    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
+    d = (binary + atanh_s * excess / s_len) / LN2
+    _require_normal("warden divergence", d)
+    return d
+
+
+def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
+    """``qcovert.covert.finite_blocklength_logM`` with its constants computed per call."""
+    if n < 2 or n != int(n):
+        raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
+    if not (0.0 < eps < 1.0) or math.isnan(eps):
+        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
+    if not all(map(math.isfinite, dvq)):
+        raise ValueError(f"moments must be finite, got {dvq}")
+    if dvq.v <= 0.0:
+        raise ArithmeticError("second moment V must be positive for the correction term")
+    sqrt_2pi = math.sqrt(2.0 * math.pi)
+    c_n = (BERRY_ESSEEN / sqrt_2pi * dvq.q4**0.75 / dvq.v + dvq.v / sqrt_2pi
+           + math.log2(4.0 * eps * n))
+    return n * dvq.d + math.sqrt(n * dvq.v) * inverse_normal_cdf(eps) - c_n
+
+
+def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
+    """``qcovert.covert.rate_reports`` with a validating ``ScheduleParams`` and every check per row."""
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
+    eta = willie_eta(q)
+    coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
+    capacity = 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
+    limit = coeff / math.sqrt(eta / 2.0)
+    rows = []
+    for n in blocklengths:
+        s = ScheduleParams(n, nu)
+        logM = logM_reference(s.n, eps, dvq_reference(s.alpha_n, q))
+        div = s.n * willie_divergence_reference(s.alpha_n, q)
+        rows.append(RateReport(
+            n=s.n,
+            nu=s.nu,
+            q=q,
+            alpha_n=s.alpha_n,
+            eps=eps,
+            logM_finite=logM,
+            logM_asymptotic=coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
+            willie_div_total=div,
+            covert_rate_L=logM / (math.log2(s.n) * math.sqrt(s.n * div)),
+            capacity_lb=capacity,
+            covert_rate_limit=limit,
+        ))
+    return rows
 
 
 # ----------------------------------------------------------------------

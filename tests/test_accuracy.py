@@ -11,6 +11,10 @@ Stated bounds (relative):
     D, V and Q of ``dvq_exact``                  1e-13
     ``div_total`` = n D(omega_alpha || omega_0)   1e-13
     ``willie_eta``                               1e-14
+    rate-table ``alpha_n``, ``logM_lemma2``      1e-13
+    rate-table ``logM_lemma1``, of its terms     1e-13
+    rate-table ``L_n``, of its terms             1e-13
+    rate-table ``L_limit``                       1e-13
     detect-sim ``div_total`` (E1_ONLY)           1e-13
     detect-sim trace distance T                  1e-10
     detect-sim ALL_ENV T, n <= 30                1e-13
@@ -26,7 +30,13 @@ for ALL_ENV against the reduced-sector reference, 6.4e-15 for T and
 1.4e-14 for ``E_n`` at n <= 30 (both at n = 30; at n <= 5, 9.8e-16 and
 2.7e-15), ``E_n`` down to 2.6e-172 at n = 30, q = 0.999, alpha = 1;
 1.5e-16 for the scenario fields, q from 1e-300 to 1 (the overlap and
-the determinants are rounded once, correctly).  The
+the determinants are rounded once, correctly); for rate-table at n from
+2 to 1e15 and q from 1e-6 to 0.95, 2.7e-15 (``alpha_n``, at n = 1e15),
+4.0e-16 (``logM_lemma2``), 2.8e-15 (``logM_lemma1``), 1.2e-15 (``L_n``)
+and 4.0e-16 (``L_limit``).  ``logM_lemma1`` is n D + sqrt(n V) z - C_n
+and crosses 0 (near n = 496 at the defaults), so it and L_n, its
+quotient by log2(n) sqrt(n div_total), are bounded relative to the sum of
+the magnitudes of those three terms.  The
 bounds are a factor of about 1000 inside the project target of 1e-10
 for D and ``div_total``; T is held to the target itself, since its
 reference is a 40-digit block sum.  ALL_ENV's T and ``E_n`` are held to
@@ -50,6 +60,7 @@ import pytest
 
 from oracles import (
     ALLENV_GRID,
+    DPS,
     allenv_reference,
     dense_support_report,
     mp_allenv_distances,
@@ -62,6 +73,7 @@ from oracles import (
 from qcovert import cli
 from qcovert.channels import ChannelSpec, Scenario, scenario_reports
 from qcovert.covert import (
+    BERRY_ESSEEN,
     ScheduleParams,
     dvq_exact,
     rate_reports,
@@ -73,6 +85,7 @@ from qcovert.detection import warden_errors
 TOL_MOMENT = 1e-13
 TOL_DIV = 1e-13
 TOL_ETA = 1e-14
+TOL_RATE = 1e-13
 TOL_T = 1e-10
 TOL_ALLENV = 1e-13
 TOL_SUPPORT = 1e-15
@@ -126,6 +139,52 @@ def test_willie_eta_matches_mpmath():
     grid = [0.001, 0.01] + [k / 20 for k in range(1, 20)] + [0.99, 0.999]
     worst = max(_rel(willie_eta(q), mp_willie_eta(q)) for q in grid)
     assert worst <= TOL_ETA, f"eta off by {worst:.2e}"
+
+
+# n from 2 to 1e15, about three points per decade, and n = 496, where logM_lemma1
+# crosses 0 at the defaults
+RATE_NS = sorted({2, 496} | {round(10.0 ** (k / 3)) for k in range(1, 46)})
+
+
+def mp_rate_row(n: int, nu: float, q: float, eps: float, eta):
+    """One rate-table row at 50 digits, eta being ``mp_willie_eta(q)``.
+
+    Returns alpha_n, the terms (n D, sqrt(n V) z, -C_n) whose sum is
+    logM_lemma1, logM_lemma2, div_total, 1 / (log2(n) sqrt(n div_total))
+    and L_limit.
+    """
+    with mp.workdps(DPS):
+        n_, nu_, q_ = mp.mpf(n), mp.mpf(nu), mp.mpf(q)
+        alpha = n_ ** (nu_ - mp.mpf(2) / 3)
+    d, v, q4 = mp_dvq(alpha, q)
+    div = n_ * mp_willie_divergence(alpha, q)
+    with mp.workdps(DPS):
+        z = -mp.sqrt(2) * mp.erfinv(1 - 2 * mp.mpf(eps))  # Phi^{-1}(eps)
+        root = mp.sqrt(2 * mp.pi)
+        c_n = (mp.mpf(BERRY_ESSEEN) / root * q4 ** mp.mpf(0.75) / v + v / root
+               + mp.log(4 * mp.mpf(eps) * n_, 2))
+        coeff = 2 * (mp.mpf(2) / 3 - nu_) * (1 - q_) ** 2 / (2 - q_)
+        asym = coeff * n_ ** (nu_ - mp.mpf(1) / 6) * mp.sqrt(n_) * mp.log(n_, 2)
+        per_rate = 1 / (mp.log(n_, 2) * mp.sqrt(n_ * div))
+        return (alpha, (n_ * d, mp.sqrt(n_ * v) * z, -c_n), asym, div, per_rate,
+                coeff / mp.sqrt(eta / 2))
+
+
+@pytest.mark.parametrize("q", (1e-6, 0.05, 0.5, 0.95))
+def test_rate_table_columns_match_mpmath(q):
+    nu, eps, eta = 0.05, 0.05, mp_willie_eta(q)
+    worst = dict.fromkeys(("alpha_n", "logM_lemma1", "logM_lemma2", "L_n", "L_limit"), 0.0)
+    for row in rate_reports(RATE_NS, nu, q, eps):
+        alpha, terms, asym, div, per_rate, limit = mp_rate_row(row.n, nu, q, eps, eta)
+        scale = sum(abs(t) for t in terms)
+        for name, err in (
+                ("alpha_n", _rel(row.alpha_n, alpha)),
+                ("logM_lemma1", abs(row.logM_finite - sum(terms)) / scale),
+                ("logM_lemma2", _rel(row.logM_asymptotic, asym)),
+                ("L_n", abs(row.covert_rate_L - sum(terms) * per_rate) / (scale * per_rate)),
+                ("L_limit", _rel(row.covert_rate_limit, limit))):
+            worst[name] = max(worst[name], float(err))
+    assert max(worst.values()) <= TOL_RATE, f"rate-table columns off by {worst}"
 
 
 def _cli_rows(argv, tmp_path):

@@ -498,6 +498,47 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+ERR, FAIL = "qcovert: error: ", "qcovert: numerical failure: "
+# (argv, exit code, stderr) of bad or refused rate-table and approx-check calls.  rate-table
+# checks q, then (once eta is computed) nu and eps, before any row, and then each n in
+# order: a bad nu or eps is named before a bad n or a refused row.
+RATE_ERRORS = [
+    (["rate-table", "--n-grid", "0", "--nu", "0.3"], 2,
+     ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
+    (["rate-table", "--n-grid", "0", "--eps", "2"], 2,
+     ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
+    (["rate-table", "--n-grid", "1", "--eps", "2"], 2,
+     ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
+    (["rate-table", "--q", "1e-300", "--n-grid", "1e15", "--eps", "2"], 2,
+     ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
+    (["rate-table", "--n-grid", "1,0"], 2, ERR + "blocklength n=1 must be an integer >= 2\n"),
+    (["rate-table", "--n-grid", "2,0"], 2, ERR + "blocklength n=0 must be a positive integer\n"),
+    (["rate-table", "--n-grid", "1", "--nu", "0.3"], 2,
+     ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
+    (["rate-table", "--eps", "nan"], 2, ERR + "error tolerance eps=nan outside (0, 1)\n"),
+    (["rate-table", "--q", "1", "--nu", "0.3"], 2, ERR + "q=1 outside (0, 1)\n"),
+    (["rate-table", "--n-grid", "1e300"], 3,
+     FAIL + "warden divergence 0.0 is not a positive normal float\n"),
+    (["rate-table", "--n-grid", "1e300,0"], 3,
+     FAIL + "warden divergence 0.0 is not a positive normal float\n"),
+    (["rate-table", "--q", "1e-300", "--n-grid", "1e15"], 3,
+     FAIL + "spectral term 5.62341324874124e-310 is not a positive normal float\n"),
+    (["rate-table", "--q", "5e-324", "--nu", "0.3"], 3,
+     FAIL + "warden's Bloch weight P = q(1 - q/2) 5e-324 is not a positive normal float\n"),
+    (["approx-check", "--alpha-grid", "1e-310"], 3,
+     FAIL + "spectral term 4.166666666667e-311 is not a positive normal float\n"),
+    (["approx-check", "--q", "1e-20", "--alpha-grid", "0.5"], 3,
+     FAIL + "V=3.512877565973877e-17, Q=1.645374505802968e-13 are within rounding of L - D\n"),
+    (["approx-check", "--alpha-grid", "1"], 2, ERR + "alpha=1 outside [0, 1)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", RATE_ERRORS,
+                         ids=[" ".join(argv) for argv, *_ in RATE_ERRORS])
+def test_rate_path_errors_exit_and_print_as_pinned(argv, code, err, capsys):
+    assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
+
+
 def test_unwritable_output_exits_two(tmp_path):
     target = tmp_path / "missing" / "out.csv"
     assert cli.main(["bound-curve", "--q-grid", "0.5", "--out", str(target)]) == 2

@@ -2,25 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import (
     ArrowMatrixParams,
     arrow_matrix,
     arrow_params,
     arrow_spectral,
     binary_convolution,
+    dvq_reference,
     e1only_marginal,
     eig_hermitian,
     entangled_input,
     eta,
     joint_output_closed_form,
+    logM_reference,
     moments,
     mp_willie_divergence,
     partial_trace,
     product_of_marginals,
     projector,
+    rate_rows_reference,
     relative_entropy,
     stinespring_isometry,
+    willie_divergence_reference,
 )
 from qcovert import covert
 from qcovert.covert import (
@@ -408,3 +415,70 @@ def test_finite_rate_convergence_approaches_limit():
     assert abs(gaps[-1]) < 0.05 * limit
     coeff = 2.0 * (2.0 / 3.0 - 0.05) * 0.25 / 1.5
     assert limit == pytest.approx(coeff / math.sqrt(willie_eta(0.5) / 2.0), rel=1e-14)
+
+
+# ----------------------------------------------------------------------
+# The flat closed forms against their helper-route copies in ``oracles``:
+# the same floats bit for bit (compared by repr, which tells every double
+# apart), or the same exception type with the same message.
+
+
+def outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+EDGE_QS = (0.0, 5e-324, 1e-300, 1e-20, 1e-17, 1e-6, 1.0 - 1e-9, 1.0)
+# log-uniform over [1e-320, 1] and uniform over [0, 1], with the ends; q noise is drawn
+# also from [1e-5, 0.1], where the quotient branches of D and log(1 + u) switch
+noise_level = st.one_of(st.sampled_from(EDGE_QS), st.floats(0.0, 1.0),
+                        st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
+                        st.floats(-5.0, -1.0).map(lambda x: 10.0**x))
+weight_level = st.one_of(st.sampled_from((0.0, 5e-324, 1e-320, 0.5, 1.0)), st.floats(0.0, 1.0),
+                         st.floats(-320.0, 0.0).map(lambda x: 10.0**x))
+
+
+@seed(20261019)
+@settings(max_examples=500, deadline=None, database=None)
+@given(alpha=weight_level, q=noise_level, u=st.floats(-0.06, 0.06))
+def test_flat_forms_match_the_helper_route(alpha, q, u):
+    assert repr(covert._g(u)) == repr(oracles._g(u))  # one Horner expression against the loop
+    assert outcome(dvq_exact, alpha, q) == outcome(dvq_reference, alpha, q)
+    assert outcome(willie_divergence, alpha, q) == outcome(willie_divergence_reference, alpha, q)
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(offset=st.one_of(st.integers(-2000, 2000).map(lambda k: k * 2.0**-53),
+                        st.floats(-16.0, -1.0).map(lambda x: 10.0**x),
+                        st.floats(-16.0, -1.0).map(lambda x: -(10.0**x))),
+       q=st.one_of(st.sampled_from((1e-300, 1e-100, 1e-20)),
+                   st.floats(-300.0, -20.0).map(lambda x: 10.0**x)))
+def test_moments_refuse_as_before_near_half_weight(offset, q):
+    # alpha = 1/2 + k ulp, or 1/2 +- 10^-x, at q <= 1e-20: V ~ q log^2 q can be within
+    # the rounding of L - D
+    alpha = 0.5 + offset
+    assert outcome(dvq_exact, alpha, q) == outcome(dvq_reference, alpha, q)
+
+
+blocklength = st.one_of(st.sampled_from((2, 3, 496, 10**15, 10**300)),
+                        st.floats(math.log10(2.0), 300.0).map(lambda x: round(10.0**x)))
+rate_noise = st.one_of(st.sampled_from((1e-300, 1e-20, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-9)),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+@seed(20261019)
+@settings(max_examples=150, deadline=None, database=None)
+@given(ns=st.lists(blocklength, min_size=1, max_size=5), q=rate_noise,
+       nu=st.floats(0.0, 1.0 / 6.0, exclude_min=True, exclude_max=True),
+       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_rate_rows_match_the_helper_route(ns, q, nu, eps):
+    got = outcome(rate_reports, ns, nu, q, eps)
+    assert got == outcome(rate_rows_reference, ns, nu, q, eps)
+    if isinstance(got, str):  # a table's rows are the rows run alone
+        assert got == repr([rate_reports([n], nu, q, eps)[0] for n in ns])
+        dvq = dvq_exact(ScheduleParams(ns[0], nu).alpha_n, q)
+        assert outcome(finite_blocklength_logM, ns[0], eps, dvq) == \
+            outcome(logM_reference, ns[0], eps, dvq)
