@@ -21,7 +21,7 @@ from .covert import (
     dvq_exact,
     finite_blocklength_logM,
     inverse_normal_cdf,
-    leading_moments,
+    moment_curve,
     rate_reports,
     willie_divergence,
     willie_eta,

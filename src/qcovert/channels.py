@@ -43,11 +43,6 @@ class ChannelSpec:
         _check_q(self.q)
         object.__setattr__(self, "scenario", Scenario(self.scenario))
 
-    @property
-    def boundary(self) -> bool:
-        """True at the degenerate noise extremes q = 0 and q = 1."""
-        return self.q in (0.0, 1.0)
-
 
 def _check_q(q: float):
     if not (0.0 <= q <= 1.0) or math.isnan(q):

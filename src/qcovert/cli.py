@@ -42,8 +42,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .channels import ChannelSpec, Scenario, scenario_reports
-from .covert import (
-    ScheduleParams, capacity_curve, check_nu, dvq_exact, leading_moments, rate_reports)
+from .covert import ScheduleParams, capacity_curve, check_nu, moment_curve, rate_reports
 from .detection import warden_errors
 
 
@@ -226,28 +225,13 @@ def cmd_bound_curve(args):
 
 
 def cmd_approx_check(args):
-    q = args.q
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q={q:g} outside (0, 1)")
     alpha_grid = parse_grid(args.alpha_grid)
-    for a in alpha_grid:
-        if not (0.0 <= a < 1.0):
-            raise ValueError(f"alpha={a:g} outside [0, 1)")
-    config = {"command": "approx-check", "q": q, "alpha_grid": alpha_grid}
+    config = {"command": "approx-check", "q": args.q, "alpha_grid": alpha_grid}
     columns = [
         "alpha", "q", "D_exact", "D_lead", "V_exact", "V_lead",
         "Q_exact", "ratio_D", "ratio_V",
     ]
-    rows = []
-    for a, lead in zip(alpha_grid, leading_moments(alpha_grid, q)):
-        if a == 0.0:
-            rows.append([a, q] + [0.0] * 7)
-            continue
-        exact = dvq_exact(a, q)
-        rows.append(
-            [a, q, exact.d, lead.d, exact.v, lead.v, exact.q4,
-             exact.d / lead.d, exact.v / lead.v]
-        )
+    rows = [[a, args.q, *row] for a, row in zip(alpha_grid, moment_curve(alpha_grid, args.q))]
     return config, columns, rows
 
 
@@ -321,8 +305,8 @@ def cmd_detect_sim(args):
 
 
 # Each command: its handler's name here (looked up per call, so a replaced cmd_* is what
-# runs), its one-line help, and its options beyond --out and --format (see ``_options``) as
-# add_argument keywords.
+# runs), its one-line help, and its options beyond --out and --format (see ``_OPTION_TABLES``)
+# as add_argument keywords.
 COMMANDS = {
     "bound-curve": ("cmd_bound_curve", "capacity lower bound and eta versus q", {
         "--q-grid": {"default": "0.05:0.95:0.05", "help": "q values: a:b:step or comma list"}}),
@@ -349,7 +333,8 @@ COMMANDS = {
 }
 
 
-# ``_options`` of each command, built once at import; callers share the dicts and change none.
+# Every option of each command as add_argument keywords: --out, --format, its own.  Built
+# once at import; callers share the dicts and change none.
 _OPTION_TABLES = {
     name: {"--out": {"help": "output file path (default: stdout)"},
            "--format": {"choices": ("csv", "json"),
@@ -357,11 +342,6 @@ _OPTION_TABLES = {
            **options}
     for name, (_, _, options) in COMMANDS.items()
 }
-
-
-def _options(name: str) -> dict:
-    """Every option of command ``name`` as add_argument keywords: --out, --format, its own."""
-    return _OPTION_TABLES[name]
 
 
 def _plain_options(options: dict, rest: list):
@@ -429,7 +409,7 @@ def _parse_args(argv):
     else:
         head = _top_parser().parse_args(argv)
         name, rest = head.command.replace("_", "-"), head.args
-    options = _options(name)
+    options = _OPTION_TABLES[name]
     args = _plain_options(options, rest)
     if args is None:
         args = _command_parser(name, options).parse_args(rest)

@@ -4,7 +4,8 @@ For the weakly entangled input sqrt(1-alpha)|00> + sqrt(alpha)|11>
 this module gives the exact and leading-order relative entropy moments
 of the joint sender/receiver output, the finite-blocklength achievable
 message size, the warden's single-use divergence and its curvature, and
-two tables: ``rate_reports`` (message sizes, divergence budget and
+three tables: ``moment_curve`` (the exact and leading-order moments per
+weight alpha), ``rate_reports`` (message sizes, divergence budget and
 covert rate per blocklength under the schedule) and ``capacity_curve``
 (the capacity lower bound per q).  The dense input state, the arrow
 matrix of the joint output, its parameters and spectral decomposition
@@ -21,10 +22,11 @@ eigensolver, each written so that no subtraction cancels but the one
 centring of V and Q, whose rounding is bounded.  A closed-form value that
 is not a positive normal float (inputs near the float underflow), or V
 and Q within the rounding of that centring, raises ArithmeticError
-instead of being returned.  The grid forms check their arguments and
-compute what the grid does not vary once per table: ``leading_moments``
-its coefficients, and ``rate_reports`` eta, the schedule exponents,
-Phi^{-1}(eps) and the warden divergence's per-q constants.
+instead of being returned.  The tables check every argument before any
+row, and compute what the grid does not vary once per table:
+``moment_curve`` the leading forms' coefficient, and ``rate_reports``
+eta, the schedule exponents, Phi^{-1}(eps) and the warden divergence's
+per-q constants.
 """
 
 from __future__ import annotations
@@ -50,9 +52,6 @@ _LN2_2, _LN2_4 = LN2**2, LN2**4
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
-# Weight at which ``leading_moments`` reads the fourth-moment constant off
-# ``dvq_exact``.
-_REFERENCE_ALPHA = 1e-3
 
 
 def _check_unit(name: str, x: float):
@@ -76,10 +75,9 @@ def check_nu(nu: float):
 class ScheduleParams:
     """Blocklength n with the covertness schedule exponent nu.
 
-    The schedule drives the input weight to zero as alpha_n = n**(nu - 2/3)
-    while gamma_n = n**(nu - 1/6) measures the surviving message-size
-    growth.  Requires 0 < nu < 1/6; n = 1 is admitted for simulation
-    sweeps even though it puts alpha_1 at the boundary value 1.
+    The schedule drives the input weight to zero as alpha_n = n**(nu - 2/3).
+    Requires 0 < nu < 1/6; n = 1 is admitted for simulation sweeps even
+    though it puts alpha_1 at the boundary value 1.
     """
 
     n: int
@@ -93,10 +91,6 @@ class ScheduleParams:
     @property
     def alpha_n(self) -> float:
         return float(self.n) ** (self.nu - 2.0 / 3.0)
-
-    @property
-    def gamma_n(self) -> float:
-        return float(self.n) ** (self.nu - 1.0 / 6.0)
 
 
 class RateReport(NamedTuple):
@@ -143,8 +137,10 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     (alpha q near the float underflow), or on that refusal of V and Q,
     instead of returning a number that has lost its precision.
 
-    Nearly every constant of the form depends on alpha, so none is kept
-    across calls; ``rate_reports`` checks q once and calls ``_dvq`` per row.
+    This is the checked form of one point.  Nearly every constant of the
+    form depends on alpha, so none is kept across calls; the tables
+    ``moment_curve`` and ``rate_reports`` check q once and call ``_dvq``
+    per row.
     """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
@@ -246,35 +242,33 @@ def _dvq_noiseless(alpha: float) -> DvqTriple:
     return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
 
 
-def leading_moments(alphas, q: float) -> list[DvqTriple]:
-    """Leading small-alpha terms of the joint-vs-product moments, one per weight.
+def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
+    """(D, D_lead, V, V_lead, Q, D / D_lead, V / V_lead) per weight alpha, at one q.
 
-    D and V both carry the coefficient 2(1-q)^2/(2-q):
+    D, V and Q are ``dvq_exact``'s moments; D_lead and V_lead are their
+    leading small-alpha terms, which share the coefficient 2(1-q)^2/(2-q):
 
         D ~ -coeff * alpha * log2(alpha)
         V ~ +coeff * alpha * log2(alpha)^2
 
-    The fourth moment is only an order class, O(alpha log^2 alpha); it is
-    reported with its constant estimated from the exact computation at
-    alpha = 1e-3, once for the whole grid.
+    q must lie in (0, 1) and every alpha in [0, 1); all are checked before
+    any row is computed.  alpha = 0 gives a row of zeros.
     """
-    _check_unit("q", q)
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q={q:g} outside (0, 1)")
+    for alpha in alphas:
+        if not (0.0 <= alpha < 1.0):
+            raise ValueError(f"alpha={alpha:g} outside [0, 1)")
     coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
-    q4_const = dvq_exact(_REFERENCE_ALPHA, q).q4 / (
-        _REFERENCE_ALPHA * math.log2(_REFERENCE_ALPHA) ** 2
-    )
     rows = []
     for alpha in alphas:
-        _check_unit("alpha", alpha)
-        if alpha == 0.0 or alpha == 1.0:
-            rows.append(DvqTriple(0.0, 0.0, 0.0))
+        if alpha == 0.0:
+            rows.append((0.0,) * 7)
             continue
+        d, v, q4 = _dvq(min(alpha, 1.0 - alpha), q)
         log_a = math.log2(alpha)
-        rows.append(DvqTriple(
-            d=-coeff * alpha * log_a,
-            v=coeff * alpha * log_a * log_a,
-            q4=q4_const * alpha * log_a * log_a,
-        ))
+        d_lead, v_lead = -coeff * alpha * log_a, coeff * alpha * log_a * log_a
+        rows.append((d, d_lead, v, v_lead, q4, d / d_lead, v / v_lead))
     return rows
 
 
@@ -303,7 +297,7 @@ def finite_blocklength_logM(n: int, eps: float, dvq: DvqTriple) -> float:
         raise ArithmeticError(
             "second moment V must be positive for the correction term"
         )
-    return _logM(n, eps, inverse_normal_cdf(eps), *dvq)
+    return _logM(n, eps, _NORMAL.inv_cdf(eps), *dvq)
 
 
 def _check_eps(eps: float):
@@ -430,7 +424,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     """Full covert-rate rows at one (nu, q, eps), one per blocklength.
 
     logM_asymptotic is the leading-order message size under the schedule,
-    2 (2/3 - nu) (1-q)^2/(2-q) * gamma_n * sqrt(n) * log2(n) bits: the
+    2 (2/3 - nu) (1-q)^2/(2-q) * n**(nu - 1/6) * sqrt(n) * log2(n) bits: the
     sqrt(n) log n growth that survives the covertness constraint.  The
     covert rate is L = logM / (log2(n) sqrt(n * div_total)), and its
     limit as n grows is covert_rate_limit.
@@ -448,10 +442,10 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     eta = willie_eta(q)
     check_nu(nu)
     _check_eps(eps)
+    z, warden = _NORMAL.inv_cdf(eps), _e1_bloch(q)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
-    alpha_exp, gamma_exp = nu - 2.0 / 3.0, nu - 1.0 / 6.0  # ScheduleParams' exponents
-    z, warden = inverse_normal_cdf(eps), _e1_bloch(q)
+    alpha_exp, gamma_exp = nu - 2.0 / 3.0, nu - 1.0 / 6.0  # of alpha_n and of n**(nu - 1/6)
     rows = []
     for n in blocklengths:
         if n < 2 or n != int(n):  # ScheduleParams' message, or finite_blocklength_logM's at n = 1

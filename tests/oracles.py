@@ -38,7 +38,10 @@ None of these is used by the library itself.  These kinds live here:
   (``_coupled_pair``, ``_g`` by a loop, ``_central_moments``) and check
   every argument per row.  ``qcovert.covert`` does the same floating-point
   operations in the same order, written flat with its per-table constants
-  hoisted, so the two must agree bit for bit, refusals included.
+  hoisted, so the two must agree bit for bit, refusals included.  Likewise
+  ``approx_rows_reference`` builds ``moment_curve``'s rows from the checks
+  of the CLI, ``dvq_exact`` per row and ``leading_reference``, the leading
+  forms with a fourth-moment constant fitted at alpha = 1e-3.
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -69,6 +72,7 @@ from qcovert.covert import (
     _check_unit,
     _dvq_noiseless,
     _require_normal,
+    dvq_exact,
     inverse_normal_cdf,
     willie_eta,
 )
@@ -484,7 +488,7 @@ def dense_support_report(spec: ChannelSpec) -> SupportReport:
     det0 = float(np.linalg.det(omega_0).real)
     det1 = float(np.linalg.det(omega_1).real)
 
-    if spec.boundary:
+    if spec.q in _BOUNDARY_NOTES:
         verdict, note = "degenerate", _BOUNDARY_NOTES[spec.q]
     elif not contained:
         verdict, note = "impossible", ""
@@ -780,12 +784,67 @@ def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) ->
             alpha_n=s.alpha_n,
             eps=eps,
             logM_finite=logM,
-            logM_asymptotic=coeff * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
+            logM_asymptotic=coeff * float(n) ** (nu - 1.0 / 6.0) * math.sqrt(s.n) * math.log2(s.n),
             willie_div_total=div,
             covert_rate_L=logM / (math.log2(s.n) * math.sqrt(s.n * div)),
             capacity_lb=capacity,
             covert_rate_limit=limit,
         ))
+    return rows
+
+
+# Weight at which ``leading_reference`` reads the fourth-moment constant off
+# ``dvq_exact``.
+_REFERENCE_ALPHA = 1e-3
+
+
+def leading_reference(alphas, q: float) -> list[DvqTriple]:
+    """Leading small-alpha terms of the joint-vs-product moments, one per weight.
+
+    D and V both carry the coefficient 2(1-q)^2/(2-q):
+
+        D ~ -coeff * alpha * log2(alpha)
+        V ~ +coeff * alpha * log2(alpha)^2
+
+    The fourth moment is only an order class, O(alpha log^2 alpha); it is
+    reported with its constant estimated from the exact computation at
+    alpha = 1e-3, once for the whole grid.
+    """
+    _check_unit("q", q)
+    coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
+    q4_const = dvq_exact(_REFERENCE_ALPHA, q).q4 / (
+        _REFERENCE_ALPHA * math.log2(_REFERENCE_ALPHA) ** 2
+    )
+    rows = []
+    for alpha in alphas:
+        _check_unit("alpha", alpha)
+        if alpha == 0.0 or alpha == 1.0:
+            rows.append(DvqTriple(0.0, 0.0, 0.0))
+            continue
+        log_a = math.log2(alpha)
+        rows.append(DvqTriple(
+            d=-coeff * alpha * log_a,
+            v=coeff * alpha * log_a * log_a,
+            q4=q4_const * alpha * log_a * log_a,
+        ))
+    return rows
+
+
+def approx_rows_reference(alphas, q: float, leads=leading_reference) -> list[tuple]:
+    """``qcovert.covert.moment_curve`` by the CLI's checks, ``leads`` and ``dvq_exact`` per row."""
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q={q:g} outside (0, 1)")
+    for a in alphas:
+        if not (0.0 <= a < 1.0):
+            raise ValueError(f"alpha={a:g} outside [0, 1)")
+    rows = []
+    for a, lead in zip(alphas, leads(alphas, q)):
+        if a == 0.0:
+            rows.append((0.0,) * 7)
+            continue
+        exact = dvq_exact(a, q)
+        rows.append((exact.d, lead.d, exact.v, lead.v, exact.q4,
+                     exact.d / lead.d, exact.v / lead.v))
     return rows
 
 

@@ -151,14 +151,13 @@ def test_criterion_04_leading_order_ratios():
     q = 0.5
     a_coeff, b_coeff = _first_moment_coefficients(q)
     d_devs, v_devs, two_term_errs, two_term_bounds = [], [], [], []
-    leads = qc.leading_moments(ALPHA_GRID, q)
-    for alpha, lead in zip(ALPHA_GRID, leads):
-        exact = qc.dvq_exact(alpha, q)
-        d_devs.append(abs(exact.d / lead.d - 1.0))
-        v_devs.append(abs(exact.v / lead.v - 1.0))
+    rows = qc.moment_curve(ALPHA_GRID, q)
+    for alpha, (d, _, _, _, _, ratio_d, ratio_v) in zip(ALPHA_GRID, rows):
+        d_devs.append(abs(ratio_d - 1.0))
+        v_devs.append(abs(ratio_v - 1.0))
         log_inv = math.log(1.0 / alpha)
         two_term = (a_coeff * alpha * log_inv + b_coeff * alpha) / math.log(2.0)
-        two_term_errs.append(abs(exact.d / two_term - 1.0))
+        two_term_errs.append(abs(d / two_term - 1.0))
         # the dropped terms are O(alpha^2 log^2 alpha), i.e. relative
         # O(alpha log(1/alpha)); a 1% error in A or B exceeds this bound
         two_term_bounds.append(alpha * log_inv)
@@ -173,8 +172,8 @@ def test_criterion_04_leading_order_ratios():
     v_band = v_devs[-1] <= 0.25
     # sign arbitration: with a negated second-moment coefficient the same
     # band must be violated by a wide margin
-    exact, lead = qc.dvq_exact(ALPHA_GRID[-1], q), leads[-1]
-    negated_fails = abs(exact.v / (-lead.v) - 1.0) > 0.25
+    _, _, v, v_lead, *_ = rows[-1]
+    negated_fails = abs(v / (-v_lead) - 1.0) > 0.25
     elapsed = time.perf_counter() - start
     ok = decreasing and two_term_ok and remainder_ok and v_band and negated_fails
     ok = ok and elapsed < 1.0

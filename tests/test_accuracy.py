@@ -278,6 +278,20 @@ def test_tiny_noise_on_the_cli_is_accurate_or_refused(q, tmp_path):
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
 
 
+@pytest.mark.parametrize("q", ["3.9e-305", "1e-305"])
+def test_tiny_noise_tables_print_the_rows_they_can_hold(q, tmp_path):
+    # below q of about 4e-305, dvq_exact(1e-3, q) refuses, but a table computes only the
+    # moments it prints: each row whose own moments are normal floats is printed
+    alphas = (0.0, 0.05, 0.3, 0.45, 0.7)
+    code, rows = _cli_rows(["approx-check", "--q", q, "--alpha-grid", ",".join(map(str, alphas))],
+                           tmp_path)
+    assert code == 0
+    assert rows[0]["D_exact"] == rows[0]["V_exact"] == rows[0]["Q_exact"] == 0.0
+    for alpha, row in zip(alphas[1:], rows[1:]):
+        for name, value in zip(("D_exact", "V_exact", "Q_exact"), mp_dvq(alpha, float(q))):
+            assert _rel(row[name], value) <= TOL_PRINTED
+
+
 # ----------------------------------------------------------------------
 # detect-sim: the warden's divergence budget n D(omega_alpha || omega_0)
 

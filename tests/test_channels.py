@@ -32,8 +32,6 @@ def random_qubit(rng):
 def test_channel_spec_validation():
     spec = ChannelSpec(0.3, 1)
     assert spec.scenario is Scenario.ALL_ENV
-    assert not spec.boundary
-    assert ChannelSpec(0.0, 2).boundary and ChannelSpec(1.0, 3).boundary
     with pytest.raises(ValueError):
         ChannelSpec(-0.1, 1)
     with pytest.raises(ValueError):

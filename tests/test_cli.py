@@ -376,7 +376,7 @@ def _draw_argv(rng, flags):
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_plain_options_read_what_argparse_reads(name):
     """The direct read gives argparse's own Namespace, or declines."""
-    options = cli._options(name)
+    options = cli._OPTION_TABLES[name]
     parser = cli._command_parser(name, options)
     rng = random.Random(f"plain-options:{name}")
     read = 0
@@ -662,7 +662,7 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
 ROOT_EXPORTS = {
     "ChannelSpec", "Scenario", "SupportReport", "scenario_reports", "RateReport",
     "ScheduleParams", "capacity_curve", "dvq_exact", "finite_blocklength_logM",
-    "inverse_normal_cdf", "leading_moments", "rate_reports", "willie_divergence", "willie_eta",
+    "inverse_normal_cdf", "moment_curve", "rate_reports", "willie_divergence", "willie_eta",
     "DetectionResult", "pinsker_floor", "warden_errors", "DvqTriple",
 }
 

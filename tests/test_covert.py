@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (
     ArrowMatrixParams,
+    approx_rows_reference,
     arrow_matrix,
     arrow_params,
     arrow_spectral,
@@ -37,7 +39,7 @@ from qcovert.covert import (
     dvq_exact,
     finite_blocklength_logM,
     inverse_normal_cdf,
-    leading_moments,
+    moment_curve,
     rate_reports,
     willie_divergence,
     willie_eta,
@@ -219,32 +221,22 @@ def test_warden_closed_forms_match_dense_oracles():
 
 def test_dvq_asymptotic_leading_forms():
     alpha, q = 1e-4, 0.5
-    lead, zero = leading_moments([alpha, 0.0], q)
+    (_, d_lead, _, v_lead, *_), zero = moment_curve([alpha, 0.0], q)
     coeff = 2.0 * 0.25 / 1.5  # 2(1-q)^2/(2-q) = 1/3 at q = 0.5
-    assert lead.d == pytest.approx(-coeff * alpha * math.log2(alpha), rel=1e-14)
-    assert lead.d == pytest.approx(4.429e-4, abs=1e-7)
-    assert lead.v == pytest.approx(coeff * alpha * math.log2(alpha) ** 2, rel=1e-14)
-    assert lead.v > 0.0
-    assert zero == DvqTriple(0.0, 0.0, 0.0)
-
-
-def test_dvq_asymptotic_fourth_moment_calibration():
-    # the order-class constant is read off the exact value at the reference
-    # weight, so the two agree there by construction
-    q = 0.5
-    ref = 1e-3
-    lead, small = leading_moments([ref, 1e-5], q)
-    assert lead.q4 == pytest.approx(dvq_exact(ref, q).q4, rel=1e-12)
-    # and stays the right order of magnitude two decades down
-    assert dvq_exact(1e-5, q).q4 == pytest.approx(small.q4, rel=0.5)
+    assert d_lead == pytest.approx(-coeff * alpha * math.log2(alpha), rel=1e-14)
+    assert d_lead == pytest.approx(4.429e-4, abs=1e-7)
+    assert v_lead == pytest.approx(coeff * alpha * math.log2(alpha) ** 2, rel=1e-14)
+    assert v_lead > 0.0
+    assert zero == (0.0,) * 7
 
 
 def test_dvq_ratio_regression_values():
     """Exact-to-leading ratio minus one, pinned along the alpha grid."""
     pins = {1e-3: 0.277163, 1e-4: 0.207750, 1e-5: 0.166181, 1e-6: 0.138481}
-    for (alpha, pin), lead in zip(pins.items(), leading_moments(list(pins), 0.5)):
-        exact = dvq_exact(alpha, 0.5)
-        assert exact.d / lead.d - 1.0 == pytest.approx(pin, abs=5e-6)
+    rows = moment_curve(list(pins), 0.5)
+    for (alpha, pin), (d, d_lead, *_, ratio_d, _) in zip(pins.items(), rows):
+        assert d == dvq_exact(alpha, 0.5).d and ratio_d == d / d_lead
+        assert ratio_d - 1.0 == pytest.approx(pin, abs=5e-6)
 
 
 def test_inverse_normal_cdf_basics():
@@ -283,7 +275,6 @@ def test_finite_blocklength_logM_validation():
 def test_schedule_params():
     s = ScheduleParams(10**6, 0.05)
     assert s.alpha_n == pytest.approx(10.0 ** (6 * (0.05 - 2.0 / 3.0)), rel=1e-12)
-    assert s.gamma_n == pytest.approx(10.0 ** (6 * (0.05 - 1.0 / 6.0)), rel=1e-12)
     assert ScheduleParams(1, 0.1).alpha_n == 1.0  # boundary blocklength
     with pytest.raises(ValueError):
         ScheduleParams(0, 0.05)
@@ -297,7 +288,8 @@ def test_asymptotic_logM_formula():
     s = ScheduleParams(10**5, 0.08)
     q = 0.4
     expected = (
-        2.0 * (2.0 / 3.0 - 0.08) * 0.36 / 1.6 * s.gamma_n * math.sqrt(s.n) * math.log2(s.n)
+        2.0 * (2.0 / 3.0 - 0.08) * 0.36 / 1.6 * float(s.n) ** (s.nu - 1.0 / 6.0)
+        * math.sqrt(s.n) * math.log2(s.n)
     )
     (rep,) = rate_reports([s.n], s.nu, q)
     assert rep.logM_asymptotic == pytest.approx(expected, rel=1e-13)
@@ -380,7 +372,8 @@ def test_rate_report_is_internally_consistent():
         finite_blocklength_logM(s.n, 0.05, dvq), rel=1e-14
     )
     assert rep.logM_asymptotic == pytest.approx(
-        2.0 * (2.0 / 3.0 - s.nu) * 0.25 / 1.5 * s.gamma_n * math.sqrt(s.n) * math.log2(s.n),
+        2.0 * (2.0 / 3.0 - s.nu) * 0.25 / 1.5 * float(s.n) ** (s.nu - 1.0 / 6.0)
+        * math.sqrt(s.n) * math.log2(s.n),
         rel=1e-14,
     )
     assert rep.willie_div_total == s.n * willie_divergence(s.alpha_n, 0.5)
@@ -397,8 +390,8 @@ def test_grid_forms_match_pointwise_forms():
     reports = rate_reports(ns, nu, q)
     assert reports == [rate_reports([n], nu, q)[0] for n in ns]
     assert {r.capacity_lb for r in reports} == {capacity_curve([q])[0][1]}
-    alphas = [0.0, 1e-9, 1e-4, 0.3, 1.0]
-    assert leading_moments(alphas, q) == [leading_moments([a], q)[0] for a in alphas]
+    alphas = [0.0, 1e-9, 1e-4, 0.3, 0.7]
+    assert moment_curve(alphas, q) == [moment_curve([a], q)[0] for a in alphas]
 
 
 def test_finite_rate_convergence_approaches_limit():
@@ -482,3 +475,40 @@ def test_rate_rows_match_the_helper_route(ns, q, nu, eps):
         dvq = dvq_exact(ScheduleParams(ns[0], nu).alpha_n, q)
         assert outcome(finite_blocklength_logM, ns[0], eps, dvq) == \
             outcome(logM_reference, ns[0], eps, dvq)
+
+
+# ``moment_curve`` against ``oracles.approx_rows_reference``: the CLI's checks, ``dvq_exact``
+# per row and the leading forms of ``oracles.leading_reference``.
+
+
+def uncalibrated_leads(alphas, q):
+    """``leading_reference`` with its fourth-moment fit at alpha = 1e-3 made a constant."""
+    with mock.patch.object(oracles, "dvq_exact", lambda alpha, q: DvqTriple(1.0, 1.0, 1.0)):
+        return oracles.leading_reference(alphas, q)
+
+
+moment_weight = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0**-53, 1.0, -1e-300, math.nan)),
+    st.floats(0.0, 1.0), st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
+    st.floats(-16.0, -1.0).map(lambda x: 1.0 - 10.0**x),  # alpha -> 1 from below
+    st.integers(-2000, 2000).map(lambda k: 0.5 + k * 2.0**-53))  # the refusal band at tiny q
+moment_noise = st.one_of(
+    st.sampled_from(EDGE_QS + (1e-310, 1e-305, 1e-100, 0.5, 1.0 - 2.0**-53, 1.5, math.nan)),
+    st.floats(0.0, 1.0), st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
+    st.floats(-300.0, -20.0).map(lambda x: 10.0**x))
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None, database=None)
+@given(alphas=st.lists(moment_weight, min_size=1, max_size=4), q=moment_noise)
+def test_moment_curve_matches_the_leading_route(alphas, q):
+    got = outcome(moment_curve, alphas, q)
+    want = outcome(approx_rows_reference, alphas, q)
+    if got != want:
+        # The one difference: the reference refuses every table where its Q fit at
+        # alpha = 1e-3 refuses (q below about 4.4e-305), a fit no column prints.
+        assert want == outcome(dvq_exact, 1e-3, q)
+        want = outcome(approx_rows_reference, alphas, q, uncalibrated_leads)
+    assert got == want
+    if isinstance(got, str):  # a table's rows are the rows run alone
+        assert got == repr([moment_curve([a], q)[0] for a in alphas])
