@@ -42,7 +42,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .channels import ChannelSpec, Scenario, scenario_reports
-from .covert import ScheduleParams, capacity_curve, check_nu, moment_curve, rate_reports
+from .covert import capacity_curve, check_nu, moment_curve, rate_reports, schedule_weights
 from .detection import warden_errors
 
 
@@ -294,12 +294,13 @@ def cmd_detect_sim(args):
     }
     columns = ["n", "alpha", "trace_dist", "E_n", "pinsker_floor", "div_total"]
     if alpha_grid is None:
-        cells = [(n, ScheduleParams(n, args.nu).alpha_n) for n in n_grid]
+        ns, alphas = n_grid, list(schedule_weights(n_grid, args.nu))
     else:
-        cells = [(n, alpha) for n in n_grid for alpha in alpha_grid]
+        ns = [n for n in n_grid for _ in alpha_grid]
+        alphas = alpha_grid * len(n_grid)
     rows = [
         [r.n, r.alpha, r.trace_dist, r.error_prob, r.pinsker_floor, r.div_total]
-        for r in warden_errors([n for n, _ in cells], [a for _, a in cells], spec)
+        for r in warden_errors(ns, alphas, spec)
     ]
     return config, columns, rows
 

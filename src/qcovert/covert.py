@@ -25,8 +25,9 @@ and Q within the rounding of that centring, raises ArithmeticError
 instead of being returned.  The tables check every argument before any
 row, and compute what the grid does not vary once per table:
 ``moment_curve`` the leading forms' coefficient, and ``rate_reports``
-eta, the schedule exponents, Phi^{-1}(eps) and the warden divergence's
-per-q constants.
+the warden's per-q constants and eta from them, the schedule exponents and
+Phi^{-1}(eps).  ``schedule_weights`` is the one form of the schedule
+alpha_n = n**(nu - 2/3).
 """
 
 from __future__ import annotations
@@ -90,7 +91,22 @@ class ScheduleParams:
 
     @property
     def alpha_n(self) -> float:
-        return float(self.n) ** (self.nu - 2.0 / 3.0)
+        return next(schedule_weights((self.n,), self.nu))
+
+
+def schedule_weights(blocklengths, nu: float):
+    """Yield the schedule's input weight alpha_n = n**(nu - 2/3) for each blocklength n.
+
+    This is the one form of the schedule.  nu is checked at the first
+    weight and each n as its weight is taken: it must be a positive
+    integer, with ``ScheduleParams``' messages.
+    """
+    check_nu(nu)
+    exponent = nu - 2.0 / 3.0
+    for n in blocklengths:
+        if n < 1 or n != int(n):
+            raise ValueError(f"blocklength n={n!r} must be a positive integer")
+        yield float(n) ** exponent
 
 
 class RateReport(NamedTuple):
@@ -399,7 +415,12 @@ def willie_eta(q: float) -> float:
     _check_unit("q", q)
     if q == 0.0:  # omega_1 = omega_0 = |0><0|
         return 0.0
-    perp2, z, s_len, _, atanh_s = _e1_bloch(q)
+    return _eta(_e1_bloch(q))
+
+
+def _eta(warden) -> float:
+    """``willie_eta`` from q's ``_e1_bloch``; q unchecked."""
+    perp2, z, s_len, _, atanh_s = warden
     eta = 4.0 * perp2 / (s_len * s_len * LN2) * (1.0 + z * z * atanh_s / s_len)
     _require_normal("eta", eta)
     return eta
@@ -417,7 +438,8 @@ def capacity_curve(q_grid) -> list[tuple[float, float]]:
     for q in q_grid:
         if not (0.0 < q < 1.0):
             raise ValueError(f"q={q:g} outside (0, 1)")
-    return [(eta, _capacity(q, eta)) for q, eta in zip(q_grid, map(willie_eta, q_grid))]
+    etas = [_eta(_e1_bloch(q)) for q in q_grid]
+    return [(eta, _capacity(q, eta)) for q, eta in zip(q_grid, etas)]
 
 
 def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
@@ -431,27 +453,29 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
 
     q, nu and eps are checked once, before any row, and each n must be an
     integer >= 2.  What does not depend on n is computed once per table:
-    eta (behind capacity_lb and covert_rate_limit), the coefficient of
-    logM_asymptotic, the schedule exponents, Phi^{-1}(eps) and the warden's
-    ``_e1_bloch`` constants.  A row takes alpha_n once, and ``dvq_exact``,
+    the warden's ``_e1_bloch`` constants and eta from them (behind
+    capacity_lb and covert_rate_limit), the coefficient of
+    logM_asymptotic, its exponent and Phi^{-1}(eps).  A row takes alpha_n
+    from ``schedule_weights``, and ``dvq_exact``,
     ``finite_blocklength_logM`` and ``willie_divergence`` by their unchecked
     forms, with the same bits.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
-    eta = willie_eta(q)
+    warden = _e1_bloch(q)
+    eta = _eta(warden)
     check_nu(nu)
     _check_eps(eps)
-    z, warden = _NORMAL.inv_cdf(eps), _e1_bloch(q)
+    z = _NORMAL.inv_cdf(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
-    alpha_exp, gamma_exp = nu - 2.0 / 3.0, nu - 1.0 / 6.0  # of alpha_n and of n**(nu - 1/6)
+    gamma_exp = nu - 1.0 / 6.0  # of n**(nu - 1/6)
+    blocklengths = list(blocklengths)
     rows = []
-    for n in blocklengths:
-        if n < 2 or n != int(n):  # ScheduleParams' message, or finite_blocklength_logM's at n = 1
-            raise ValueError(f"blocklength n={n!r} must be "
-                             + ("an integer >= 2" if n == 1 else "a positive integer"))
-        alpha = float(n) ** alpha_exp  # in (0, 2**-0.5]
+    # schedule_weights refuses an n that is not a positive integer, the loop n = 1
+    for n, alpha in zip(blocklengths, schedule_weights(blocklengths, nu)):
+        if n == 1:  # finite_blocklength_logM's message
+            raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
         logM = _logM(n, eps, z, *_dvq(min(alpha, 1.0 - alpha), q))
         div = n * _willie_divergence(alpha, *warden)
         log_n = math.log2(n)

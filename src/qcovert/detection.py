@@ -6,7 +6,7 @@ The optimal error probability is (1 - T)/2 with T the trace distance of
 the two n-copy states, and it can never drop below the Pinsker floor
 (1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D; ``warden_errors``
 checks every row against it.  A schedule's sweep is one table: the
-blocklengths with their weights ``ScheduleParams(n, nu).alpha_n``.
+blocklengths with their weights from ``covert.schedule_weights``.
 
 T is computed exactly without any 2^n-dimensional matrix.  By Schur-Weyl
 duality the n-fold power of a qubit operator A splits over the spin
@@ -81,16 +81,19 @@ Three things keep the E1 route cheap and accurate at every weight:
   with its own off-diagonal, the L[alpha Delta] taps read from slot 0)
   and a single Dicke multiply scales them.  The degrees are streamed:
   each is built from the one before and then dropped, and a row leaves
-  the stack once k passes its n.  The rows of each parity, the spin
-  multiplicities and the power coefficients are tables built once per
-  chunk, so the degree loop is array operations only, with one eigvalsh
-  for all blocks of one shape.  Each row's block norms are still added
-  k descending, so T does not depend on the chunking or on the order of
-  the rows.
+  the stack once k passes its n.  Each chunk's tables are built once, in
+  plain Python floats: per degree, the stack slots of the rows whose
+  spin blocks sit there (n - k even), their spin multiplicities and
+  their power coefficients det_a^r and det_a^r - det_0^r.  A degree
+  takes its slices of three flat arrays, forms its blocks and makes one
+  eigvalsh for all of them.  Each row's multiplicity-weighted block
+  norms are added k descending in Python floats, so T does not depend
+  on the chunking or on the order of the rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -98,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import ChannelSpec, Scenario
-from .covert import willie_divergence
+from .covert import _e1_bloch, _willie_divergence
 from .linalg import dicke_scaling
 
 LN2 = math.log(2.0)
@@ -159,23 +162,24 @@ def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
     return 1.0 - q / 2.0, q / 2.0, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)
 
 
-def _power_pair(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """b_a^s and b_a^s - b_0^s for s < count, b_a = b_0 + b_d, stacked on axis 0.
+def _fidelity_floor(n: int, alpha: float, perp2: float) -> float:
+    """Fuchs-van de Graaf's floor (1 - sqrt(1 - F^(2n)))/2 on the E1 warden's n-use error.
 
-    The difference is carried as b_a (b_a^s - b_0^s) + b_d b_0^s, so no
-    step subtracts two O(1) powers.
+    F is the root fidelity of omega_alpha and omega_0, F^2 = tr(omega_alpha
+    omega_0) + 2 sqrt(det omega_alpha det omega_0), and F^n that of the n
+    copies.  On the Bloch vectors of ``covert._e1_bloch`` (P = ``perp2``,
+    u = 1 - 2 alpha) 1 - F^2 = (|r - s|^2 - |r x s|^2) / (2 (1 - r.s +
+    sqrt((1 - R^2)(1 - S^2)))) = 4 alpha^2 P / (1 + 2 alpha + sqrt(2 - u^2)),
+    with 2 - u^2 = 1 + 4 alpha (1 - alpha).  So F^(2n) = exp(n log1p(-(1 -
+    F^2))), 1 - F^(2n) is its expm1, and the floor is F^(2n) / (2 (1 +
+    sqrt(1 - F^(2n)))): no step cancels.
     """
-    base_a = base_0 + base_d
-    pow_0 = base_0 ** np.arange(count)
-    pow_a = np.ones((count, len(base_d)))
-    pow_d = np.zeros((count, len(base_d)))
-    for s in range(count - 1):
-        pow_a[s + 1] = base_a * pow_a[s]
-        pow_d[s + 1] = base_a * pow_d[s] + base_d * pow_0[s]
-    return pow_a, pow_d
+    root = math.sqrt(1.0 + 4.0 * alpha * (1.0 - alpha))
+    log_power = n * math.log1p(-4.0 * alpha * alpha * perp2 / (1.0 + 2.0 * alpha + root))
+    return math.exp(log_power) / (2.0 * (1.0 + math.sqrt(-math.expm1(log_power))))
 
 
-def _sym_levels(block, alphas: np.ndarray, ns: np.ndarray):
+def _sym_levels(block, alphas, ns):
     """Yield [Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0) per live row] for k = 0..ns[0].
 
     omega_0 is the block (a, b, c) at alpha = 0 and omega_a = omega_0 +
@@ -185,14 +189,16 @@ def _sym_levels(block, alphas: np.ndarray, ns: np.ndarray):
     before it, which is then dropped.
     """
     a, b, c = block
-    shift = np.concatenate(([0.0], alphas * (-2.0 * c)))[:, np.newaxis, np.newaxis]
+    shift = np.concatenate(([0.0], np.multiply(alphas, -2.0 * c)))[:, np.newaxis, np.newaxis]
     edge = c + shift  # the off-diagonal of omega_0 on slot 0, of omega_a on row i's
-    lives = np.searchsorted(-ns, -np.arange(int(ns[0]) + 1), side="right").tolist()
     stack = np.zeros((len(alphas) + 1, 1, 1))
     stack[0] = 1.0
     yield stack
-    for k in range(1, len(lives)):
-        prev = stack[:lives[k] + 1]
+    live = len(ns)
+    for k in range(1, int(ns[0]) + 1):
+        while ns[live - 1] < k:
+            live -= 1
+        prev = stack[:live + 1]
         e, s = edge[:len(prev)], shift[1:len(prev)]
         # Column m of M_(k-1)(A) holds the coefficients of (a x + e y)^(k-1-m)
         # (e x + b y)^m on x^(k-1-l) y^l: one more factor a x + e y gives the
@@ -211,11 +217,6 @@ def _sym_levels(block, alphas: np.ndarray, ns: np.ndarray):
         yield np.multiply(stack, dicke_scaling(k), out=sym)
 
 
-def _block_diff(sym_0, sym_d, coef_a: np.ndarray, coef_d: np.ndarray) -> np.ndarray:
-    """coef_a Sym^k(omega_a) - (coef_a - coef_d) Sym^k(omega_0), stacked like sym_d."""
-    return coef_a[:, np.newaxis, np.newaxis] * sym_d + coef_d[:, np.newaxis, np.newaxis] * sym_0
-
-
 def _eigvalsh(blocks: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvalsh``, looked up per call; a solver failure is an ArithmeticError."""
     try:
@@ -224,38 +225,47 @@ def _eigvalsh(blocks: np.ndarray) -> np.ndarray:
         raise ArithmeticError(f"eigensolver failed: {exc}") from exc
 
 
-def _sum_descending(terms: list, count: int) -> np.ndarray:
-    """Per-row sums of the (rows, values) terms of degrees k = 0, 1, ..., added k descending."""
-    total = np.zeros(count)
-    for index, values in reversed(terms):
-        total[index] += values
-    return total
-
-
-def _qubit_distances(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _qubit_distances(block, ns: list, alphas: list) -> list:
     """T for a qubit warden's block, rows sorted by n descending: one eigvalsh per degree k."""
     a, b, c = block
-    top = int(ns[0])
-    # det_a^r and det_a^r - det_0^r, with det_a - det_0 = 4 c^2 alpha (1 - alpha)
-    pow_a, pow_d = _power_pair(a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas), top // 2 + 1)
-    # C(n, r) - C(n, r-1) = C(n+1, r) (n - 2r + 1) / (n + 1): the repeats of spin block r
-    repeats = np.array([[float(math.comb(n + 1, r) * max(n - 2 * r + 1, 0) // (n + 1))
-                         for r in range(top // 2 + 1)] for n in ns.tolist()])
-    # coefs[:, k, i]: row i's repeats, det_a^r and det_a^r - det_0^r at degree k, r = (n - k) / 2
-    degrees = np.arange(top + 1)
-    spin = np.maximum(ns - degrees[:, np.newaxis], 0) // 2
-    coefs = np.stack((repeats.T, pow_a, pow_d))[:, spin, np.arange(len(ns))]
-    # the rows of each parity; at degree k those with n >= k are a prefix
-    parity = [np.flatnonzero(ns % 2 == p) for p in (0, 1)]
-    counts = [np.searchsorted(-ns[rows], -degrees, side="right").tolist() for rows in parity]
-    terms = []
+    base_0 = a * b - c * c  # det_0
+    # det_0^s by numpy's power: Python's ** rounds some of them differently
+    pow_0 = (base_0 ** np.arange(ns[0] // 2 + 1)).tolist()
+    # Row i's spin block r sits at degree n - 2r, weighted by its repeats
+    # C(n, r) - C(n, r-1) = C(n+1, r) (n - 2r + 1) / (n + 1), det_a^r and
+    # det_a^r - det_0^r; the difference is carried as det_a (det_a^r - det_0^r)
+    # + (det_a - det_0) det_0^r, det_a - det_0 = 4 c^2 alpha (1 - alpha), so no
+    # step subtracts two O(1) powers.
+    levels = [[] for _ in range(ns[0] + 1)]
+    repeats = {}
+    for slot, (n, alpha) in enumerate(zip(ns, alphas), 1):
+        if n not in repeats:
+            repeats[n] = [float(math.comb(n + 1, r) * (n - 2 * r + 1) // (n + 1))
+                          for r in range(n // 2 + 1)]
+        base_d = 4.0 * c * c * alpha * (1.0 - alpha)
+        base_a = base_0 + base_d
+        pow_a, pow_d = 1.0, 0.0
+        for r, mult in enumerate(repeats[n]):
+            levels[n - 2 * r].append((slot, mult, pow_a, pow_d))
+            pow_a, pow_d = base_a * pow_a, base_a * pow_d + base_d * pow_0[r]
+    # degree k's rows are entries ends[k]..ends[k + 1] of the flat tables
+    ends = [0, *itertools.accumulate(map(len, levels))]
+    slots, mults, coef_a, coef_d = zip(*[entry for level in levels for entry in level])
+    rows = np.array(slots)
+    coef_a = np.array(coef_a)[:, np.newaxis, np.newaxis]
+    coef_d = np.array(coef_d)[:, np.newaxis, np.newaxis]
+    norms = []
     for k, stack in enumerate(_sym_levels(block, alphas, ns)):
-        rows = parity[k % 2][:counts[k % 2][k]]
-        if rows.size:
-            mult, coef_a, coef_d = coefs[:, k, rows]
-            blocks = _block_diff(stack[0], stack[rows + 1], coef_a, coef_d)
-            terms.append((rows, mult * np.abs(_eigvalsh(blocks)).sum(axis=-1)))
-    return 0.5 * _sum_descending(terms, len(ns))
+        lo, hi = ends[k], ends[k + 1]
+        if lo < hi:
+            blocks = coef_a[lo:hi] * stack[rows[lo:hi]] + coef_d[lo:hi] * stack[0]
+            norms.append((lo, hi, np.abs(_eigvalsh(blocks)).sum(axis=-1).tolist()))
+    # each row's multiplicity-weighted block norms, added k descending
+    total = [0.0] * (len(ns) + 1)
+    for lo, hi, values in reversed(norms):
+        for slot, mult, value in zip(slots[lo:hi], mults[lo:hi], values):
+            total[slot] += mult * value
+    return [0.5 * t for t in total[1:]]
 
 
 def _positive_root(lin: float, const: float) -> float:
@@ -379,10 +389,13 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     n * D(omega_alpha || omega_0) and its Pinsker floor.  The budget is 0
     when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
     (omega_alpha leaves the support of omega_0), and n times the closed
-    form ``willie_divergence`` for E1_ONLY.  A row whose hypotheses differ
-    but whose T is not a positive normal float raises ArithmeticError, as
-    does a row whose E falls more than 1e-12 below its Pinsker floor (a
-    consistency check that no exact T can fail).
+    form ``willie_divergence`` for E1_ONLY, its per-q constants taken once
+    per table.  A row whose hypotheses differ but whose T is not a
+    positive normal float raises ArithmeticError, as does a row whose E
+    falls more than 1e-12 below its Pinsker floor (a consistency check
+    that no exact T can fail) and an E1 row whose E falls below the
+    Fuchs-van de Graaf floor (``_fidelity_floor``) by more than that
+    floor's rounding: there (1 - T)/2 has lost its relative accuracy.
     """
     ns, alphas = list(ns), list(alphas)
     if len(ns) != len(alphas):
@@ -404,7 +417,7 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     # omega_0 itself: T = 0 exactly, the budget is 0, and no block is built.
     blind = block[2] == 0.0
     signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
-    dist = np.zeros(len(ns))
+    dist = [0.0] * len(ns)
     errors = {}  # ALL_ENV's E, from its own sum; every other row's is (1 - T)/2
     if allenv:
         c = block[2]
@@ -412,26 +425,39 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             dist[i], errors[i] = _allenv_errors(int(ns[i]), float(alphas[i]), spec.q, c)
     elif signal:
         signal.sort(key=lambda i: -int(ns[i]))
-        sig_ns = np.array([int(ns[i]) for i in signal])
-        sig_alphas = np.array([float(alphas[i]) for i in signal])
-        width = max(1, CHUNK_ENTRIES // (int(sig_ns[0]) + 1) ** 2)
+        sig_ns = [int(ns[i]) for i in signal]
+        sig_alphas = [float(alphas[i]) for i in signal]
+        width = max(1, CHUNK_ENTRIES // (sig_ns[0] + 1) ** 2)
         for lo in range(0, len(signal), width):
             part = slice(lo, lo + width)
-            dist[signal[part]] = _qubit_distances(block, sig_ns[part], sig_alphas[part])
+            for i, t in zip(signal[part], _qubit_distances(block, sig_ns[part], sig_alphas[part])):
+                dist[i] = t
+    warden = None  # the E1 budget's per-q constants, taken at the first signal row
     results = []
     for i, (n, alpha) in enumerate(zip(ns, alphas)):
         # T <= 1 exactly; the sum of the block norms can round a few ulps past it.
-        t = min(float(dist[i]), 1.0)
+        t = min(dist[i], 1.0)
+        error = errors[i] if i in errors else 0.5 * (1.0 - t)
         if alpha == 0.0 or blind:
             div_total = 0.0
-        else:
-            if not sys.float_info.min <= t < math.inf:
-                raise ArithmeticError(
-                    f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
+        elif not sys.float_info.min <= t < math.inf:
+            raise ArithmeticError(
+                f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
+        elif allenv:
             # omega_alpha weights e_0 = (0, i, 0, 1)/sqrt(2), a kernel vector
             # of omega_0, by alpha * q / 2 > 0: the support escapes.
-            div_total = math.inf if allenv else n * willie_divergence(alpha, spec.q)
-        error = errors[i] if i in errors else 0.5 * (1.0 - t)
+            div_total = math.inf
+        else:
+            if warden is None:
+                warden = _e1_bloch(spec.q)
+            div_total = n * _willie_divergence(alpha, *warden)
+            # (1 - T)/2 loses its relative accuracy as T -> 1: an E below the
+            # fidelity floor by more than that floor's rounding is refused
+            fidelity_floor = _fidelity_floor(n, alpha, warden[0])
+            if error < fidelity_floor * (1.0 - 1e-12):
+                raise ArithmeticError(
+                    f"error probability {error!r} at n={n}, alpha={alpha!r} fell below "
+                    f"the Fuchs-van de Graaf floor {fidelity_floor!r}")
         floor = pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf
         if error < floor - 1e-12:
             raise ArithmeticError(

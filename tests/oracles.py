@@ -6,7 +6,7 @@ None of these is used by the library itself.  These kinds live here:
   matrices behind the library's closed forms: Hermitian validation
   (``hermitian_operator``), the eigensolver ``eig_hermitian`` with its
   ordering convention (``order_eigensystem``) and support rule, the
-  ``trace_distance``, validated states
+  ``trace_distance`` and ``root_fidelity``, validated states
   (``density_operator``, ``pure_state``), ``projector``, Kronecker
   ``tensor`` and ``tensor_power``, ``symmetric_power`` of one 2x2 matrix
   by the degree step ``monomial_step`` (which ``detection`` runs fused
@@ -42,6 +42,13 @@ None of these is used by the library itself.  These kinds live here:
   ``approx_rows_reference`` builds ``moment_curve``'s rows from the checks
   of the CLI, ``dvq_exact`` per row and ``leading_reference``, the leading
   forms with a fourth-moment constant fitted at alpha = 1e-3.
+* The qubit wardens' detection route with numpy tables,
+  ``qubit_rows_reference``: per chunk the powers, repeats and per-degree
+  coefficients as stacked arrays, the block norms added by fancy-indexed
+  sums, and the budget by the checked ``willie_divergence`` per row.
+  ``qcovert.detection`` builds those tables in plain Python with the same
+  floating-point operations, so the two agree bit for bit, refusals
+  included (but for the fidelity-floor refusal, which the reference lacks).
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -53,6 +60,7 @@ import csv
 import io
 import json
 import math
+import sys
 from typing import NamedTuple
 
 import mpmath as mp
@@ -74,8 +82,10 @@ from qcovert.covert import (
     _require_normal,
     dvq_exact,
     inverse_normal_cdf,
+    willie_divergence,
     willie_eta,
 )
+from qcovert.detection import DetectionResult, _warden_block, pinsker_floor
 from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
@@ -201,6 +211,15 @@ def trace_distance(rho, sigma) -> float:
     if r.shape != s.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise ValueError(f"incompatible shapes {r.shape} and {s.shape}")
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r - s))))
+
+
+def root_fidelity(rho, sigma) -> float:
+    """||sqrt(rho) sqrt(sigma)||_1 from eigendecompositions of both states."""
+    def sqrt_psd(a):
+        w, v = np.linalg.eigh(a)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+    return float(np.sum(np.linalg.svd(sqrt_psd(rho) @ sqrt_psd(sigma), compute_uv=False)))
 
 
 TRACE_TOL = 1e-10
@@ -791,6 +810,127 @@ def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) ->
             covert_rate_limit=limit,
         ))
     return rows
+
+
+def _power_pair_reference(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """b_a^s and b_a^s - b_0^s for s < count, b_a = b_0 + b_d, stacked on axis 0.
+
+    The difference is carried as b_a (b_a^s - b_0^s) + b_d b_0^s, so no
+    step subtracts two O(1) powers.
+    """
+    base_a = base_0 + base_d
+    pow_0 = base_0 ** np.arange(count)
+    pow_a = np.ones((count, len(base_d)))
+    pow_d = np.zeros((count, len(base_d)))
+    for s in range(count - 1):
+        pow_a[s + 1] = base_a * pow_a[s]
+        pow_d[s + 1] = base_a * pow_d[s] + base_d * pow_0[s]
+    return pow_a, pow_d
+
+
+def _sym_levels_reference(block, alphas: np.ndarray, ns: np.ndarray):
+    """Yield [Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0) per live row] for k = 0..ns[0]."""
+    a, b, c = block
+    shift = np.concatenate(([0.0], alphas * (-2.0 * c)))[:, np.newaxis, np.newaxis]
+    edge = c + shift
+    lives = np.searchsorted(-ns, -np.arange(int(ns[0]) + 1), side="right").tolist()
+    stack = np.zeros((len(alphas) + 1, 1, 1))
+    stack[0] = 1.0
+    yield stack
+    for k in range(1, len(lives)):
+        prev = stack[:lives[k] + 1]
+        e, s = edge[:len(prev)], shift[1:len(prev)]
+        stack = np.zeros((len(prev), k + 1, k + 1))
+        sym = np.empty_like(stack)
+        taps = sym[:, :-1, :-1]
+        np.multiply(prev, a, out=stack[:, :-1, :-1])
+        stack[:, 1:, :-1] += np.multiply(prev, e, out=taps)
+        stack[:, :-1, -1] = e[..., 0] * prev[:, :, -1]
+        stack[:, 1:, -1] += b * prev[:, :, -1]
+        stack[1:, 1:, :-1] += np.multiply(prev[0], s, out=taps[1:])
+        stack[1:, :-1, -1] += s[..., 0] * prev[0, :, -1]
+        yield np.multiply(stack, dicke_scaling(k), out=sym)
+
+
+def _qubit_distances_reference(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """T for a qubit warden's block, rows sorted by n descending, by numpy tables per chunk."""
+    a, b, c = block
+    top = int(ns[0])
+    pow_a, pow_d = _power_pair_reference(
+        a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas), top // 2 + 1)
+    repeats = np.array([[float(math.comb(n + 1, r) * max(n - 2 * r + 1, 0) // (n + 1))
+                         for r in range(top // 2 + 1)] for n in ns.tolist()])
+    degrees = np.arange(top + 1)
+    spin = np.maximum(ns - degrees[:, np.newaxis], 0) // 2
+    coefs = np.stack((repeats.T, pow_a, pow_d))[:, spin, np.arange(len(ns))]
+    parity = [np.flatnonzero(ns % 2 == p) for p in (0, 1)]
+    counts = [np.searchsorted(-ns[rows], -degrees, side="right").tolist() for rows in parity]
+    terms = []
+    for k, stack in enumerate(_sym_levels_reference(block, alphas, ns)):
+        rows = parity[k % 2][:counts[k % 2][k]]
+        if rows.size:
+            mult, coef_a, coef_d = coefs[:, k, rows]
+            blocks = (coef_a[:, np.newaxis, np.newaxis] * stack[rows + 1]
+                      + coef_d[:, np.newaxis, np.newaxis] * stack[0])
+            try:
+                eigs = np.linalg.eigvalsh(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise ArithmeticError(f"eigensolver failed: {exc}") from exc
+            terms.append((rows, mult * np.abs(eigs).sum(axis=-1)))
+    total = np.zeros(len(ns))
+    for index, values in reversed(terms):
+        total[index] += values
+    return 0.5 * total
+
+
+def qubit_rows_reference(ns, alphas, spec: ChannelSpec, chunk_entries: int = 2**19) -> list:
+    """``qcovert.detection.warden_errors`` for a qubit warden (E1_ONLY, E2_ONLY) by numpy tables.
+
+    The route before the per-chunk tables were built in plain Python: the
+    powers, repeats and per-degree coefficients as stacked arrays, the block
+    norms summed by fancy-indexed adds, and the budget by the checked
+    ``willie_divergence`` per row.  The E1 route must give the same floats,
+    or raise the same refusals.
+    """
+    ns, alphas = list(ns), list(alphas)
+    if len(ns) != len(alphas):
+        raise ValueError(f"{len(ns)} blocklengths for {len(alphas)} weights")
+    for n, alpha in zip(ns, alphas):
+        if n < 1 or n != int(n):
+            raise ValueError(f"number of uses n={n!r} must be a positive integer")
+        if n > 100:
+            raise ValueError(f"n={n} exceeds the cap 100 for scenario {spec.scenario.name}")
+        if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
+            raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+    block = _warden_block(spec)
+    blind = block[2] == 0.0
+    signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
+    dist = np.zeros(len(ns))
+    if signal:
+        signal.sort(key=lambda i: -int(ns[i]))
+        sig_ns = np.array([int(ns[i]) for i in signal])
+        sig_alphas = np.array([float(alphas[i]) for i in signal])
+        width = max(1, chunk_entries // (int(sig_ns[0]) + 1) ** 2)
+        for lo in range(0, len(signal), width):
+            part = slice(lo, lo + width)
+            dist[signal[part]] = _qubit_distances_reference(block, sig_ns[part], sig_alphas[part])
+    results = []
+    for i, (n, alpha) in enumerate(zip(ns, alphas)):
+        t = min(float(dist[i]), 1.0)
+        if alpha == 0.0 or blind:
+            div_total = 0.0
+        else:
+            if not sys.float_info.min <= t < math.inf:
+                raise ArithmeticError(
+                    f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
+            div_total = n * willie_divergence(alpha, spec.q)
+        error = 0.5 * (1.0 - t)
+        floor = pinsker_floor(div_total)
+        if error < floor - 1e-12:
+            raise ArithmeticError(
+                f"error probability {error} fell below the Pinsker floor {floor} at n={n}")
+        results.append(DetectionResult(n, alpha, t, error, floor, div_total))
+    return results
 
 
 # Weight at which ``leading_reference`` reads the fourth-moment constant off

@@ -548,7 +548,7 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
     def boom(q):
         raise ArithmeticError("synthetic eigensolver breakdown")
 
-    monkeypatch.setattr(covert, "willie_eta", boom)
+    monkeypatch.setattr(covert, "_eta", boom)  # bound-curve's eta, checked once per grid
     assert cli.main(["bound-curve", "--q-grid", "0.5"]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
@@ -657,6 +657,15 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
     monkeypatch.setattr(detection, "pinsker_floor", lambda div_total: 1.0)
     assert cli.main(["detect-sim", "--n-grid", "3"]) == 3
     assert "fell below the Pinsker floor" in capsys.readouterr().err
+
+
+def test_detect_sim_refuses_an_e1_error_below_the_fidelity_floor(capsys):
+    # (1 - T)/2 printed E_n 0 here with exit 0; by Fuchs-van de Graaf the true E
+    # is at least (1 - sqrt(1 - F^200))/2 = 5.3e-31, F the single-use root fidelity
+    argv = ["detect-sim", "--scenario", "3", "--n-grid", "100", "--alpha-grid", "1", "--q", "0.9"]
+    assert (cli.main(argv), *capsys.readouterr()) == (3, "", FAIL + (
+        "error probability 0.0 at n=100, alpha=1.0 fell below the Fuchs-van de Graaf floor "
+        "5.334304714829417e-31\n"))
 
 
 ROOT_EXPORTS = {

@@ -41,6 +41,7 @@ from qcovert.covert import (
     inverse_normal_cdf,
     moment_curve,
     rate_reports,
+    schedule_weights,
     willie_divergence,
     willie_eta,
 )
@@ -284,6 +285,35 @@ def test_schedule_params():
         ScheduleParams(100, 1.0 / 6.0)
 
 
+def test_schedule_weights_are_the_one_schedule():
+    # ScheduleParams, rate_reports and detect-sim take alpha_n = n**(nu - 2/3) here
+    ns, nu = [1, 2, 7, 10**6, 10**15], 0.05
+    weights = list(schedule_weights(ns, nu))
+    assert weights == [float(n) ** (nu - 2.0 / 3.0) for n in ns]
+    assert weights == [ScheduleParams(n, nu).alpha_n for n in ns]
+    assert [rep.alpha_n for rep in rate_reports(ns[1:], nu, 0.5)] == weights[1:]
+    with pytest.raises(ValueError, match=r"^blocklength n=0 must be a positive integer$"):
+        list(schedule_weights([3, 0], nu))
+    with pytest.raises(ValueError, match=r"^blocklength n=2\.5 must be a positive integer$"):
+        list(schedule_weights([2.5], nu))
+    with pytest.raises(ValueError, match=r"^schedule exponent nu=0\.2 outside \(0, 1/6\)$"):
+        list(schedule_weights([0], 0.2))
+
+
+def test_tables_check_q_once_and_take_eta_unchecked(monkeypatch):
+    qs = [1e-300, 1e-6, 0.5, 1.0 - 1e-9]
+    etas = [willie_eta(q) for q in qs]
+    rates = [rate_reports([10**4], 0.05, q) for q in qs]
+
+    def checked_again(q):
+        raise AssertionError("q was checked once already")
+
+    monkeypatch.setattr(covert, "willie_eta", checked_again)
+    assert [eta for eta, _ in capacity_curve(qs)] == etas
+    assert [rate_reports([10**4], 0.05, q) for q in qs] == rates
+    assert rates[2][0].capacity_lb == capacity_curve([0.5])[0][1]
+
+
 def test_asymptotic_logM_formula():
     s = ScheduleParams(10**5, 0.08)
     q = 0.4
@@ -343,7 +373,7 @@ def test_capacity_lower_bound_values(monkeypatch):
     assert capacity == pytest.approx(expected, rel=1e-12)
     # q = 0 and q = 1 are outside the open interval, and the whole grid is
     # checked before any eta is computed
-    monkeypatch.setattr(covert, "willie_eta", lambda q: 1 / 0)
+    monkeypatch.setattr(covert, "_eta", lambda warden: 1 / 0)
     for grid in ([0.0], [1.0], [0.5, 1.0]):
         with pytest.raises(ValueError):
             capacity_curve(grid)

@@ -9,7 +9,9 @@ from oracles import (
     allenv_reference,
     basis_marginal_pair,
     mp_allenv_distances,
+    qubit_rows_reference,
     relative_entropy,
+    root_fidelity,
     symmetric_power,
     tensor_power,
     trace_distance,
@@ -22,15 +24,6 @@ from qcovert.detection import MAX_USES, MAX_USES_ALLENV, pinsker_floor, warden_e
 LN2 = math.log(2.0)
 
 E1_SPEC = ChannelSpec(0.5, Scenario.E1_ONLY)
-
-
-def root_fidelity(rho, sigma):
-    """||sqrt(rho) sqrt(sigma)||_1 from eigendecompositions of both states."""
-    def sqrt_psd(a):
-        w, v = np.linalg.eigh(a)
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-    return float(np.sum(np.linalg.svd(sqrt_psd(rho) @ sqrt_psd(sigma), compute_uv=False)))
 
 
 def test_pinsker_floor_values():
@@ -279,10 +272,16 @@ def test_saturated_trace_distance_stays_a_probability(q):
     # at alpha = 1 and q near 1, T is within an ulp or two of 1, and the
     # block sum can round past it
     for scenario, n in ((Scenario.ALL_ENV, MAX_USES_ALLENV), (Scenario.E1_ONLY, MAX_USES)):
-        r = warden_errors([n], [1.0], ChannelSpec(q, scenario))[0]
+        try:
+            r = warden_errors([n], [1.0], ChannelSpec(q, scenario))[0]
+        except ArithmeticError as exc:
+            # E1's E = (1 - T)/2 has no relative accuracy this close to T = 1;
+            # a row whose E fell below the Fuchs-van de Graaf floor is refused
+            assert scenario is Scenario.E1_ONLY and "Fuchs-van de Graaf" in str(exc)
+            continue
         assert 0.0 < r.trace_dist <= 1.0
         if scenario is Scenario.E1_ONLY:
-            assert 0.0 <= r.error_prob < 0.5
+            assert detection._fidelity_floor(n, 1.0, q * (1.0 - 0.5 * q)) <= r.error_prob < 0.5
             continue
         # ALL_ENV's E is its own sum of positive terms: relative accuracy (the
         # stated bound of test_accuracy.py) down to 1e-172, and an exact 0 at
@@ -333,3 +332,77 @@ def test_secular_root_is_the_smallest_eigenvalue():
             # eigvalsh is accurate to about eps times the matrix norm
             assert s == pytest.approx(-low, rel=1e-12, abs=1e-14 * (d[0] + w @ w)), (d, w)
             assert rest == pytest.approx(np.sum(w[1:] ** 2 * d[1:] / (d[1:] + s)), rel=1e-12)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference_outcome(ns, alphas, spec, entries):
+    """``qubit_rows_reference``'s outcome, with the fidelity-floor refusal it does not make."""
+    want = _outcome(qubit_rows_reference, ns, alphas, spec, entries)
+    if want.startswith("["):
+        perp2 = spec.q * (1.0 - 0.5 * spec.q)  # ``covert._e1_bloch``'s P
+        for r in qubit_rows_reference(ns, alphas, spec, entries):
+            floor = detection._fidelity_floor(r.n, r.alpha, perp2) if r.alpha else 0.0
+            if r.error_prob < floor * (1.0 - 1e-12):
+                return (f"ArithmeticError: error probability {r.error_prob!r} at n={r.n}, "
+                        f"alpha={r.alpha!r} fell below the Fuchs-van de Graaf floor {floor!r}")
+    return want
+
+
+WEIGHT_EDGES = (5e-324, 1e-300, 1e-15, 0.5, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-6, 0.5, 0.9, 0.999, 1.0])
+def test_e1_tables_match_the_numpy_route(q, monkeypatch):
+    # per-chunk tables in plain Python against the numpy tables they replaced:
+    # the same floats, or the same refusal
+    rng = np.random.default_rng(int(1e6 * q) + 71)
+    spec = ChannelSpec(q, Scenario.E1_ONLY)
+    for trial in range(3 + len(WEIGHT_EDGES)):
+        size = int(rng.integers(1, 6))
+        ns = [int(n) for n in rng.integers(1, MAX_USES + 1, size)]
+        ns[0] = MAX_USES - trial % 2  # a full-size row of either parity
+        alphas = [float(10.0 ** rng.uniform(-150, 0)) if rng.random() < 0.5 else float(rng.random())
+                  for _ in ns]
+        if trial >= 3:  # an edge of the weight on the full-size row: it refuses or saturates
+            alphas[0] = WEIGHT_EDGES[trial - 3]
+        rows_per_chunk = (1, 2, 1000)[trial % 3]
+        entries = rows_per_chunk * (max(ns) + 1) ** 2
+        monkeypatch.setattr(detection, "CHUNK_ENTRIES", entries)
+        assert _outcome(warden_errors, ns, alphas, spec) == \
+            _reference_outcome(ns, alphas, spec, entries), (ns, alphas, rows_per_chunk)
+
+
+def test_e1_table_makes_one_eigvalsh_per_degree_with_rows(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(blocks):
+        shapes.append(blocks.shape)
+        return eigvalsh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    warden_errors([2, 9, 6, 1, 6], [0.5, 0.3, 1e-9, 0.7, 1.0], E1_SPEC)
+    # the odd rows 9, 1 have blocks at degrees 1, 3, 5, 7, 9 and the even rows
+    # 6, 6, 2 at 0, 2, 4, 6; degree 8 has none
+    assert shapes == [(3, 1, 1), (2, 2, 2), (3, 3, 3), (1, 4, 4), (2, 5, 5), (1, 6, 6),
+                      (2, 7, 7), (1, 8, 8), (1, 10, 10)]
+
+
+@pytest.mark.parametrize("q", [0.05, 0.5, 0.9, 1.0])
+def test_fidelity_floor_matches_the_dense_root_fidelity(q):
+    # (1 - sqrt(1 - F^(2n)))/2 with F from the dense states; written as
+    # F^(2n) / (2 (1 + sqrt(1 - F^(2n)))) so that it holds at 2e-31 too
+    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.E1_ONLY))
+    for alpha in (0.05, 0.3, 0.5, 0.7, 1.0):
+        fid = root_fidelity((1.0 - alpha) * omega_0 + alpha * omega_1, omega_0)
+        for n in (1, 10, MAX_USES):
+            power = fid ** (2 * n)
+            want = power / (2.0 * (1.0 + math.sqrt(1.0 - power)))
+            got = detection._fidelity_floor(n, alpha, q * (1.0 - 0.5 * q))
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (alpha, n)
