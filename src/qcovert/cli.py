@@ -1,33 +1,45 @@
 """qcovert: deterministic CSV/JSON sweep tables for the analysis library.
 
 ``COMMANDS`` is the one command table: each command's handler, one-line
-help and options (``qcovert --help`` lists the commands).  A call builds
-at most one parser, and a well-formed argv builds none.  An argv that
-starts with a command name (or its underscore alias) and holds no ``--``
-goes straight to that command; any other argv (none, ``--help``, an
-unknown command, an option before the command, or one with ``--`` in it)
-goes to the top-level parser, which prints the help or the error or
+help and options (``qcovert --help`` lists the commands), its config keys
+and its output columns with their kinds (``int``, ``float``, ``str`` or
+``bool``).  A handler returns ``(config, rows)``: the config dict, keyed
+``command`` and then the declared keys, and one tuple per row whose every
+cell is exactly its column's kind.
+
+A call builds at most one parser, and a well-formed argv builds none.  An
+argv that starts with a command name (or its underscore alias) and holds
+no ``--`` goes straight to that command; any other argv (none, ``--help``,
+an unknown command, an option before the command, or one with ``--`` in
+it) goes to the top-level parser, which prints the help or the error or
 hands the command its options.  Options made only of ``--flag value``
 pairs, with exact flag names, values that do not start with ``-`` and
 each value of its option's type and choices, are read straight from the
-table.  Anything else (help, an abbreviation, ``--flag=value``, a
-negative number, a bad value) goes to the command's argparse parser,
-which reads it or prints the help or the error.
+table into a copy of the command's defaults (attribute names and
+defaults are built at import).  Anything else (help, an abbreviation,
+``--flag=value``, a negative number, a bad value) goes to the command's
+argparse parser, which reads it or prints the help or the error.
 
-``write_output`` writes every table through one row template.  A column
-holding only floats or only ints is one ``%`` conversion of the template
-(``%.12g`` or ``%d`` in CSV, ``%r`` for finite floats or ``%d`` in JSON);
-any other column is converted per value, and the JSON keys are written
-once per table.  The text is byte for byte what ``csv.writer`` over
-``_fmt``, and ``json.dumps(indent=2)`` with non-finite floats as the CSV's
-strings, write; that route is kept as the test oracle
-``oracles.stdlib_table_text``.  ``--out`` gets the encoded text in one
-``os.write`` (looped until every byte is out) on one ``os.open``.  In
-process, a ``scenario --q 0.37 --out FILE`` call to a new file takes about
-125 us: 14 us reading the argv, 27 us of closed forms, 62 us writing the
-JSON text and 19 us creating and writing the file (medians of 3500
-interleaved calls, one 2-core x86-64 host).  A float option and a grid
-entry of -0.0 are read as 0.0, so no echoed input prints a signed zero.
+Each command's output format is built once, at import, by
+``_table_format``: the CSV header and row template, the JSON row template
+with its keys encoded, and the JSON config head.  A call fills one ``%``
+template per row: a ``float`` column is ``%.12g`` in CSV and ``%r`` in
+JSON, an ``int`` column ``%d``, and only ``str`` and ``bool`` cells are
+converted one value at a time.  A float column that holds inf or nan is
+converted per value in JSON, that column only, to the string the CSV
+prints.  The text is byte for byte what ``csv.writer`` (floats to 12
+significant digits, booleans in lower case) and ``json.dumps(indent=2)``
+(non-finite floats as the CSV's strings) write; that route is kept as
+the test oracle ``oracles.stdlib_table_text``.
+``--out`` gets the encoded text in one ``os.write`` (looped until every
+byte is out) on one ``os.open``.  In process, a ``scenario --q Q --out
+FILE`` call to a new file takes about 118 us warm, right after another
+call (13 us reading the argv, 28 us in the handler, 49 us writing the
+JSON text, 26 us creating and writing the file), and about 240 us cold,
+right after the benchmark's ``cli`` probe (30, 62, 73 and 76 us): medians
+of 1500 calls each way on a 2-core x86-64 host.  A float option and a
+grid entry of -0.0 are read as 0.0, so no echoed input prints a signed
+zero.
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -40,9 +52,11 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .channels import ChannelSpec, Scenario, scenario_reports
-from .covert import capacity_curve, check_nu, moment_curve, rate_reports, schedule_weights
+from .covert import (RateReport, capacity_curve, check_nu, moment_curve, rate_reports,
+                     schedule_weights)
 from .detection import warden_errors
 
 
@@ -102,30 +116,12 @@ def parse_int_grid(text: str) -> list[int]:
     return values
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _csv_value(value) -> str:
-    """``_fmt(value)`` as csv.writer's QUOTE_MINIMAL writes it."""
-    text = _fmt(value)
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def _json_value(value, indent: str = "") -> str:
-    """``value`` as json.dumps(indent=2) writes it at ``indent``, non-finite floats as strings.
+    """A config value or cell as json.dumps(indent=2) writes it at ``indent``.
 
-    Lists and dicts nest; a float goes through ``float.__repr__`` (``repr``
-    would print an ``np.float64(...)``), or, if not finite, as the string
-    the CSV prints.
+    Lists nest; a float goes through ``float.__repr__`` (``repr`` would
+    print an ``np.float64(...)``), or, if not finite, as the string the CSV
+    prints.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -136,74 +132,129 @@ def _json_value(value, indent: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else f'"{_fmt(value)}"'
-    inner = indent + "  "
+        return float.__repr__(value) if math.isfinite(value) else f'"{value:.12g}"'
     if isinstance(value, list):
+        inner = indent + "  "
         items = [f"\n{inner}{_json_value(v, inner)}" for v in value]
         return "[" + ",".join(items) + f"\n{indent}]" if items else "[]"
-    if isinstance(value, dict):
-        items = [f"\n{inner}{encode_basestring_ascii(k)}: {_json_value(v, inner)}"
-                 for k, v in value.items()]
-        return "{" + ",".join(items) + f"\n{indent}}}" if items else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json_cell(value) -> str:
-    return _json_value(value, "      ")
+def _csv_str(text: str) -> str:
+    """A text field as csv.writer's QUOTE_MINIMAL writes it."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _filled(template: str, convert: list, rows: list[list], cols: list[tuple]) -> list[str]:
-    """``template % row`` for each row, column ``cols[i]`` first mapped by ``convert[i]`` if set."""
-    if any(convert):
-        rows = zip(*[col if f is None else map(f, col) for f, col in zip(convert, cols)])
-    return [template % tuple(row) for row in rows]
+def _csv_lone_str(text: str) -> str:
+    """The text field of a one-column table: csv.writer quotes a lone empty field."""
+    return _csv_str(text) or '""'
 
 
-def _csv_text(columns: list[str], rows: list[list]) -> str:
-    """The table as csv.writer writes the ``_fmt`` of each value.
+class _Verbatim(str):
+    """JSON text that a template's ``%r`` field writes as it is."""
 
-    A column of floats is one ``%.12g`` and a column of ints one ``%d`` in
-    the row template; any other column is ``_fmt`` and quoted per value.
-    """
+    __slots__ = ()
+    __repr__ = str.__str__
+
+
+def _json_float_cell(value: float) -> _Verbatim:
+    """A cell of a float column that holds inf or nan, for that column's ``%r`` field."""
+    return _Verbatim(_json_value(value))
+
+
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+# Per column kind: its CSV field, the conversion of each CSV cell first (None: the field's
+# own), its JSON field and the conversion of each JSON cell.
+_KINDS = {
+    float: ("%.12g", None, "%r", None),  # %r of an exact float is float.__repr__
+    int: ("%d", None, "%d", None),
+    str: ("%s", _csv_str, "%s", encode_basestring_ascii),
+    bool: ("%s", _BOOL_TEXT, "%s", _BOOL_TEXT),
+}
+
+
+class TableFormat:
+    """A table's output templates: per call, one ``%`` fill per row and the listed conversions."""
+
+    __slots__ = ("csv_head", "csv_row", "csv_convert", "json_head", "json_row", "json_convert",
+                 "json_floats")
+
+    def __init__(self, csv_head, csv_row, csv_convert, json_head, json_row, json_convert,
+                 json_floats):
+        self.csv_head = csv_head          # the header line
+        self.csv_row = csv_row            # one row's line, its "\r\n" included
+        self.csv_convert = csv_convert    # (column index, per-cell conversion) of str and bool
+        self.json_head = json_head        # '{"config": {...}, "rows": ', one %s per config value
+        self.json_row = json_row          # one row's object, keys encoded
+        self.json_convert = json_convert  # as csv_convert, for the JSON cells
+        self.json_floats = json_floats    # (column index, cell getter) of each float column
+
+
+def _json_key(key: str) -> str:
+    return encode_basestring_ascii(key).replace("%", "%%")
+
+
+def _table_format(columns: dict, config_keys) -> TableFormat:
+    """The templates of a table whose column ``name`` holds cells of kind ``columns[name]``."""
+    lone = len(columns) == 1
+    csv_fields, csv_convert, json_fields, json_convert, floats = [], [], [], [], []
+    for i, (name, kind) in enumerate(columns.items()):
+        csv_field, csv_cell, json_field, json_cell = _KINDS[kind]
+        if lone and kind is str:
+            csv_cell = _csv_lone_str
+        csv_fields.append(csv_field)
+        json_fields.append(f"\n      {_json_key(name)}: {json_field}")
+        if csv_cell is not None:
+            csv_convert.append((i, csv_cell))
+        if json_cell is not None:
+            json_convert.append((i, json_cell))
+        if kind is float:
+            floats.append((i, itemgetter(i)))
+    header = ",".join(map(_csv_str, columns))
+    config = ",".join(f"\n    {_json_key(key)}: %s" for key in config_keys)
+    return TableFormat(
+        csv_head=((header or '""') if lone else header) + "\r\n",
+        csv_row=",".join(csv_fields) + "\r\n",
+        csv_convert=tuple(csv_convert),
+        json_head='{\n  "config": ' + ("{" + config + "\n  }" if config else "{}")
+                  + ',\n  "rows": ',
+        json_row="    {" + ",".join(json_fields) + "\n    }" if json_fields else "    {}",
+        json_convert=tuple(json_convert),
+        json_floats=tuple(floats),
+    )
+
+
+def _filled(template: str, convert: tuple, rows: list):
+    """``template % row`` per row, each column i of ``convert``'s (i, f) first mapped by f."""
+    if not (convert and rows):
+        return map(template.__mod__, map(tuple, rows))
     cols = list(zip(*rows))
-    kinds = [set(map(type, col)) for col in cols]
-    template = ",".join("%.12g" if k == {float} else "%d" if k == {int} else "%s" for k in kinds)
-    convert = [None if k == {float} or k == {int} else _csv_value for k in kinds]
-    lines = [",".join(map(_csv_value, columns)), *_filled(template, convert, rows, cols)]
-    if len(columns) == 1:  # csv.writer quotes a lone empty field
-        lines = [line or '""' for line in lines]
-    return "\r\n".join(lines) + "\r\n"
+    for i, f in convert:
+        cols[i] = map(f, cols[i])
+    return map(template.__mod__, zip(*cols))
 
 
-def _json_text(config: dict, columns: list[str], rows: list[list]) -> str:
-    """``{"config": config, "rows": [one object per row]}`` as json.dumps(indent=2) writes it.
-
-    Each row fills one template: the keys are written once per table, a
-    column of finite floats is one ``%r`` (of exact type ``float``, so
-    ``float.__repr__``) and a column of ints one ``%d``, and any other
-    column is ``_json_value`` per value.
-    """
-    head = '{\n  "config": ' + _json_value(config, "  ") + ',\n  "rows": '
+def _json_text(form: TableFormat, config: dict, rows: list) -> str:
+    """``{"config": config, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
+    head = form.json_head % tuple([_json_value(v, "    ") for v in config.values()])
     if not rows:
         return head + "[]\n}\n"
-    cols = list(zip(*rows))
-    fields, convert = [], []
-    for key, col in zip(columns, cols):
-        kinds = set(map(type, col))
-        if kinds == {float} and all(map(math.isfinite, col)):
-            spec, f = "%r", None
-        elif kinds == {int}:
-            spec, f = "%d", None
-        else:
-            spec, f = "%s", encode_basestring_ascii if kinds == {str} else _json_cell
-        fields.append("\n      " + encode_basestring_ascii(key).replace("%", "%%") + ": " + spec)
-        convert.append(f)
-    template = "    {" + ",".join(fields) + "\n    }" if fields else "    {}"
-    return head + "[\n" + ",\n".join(_filled(template, convert, rows, cols)) + "\n  ]\n}\n"
+    convert = form.json_convert
+    for i, cell in form.json_floats:
+        if not all(map(math.isfinite, map(cell, rows))):
+            convert += ((i, _json_float_cell),)
+    return head + "[\n" + ",\n".join(_filled(form.json_row, convert, rows)) + "\n  ]\n}\n"
 
 
-def write_output(config: dict, columns: list[str], rows: list[list], args) -> None:
-    text = _csv_text(columns, rows) if args.format == "csv" else _json_text(config, columns, rows)
+def write_output(form: TableFormat, config: dict, rows: list, args) -> None:
+    """Write the table in ``args.format`` through ``form`` to ``args.out``, or else stdout."""
+    if args.format == "csv":
+        text = form.csv_head + "".join(_filled(form.csv_row, form.csv_convert, rows))
+    else:
+        text = _json_text(form, config, rows)
     if args.out:
         data = text.encode()
         fd = os.open(args.out, _OUT_FLAGS, 0o666)
@@ -219,155 +270,171 @@ def write_output(config: dict, columns: list[str], rows: list[list], args) -> No
 def cmd_bound_curve(args):
     q_grid = parse_grid(args.q_grid)
     config = {"command": "bound-curve", "q_grid": q_grid}
-    columns = ["q", "eta", "capacity_lb"]
-    rows = [[q, eta, cap] for q, (eta, cap) in zip(q_grid, capacity_curve(q_grid))]
-    return config, columns, rows
+    return config, [(q, *pair) for q, pair in zip(q_grid, capacity_curve(q_grid))]
 
 
 def cmd_approx_check(args):
     alpha_grid = parse_grid(args.alpha_grid)
-    config = {"command": "approx-check", "q": args.q, "alpha_grid": alpha_grid}
-    columns = [
-        "alpha", "q", "D_exact", "D_lead", "V_exact", "V_lead",
-        "Q_exact", "ratio_D", "ratio_V",
-    ]
-    rows = [[a, args.q, *row] for a, row in zip(alpha_grid, moment_curve(alpha_grid, args.q))]
-    return config, columns, rows
+    q = args.q
+    config = {"command": "approx-check", "q": q, "alpha_grid": alpha_grid}
+    return config, [(a, q, *row) for a, row in zip(alpha_grid, moment_curve(alpha_grid, q))]
+
+
+# RateReport's fields in rate-table's column order.
+_RATE_CELLS = itemgetter(*map(RateReport._fields.index, (
+    "n", "nu", "q", "alpha_n", "logM_finite", "logM_asymptotic", "willie_div_total",
+    "covert_rate_L", "covert_rate_limit")))
 
 
 def cmd_rate_table(args):
     if not (0.0 < args.q < 1.0):
         raise ValueError(f"q={args.q:g} outside (0, 1)")
     n_grid = parse_int_grid(args.n_grid)
-    config = {
-        "command": "rate-table",
-        "n_grid": n_grid,
-        "nu": args.nu,
-        "eps": args.eps,
-        "q": args.q,
-    }
-    columns = [
-        "n", "nu", "q", "alpha_n", "logM_lemma1", "logM_lemma2",
-        "div_total", "L_n", "L_limit",
-    ]
-    rows = [
-        [rep.n, rep.nu, rep.q, rep.alpha_n, rep.logM_finite, rep.logM_asymptotic,
-         rep.willie_div_total, rep.covert_rate_L, rep.covert_rate_limit]
-        for rep in rate_reports(n_grid, args.nu, args.q, args.eps)
-    ]
-    return config, columns, rows
+    config = {"command": "rate-table", "n_grid": n_grid, "nu": args.nu, "eps": args.eps,
+              "q": args.q}
+    return config, list(map(_RATE_CELLS, rate_reports(n_grid, args.nu, args.q, args.eps)))
+
+
+# A scenario's first two cells, its number and its label, and the numbers of all three.
+_SCENARIO_CELLS = {s: (int(s), s.name) for s in Scenario}
+_ALL_SCENARIOS = tuple(map(int, Scenario))
 
 
 def cmd_scenario(args):
     if args.format == "csv":
         raise ValueError("scenario reports are JSON only; drop --format csv")
-    scenarios = [Scenario(args.scenario)] if args.scenario else list(Scenario)
-    config = {
-        "command": "scenario",
-        "q": args.q,
-        "scenarios": [int(s) for s in scenarios],
-    }
-    columns = [
-        "scenario", "label", "q", "support_contained", "kernel_overlap",
-        "trace_distance", "det_omega0", "det_omega1", "verdict", "note",
-    ]
+    scenarios = [args.scenario] if args.scenario else list(_ALL_SCENARIOS)
+    config = {"command": "scenario", "q": args.q, "scenarios": scenarios}
     # a report's fields after its scenario are the columns after the label, in order
-    rows = [[int(rep.scenario), rep.scenario.name, *rep[1:]]
-            for rep in scenario_reports(args.q, scenarios)]
-    return config, columns, rows
+    return config, [_SCENARIO_CELLS[rep.scenario] + rep[1:]
+                    for rep in scenario_reports(args.q, scenarios)]
 
 
 def cmd_detect_sim(args):
     check_nu(args.nu)  # echoed in the config even when --alpha-grid replaces the schedule
     n_grid = parse_int_grid(args.n_grid)
     spec = ChannelSpec(args.q, Scenario(args.scenario))
-    alpha_grid = parse_grid(args.alpha_grid) if args.alpha_grid else None
-    if alpha_grid and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
+    alpha_grid = None if args.alpha_grid is None else parse_grid(args.alpha_grid)
+    if alpha_grid is not None and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
         raise ValueError(f"the n x alpha grid has more than {MAX_GRID_POINTS} entries")
-    config = {
-        "command": "detect-sim",
-        "n_grid": n_grid,
-        "q": args.q,
-        "scenario": int(spec.scenario),
-        "nu": args.nu,
-        "alpha_grid": alpha_grid,
-    }
-    columns = ["n", "alpha", "trace_dist", "E_n", "pinsker_floor", "div_total"]
+    config = {"command": "detect-sim", "n_grid": n_grid, "q": args.q,
+              "scenario": int(spec.scenario), "nu": args.nu, "alpha_grid": alpha_grid}
     if alpha_grid is None:
         ns, alphas = n_grid, list(schedule_weights(n_grid, args.nu))
     else:
         ns = [n for n in n_grid for _ in alpha_grid]
         alphas = alpha_grid * len(n_grid)
-    rows = [
-        [r.n, r.alpha, r.trace_dist, r.error_prob, r.pinsker_floor, r.div_total]
-        for r in warden_errors(ns, alphas, spec)
-    ]
-    return config, columns, rows
+    # a DetectionResult's fields are the columns, in order
+    return config, warden_errors(ns, alphas, spec)
 
 
-# Each command: its handler's name here (looked up per call, so a replaced cmd_* is what
-# runs), its one-line help, and its options beyond --out and --format (see ``_OPTION_TABLES``)
-# as add_argument keywords.
+class Command:
+    """One command of ``COMMANDS``."""
+
+    __slots__ = ("handler", "help", "options", "config", "columns")
+
+    def __init__(self, handler, help, options, config, columns):
+        self.handler = handler  # its cmd_* name here, looked up per call: a replaced cmd_* runs
+        self.help = help        # one line, for qcovert --help
+        self.options = options  # its options beyond --out and --format, as add_argument keywords
+        self.config = config    # its config's keys after "command"
+        self.columns = columns  # each output column's name and the kind of its cells
+
+
 COMMANDS = {
-    "bound-curve": ("cmd_bound_curve", "capacity lower bound and eta versus q", {
-        "--q-grid": {"default": "0.05:0.95:0.05", "help": "q values: a:b:step or comma list"}}),
-    "approx-check": ("cmd_approx_check", "exact vs leading-order D, V, Q over an alpha grid", {
-        "--q": {"type": _float, "default": 0.5},
-        "--alpha-grid": {"default": "1e-3,1e-4,1e-5,1e-6"}}),
-    "rate-table": ("cmd_rate_table", "finite-blocklength covert rates under the schedule", {
-        "--n-grid": {"default": "1e4,1e5,1e6"},
-        "--nu": {"type": _float, "default": 0.05},
-        "--eps": {"type": _float, "default": 0.05},
-        "--q": {"type": _float, "default": 0.5}}),
-    "scenario": ("cmd_scenario", "feasibility report per warden scenario (JSON only)", {
-        "--q": {"type": _float, "default": 0.5},
-        "--scenario": {"type": int, "choices": (1, 2, 3),
-                       "help": "restrict to one scenario (default: all three)"}}),
-    "detect-sim": ("cmd_detect_sim",
-                   "exact warden detection simulation, n <= 100 (30 for scenario 1)", {
-        "--n-grid": {"default": "1,2,3,4,5,6,7,8"},
-        "--q": {"type": _float, "default": 0.5},
-        "--scenario": {"type": int, "choices": (1, 2, 3), "default": 3},
-        "--nu": {"type": _float, "default": 0.05,
-                 "help": "schedule exponent setting alpha_n = n**(nu - 2/3)"},
-        "--alpha-grid": {"help": "fixed alpha values instead of the schedule"}}),
+    "bound-curve": Command(
+        "cmd_bound_curve", "capacity lower bound and eta versus q",
+        {"--q-grid": {"default": "0.05:0.95:0.05", "help": "q values: a:b:step or comma list"}},
+        ("q_grid",), {"q": float, "eta": float, "capacity_lb": float}),
+    "approx-check": Command(
+        "cmd_approx_check", "exact vs leading-order D, V, Q over an alpha grid",
+        {"--q": {"type": _float, "default": 0.5},
+         "--alpha-grid": {"default": "1e-3,1e-4,1e-5,1e-6"}},
+        ("q", "alpha_grid"),
+        dict.fromkeys(["alpha", "q", "D_exact", "D_lead", "V_exact", "V_lead", "Q_exact",
+                       "ratio_D", "ratio_V"], float)),
+    "rate-table": Command(
+        "cmd_rate_table", "finite-blocklength covert rates under the schedule",
+        {"--n-grid": {"default": "1e4,1e5,1e6"},
+         "--nu": {"type": _float, "default": 0.05},
+         "--eps": {"type": _float, "default": 0.05},
+         "--q": {"type": _float, "default": 0.5}},
+        ("n_grid", "nu", "eps", "q"),
+        {"n": int, **dict.fromkeys(["nu", "q", "alpha_n", "logM_lemma1", "logM_lemma2",
+                                    "div_total", "L_n", "L_limit"], float)}),
+    "scenario": Command(
+        "cmd_scenario", "feasibility report per warden scenario (JSON only)",
+        {"--q": {"type": _float, "default": 0.5},
+         "--scenario": {"type": int, "choices": (1, 2, 3),
+                        "help": "restrict to one scenario (default: all three)"}},
+        ("q", "scenarios"),
+        {"scenario": int, "label": str, "q": float, "support_contained": bool,
+         "kernel_overlap": float, "trace_distance": float, "det_omega0": float,
+         "det_omega1": float, "verdict": str, "note": str}),
+    "detect-sim": Command(
+        "cmd_detect_sim", "exact warden detection simulation, n <= 100 (30 for scenario 1)",
+        {"--n-grid": {"default": "1,2,3,4,5,6,7,8"},
+         "--q": {"type": _float, "default": 0.5},
+         "--scenario": {"type": int, "choices": (1, 2, 3), "default": 3},
+         "--nu": {"type": _float, "default": 0.05,
+                  "help": "schedule exponent setting alpha_n = n**(nu - 2/3)"},
+         "--alpha-grid": {"help": "fixed alpha values instead of the schedule"}},
+        ("n_grid", "q", "scenario", "nu", "alpha_grid"),
+        {"n": int, **dict.fromkeys(["alpha", "trace_dist", "E_n", "pinsker_floor",
+                                    "div_total"], float)}),
 }
 
-
-# Every option of each command as add_argument keywords: --out, --format, its own.  Built
-# once at import; callers share the dicts and change none.
+# Built once at import; callers share them and change none.  Per command: every option as
+# add_argument keywords (--out, --format, its own); the direct read's flag -> (attribute,
+# type, choices) and attribute -> default, in the order argparse sets them; its output format.
 _OPTION_TABLES = {
     name: {"--out": {"help": "output file path (default: stdout)"},
            "--format": {"choices": ("csv", "json"),
                         "default": "json" if name == "scenario" else "csv"},
-           **options}
-    for name, (_, _, options) in COMMANDS.items()
+           **command.options}
+    for name, command in COMMANDS.items()
 }
+_PLAIN_FLAGS = {
+    name: {flag: (flag[2:].replace("-", "_"), spec.get("type"), spec.get("choices"))
+           for flag, spec in options.items()}
+    for name, options in _OPTION_TABLES.items()
+}
+_DEFAULTS = {
+    name: {flag[2:].replace("-", "_"): spec.get("default") for flag, spec in options.items()}
+    for name, options in _OPTION_TABLES.items()
+}
+_FORMATS = {name: _table_format(command.columns, ("command", *command.config))
+            for name, command in COMMANDS.items()}
 
 
-def _plain_options(options: dict, rest: list):
-    """The Namespace argparse would read from ``rest``, or None to leave ``rest`` to argparse.
+def _plain_options(name: str, rest: list):
+    """The Namespace argparse would read from command ``name``'s ``rest``, or None to defer to it.
 
-    Reads only ``--flag value`` pairs: each flag one of ``options`` exactly,
-    each value not starting with "-", converted by the option's type and
-    within its choices; the last of a repeated flag wins, as in argparse.
+    Reads only ``--flag value`` pairs: each flag one of the command's
+    options exactly, each value not starting with "-", converted by the
+    option's type and within its choices; the last of a repeated flag wins,
+    as in argparse.
     """
     if len(rest) % 2:
         return None
-    read = {}
+    flags = _PLAIN_FLAGS[name]
+    values = _DEFAULTS[name].copy()
     for flag, text in zip(rest[::2], rest[1::2]):
-        spec = options.get(flag)
-        if spec is None or text.startswith("-"):
+        option = flags.get(flag)
+        if option is None or text.startswith("-"):
             return None
-        try:
-            value = spec["type"](text) if "type" in spec else text
-        except ValueError:
+        attr, kind, choices = option
+        if kind is not None:
+            try:
+                text = kind(text)
+            except ValueError:
+                return None
+        if choices is not None and text not in choices:
             return None
-        if "choices" in spec and value not in spec["choices"]:
-            return None
-        read[flag] = value
-    return argparse.Namespace(**{flag[2:].replace("-", "_"): read.get(flag, spec.get("default"))
-                                 for flag, spec in options.items()})
+        values[attr] = text
+    args = argparse.Namespace()
+    args.__dict__.update(values)
+    return args
 
 
 def _top_parser() -> argparse.ArgumentParser:
@@ -375,7 +442,7 @@ def _top_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="qcovert", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Covert-communication analysis tables for the qubit depolarizing channel.",
-        epilog="commands:\n" + "".join(f"  {n:<14}{h}\n" for n, (_, h, _) in COMMANDS.items()),
+        epilog="commands:\n" + "".join(f"  {n:<14}{c.help}\n" for n, c in COMMANDS.items()),
     )
     top.add_argument("command", metavar="command",
                      choices=dict.fromkeys(a for n in COMMANDS for a in (n, n.replace("-", "_"))),
@@ -386,16 +453,16 @@ def _top_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _command_parser(name: str, options: dict) -> argparse.ArgumentParser:
+def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of ``qcovert name [-h] [options]``, for help, abbreviations and errors."""
-    parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=COMMANDS[name][1])
-    for flag, spec in options.items():
+    parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=COMMANDS[name].help)
+    for flag, spec in _OPTION_TABLES[name].items():
         parser.add_argument(flag, **spec)
     return parser
 
 
 def _parse_args(argv):
-    """Return the handler of argv's command and the options read for it.
+    """Return the name of argv's command and the options read for it.
 
     For a command-first argv the top-level parser's REMAINDER would hand the
     command argv[1:] unchanged, so it is skipped; only a "--" (which that
@@ -410,18 +477,17 @@ def _parse_args(argv):
     else:
         head = _top_parser().parse_args(argv)
         name, rest = head.command.replace("_", "-"), head.args
-    options = _OPTION_TABLES[name]
-    args = _plain_options(options, rest)
+    args = _plain_options(name, rest)
     if args is None:
-        args = _command_parser(name, options).parse_args(rest)
-    return globals()[COMMANDS[name][0]], args
+        args = _command_parser(name).parse_args(rest)
+    return name, args
 
 
 def main(argv=None) -> int:
-    handler, args = _parse_args(argv)
+    name, args = _parse_args(argv)
     try:
-        config, columns, rows = handler(args)
-        write_output(config, columns, rows, args)
+        config, rows = globals()[COMMANDS[name].handler](args)
+        write_output(_FORMATS[name], config, rows, args)
     except (ValueError, OSError) as exc:
         print(f"qcovert: error: {exc}", file=sys.stderr)
         return 2

@@ -1396,8 +1396,13 @@ def _json_ready(value):
     return value
 
 
-def stdlib_table_text(config: dict, columns: list, rows: list, fmt: str) -> str:
-    """The text ``qcovert.cli.write_output`` writes for a table in format ``fmt``."""
+def stdlib_table_text(config: dict, rows: list, columns, fmt: str) -> str:
+    """The text ``qcovert.cli.write_output`` writes for a table in format ``fmt``.
+
+    ``columns`` holds the column names in order (a command's declared
+    ``columns`` dict will do).
+    """
+    columns = list(columns)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

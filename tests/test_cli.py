@@ -65,6 +65,17 @@ def test_detect_sim_table_size_cap_exits_two_at_once(capsys):
     assert "entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["detect-sim", "--n-grid", "1,2", "--alpha-grid", ""],
+    ["detect-sim", "--n-grid", "1,2", "--alpha-grid", " "],
+    ["detect-sim", "--n-grid", "1,2", "--alpha-grid="],
+])
+def test_detect_sim_refuses_an_empty_alpha_grid(argv, capsys):
+    # an empty --alpha-grid is a bad grid, not an absent one that runs the schedule
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "qcovert: error: empty grid\n")
+
+
 def test_parse_int_grid():
     assert cli.parse_int_grid("1e4,1e5") == [10000, 100000]
     assert cli.parse_int_grid("1:4:1") == [1, 2, 3, 4]
@@ -377,12 +388,12 @@ def _draw_argv(rng, flags):
 def test_plain_options_read_what_argparse_reads(name):
     """The direct read gives argparse's own Namespace, or declines."""
     options = cli._OPTION_TABLES[name]
-    parser = cli._command_parser(name, options)
+    parser = cli._command_parser(name)
     rng = random.Random(f"plain-options:{name}")
     read = 0
     for _ in range(5000):
         argv = _draw_argv(rng, list(options))
-        plain = cli._plain_options(options, argv)
+        plain = cli._plain_options(name, argv)
         if plain is None:
             continue
         read += 1
@@ -390,6 +401,7 @@ def test_plain_options_read_what_argparse_reads(name):
             expected = parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"read {argv!r} that argparse refuses")
+        assert type(plain) is argparse.Namespace
         assert repr(plain) == repr(expected), argv
         assert ({k: type(v) for k, v in vars(plain).items()}
                 == {k: type(v) for k, v in vars(expected).items()}), argv
@@ -474,12 +486,12 @@ def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
 
     def fake(args):
         seen.append(args.q_grid)
-        return {"command": "bound-curve"}, ["q"], [[0.25]]
+        return {"command": "bound-curve", "q_grid": [0.25]}, [(0.25, 1.5, 2.0)]
 
     monkeypatch.setattr(cli, "cmd_bound_curve", fake)
     assert cli.main(["bound-curve", "--q-grid", "0.25"]) == 0
     assert seen == ["0.25"]
-    assert capsys.readouterr().out == "q\r\n0.25\r\n"
+    assert capsys.readouterr().out == "q,eta,capacity_lb\r\n0.25,1.5,2\r\n"
 
 
 def test_validation_errors_exit_two(tmp_path, capsys):

@@ -22,6 +22,8 @@ from the repository root with ``PYTHONPATH=src``; regenerate one the
 same way, redirecting stdout to the file.
 """
 
+import argparse
+import math
 import os
 import subprocess
 import sys
@@ -110,8 +112,10 @@ def test_cli_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_out_file_and_stdout_get_the_stdlib_bytes(name, tmp_path, capsysbinary):
     """``--out`` writes stdout's bytes over a longer file, and names a path it cannot open."""
-    handler, args = cli._parse_args(CASES[name])
-    expected = stdlib_table_text(*handler(args), args.format).encode()
+    command, args = cli._parse_args(CASES[name])
+    declared = cli.COMMANDS[command]
+    handler = getattr(cli, declared.handler)
+    expected = stdlib_table_text(*handler(args), declared.columns, args.format).encode()
     assert cli.main(CASES[name]) == 0
     assert capsysbinary.readouterr() == (expected, b"")
     path = tmp_path / name
@@ -123,6 +127,51 @@ def test_out_file_and_stdout_get_the_stdlib_bytes(name, tmp_path, capsysbinary):
             open(target, "w", newline="")  # the error a text-mode open raised
         assert cli.main(CASES[name] + ["--out", str(target)]) == 2
         assert capsysbinary.readouterr() == (b"", f"qcovert: error: {info.value}\n".encode())
+
+
+# Each golden argv in each format its command writes (scenario is JSON only).
+FORMATTED = [(name, fmt) for name in sorted(CASES) for fmt in ("csv", "json")
+             if fmt == "json" or CASES[name][0] != "scenario"]
+
+
+@pytest.mark.parametrize("name, fmt", FORMATTED)
+def test_handlers_return_their_declared_kinds(name, fmt, capsysbinary):
+    """Every cell is exactly its column's declared kind, and the templates write the stdlib's bytes.
+
+    ``type(v) is kind`` rules out an ``np.float64`` in a float column and a
+    bool in an int column, which the templates' ``%r`` and ``%d`` would
+    print differently.
+    """
+    argv = CASES[name] + ["--format", fmt]
+    command, args = cli._parse_args(argv)
+    declared = cli.COMMANDS[command]
+    config, rows = getattr(cli, declared.handler)(args)
+    assert list(config) == ["command", *declared.config]
+    assert config["command"] == command
+    assert rows
+    kinds = list(declared.columns.values())
+    for row in rows:
+        assert [type(v) for v in row] == kinds, row
+    if name.startswith("detect_sim_allenv") and fmt == "json":
+        # the non-finite floats take the JSON writer's per-value fallback
+        assert not all(math.isfinite(v) for row in rows for v in row)
+    assert cli.main(argv) == 0
+    expected = stdlib_table_text(config, rows, declared.columns, fmt).encode()
+    assert capsysbinary.readouterr() == (expected, b"")
+
+
+def test_a_well_formed_call_builds_no_parser_and_no_format(monkeypatch, tmp_path):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built during a call")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", forbidden)
+    monkeypatch.setattr(cli, "_table_format", forbidden)
+    for name in sorted(CASES):
+        path = tmp_path / name
+        assert cli.main(CASES[name] + ["--out", str(path)]) == 0
+        assert path.read_bytes() == (GOLDEN / name).read_bytes()
+    with pytest.raises(AssertionError, match="built during a call"):
+        cli.main(["rate-table", "--q=0.3"])  # argparse's spelling does build a parser
 
 
 @pytest.mark.parametrize("name", DEMOS)

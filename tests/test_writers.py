@@ -1,11 +1,15 @@
 """The CLI's table writers against the standard library, byte for byte.
 
-``cli.write_output`` fills one row template per table; the stdlib route it
-replaced (``csv.writer`` over ``_fmt``, ``json.dumps(indent=2)`` with
-non-finite floats as strings) is kept as ``oracles.stdlib_table_text``.
-Tables are drawn column by column, so that a column is sometimes of one
-type (the template's own conversions) and sometimes mixed (a conversion
-per value).
+``cli.write_output`` fills the row templates that ``cli._table_format``
+builds from each column's declared kind; the stdlib route it replaced
+(``csv.writer`` over ``_fmt``, ``json.dumps(indent=2)`` with non-finite
+floats as strings) is kept as ``oracles.stdlib_table_text``.  Tables are
+drawn column by column: a random name and kind per column, and hostile
+cells of that kind (signed zeros, infinities, nan, the smallest subnormal,
+ints past 2**53, text with the CSV's, JSON's and the templates' special
+characters).  A float column sometimes holds inf or nan, which takes the
+JSON writer's per-value fallback, and sometimes holds only finite values.
+The config's values are of any JSON type, as a command's config may be.
 """
 
 import argparse
@@ -20,34 +24,40 @@ from hypothesis import strategies as st
 from oracles import stdlib_table_text
 from qcovert import cli
 
-SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308, 2.0**53 + 2.0]
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, -1e308,
+           2.0**53 + 2.0]
 FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([x for x in SPECIAL if math.isfinite(x)]))
 BIG = st.integers(min_value=2**53 + 1, max_value=2**80)
 INTS = st.one_of(st.integers(), BIG, BIG.map(lambda n: -n))
 # the CSV's and JSON's special characters, a template's "%", and non-ASCII text
-TEXT = st.text(st.one_of(st.sampled_from(',"\n\r%\\ é☃ '),
+TEXT = st.text(st.one_of(st.sampled_from(',"\n\r%\\ é☃ '),
                          st.characters(exclude_categories=("Cs",))), max_size=6)
-CELLS = [FLOATS, FLOATS.map(np.float64), st.floats(allow_nan=False, allow_infinity=False),
-         INTS, st.booleans(), st.none(), TEXT]
-MIXED = st.one_of(*CELLS)
+# (declared kind, its cells): a float column with and without inf and nan
+KINDS = [(float, FLOATS), (float, FINITE), (int, INTS), (str, TEXT), (bool, st.booleans())]
+CONFIG_VALUES = st.one_of(FLOATS, FLOATS.map(np.float64), INTS, st.booleans(), st.none(), TEXT)
 
 
 @st.composite
 def tables(draw):
-    columns = draw(st.lists(TEXT, max_size=4, unique=True))
+    names = draw(st.lists(TEXT, max_size=4, unique=True))
+    kinds = [draw(st.sampled_from(KINDS)) for _ in names]
     n_rows = draw(st.integers(min_value=0, max_value=4))
-    values = [draw(st.lists(draw(st.sampled_from([*CELLS, MIXED])),
-                            min_size=n_rows, max_size=n_rows)) for _ in columns]
-    rows = [list(row) for row in zip(*values)] if columns else [[] for _ in range(n_rows)]
-    config = draw(st.dictionaries(TEXT, st.one_of(MIXED, st.lists(MIXED, max_size=3)),
+    values = [draw(st.lists(cells, min_size=n_rows, max_size=n_rows)) for _, cells in kinds]
+    row = draw(st.sampled_from([tuple, list]))  # handlers return tuples; any sequence will do
+    rows = [row(cells) for cells in zip(*values)] if names else [row() for _ in range(n_rows)]
+    config = draw(st.dictionaries(TEXT, st.one_of(CONFIG_VALUES,
+                                                  st.lists(CONFIG_VALUES, max_size=3)),
                                   max_size=4))
-    return config, columns, rows
+    return config, rows, dict(zip(names, (kind for kind, _ in kinds)))
 
 
-def written(config, columns, rows, fmt):
+def written(config, rows, columns, fmt):
+    form = cli._table_format(columns, config.keys())
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli.write_output(config, columns, rows, argparse.Namespace(format=fmt, out=None))
+        cli.write_output(form, config, rows, argparse.Namespace(format=fmt, out=None))
     return out.getvalue()
 
 
@@ -59,12 +69,16 @@ def test_writers_match_the_stdlib(table, fmt):
 
 
 def test_writers_match_the_stdlib_at_the_edges():
-    # no columns, no rows, a lone empty field, empty and None config entries
-    for config, columns, rows in [
-        ({}, [], []), ({}, [], [[], []]), ({"a": []}, ["x"], []),
-        ({"a": None, "b": [], "c": [None, -0.0]}, [""], [[""], [None], [-0.0]]),
-        ({"n": [2**60]}, ["n", "x"], [[2**60, math.nan], [-(2**60), np.float64(-math.inf)]]),
+    # no columns, no rows, a lone empty field and name, empty and None config entries,
+    # "%" in a name, and non-finite floats beside finite ones in one column
+    for config, rows, columns in [
+        ({}, [], {}), ({}, [(), ()], {}), ({"a": []}, [], {"x": float}),
+        ({"a": None, "b": [], "c": [None, -0.0]}, [("",), ("x",), ('"',)], {"": str}),
+        ({"%s": 1}, [(-0.0,), (math.nan,), (5e-324,)], {"": float}),
+        ({"n": [2**60], "x": np.float64(-math.inf)},
+         [(2**60, math.nan), (-(2**60), -math.inf), (0, 1.5)], {"n": int, "x": float}),
+        ({}, [(True, "%d", -0.0), (False, "a,b", 0.0)], {"%d": bool, "%%": str, "100%": float}),
     ]:
         for fmt in ("csv", "json"):
-            assert written(config, columns, rows, fmt) == \
-                stdlib_table_text(config, columns, rows, fmt), (config, columns, rows, fmt)
+            assert written(config, rows, columns, fmt) == \
+                stdlib_table_text(config, rows, columns, fmt), (config, rows, columns, fmt)
