@@ -10,7 +10,7 @@ import math
 import qcovert as qc
 
 q = 0.5
-q4_const = qc.dvq_exact(1e-3, q).q4 / (1e-3 * math.log2(1e-3) ** 2)
+q4_const = qc.moment_curve([1e-3], q)[0][4] / (1e-3 * math.log2(1e-3) ** 2)
 print("alpha       D_exact      D_lead       ratio_D   ratio_V   ratio_Q")
 alphas = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 for alpha, (d, d_lead, _, _, q4, ratio_d, ratio_v) in zip(alphas, qc.moment_curve(alphas, q)):

@@ -18,7 +18,7 @@ nu, q = 0.05, 0.5
 print(f"schedule nu={nu}, channel q={q}, warden holds E1 only")
 print("n     alpha_n     trace_dist   error_prob   pinsker_floor")
 ns = [1, 2, 3, 5, 8, 13, 20, 32, 50, 79, 100]
-alphas = [qc.ScheduleParams(n, nu).alpha_n for n in ns]
+alphas = qc.schedule_weights(ns, nu)
 for r in qc.warden_errors(ns, alphas, qc.ChannelSpec(q, qc.Scenario.E1_ONLY)):
     print(f"{r.n:<4}  {r.alpha:.4e}  {r.trace_dist:.6f}     {r.error_prob:.6f}     "
           f"{r.pinsker_floor:.6f}")

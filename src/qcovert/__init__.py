@@ -16,17 +16,11 @@ from .channels import (
 )
 from .covert import (
     RateReport,
-    ScheduleParams,
     capacity_curve,
-    dvq_exact,
-    finite_blocklength_logM,
-    inverse_normal_cdf,
     moment_curve,
     rate_reports,
-    willie_divergence,
-    willie_eta,
+    schedule_weights,
 )
-from .detection import DetectionResult, pinsker_floor, warden_errors
-from .divergences import DvqTriple
+from .detection import DetectionResult, warden_errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -1,33 +1,35 @@
 """Achievable covert throughput over the depolarizing channel.
 
 For the weakly entangled input sqrt(1-alpha)|00> + sqrt(alpha)|11>
-this module gives the exact and leading-order relative entropy moments
-of the joint sender/receiver output, the finite-blocklength achievable
-message size, the warden's single-use divergence and its curvature, and
-three tables: ``moment_curve`` (the exact and leading-order moments per
-weight alpha), ``rate_reports`` (message sizes, divergence budget and
-covert rate per blocklength under the schedule) and ``capacity_curve``
-(the capacity lower bound per q).  The dense input state, the arrow
-matrix of the joint output, its parameters and spectral decomposition
-that these closed forms are checked against live in
-``tests/oracles.py``.
+this module gives three tables and the schedule they share:
+``moment_curve`` (the exact and leading-order relative entropy moments
+of the joint sender/receiver output per weight alpha), ``rate_reports``
+(the finite-blocklength achievable message size, the warden's divergence
+budget and the covert rate per blocklength) and ``capacity_curve`` (the
+warden's curvature and the capacity lower bound per q), with
+``schedule_weights``, the one form of the schedule alpha_n = n**(nu - 2/3).
+The dense input state, the arrow matrix of the joint output, its
+parameters and spectral decomposition that these closed forms are
+checked against live in ``tests/oracles.py``.
 
 Message sizes are in bits (all logs base 2).  The natural rate unit is
 log M / (log2(n) sqrt(n * divergence)), which stays finite when the
 message size grows like sqrt(n) log n.
 
-The moments D, V, Q, the warden's single-use divergence and its
-curvature eta are scalar closed forms in plain ``math``: no matrix, no
-eigensolver, each written so that no subtraction cancels but the one
-centring of V and Q, whose rounding is bounded.  A closed-form value that
-is not a positive normal float (inputs near the float underflow), or V
-and Q within the rounding of that centring, raises ArithmeticError
-instead of being returned.  The tables check every argument before any
-row, and compute what the grid does not vary once per table:
-``moment_curve`` the leading forms' coefficient, and ``rate_reports``
-the warden's per-q constants and eta from them, the schedule exponents and
-Phi^{-1}(eps).  ``schedule_weights`` is the one form of the schedule
-alpha_n = n**(nu - 2/3).
+Each quantity has one kernel, which takes its arguments unchecked: the
+moments D, V, Q (``_dvq``), the message size (``_logM``), the warden's
+single-use divergence (``_willie_divergence``, which
+``detection.warden_errors`` calls too) and its curvature eta (``_eta``),
+the last two from q's constants ``_e1_bloch``.  They are scalar closed
+forms in plain ``math``: no matrix, no eigensolver, each written so that
+no subtraction cancels but the one centring of V and Q, whose rounding is
+bounded.  A closed-form value that is not a positive normal float (inputs
+near the float underflow), or V and Q within the rounding of that
+centring, raises ArithmeticError instead of being returned.  The tables
+check every argument once, before any row, and compute what the grid does
+not vary once per table: ``moment_curve`` the leading forms'
+coefficient, and ``rate_reports`` the warden's per-q constants and eta
+from them, the schedule exponents and Phi^{-1}(eps).
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .divergences import DvqTriple
@@ -55,11 +56,6 @@ _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 
 
-def _check_unit(name: str, x: float):
-    if not (0.0 <= x <= 1.0) or math.isnan(x):
-        raise ValueError(f"{name}={x!r} outside [0, 1]")
-
-
 def _require_normal(what: str, *values: float):
     """Raise ArithmeticError unless every value is a positive, finite, normal float."""
     for x in values:
@@ -72,34 +68,13 @@ def check_nu(nu: float):
         raise ValueError(f"schedule exponent nu={nu!r} outside (0, 1/6)")
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
-    """Blocklength n with the covertness schedule exponent nu.
-
-    The schedule drives the input weight to zero as alpha_n = n**(nu - 2/3).
-    Requires 0 < nu < 1/6; n = 1 is admitted for simulation sweeps even
-    though it puts alpha_1 at the boundary value 1.
-    """
-
-    n: int
-    nu: float
-
-    def __post_init__(self):
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError(f"blocklength n={self.n!r} must be a positive integer")
-        check_nu(self.nu)
-
-    @property
-    def alpha_n(self) -> float:
-        return next(schedule_weights((self.n,), self.nu))
-
-
 def schedule_weights(blocklengths, nu: float):
     """Yield the schedule's input weight alpha_n = n**(nu - 2/3) for each blocklength n.
 
     This is the one form of the schedule.  nu is checked at the first
     weight and each n as its weight is taken: it must be a positive
-    integer, with ``ScheduleParams``' messages.
+    integer.  n = 1 is admitted for simulation sweeps, though it puts
+    alpha_1 at the boundary value 1.
     """
     check_nu(nu)
     exponent = nu - 2.0 / 3.0
@@ -125,16 +100,20 @@ class RateReport(NamedTuple):
     covert_rate_limit: float
 
 
-def dvq_exact(alpha: float, q: float) -> DvqTriple:
+def _dvq(alpha: float, q: float) -> DvqTriple:
     """Exact relative entropy moments of the joint output vs its marginals.
 
     D = Tr[rho L], V = Tr[rho (L-D)^2] and Q = Tr[rho (L-D)^4] in bits,
     with L = log2 rho - log2 sigma, rho the arrow-matrix joint output and
-    sigma the (diagonal) product of its marginals.  Both operators are
-    block diagonal: the {0, 3} block of rho has closed-form eigenpairs,
-    and indices 1, 2 are the scalars b, c against sigma_1, sigma_2, so the
+    sigma the (diagonal) product of its marginals, at 0 < alpha <= 1/2 and
+    0 < q < 1, unchecked.  The moments are symmetric under alpha -> 1 - alpha
+    (X (x) X maps one input onto the other and commutes with the channel),
+    so the tables pass min(alpha, 1 - alpha).  Both operators are block
+    diagonal: the {0, 3} block of rho has closed-form eigenpairs, and
+    indices 1, 2 are the scalars b, c against sigma_1, sigma_2, so the
     moments are scalar algebra on two eigenvalues, the block's rotation
-    angle and two scalars.
+    angle and two scalars.  Nearly every constant depends on alpha, so none
+    is kept across calls.
 
     D is written as KL(diag rho || sigma) + S(diag rho) - S(rho), a sum
     of seven nonnegative terms in g(u) = (1+u) log(1+u) - u (with 1 + u
@@ -144,32 +123,12 @@ def dvq_exact(alpha: float, q: float) -> DvqTriple:
     stays near 1e-15 from alpha ~ 1e-300 to 1/2 and for q from 1e-300 to
     1 - 1e-9, except near alpha = 1/2 at q below about 1e-20: there V is
     about q log^2 q and the centring's rounding can dominate it, so V and
-    Q are refused where that rounding could move them by 1e-14.
-
-    The moments are symmetric under alpha -> 1 - alpha (X (x) X maps one
-    input onto the other and commutes with the channel), so the form is
-    evaluated at min(alpha, 1 - alpha).  Raises ArithmeticError when an
-    eigenvalue, a marginal or a moment is not a positive normal float
-    (alpha q near the float underflow), or on that refusal of V and Q,
-    instead of returning a number that has lost its precision.
-
-    This is the checked form of one point.  Nearly every constant of the
-    form depends on alpha, so none is kept across calls; the tables
-    ``moment_curve`` and ``rate_reports`` check q once and call ``_dvq``
-    per row.
+    Q are refused where that rounding could move them by 1e-14.  Raises
+    ArithmeticError when an eigenvalue, a marginal or a moment is not a
+    positive normal float (alpha q near the float underflow), or on that
+    refusal of V and Q, instead of returning a number that has lost its
+    precision.
     """
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    alpha = min(alpha, 1.0 - alpha)
-    if alpha == 0.0 or q == 1.0:  # rho equals sigma exactly
-        return DvqTriple(0.0, 0.0, 0.0)
-    if q == 0.0:
-        return _dvq_noiseless(alpha)
-    return _dvq(alpha, q)
-
-
-def _dvq(alpha: float, q: float) -> DvqTriple:
-    """``dvq_exact`` at 0 < alpha <= 1/2 and 0 < q < 1, with no argument check."""
     half, eps = q / 2.0, 1.0 - q
     # rho: diagonal (a, b, c, d) with the corner coupling e between a and d
     a, b = (1.0 - half) * (1.0 - alpha), half * (1.0 - alpha)
@@ -243,33 +202,20 @@ def _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c) -> tuple[float, 
     return v, q4
 
 
-def _dvq_noiseless(alpha: float) -> DvqTriple:
-    """Moments at q = 0: rho is pure, so log rho = 0 and L = -log sigma.
-
-    rho's vector weights |00> and |11> by 1 - alpha and alpha, where
-    sigma is (1 - alpha)^2 and alpha^2: L is the two-point variable
-    -2 log2 p with p = (1 - alpha, alpha).
-    """
-    p = 1.0 - alpha
-    d = -2.0 * (p * math.log2(p) + alpha * math.log2(alpha))
-    spread = 2.0 * math.log2(p / alpha)
-    _require_normal("moment", d)  # V and Q vanish at alpha = 1/2
-    v = p * alpha * spread**2
-    return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
-
-
 def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
     """(D, D_lead, V, V_lead, Q, D / D_lead, V / V_lead) per weight alpha, at one q.
 
-    D, V and Q are ``dvq_exact``'s moments; D_lead and V_lead are their
+    D, V and Q are ``_dvq``'s moments; D_lead and V_lead are their
     leading small-alpha terms, which share the coefficient 2(1-q)^2/(2-q):
 
         D ~ -coeff * alpha * log2(alpha)
         V ~ +coeff * alpha * log2(alpha)^2
 
     q must lie in (0, 1) and every alpha in [0, 1); all are checked before
-    any row is computed.  alpha = 0 gives a row of zeros.
+    any row is computed, so the alphas are taken as a list first.  alpha = 0
+    gives a row of zeros.
     """
+    alphas = list(alphas)
     if not (0.0 < q < 1.0):
         raise ValueError(f"q={q:g} outside (0, 1)")
     for alpha in alphas:
@@ -288,41 +234,17 @@ def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
     return rows
 
 
-def inverse_normal_cdf(p: float) -> float:
-    """Quantile function of the standard normal distribution."""
-    if not (0.0 < p < 1.0) or math.isnan(p):
-        raise ValueError(f"probability p={p!r} outside (0, 1)")
-    return _NORMAL.inv_cdf(p)
-
-
-def finite_blocklength_logM(n: int, eps: float, dvq: DvqTriple) -> float:
+def _logM(n: int, eps: float, z: float, d: float, v: float, q4: float) -> float:
     """Achievable message size (bits) over n uses at error tolerance eps.
 
-    n*D + sqrt(n*V) * Phi^{-1}(eps) - C_n, where the correction
+    n*D + sqrt(n*V) * z - C_n of the moments (d, v, q4), z = Phi^{-1}(eps),
+    where the correction
 
         C_n = (beta / sqrt(2 pi)) * Q^(3/4) / V + V / sqrt(2 pi) + log2(4 eps n)
 
-    uses the conservative Berry-Esseen constant.  Requires V > 0.
+    uses the conservative Berry-Esseen constant.  Unchecked: n >= 2,
+    0 < eps < 1 and V > 0.
     """
-    if n < 2 or n != int(n):
-        raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
-    _check_eps(eps)
-    if not all(map(math.isfinite, dvq)):
-        raise ValueError(f"moments must be finite, got {dvq}")
-    if dvq.v <= 0.0:
-        raise ArithmeticError(
-            "second moment V must be positive for the correction term"
-        )
-    return _logM(n, eps, _NORMAL.inv_cdf(eps), *dvq)
-
-
-def _check_eps(eps: float):
-    if not (0.0 < eps < 1.0) or math.isnan(eps):
-        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
-
-
-def _logM(n: int, eps: float, z: float, d: float, v: float, q4: float) -> float:
-    """``finite_blocklength_logM`` of the moments (d, v, q4), given z = Phi^{-1}(eps); unchecked."""
     c_n = _BE_SQRT_2PI * q4**0.75 / v + v / _SQRT_2PI + math.log2(4.0 * eps * n)
     return n * d + math.sqrt(n * v) * z - c_n
 
@@ -357,30 +279,22 @@ def _g(u: float) -> float:
             1 / 132 - u * (1 / 156 - u * (1 / 182)))))))))))))
 
 
-def willie_divergence(alpha: float, q: float) -> float:
+def _willie_divergence(alpha, perp2, z, s_len, one_minus_s, atanh_s) -> float:
     """Single-use warden divergence D(omega_alpha || omega_0) in bits, E1 warden.
 
-    For qubit states with Bloch vectors r (omega_alpha, length R) and s
-    (omega_0, length S), D splits into the binary KL divergence between
-    the eigenvalue pairs (1 +/- R)/2 and (1 +/- S)/2 plus a perpendicular
-    term atanh(S) |r x s|^2 / (S (RS + r.s)), in nats.  Here
-    S^2 - R^2 = 4 alpha (1 - alpha) P and |r x s|^2 = 4 alpha^2 z^2 P
-    (see ``_e1_bloch``), and the binary term is written as
+    At 0 < alpha <= 1, from q's ``_e1_bloch`` constants (0 < q <= 1);
+    unchecked.  For qubit states with Bloch vectors r (omega_alpha, length
+    R) and s (omega_0, length S), D splits into the binary KL divergence
+    between the eigenvalue pairs (1 +/- R)/2 and (1 +/- S)/2 plus a
+    perpendicular term atanh(S) |r x s|^2 / (S (RS + r.s)), in nats.  Here
+    S^2 - R^2 = 4 alpha (1 - alpha) P and |r x s|^2 = 4 alpha^2 z^2 P, and
+    the binary term is written as
     ((1+S)/2) g(-delta/(1+S)) + ((1-S)/2) g(delta/(1-S)) with
     delta = S - R and g(u) = (1+u) log(1+u) - u.  Every term is
     nonnegative and formed without cancellation, so D keeps full
     relative precision down to alpha ~ 1e-150, where it underflows:
     a result that is not a positive normal float raises ArithmeticError.
     """
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    if alpha == 0.0 or q == 0.0:  # omega_alpha equals omega_0
-        return 0.0
-    return _willie_divergence(alpha, *_e1_bloch(q))
-
-
-def _willie_divergence(alpha, perp2, z, s_len, one_minus_s, atanh_s) -> float:
-    """``willie_divergence`` at 0 < alpha <= 1 from q's ``_e1_bloch``; alpha unchecked."""
     u = 1.0 - 2.0 * alpha
     r_len = math.sqrt(u * u * perp2 + z * z)
     delta = 4.0 * alpha * (1.0 - alpha) * perp2 / (s_len + r_len)
@@ -398,8 +312,8 @@ def _willie_divergence(alpha, perp2, z, s_len, one_minus_s, atanh_s) -> float:
     return d
 
 
-def willie_eta(q: float) -> float:
-    """Curvature of the warden's divergence at the innocent output.
+def _eta(warden) -> float:
+    """Curvature of the warden's divergence at the innocent output, from q's ``_e1_bloch``.
 
     eta(omega_1 || omega_0) for the single-environment-qubit warden; this
     is the constant that converts squared input weight into divergence,
@@ -410,16 +324,8 @@ def willie_eta(q: float) -> float:
 
     for the change Delta = r_1 - r_0 = (-2p, 0) split along and across
     omega_0's vector; with 1 - S^2 = P this is
-    4P / (S^2 ln 2) * (1 + z^2 atanh(S) / S) (see ``_e1_bloch``).
+    4P / (S^2 ln 2) * (1 + z^2 atanh(S) / S).  q is unchecked.
     """
-    _check_unit("q", q)
-    if q == 0.0:  # omega_1 = omega_0 = |0><0|
-        return 0.0
-    return _eta(_e1_bloch(q))
-
-
-def _eta(warden) -> float:
-    """``willie_eta`` from q's ``_e1_bloch``; q unchecked."""
     perp2, z, s_len, _, atanh_s = warden
     eta = 4.0 * perp2 / (s_len * s_len * LN2) * (1.0 + z * z * atanh_s / s_len)
     _require_normal("eta", eta)
@@ -433,8 +339,10 @@ def _capacity(q: float, eta: float) -> float:
 def capacity_curve(q_grid) -> list[tuple[float, float]]:
     """(eta, capacity lower bound) per q, the bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
 
-    Every q must lie in (0, 1); the whole grid is checked before any is computed.
+    Every q must lie in (0, 1); the grid is taken as a list and checked whole
+    before any q is computed.
     """
+    q_grid = list(q_grid)
     for q in q_grid:
         if not (0.0 < q < 1.0):
             raise ValueError(f"q={q:g} outside (0, 1)")
@@ -456,16 +364,16 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     the warden's ``_e1_bloch`` constants and eta from them (behind
     capacity_lb and covert_rate_limit), the coefficient of
     logM_asymptotic, its exponent and Phi^{-1}(eps).  A row takes alpha_n
-    from ``schedule_weights``, and ``dvq_exact``,
-    ``finite_blocklength_logM`` and ``willie_divergence`` by their unchecked
-    forms, with the same bits.
+    from ``schedule_weights`` and its message size and divergence from the
+    kernels ``_dvq``, ``_logM`` and ``_willie_divergence``.
     """
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
     warden = _e1_bloch(q)
     eta = _eta(warden)
     check_nu(nu)
-    _check_eps(eps)
+    if not (0.0 < eps < 1.0) or math.isnan(eps):
+        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
     z = _NORMAL.inv_cdf(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
@@ -474,7 +382,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     rows = []
     # schedule_weights refuses an n that is not a positive integer, the loop n = 1
     for n, alpha in zip(blocklengths, schedule_weights(blocklengths, nu)):
-        if n == 1:  # finite_blocklength_logM's message
+        if n == 1:  # the message size needs n >= 2
             raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
         logM = _logM(n, eps, z, *_dvq(min(alpha, 1.0 - alpha), q))
         div = n * _willie_divergence(alpha, *warden)

@@ -95,16 +95,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from typing import NamedTuple
 
 import numpy as np
 
 from .channels import ChannelSpec, Scenario
-from .covert import _e1_bloch, _willie_divergence
+from .covert import _TINY, LN2, _e1_bloch, _willie_divergence
 from .linalg import dicke_scaling
-
-LN2 = math.log(2.0)
 
 # Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
 # (n+1) x (n+1) and a row costs O(n^4) flops, about 0.015 s at the cap on a
@@ -138,10 +135,8 @@ class DetectionResult(NamedTuple):
     div_total: float
 
 
-def pinsker_floor(div_total_bits: float) -> float:
-    """Lower bound (1 - sqrt(ln2 * D / 2))/2 on the warden's error."""
-    if div_total_bits < 0.0:
-        raise ValueError(f"divergence {div_total_bits!r} must be nonnegative")
+def _pinsker_floor(div_total_bits: float) -> float:
+    """Lower bound (1 - sqrt(ln2 * D / 2))/2 on the warden's error, for a finite D >= 0."""
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
 
 
@@ -389,11 +384,11 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     n * D(omega_alpha || omega_0) and its Pinsker floor.  The budget is 0
     when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
     (omega_alpha leaves the support of omega_0), and n times the closed
-    form ``willie_divergence`` for E1_ONLY, its per-q constants taken once
-    per table.  A row whose hypotheses differ but whose T is not a
-    positive normal float raises ArithmeticError, as does a row whose E
-    falls more than 1e-12 below its Pinsker floor (a consistency check
-    that no exact T can fail) and an E1 row whose E falls below the
+    form ``covert._willie_divergence`` for E1_ONLY, its per-q constants
+    ``_e1_bloch`` taken once per table.  A row whose hypotheses differ but
+    whose T is not a positive normal float raises ArithmeticError, as does
+    a row whose E falls more than 1e-12 below its Pinsker floor (a
+    consistency check that no exact T can fail) and an E1 row whose E falls below the
     Fuchs-van de Graaf floor (``_fidelity_floor``) by more than that
     floor's rounding: there (1 - T)/2 has lost its relative accuracy.
     """
@@ -440,7 +435,7 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
         error = errors[i] if i in errors else 0.5 * (1.0 - t)
         if alpha == 0.0 or blind:
             div_total = 0.0
-        elif not sys.float_info.min <= t < math.inf:
+        elif not _TINY <= t < math.inf:
             raise ArithmeticError(
                 f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
         elif allenv:
@@ -458,7 +453,7 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
                 raise ArithmeticError(
                     f"error probability {error!r} at n={n}, alpha={alpha!r} fell below "
                     f"the Fuchs-van de Graaf floor {fidelity_floor!r}")
-        floor = pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf
+        floor = _pinsker_floor(div_total) if math.isfinite(div_total) else -math.inf
         if error < floor - 1e-12:
             raise ArithmeticError(
                 f"error probability {error} fell below the Pinsker floor {floor} at n={n}")

@@ -36,18 +36,22 @@ None of these is used by the library itself.  These kinds live here:
   ``willie_divergence_reference``, ``logM_reference`` and
   ``rate_rows_reference`` sum over lists through helper calls
   (``_coupled_pair``, ``_g`` by a loop, ``_central_moments``) and check
-  every argument per row.  ``qcovert.covert`` does the same floating-point
-  operations in the same order, written flat with its per-table constants
-  hoisted, so the two must agree bit for bit, refusals included.  Likewise
+  every argument per row, with the moments and the warden's divergence
+  defined on all of [0, 1] (``_check_unit``, and ``_dvq_noiseless`` at
+  q = 0).  ``qcovert.covert``'s kernels ``_dvq``, ``_logM`` and
+  ``_willie_divergence`` do the same floating-point operations in the
+  same order, written flat, unchecked, and with the per-table constants
+  hoisted into ``rate_reports``, so the two must agree bit for bit,
+  refusals included, on the domain the tables hand the kernels.  Likewise
   ``approx_rows_reference`` builds ``moment_curve``'s rows from the checks
-  of the CLI, ``dvq_exact`` per row and ``leading_reference``, the leading
-  forms with a fourth-moment constant fitted at alpha = 1e-3.
+  of the CLI, ``dvq_reference`` per row and ``leading_reference``, the
+  leading forms with a fourth-moment constant fitted at alpha = 1e-3.
 * The qubit wardens' detection route with numpy tables,
   ``qubit_rows_reference``: per chunk the powers, repeats and per-degree
   coefficients as stacked arrays, the block norms added by fancy-indexed
-  sums, and the budget by the checked ``willie_divergence`` per row.
-  ``qcovert.detection`` builds those tables in plain Python with the same
-  floating-point operations, so the two agree bit for bit, refusals
+  sums, and the budget by the checked ``willie_divergence_reference`` per
+  row.  ``qcovert.detection`` builds those tables in plain Python with the
+  same floating-point operations, so the two agree bit for bit, refusals
   included (but for the fidelity-floor refusal, which the reference lacks).
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
@@ -74,23 +78,25 @@ from qcovert.channels import (
     _check_q,
 )
 from qcovert.covert import (
+    _NORMAL,
     BERRY_ESSEEN,
     RateReport,
-    ScheduleParams,
-    _check_unit,
-    _dvq_noiseless,
+    _e1_bloch,
+    _eta,
     _require_normal,
-    dvq_exact,
-    inverse_normal_cdf,
-    willie_divergence,
-    willie_eta,
+    check_nu,
 )
-from qcovert.detection import DetectionResult, _warden_block, pinsker_floor
+from qcovert.detection import DetectionResult, _warden_block
 from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
 LN2 = math.log(2.0)
 DPS = 50
+
+
+def _check_unit(name: str, x: float):
+    if not (0.0 <= x <= 1.0) or math.isnan(x):
+        raise ValueError(f"{name}={x!r} outside [0, 1]")
 
 
 # ----------------------------------------------------------------------
@@ -694,8 +700,29 @@ def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
     return v, q4
 
 
+def _dvq_noiseless(alpha: float) -> DvqTriple:
+    """Moments at q = 0: rho is pure, so log rho = 0 and L = -log sigma.
+
+    rho's vector weights |00> and |11> by 1 - alpha and alpha, where
+    sigma is (1 - alpha)^2 and alpha^2: L is the two-point variable
+    -2 log2 p with p = (1 - alpha, alpha).
+    """
+    p = 1.0 - alpha
+    d = -2.0 * (p * math.log2(p) + alpha * math.log2(alpha))
+    spread = 2.0 * math.log2(p / alpha)
+    _require_normal("moment", d)  # V and Q vanish at alpha = 1/2
+    v = p * alpha * spread**2
+    return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
+
+
 def dvq_reference(alpha: float, q: float) -> DvqTriple:
-    """``qcovert.covert.dvq_exact`` by helper calls and list comprehensions."""
+    """The moments D, V, Q of ``qcovert.covert._dvq`` by helper calls and list comprehensions.
+
+    Every argument is checked, alpha in [0, 1] and q in [0, 1]: alpha is
+    folded to min(alpha, 1 - alpha) as the tables fold it, the moments are
+    0 where rho equals sigma (alpha = 0 or 1, q = 1) and the pure-state
+    form at q = 0.
+    """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
     alpha = min(alpha, 1.0 - alpha)
@@ -740,7 +767,11 @@ def dvq_reference(alpha: float, q: float) -> DvqTriple:
 
 
 def willie_divergence_reference(alpha: float, q: float) -> float:
-    """``qcovert.covert.willie_divergence`` with its per-q constants computed per call."""
+    """``qcovert.covert._willie_divergence`` with its per-q constants computed per call.
+
+    Every argument is checked, alpha and q in [0, 1]; the divergence is 0
+    where omega_alpha equals omega_0 (alpha = 0 or q = 0).
+    """
     _check_unit("alpha", alpha)
     _check_unit("q", q)
     if alpha == 0.0 or q == 0.0:
@@ -768,7 +799,7 @@ def willie_divergence_reference(alpha: float, q: float) -> float:
 
 
 def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
-    """``qcovert.covert.finite_blocklength_logM`` with its constants computed per call."""
+    """``qcovert.covert._logM`` with its constants computed and its arguments checked per call."""
     if n < 2 or n != int(n):
         raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
     if not (0.0 < eps < 1.0) or math.isnan(eps):
@@ -780,32 +811,35 @@ def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     c_n = (BERRY_ESSEEN / sqrt_2pi * dvq.q4**0.75 / dvq.v + dvq.v / sqrt_2pi
            + math.log2(4.0 * eps * n))
-    return n * dvq.d + math.sqrt(n * dvq.v) * inverse_normal_cdf(eps) - c_n
+    return n * dvq.d + math.sqrt(n * dvq.v) * _NORMAL.inv_cdf(eps) - c_n
 
 
 def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
-    """``qcovert.covert.rate_reports`` with a validating ``ScheduleParams`` and every check per row."""
+    """``qcovert.covert.rate_reports`` with the schedule's checks and every other check per row."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
-    eta = willie_eta(q)
+    eta = _eta(_e1_bloch(q))
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity = 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
     limit = coeff / math.sqrt(eta / 2.0)
     rows = []
     for n in blocklengths:
-        s = ScheduleParams(n, nu)
-        logM = logM_reference(s.n, eps, dvq_reference(s.alpha_n, q))
-        div = s.n * willie_divergence_reference(s.alpha_n, q)
+        if n < 1 or n != int(n):
+            raise ValueError(f"blocklength n={n!r} must be a positive integer")
+        check_nu(nu)
+        alpha = float(n) ** (nu - 2.0 / 3.0)
+        logM = logM_reference(n, eps, dvq_reference(alpha, q))
+        div = n * willie_divergence_reference(alpha, q)
         rows.append(RateReport(
-            n=s.n,
-            nu=s.nu,
+            n=n,
+            nu=nu,
             q=q,
-            alpha_n=s.alpha_n,
+            alpha_n=alpha,
             eps=eps,
             logM_finite=logM,
-            logM_asymptotic=coeff * float(n) ** (nu - 1.0 / 6.0) * math.sqrt(s.n) * math.log2(s.n),
+            logM_asymptotic=coeff * float(n) ** (nu - 1.0 / 6.0) * math.sqrt(n) * math.log2(n),
             willie_div_total=div,
-            covert_rate_L=logM / (math.log2(s.n) * math.sqrt(s.n * div)),
+            covert_rate_L=logM / (math.log2(n) * math.sqrt(n * div)),
             capacity_lb=capacity,
             covert_rate_limit=limit,
         ))
@@ -889,8 +923,8 @@ def qubit_rows_reference(ns, alphas, spec: ChannelSpec, chunk_entries: int = 2**
     The route before the per-chunk tables were built in plain Python: the
     powers, repeats and per-degree coefficients as stacked arrays, the block
     norms summed by fancy-indexed adds, and the budget by the checked
-    ``willie_divergence`` per row.  The E1 route must give the same floats,
-    or raise the same refusals.
+    ``willie_divergence_reference`` per row.  The E1 route must give the same
+    floats, or raise the same refusals.
     """
     ns, alphas = list(ns), list(alphas)
     if len(ns) != len(alphas):
@@ -923,9 +957,9 @@ def qubit_rows_reference(ns, alphas, spec: ChannelSpec, chunk_entries: int = 2**
             if not sys.float_info.min <= t < math.inf:
                 raise ArithmeticError(
                     f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
-            div_total = n * willie_divergence(alpha, spec.q)
+            div_total = n * willie_divergence_reference(alpha, spec.q)
         error = 0.5 * (1.0 - t)
-        floor = pinsker_floor(div_total)
+        floor = 0.5 * (1.0 - math.sqrt(LN2 * div_total / 2.0))
         if error < floor - 1e-12:
             raise ArithmeticError(
                 f"error probability {error} fell below the Pinsker floor {floor} at n={n}")
@@ -934,7 +968,7 @@ def qubit_rows_reference(ns, alphas, spec: ChannelSpec, chunk_entries: int = 2**
 
 
 # Weight at which ``leading_reference`` reads the fourth-moment constant off
-# ``dvq_exact``.
+# ``dvq_reference``.
 _REFERENCE_ALPHA = 1e-3
 
 
@@ -952,7 +986,7 @@ def leading_reference(alphas, q: float) -> list[DvqTriple]:
     """
     _check_unit("q", q)
     coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
-    q4_const = dvq_exact(_REFERENCE_ALPHA, q).q4 / (
+    q4_const = dvq_reference(_REFERENCE_ALPHA, q).q4 / (
         _REFERENCE_ALPHA * math.log2(_REFERENCE_ALPHA) ** 2
     )
     rows = []
@@ -971,7 +1005,7 @@ def leading_reference(alphas, q: float) -> list[DvqTriple]:
 
 
 def approx_rows_reference(alphas, q: float, leads=leading_reference) -> list[tuple]:
-    """``qcovert.covert.moment_curve`` by the CLI's checks, ``leads`` and ``dvq_exact`` per row."""
+    """``qcovert.covert.moment_curve`` by the CLI's checks, ``leads`` and ``dvq_reference`` per row."""
     if not (0.0 < q < 1.0):
         raise ValueError(f"q={q:g} outside (0, 1)")
     for a in alphas:
@@ -982,7 +1016,7 @@ def approx_rows_reference(alphas, q: float, leads=leading_reference) -> list[tup
         if a == 0.0:
             rows.append((0.0,) * 7)
             continue
-        exact = dvq_exact(a, q)
+        exact = dvq_reference(a, q)
         rows.append((exact.d, lead.d, exact.v, lead.v, exact.q4,
                      exact.d / lead.d, exact.v / lead.v))
     return rows

@@ -25,6 +25,7 @@ import pytest
 
 import oracles
 import qcovert as qc
+from qcovert import covert
 
 Q_TRIPLE = (0.25, 0.5, 0.75)
 ALPHA_GRID = (1e-3, 1e-4, 1e-5, 1e-6)
@@ -198,8 +199,8 @@ def test_criterion_04_leading_order_ratios():
 
 def test_criterion_05_quadratic_divergence_law():
     worst = {1e-3: 0.0, 1e-5: 0.0}
-    for q in (0.3, 0.5, 0.7):
-        curvature = qc.willie_eta(q)
+    qs = (0.3, 0.5, 0.7)
+    for q, (curvature, _) in zip(qs, qc.capacity_curve(qs)):
         for alpha in worst:
             d = oracles.relative_entropy(
                 oracles.e1only_marginal(alpha, q), oracles.e1only_marginal(0.0, q)
@@ -268,9 +269,8 @@ def test_criterion_08_scaling_law_window():
     nu, eps, q = 0.165, 0.01, 0.5
     grid = (10**4, 10**5, 10**6, 10**7)
     normalized, linear = [], []
-    for n in grid:
-        s = qc.ScheduleParams(n, nu)
-        logm = qc.finite_blocklength_logM(n, eps, qc.dvq_exact(s.alpha_n, q))
+    for n, rep in zip(grid, qc.rate_reports(grid, nu, q, eps)):
+        logm = rep.logM_finite
         normalized.append(logm / (math.sqrt(n) * math.log2(n)))
         linear.append(logm / n)
     increasing = all(b > a for a, b in zip(normalized, normalized[1:]))
@@ -292,7 +292,7 @@ def test_criterion_09_detection_simulator():
     nu, q = 0.05, 0.5
     spec = qc.ChannelSpec(q, qc.Scenario.E1_ONLY)
     ns = list(range(1, 9))
-    results = qc.warden_errors(ns, [qc.ScheduleParams(n, nu).alpha_n for n in ns], spec)
+    results = qc.warden_errors(ns, qc.schedule_weights(ns, nu), spec)
     margin = min(r.error_prob - r.pinsker_floor for r in results)
     floor_ok = all(r.error_prob >= r.pinsker_floor for r in results)
 
@@ -348,7 +348,7 @@ def test_criterion_10_quantile_accuracy():
     worst = 0.0
     for k in range(1, 1000):
         p = k / 1000.0
-        worst = max(worst, abs(qc.inverse_normal_cdf(p) - _oracle_quantile(p)))
+        worst = max(worst, abs(covert._NORMAL.inv_cdf(p) - _oracle_quantile(p)))
     ok = worst <= 1e-8
     _verdict(10, ok, f"worst |quantile - bisection oracle| {worst:.3g} (tol 1e-8)")
     assert worst <= 1e-8

@@ -6,20 +6,22 @@ domain the CLI accepts.  Where the closed forms cannot keep that
 accuracy (values near the float underflow), the CLI must refuse with
 exit code 3, never print a number with exit code 0.
 
-Stated bounds (relative):
+Stated bounds (relative), with the route each row audits:
 
-    D, V and Q of ``dvq_exact``                  1e-13
-    ``div_total`` = n D(omega_alpha || omega_0)   1e-13
-    ``willie_eta``                               1e-14
-    rate-table ``alpha_n``, ``logM_lemma2``      1e-13
-    rate-table ``logM_lemma1``, of its terms     1e-13
-    rate-table ``L_n``, of its terms             1e-13
-    rate-table ``L_limit``                       1e-13
-    detect-sim ``div_total`` (E1_ONLY)           1e-13
-    detect-sim trace distance T                  1e-10
-    detect-sim ALL_ENV T, n <= 30                1e-13
-    detect-sim ALL_ENV ``E_n``, n <= 30          1e-13
-    scenario overlap, trace distance, dets       1e-15
+    D, V and Q                               ``moment_curve``        1e-13
+    warden divergence D(omega_alpha || omega_0)
+      at the q and weight edges              ``_willie_divergence``  1e-13
+    rate-table ``div_total``                 ``rate_reports``        1e-13
+    eta                                      ``capacity_curve``      1e-14
+    rate-table ``alpha_n``, ``logM_lemma2``  ``rate_reports``        1e-13
+    rate-table ``logM_lemma1``, of its terms ``rate_reports``        1e-13
+    rate-table ``L_n``, of its terms         ``rate_reports``        1e-13
+    rate-table ``L_limit``                   ``rate_reports``        1e-13
+    detect-sim ``div_total`` (E1_ONLY)       ``warden_errors``       1e-13
+    detect-sim trace distance T              ``warden_errors``       1e-10
+    detect-sim ALL_ENV T, n <= 30            ``warden_errors``       1e-13
+    detect-sim ALL_ENV ``E_n``, n <= 30      ``warden_errors``       1e-13
+    scenario overlap, trace distance, dets   ``scenario_reports``    1e-15
 
 Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 1.7e-15 (Q), 2.0e-15 (``div_total``) and 3.9e-16 (eta); 3.7e-15 for the
@@ -74,11 +76,12 @@ from qcovert import cli
 from qcovert.channels import ChannelSpec, Scenario, scenario_reports
 from qcovert.covert import (
     BERRY_ESSEEN,
-    ScheduleParams,
-    dvq_exact,
+    _e1_bloch,
+    _willie_divergence,
+    capacity_curve,
+    moment_curve,
     rate_reports,
-    willie_divergence,
-    willie_eta,
+    schedule_weights,
 )
 from qcovert.detection import warden_errors
 
@@ -102,12 +105,16 @@ def _rel(got, ref):
     return float(abs(mp.mpf(got) - ref) / abs(ref))
 
 
+def _moments(row):
+    """D, V, Q of a ``moment_curve`` row."""
+    return row[0], row[2], row[4]
+
+
 @pytest.mark.parametrize("q", Q_GRID)
 def test_dvq_exact_matches_mpmath(q):
     worst = [0.0, 0.0, 0.0]
-    for alpha in ALPHA_GRID:
-        got, ref = dvq_exact(alpha, q), mp_dvq(alpha, q)
-        worst = [max(w, _rel(g, r)) for w, g, r in zip(worst, got, ref)]
+    for alpha, row in zip(ALPHA_GRID, moment_curve(ALPHA_GRID, q)):
+        worst = [max(w, _rel(g, r)) for w, g, r in zip(worst, _moments(row), mp_dvq(alpha, q))]
     assert max(worst) <= TOL_MOMENT, f"D, V, Q off by {worst}"
 
 
@@ -124,20 +131,22 @@ def test_closed_forms_near_the_edges():
     """q near 0 and 1, and warden weights from 1/2 on, where the branches matter."""
     worst = 0.0
     for q in (1e-6, 1.0 - 1e-6):
-        for alpha in (1e-12, 1e-6, 1e-2, 0.3, 0.5):
-            got, ref = dvq_exact(alpha, q), mp_dvq(alpha, q)
-            worst = max([worst] + [_rel(g, r) for g, r in zip(got, ref)])
+        alphas = (1e-12, 1e-6, 1e-2, 0.3, 0.5)
+        for alpha, row in zip(alphas, moment_curve(alphas, q)):
+            worst = max([worst] + [_rel(g, r) for g, r in zip(_moments(row), mp_dvq(alpha, q))])
     assert worst <= TOL_MOMENT, f"D, V, Q off by {worst:.2e}"
     worst = 0.0
     for q in (0.95, 1.0 - 1e-6, 1.0):
+        warden = _e1_bloch(q)
         for alpha in (0.5, 0.6, 0.9, 1.0):
-            worst = max(worst, _rel(willie_divergence(alpha, q), mp_willie_divergence(alpha, q)))
+            got = _willie_divergence(alpha, *warden)
+            worst = max(worst, _rel(got, mp_willie_divergence(alpha, q)))
     assert worst <= TOL_DIV, f"warden divergence off by {worst:.2e}"
 
 
 def test_willie_eta_matches_mpmath():
     grid = [0.001, 0.01] + [k / 20 for k in range(1, 20)] + [0.99, 0.999]
-    worst = max(_rel(willie_eta(q), mp_willie_eta(q)) for q in grid)
+    worst = max(_rel(eta, mp_willie_eta(q)) for q, (eta, _) in zip(grid, capacity_curve(grid)))
     assert worst <= TOL_ETA, f"eta off by {worst:.2e}"
 
 
@@ -205,7 +214,8 @@ def test_former_faults_now_pass(tmp_path):
     code, rows = _cli_rows(["rate-table", "--n-grid", "1e12,1e15"], tmp_path)
     assert code == 0
     for row in rows:
-        ref = row["n"] * mp_willie_divergence(ScheduleParams(int(row["n"]), 0.05).alpha_n, 0.5)
+        (alpha,) = schedule_weights([int(row["n"])], 0.05)
+        ref = row["n"] * mp_willie_divergence(alpha, 0.5)
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
 
 
@@ -226,7 +236,7 @@ def test_huge_n_is_accurate_or_refused(n, tmp_path):
     assert code in (0, 3)
     if code == 0:
         (row,) = rows
-        alpha = ScheduleParams(int(float(n)), 0.05).alpha_n
+        (alpha,) = schedule_weights([int(float(n))], 0.05)
         ref = int(float(n)) * mp_willie_divergence(alpha, 0.5)
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
 
@@ -234,8 +244,8 @@ def test_huge_n_is_accurate_or_refused(n, tmp_path):
 # q down to 1e-300.  D and the warden divergence keep their precision; a
 # row is refused where an eigenvalue alpha q / 2 or the divergence
 # underflows (alpha = 1e-12), or where V ~ q log^2 q near alpha = 1/2 is
-# within the rounding of L - D.  At alpha = 1, rho = sigma and the moments
-# are exactly 0 (the reference would take log 0).
+# within the rounding of L - D.  alpha = 1 is a warden weight only: the
+# moments' table takes alpha in [0, 1).
 SMALL_QS = (1e-300, 1e-200, 1e-100, 1e-20, 1e-17)
 SMALL_Q_ALPHAS = (1e-12, 1e-3, 0.3, 0.5, 1.0)
 
@@ -244,17 +254,17 @@ SMALL_Q_ALPHAS = (1e-12, 1e-3, 0.3, 0.5, 1.0)
 def test_closed_forms_at_tiny_noise_are_accurate_or_refused(q):
     worst_moment = worst_div = 0.0
     refused = set()
+    warden = _e1_bloch(q)
     for alpha in SMALL_Q_ALPHAS:
         try:
-            got = dvq_exact(alpha, q)
-            if alpha == 1.0:
-                assert got == (0.0, 0.0, 0.0)
-            else:
+            if alpha < 1.0:
+                got = _moments(moment_curve([alpha], q)[0])
                 worst_moment = max([worst_moment] + [_rel(g, r) for g, r in zip(got, mp_dvq(alpha, q))])
         except ArithmeticError:
             refused.add(alpha)
         try:
-            worst_div = max(worst_div, _rel(willie_divergence(alpha, q), mp_willie_divergence(alpha, q)))
+            got = _willie_divergence(alpha, *warden)
+            worst_div = max(worst_div, _rel(got, mp_willie_divergence(alpha, q)))
         except ArithmeticError:
             refused.add(alpha)
     assert worst_moment <= TOL_MOMENT, f"D, V, Q off by {worst_moment:.2e}"
@@ -274,14 +284,15 @@ def test_tiny_noise_on_the_cli_is_accurate_or_refused(q, tmp_path):
     code, rows = _cli_rows(["rate-table", "--q", q], tmp_path)
     assert code in (0, 3)
     for row in rows or []:
-        ref = row["n"] * mp_willie_divergence(ScheduleParams(int(row["n"]), 0.05).alpha_n, float(q))
+        (alpha,) = schedule_weights([int(row["n"])], 0.05)
+        ref = row["n"] * mp_willie_divergence(alpha, float(q))
         assert _rel(row["div_total"], ref) <= TOL_PRINTED
 
 
 @pytest.mark.parametrize("q", ["3.9e-305", "1e-305"])
 def test_tiny_noise_tables_print_the_rows_they_can_hold(q, tmp_path):
-    # below q of about 4e-305, dvq_exact(1e-3, q) refuses, but a table computes only the
-    # moments it prints: each row whose own moments are normal floats is printed
+    # below q of about 4e-305, the moments at alpha = 1e-3 refuse, but a table computes only
+    # the moments it prints: each row whose own moments are normal floats is printed
     alphas = (0.0, 0.05, 0.3, 0.45, 0.7)
     code, rows = _cli_rows(["approx-check", "--q", q, "--alpha-grid", ",".join(map(str, alphas))],
                            tmp_path)

@@ -666,7 +666,7 @@ def test_detect_sim_at_subnormal_noise(q, tmp_path, capsys):
 
 def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys):
     # every exact T keeps E >= floor - 1e-12; a row that breaks it is a numerical failure
-    monkeypatch.setattr(detection, "pinsker_floor", lambda div_total: 1.0)
+    monkeypatch.setattr(detection, "_pinsker_floor", lambda div_total: 1.0)
     assert cli.main(["detect-sim", "--n-grid", "3"]) == 3
     assert "fell below the Pinsker floor" in capsys.readouterr().err
 
@@ -682,9 +682,8 @@ def test_detect_sim_refuses_an_e1_error_below_the_fidelity_floor(capsys):
 
 ROOT_EXPORTS = {
     "ChannelSpec", "Scenario", "SupportReport", "scenario_reports", "RateReport",
-    "ScheduleParams", "capacity_curve", "dvq_exact", "finite_blocklength_logM",
-    "inverse_normal_cdf", "moment_curve", "rate_reports", "willie_divergence", "willie_eta",
-    "DetectionResult", "pinsker_floor", "warden_errors", "DvqTriple",
+    "capacity_curve", "moment_curve", "rate_reports", "schedule_weights",
+    "DetectionResult", "warden_errors",
 }
 
 
@@ -692,6 +691,22 @@ def test_package_root_exports_the_table_api():
     public = {name for name, value in vars(qcovert).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == ROOT_EXPORTS
+
+
+def test_tables_take_one_shot_grids():
+    # each table reads its grid once: a generator gives the rows the list gives
+    q, spec = 0.5, qcovert.ChannelSpec(0.5, Scenario.E1_ONLY)
+    alphas, qs, ns = [1e-3, 1e-4, 0.3], [0.3, 0.5], [10**4, 10**5]
+    cases = [
+        (covert.moment_curve, (alphas, q)),
+        (covert.capacity_curve, (qs,)),
+        (covert.rate_reports, (ns, 0.05, q)),
+        (detection.warden_errors, ([1, 2, 3], alphas, spec)),
+        (channels.scenario_reports, (q, list(Scenario))),
+    ]
+    for table, args in cases:
+        rows = table(*args)
+        assert rows and table(*(iter(a) if isinstance(a, list) else a for a in args)) == rows
 
 
 # The output records' fields, in the order they had as frozen dataclasses
@@ -723,6 +738,19 @@ def test_cli_imports_no_private_name():
     names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
              for alias in node.names]
     assert names and not [name for name in names if name.startswith("_")]
+
+
+def test_every_public_library_function_is_imported_by_the_cli():
+    """The tables are the API: no public function sits beside them unused by a command."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    public = {node.name for module in (channels, covert, detection)
+              for node in ast.parse(Path(module.__file__).read_text()).body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public == {"scenario_reports", "capacity_curve", "check_nu", "moment_curve",
+                      "rate_reports", "schedule_weights", "warden_errors"}
+    assert public <= imported
 
 
 @pytest.mark.parametrize("module", [channels, covert], ids=["channels", "covert"])

@@ -34,16 +34,10 @@ from oracles import (
 from qcovert import covert
 from qcovert.covert import (
     BERRY_ESSEEN,
-    ScheduleParams,
     capacity_curve,
-    dvq_exact,
-    finite_blocklength_logM,
-    inverse_normal_cdf,
     moment_curve,
     rate_reports,
     schedule_weights,
-    willie_divergence,
-    willie_eta,
 )
 from qcovert.divergences import DvqTriple
 
@@ -182,7 +176,7 @@ def test_dvq_exact_first_moment_matches_entropy_route():
             + entropy_bits(partial_trace(joint, [2, 2], [1]))
             - entropy_bits(joint)
         )
-        assert dvq_exact(alpha, q).d == pytest.approx(expected, abs=1e-11)
+        assert moment_curve([alpha], q)[0][0] == pytest.approx(expected, abs=1e-11)
 
 
 def test_dvq_exact_higher_moments_match_direct_construction():
@@ -194,18 +188,23 @@ def test_dvq_exact_higher_moments_match_direct_construction():
     centered = loglike - d * np.eye(4)
     v = float(np.trace(rho @ centered @ centered).real)
     q4 = float(np.trace(rho @ np.linalg.matrix_power(centered, 4)).real)
-    got = dvq_exact(alpha, q)
-    assert got.d == pytest.approx(d, abs=1e-12)
-    assert got.v == pytest.approx(v, abs=1e-12)
-    assert got.q4 == pytest.approx(q4, abs=1e-12)
+    got_d, _, got_v, _, got_q4, *_ = moment_curve([alpha], q)[0]
+    assert got_d == pytest.approx(d, abs=1e-12)
+    assert got_v == pytest.approx(v, abs=1e-12)
+    assert got_q4 == pytest.approx(q4, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.2, 0.5, 0.7, 0.999, 1.0])
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.9, 1.0])
 def test_dvq_exact_matches_dense_oracle(alpha, q):
-    """Closed form vs operator logarithms, across alpha = 1/2 and the q boundaries."""
+    """Closed form vs operator logarithms, across alpha = 1/2; the table refuses the boundaries."""
+    if not (0.0 < q < 1.0 and alpha < 1.0):  # no command computes the moments there
+        with pytest.raises(ValueError, match="outside"):
+            moment_curve([alpha], q)
+        return
+    d, _, v, _, q4, *_ = moment_curve([alpha], q)[0]
     expected = moments(joint_output_closed_form(alpha, q), product_of_marginals(alpha, q))
-    np.testing.assert_allclose(dvq_exact(alpha, q), expected, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose((d, v, q4), expected, rtol=1e-10, atol=1e-12)
 
 
 def test_warden_closed_forms_match_dense_oracles():
@@ -214,10 +213,8 @@ def test_warden_closed_forms_match_dense_oracles():
         q, alpha = rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0)
         omega_0, omega_1 = e1only_marginal(0.0, q), e1only_marginal(1.0, q)
         dense = relative_entropy(e1only_marginal(alpha, q), omega_0)
-        assert willie_divergence(alpha, q) == pytest.approx(dense, rel=1e-10)
-        assert willie_eta(q) == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
-    assert willie_divergence(0.0, 0.4) == 0.0
-    assert willie_eta(0.0) == 0.0
+        assert divergence_kernel(alpha, q) == pytest.approx(dense, rel=1e-10)
+        assert capacity_curve([q])[0][0] == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
 
 
 def test_dvq_asymptotic_leading_forms():
@@ -236,61 +233,52 @@ def test_dvq_ratio_regression_values():
     pins = {1e-3: 0.277163, 1e-4: 0.207750, 1e-5: 0.166181, 1e-6: 0.138481}
     rows = moment_curve(list(pins), 0.5)
     for (alpha, pin), (d, d_lead, *_, ratio_d, _) in zip(pins.items(), rows):
-        assert d == dvq_exact(alpha, 0.5).d and ratio_d == d / d_lead
+        assert d == dvq_reference(alpha, 0.5).d and ratio_d == d / d_lead
         assert ratio_d - 1.0 == pytest.approx(pin, abs=5e-6)
 
 
 def test_inverse_normal_cdf_basics():
-    assert inverse_normal_cdf(0.5) == 0.0
-    assert inverse_normal_cdf(0.975) == pytest.approx(1.959963985, abs=1e-8)
-    assert inverse_normal_cdf(0.2) == pytest.approx(-inverse_normal_cdf(0.8), abs=1e-14)
+    # rate_reports' Phi^{-1}(eps), taken once per table after eps is checked
+    inv_cdf = covert._NORMAL.inv_cdf
+    assert inv_cdf(0.5) == 0.0
+    assert inv_cdf(0.975) == pytest.approx(1.959963985, abs=1e-8)
+    assert inv_cdf(0.2) == pytest.approx(-inv_cdf(0.8), abs=1e-14)
     for bad in (0.0, 1.0, -0.1, math.nan):
-        with pytest.raises(ValueError):
-            inverse_normal_cdf(bad)
+        with pytest.raises(ValueError, match=r"^error tolerance eps="):
+            rate_reports([10**4], 0.05, 0.5, bad)
 
 
 def test_finite_blocklength_logM_formula():
-    n, eps = 1000, 0.05
-    triple = DvqTriple(0.01, 0.002, 1e-5)
-    c_n = (
-        BERRY_ESSEEN / SQRT_2PI * triple.q4**0.75 / triple.v
-        + triple.v / SQRT_2PI
-        + math.log2(4.0 * eps * n)
-    )
-    expected = n * triple.d + math.sqrt(n * triple.v) * inverse_normal_cdf(eps) - c_n
-    assert finite_blocklength_logM(n, eps, triple) == pytest.approx(expected, rel=1e-14)
+    n, eps, q = 10**5, 0.05, 0.5
+    (rep,) = rate_reports([n], 0.05, q, eps)
+    d, _, v, _, q4, *_ = moment_curve([rep.alpha_n], q)[0]
+    c_n = BERRY_ESSEEN / SQRT_2PI * q4**0.75 / v + v / SQRT_2PI + math.log2(4.0 * eps * n)
+    expected = n * d + math.sqrt(n * v) * covert._NORMAL.inv_cdf(eps) - c_n
+    assert rep.logM_finite == pytest.approx(expected, rel=1e-14)
 
 
 def test_finite_blocklength_logM_validation():
-    good = DvqTriple(0.01, 0.002, 1e-5)
-    with pytest.raises(ValueError):
-        finite_blocklength_logM(1, 0.05, good)
-    with pytest.raises(ValueError):
-        finite_blocklength_logM(100, 1.0, good)
-    with pytest.raises(ValueError):
-        finite_blocklength_logM(100, 0.05, DvqTriple(math.inf, math.inf, math.inf))
-    with pytest.raises(ArithmeticError):
-        finite_blocklength_logM(100, 0.05, DvqTriple(0.01, 0.0, 1e-5))
+    # the message size needs n >= 2 and eps in (0, 1), checked before any row
+    with pytest.raises(ValueError, match=r"^blocklength n=1 must be an integer >= 2$"):
+        rate_reports([1], 0.05, 0.5)
+    with pytest.raises(ValueError, match=r"^error tolerance eps=1\.0 outside \(0, 1\)$"):
+        rate_reports([100], 0.05, 0.5, 1.0)
 
 
 def test_schedule_params():
-    s = ScheduleParams(10**6, 0.05)
-    assert s.alpha_n == pytest.approx(10.0 ** (6 * (0.05 - 2.0 / 3.0)), rel=1e-12)
-    assert ScheduleParams(1, 0.1).alpha_n == 1.0  # boundary blocklength
-    with pytest.raises(ValueError):
-        ScheduleParams(0, 0.05)
-    with pytest.raises(ValueError):
-        ScheduleParams(100, 0.0)
-    with pytest.raises(ValueError):
-        ScheduleParams(100, 1.0 / 6.0)
+    (alpha,) = schedule_weights([10**6], 0.05)
+    assert alpha == pytest.approx(10.0 ** (6 * (0.05 - 2.0 / 3.0)), rel=1e-12)
+    assert list(schedule_weights([1], 0.1)) == [1.0]  # boundary blocklength
+    for n, nu in ((0, 0.05), (100, 0.0), (100, 1.0 / 6.0)):
+        with pytest.raises(ValueError):
+            list(schedule_weights([n], nu))
 
 
 def test_schedule_weights_are_the_one_schedule():
-    # ScheduleParams, rate_reports and detect-sim take alpha_n = n**(nu - 2/3) here
+    # rate_reports and detect-sim take alpha_n = n**(nu - 2/3) here
     ns, nu = [1, 2, 7, 10**6, 10**15], 0.05
     weights = list(schedule_weights(ns, nu))
     assert weights == [float(n) ** (nu - 2.0 / 3.0) for n in ns]
-    assert weights == [ScheduleParams(n, nu).alpha_n for n in ns]
     assert [rep.alpha_n for rep in rate_reports(ns[1:], nu, 0.5)] == weights[1:]
     with pytest.raises(ValueError, match=r"^blocklength n=0 must be a positive integer$"):
         list(schedule_weights([3, 0], nu))
@@ -302,53 +290,50 @@ def test_schedule_weights_are_the_one_schedule():
 
 def test_tables_check_q_once_and_take_eta_unchecked(monkeypatch):
     qs = [1e-300, 1e-6, 0.5, 1.0 - 1e-9]
-    etas = [willie_eta(q) for q in qs]
-    rates = [rate_reports([10**4], 0.05, q) for q in qs]
-
-    def checked_again(q):
-        raise AssertionError("q was checked once already")
-
-    monkeypatch.setattr(covert, "willie_eta", checked_again)
-    assert [eta for eta, _ in capacity_curve(qs)] == etas
-    assert [rate_reports([10**4], 0.05, q) for q in qs] == rates
-    assert rates[2][0].capacity_lb == capacity_curve([0.5])[0][1]
+    kernel, calls = covert._eta, []
+    monkeypatch.setattr(covert, "_eta", lambda warden: calls.append(warden) or kernel(warden))
+    curve = capacity_curve(qs)
+    assert len(calls) == len(qs)  # one eta per q
+    rates = [rate_reports([10**4, 10**5], 0.05, q) for q in qs]
+    assert len(calls) == 2 * len(qs)  # one eta per table, not per row
+    assert [eta for eta, _ in curve] == [kernel(covert._e1_bloch(q)) for q in qs]
+    assert [r.capacity_lb for r, _ in rates] == [capacity for _, capacity in curve]
 
 
 def test_asymptotic_logM_formula():
-    s = ScheduleParams(10**5, 0.08)
-    q = 0.4
+    n, nu, q = 10**5, 0.08, 0.4
     expected = (
-        2.0 * (2.0 / 3.0 - 0.08) * 0.36 / 1.6 * float(s.n) ** (s.nu - 1.0 / 6.0)
-        * math.sqrt(s.n) * math.log2(s.n)
+        2.0 * (2.0 / 3.0 - 0.08) * 0.36 / 1.6 * float(n) ** (nu - 1.0 / 6.0)
+        * math.sqrt(n) * math.log2(n)
     )
-    (rep,) = rate_reports([s.n], s.nu, q)
+    (rep,) = rate_reports([n], nu, q)
     assert rep.logM_asymptotic == pytest.approx(expected, rel=1e-13)
 
 
 def test_willie_eta_pins_and_quadratic_limit():
-    for q, pin in ETA_PINS.items():
-        assert willie_eta(q) == pytest.approx(pin, rel=1e-12)
+    for (eta_q, _), pin in zip(capacity_curve(list(ETA_PINS)), ETA_PINS.values()):
+        assert eta_q == pytest.approx(pin, rel=1e-12)
     # independent check: the curvature really is the small-weight limit of
     # 2 D(omega_t || omega_0) / t^2 for the single-environment-qubit warden
     q = 0.5
     t = 1e-4
     d = relative_entropy(e1only_marginal(t, q), e1only_marginal(0.0, q))
-    assert 2.0 * d / (t * t) == pytest.approx(willie_eta(q), rel=1e-3)
+    assert 2.0 * d / (t * t) == pytest.approx(capacity_curve([q])[0][0], rel=1e-3)
 
 
 def test_willie_divergence_total_exact_additivity():
-    s = ScheduleParams(10**4, 0.05)
-    q = 0.5
-    exact = s.n * willie_divergence(s.alpha_n, q)
-    quadratic = s.n * s.alpha_n**2 * willie_eta(q) / 2.0
+    n, nu, q = 10**4, 0.05, 0.5
+    (rep,) = rate_reports([n], nu, q)
+    exact = rep.willie_div_total
+    quadratic = n * rep.alpha_n**2 * capacity_curve([q])[0][0] / 2.0
     # n times the single-use divergence, against the 50-digit reference
     # (the dense double-precision route is itself 7e-12 off here)
-    single = mp_willie_divergence(s.alpha_n, q)
-    assert exact == pytest.approx(float(s.n * single), rel=1e-14)
+    single = mp_willie_divergence(rep.alpha_n, q)
+    assert exact == pytest.approx(float(n * single), rel=1e-14)
     # quadratic law is within half a percent at this weight (alpha ~ 3e-3)
     assert exact / quadratic == pytest.approx(1.0, abs=6e-3)
     with pytest.raises(ValueError):
-        rate_reports([s.n], s.nu, 1.0)
+        rate_reports([n], nu, 1.0)
 
 
 def test_covert_rate_formula_and_validation():
@@ -365,7 +350,7 @@ def test_covert_rate_formula_and_validation():
 
 def test_capacity_lower_bound_values(monkeypatch):
     ((eta, capacity),) = capacity_curve([0.5])
-    assert eta == willie_eta(0.5)
+    assert eta == pytest.approx(ETA_PINS[0.5], rel=1e-12)
     assert capacity == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
     # closed form against the pinned eta
     q = 0.5
@@ -384,7 +369,7 @@ def test_rate_limit_formula():
     coeff = 2.0 * (2.0 / 3.0 - nu) * 0.25 / 1.5
     (rep,) = rate_reports([10**4], nu, q)
     assert rep.covert_rate_limit == pytest.approx(
-        coeff / math.sqrt(willie_eta(q) / 2.0), rel=1e-13
+        coeff / math.sqrt(capacity_curve([q])[0][0] / 2.0), rel=1e-13
     )
     with pytest.raises(ValueError):
         rate_reports([10**4], 0.2, 0.5)
@@ -393,22 +378,21 @@ def test_rate_limit_formula():
 
 
 def test_rate_report_is_internally_consistent():
-    s = ScheduleParams(10**5, 0.05)
-    (rep,) = rate_reports([s.n], s.nu, 0.5, eps=0.05)
-    assert rep.n == s.n and rep.q == 0.5 and rep.eps == 0.05
-    assert rep.alpha_n == s.alpha_n
-    dvq = dvq_exact(s.alpha_n, 0.5)
-    assert rep.logM_finite == pytest.approx(
-        finite_blocklength_logM(s.n, 0.05, dvq), rel=1e-14
-    )
+    n, nu = 10**5, 0.05
+    (rep,) = rate_reports([n], nu, 0.5, eps=0.05)
+    assert rep.n == n and rep.q == 0.5 and rep.eps == 0.05
+    (alpha,) = schedule_weights([n], nu)
+    assert rep.alpha_n == alpha
+    dvq = dvq_reference(alpha, 0.5)
+    assert rep.logM_finite == pytest.approx(logM_reference(n, 0.05, dvq), rel=1e-14)
     assert rep.logM_asymptotic == pytest.approx(
-        2.0 * (2.0 / 3.0 - s.nu) * 0.25 / 1.5 * float(s.n) ** (s.nu - 1.0 / 6.0)
-        * math.sqrt(s.n) * math.log2(s.n),
+        2.0 * (2.0 / 3.0 - nu) * 0.25 / 1.5 * float(n) ** (nu - 1.0 / 6.0)
+        * math.sqrt(n) * math.log2(n),
         rel=1e-14,
     )
-    assert rep.willie_div_total == s.n * willie_divergence(s.alpha_n, 0.5)
+    assert rep.willie_div_total == n * willie_divergence_reference(alpha, 0.5)
     assert rep.covert_rate_L == pytest.approx(
-        rep.logM_finite / (math.log2(s.n) * math.sqrt(s.n * rep.willie_div_total)), rel=1e-14
+        rep.logM_finite / (math.log2(n) * math.sqrt(n * rep.willie_div_total)), rel=1e-14
     )
     assert rep.capacity_lb == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
 
@@ -437,13 +421,16 @@ def test_finite_rate_convergence_approaches_limit():
     assert abs(gaps[-1]) < abs(gaps[0]) / 5.0
     assert abs(gaps[-1]) < 0.05 * limit
     coeff = 2.0 * (2.0 / 3.0 - 0.05) * 0.25 / 1.5
-    assert limit == pytest.approx(coeff / math.sqrt(willie_eta(0.5) / 2.0), rel=1e-14)
+    assert limit == pytest.approx(coeff / math.sqrt(capacity_curve([0.5])[0][0] / 2.0), rel=1e-14)
 
 
 # ----------------------------------------------------------------------
 # The flat closed forms against their helper-route copies in ``oracles``:
 # the same floats bit for bit (compared by repr, which tells every double
-# apart), or the same exception type with the same message.
+# apart), or the same exception type with the same message.  The kernels
+# are compared on the domain the tables hand them: ``_dvq`` at
+# min(alpha, 1 - alpha) in (0, 1/2] and q in (0, 1), ``_willie_divergence``
+# at alpha in (0, 1] with the constants ``_e1_bloch`` of q in (0, 1].
 
 
 def outcome(f, *args):
@@ -451,6 +438,11 @@ def outcome(f, *args):
         return repr(f(*args))
     except (ValueError, ArithmeticError) as exc:
         return type(exc), str(exc)
+
+
+def divergence_kernel(alpha, q):
+    """``covert._willie_divergence`` at q's constants, as the tables call it."""
+    return covert._willie_divergence(alpha, *covert._e1_bloch(q))
 
 
 EDGE_QS = (0.0, 5e-324, 1e-300, 1e-20, 1e-17, 1e-6, 1.0 - 1e-9, 1.0)
@@ -468,8 +460,11 @@ weight_level = st.one_of(st.sampled_from((0.0, 5e-324, 1e-320, 0.5, 1.0)), st.fl
 @given(alpha=weight_level, q=noise_level, u=st.floats(-0.06, 0.06))
 def test_flat_forms_match_the_helper_route(alpha, q, u):
     assert repr(covert._g(u)) == repr(oracles._g(u))  # one Horner expression against the loop
-    assert outcome(dvq_exact, alpha, q) == outcome(dvq_reference, alpha, q)
-    assert outcome(willie_divergence, alpha, q) == outcome(willie_divergence_reference, alpha, q)
+    folded = min(alpha, 1.0 - alpha)
+    if folded > 0.0 and 0.0 < q < 1.0:
+        assert outcome(covert._dvq, folded, q) == outcome(dvq_reference, alpha, q)
+    if alpha > 0.0 and q > 0.0:
+        assert outcome(divergence_kernel, alpha, q) == outcome(willie_divergence_reference, alpha, q)
 
 
 @seed(20261019)
@@ -483,7 +478,7 @@ def test_moments_refuse_as_before_near_half_weight(offset, q):
     # alpha = 1/2 + k ulp, or 1/2 +- 10^-x, at q <= 1e-20: V ~ q log^2 q can be within
     # the rounding of L - D
     alpha = 0.5 + offset
-    assert outcome(dvq_exact, alpha, q) == outcome(dvq_reference, alpha, q)
+    assert outcome(covert._dvq, min(alpha, 1.0 - alpha), q) == outcome(dvq_reference, alpha, q)
 
 
 blocklength = st.one_of(st.sampled_from((2, 3, 496, 10**15, 10**300)),
@@ -502,18 +497,19 @@ def test_rate_rows_match_the_helper_route(ns, q, nu, eps):
     assert got == outcome(rate_rows_reference, ns, nu, q, eps)
     if isinstance(got, str):  # a table's rows are the rows run alone
         assert got == repr([rate_reports([n], nu, q, eps)[0] for n in ns])
-        dvq = dvq_exact(ScheduleParams(ns[0], nu).alpha_n, q)
-        assert outcome(finite_blocklength_logM, ns[0], eps, dvq) == \
+        (alpha,) = schedule_weights(ns[:1], nu)
+        dvq = covert._dvq(min(alpha, 1.0 - alpha), q)
+        assert outcome(covert._logM, ns[0], eps, covert._NORMAL.inv_cdf(eps), *dvq) == \
             outcome(logM_reference, ns[0], eps, dvq)
 
 
-# ``moment_curve`` against ``oracles.approx_rows_reference``: the CLI's checks, ``dvq_exact``
+# ``moment_curve`` against ``oracles.approx_rows_reference``: the CLI's checks, ``dvq_reference``
 # per row and the leading forms of ``oracles.leading_reference``.
 
 
 def uncalibrated_leads(alphas, q):
     """``leading_reference`` with its fourth-moment fit at alpha = 1e-3 made a constant."""
-    with mock.patch.object(oracles, "dvq_exact", lambda alpha, q: DvqTriple(1.0, 1.0, 1.0)):
+    with mock.patch.object(oracles, "dvq_reference", lambda alpha, q: DvqTriple(1.0, 1.0, 1.0)):
         return oracles.leading_reference(alphas, q)
 
 
@@ -537,7 +533,7 @@ def test_moment_curve_matches_the_leading_route(alphas, q):
     if got != want:
         # The one difference: the reference refuses every table where its Q fit at
         # alpha = 1e-3 refuses (q below about 4.4e-305), a fit no column prints.
-        assert want == outcome(dvq_exact, 1e-3, q)
+        assert want == outcome(dvq_reference, 1e-3, q)
         want = outcome(approx_rows_reference, alphas, q, uncalibrated_leads)
     assert got == want
     if isinstance(got, str):  # a table's rows are the rows run alone

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import e1only_marginal, trace_distance
 from qcovert.channels import ChannelSpec, Scenario
-from qcovert.covert import dvq_exact, willie_divergence
+from qcovert.covert import moment_curve
 from qcovert.detection import MAX_USES_ALLENV, warden_errors
 
 LN2 = math.log(2.0)
@@ -29,15 +29,15 @@ weight = st.floats(min_value=-16.0, max_value=math.log10(0.5)).map(lambda x: 10.
 @settings(max_examples=300, deadline=None)
 @given(alpha=st.floats(min_value=1e-16, max_value=1.0 - 1e-16), q=noise)
 def test_moments_are_positive(alpha, q):
-    d, v, q4 = dvq_exact(alpha, q)
+    d, _, v, _, q4, *_ = moment_curve([alpha], q)[0]
     assert d > 0.0 and v > 0.0 and q4 > 0.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(a=weight, b=weight, q=noise)
 def test_first_moment_grows_with_weight(a, b, q):
-    lo, hi = sorted((a, b))
-    assert dvq_exact(lo, q).d <= dvq_exact(hi, q).d
+    (d_lo, *_), (d_hi, *_) = moment_curve(sorted((a, b)), q)
+    assert d_lo <= d_hi
 
 
 @settings(max_examples=300, deadline=None)
@@ -45,7 +45,8 @@ def test_first_moment_grows_with_weight(a, b, q):
 def test_warden_divergence_obeys_pinsker(alpha, q):
     # D(rho||sigma) >= (2/ln 2) T(rho, sigma)^2 in bits
     t = trace_distance(e1only_marginal(alpha, q), e1only_marginal(0.0, q))
-    assert willie_divergence(alpha, q) >= 2.0 / LN2 * t * t * (1.0 - 1e-12)
+    div = warden_errors([1], [alpha], ChannelSpec(q, Scenario.E1_ONLY))[0].div_total
+    assert div >= 2.0 / LN2 * t * t * (1.0 - 1e-12)
 
 
 # the two scenarios whose warden sees a signal, with their largest n here
