@@ -13,16 +13,15 @@ import qcovert as qc
 for q in (0.1, 0.25, 0.5, 0.75, 0.9):
     print(f"--- depolarizing weight q = {q} ---")
     for rep in qc.scenario_reports(q, qc.Scenario):
-        scenario = rep.scenario
-        print(f"  {scenario.name:8s} verdict={rep.verdict:10s} "
+        print(f"  {rep.label:8s} verdict={rep.verdict:10s} "
               f"contained={rep.support_contained} "
               f"trace_dist={rep.trace_dist:.6f}")
-        if scenario is qc.Scenario.ALL_ENV:
+        if rep.scenario == qc.Scenario.ALL_ENV:
             # weight the signal state places outside the null support,
             # never below q/2
             print(f"           kernel overlap {rep.kernel_overlap:.6f} "
                   f"(floor q/2 = {q / 2.0})")
-        if scenario is qc.Scenario.E1_ONLY:
+        if rep.scenario == qc.Scenario.E1_ONLY:
             print(f"           det(omega_0) = {rep.det_omega0:.6f}, "
                   f"det(omega_1) = {rep.det_omega1:.6f}")
     print()

@@ -8,7 +8,8 @@ signalling is impossible, free, or genuinely constrained.
 ``scenario_reports`` states that verdict for a table of scenarios at one
 q, from closed forms of the kernel overlap, trace distance and
 determinants, with no eigensolver.  ``ChannelSpec`` is a validating
-input; ``SupportReport`` is a plain NamedTuple, built without checks.
+input; ``SupportReport`` is a plain NamedTuple, built without checks, and
+is the printed row of ``qcovert scenario`` as it stands.
 The warden's states themselves have one closed form, the real block
 ``detection._warden_block``.  The dilation, the dense channel, the
 partial-trace route to the marginals and the eigensolver route to the
@@ -22,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
+
+from .covert import _TINY
 
 
 class Scenario(IntEnum):
@@ -45,14 +48,15 @@ class ChannelSpec:
 
 
 def _check_q(q: float):
-    if not (0.0 <= q <= 1.0) or math.isnan(q):
+    if not 0.0 <= q <= 1.0:  # false for nan as well
         raise ValueError(f"noise parameter q={q!r} outside [0, 1]")
 
 
 class SupportReport(NamedTuple):
-    """Numerical feasibility verdict for one warden scenario."""
+    """Numerical feasibility verdict for one warden scenario: a row of ``qcovert scenario``."""
 
-    scenario: Scenario
+    scenario: int  # the scenario's number, 1 to 3
+    label: str     # its name, such as "E1_ONLY"
     q: float
     support_contained: bool
     kernel_overlap: float
@@ -76,6 +80,12 @@ _BOUNDARY_NOTES = {
 }
 
 
+# Each scenario's number and name.  A lookup by an int, a float or a member finds
+# what ``Scenario(...)`` would, and no Enum call runs per row.
+_LABELS = {s: (int(s), s.name) for s in Scenario}
+_new_report = tuple.__new__  # SupportReport(*fields) without its Python-level __new__
+
+
 def scenario_reports(q: float, scenarios) -> list[SupportReport]:
     """Feasibility verdict at noise q for each of ``scenarios``, in order.
 
@@ -97,22 +107,37 @@ def scenario_reports(q: float, scenarios) -> list[SupportReport]:
     <e_0|omega_1|e_0> = q/2 and <f|omega_1|f> = q(4 - 3q)/(2(2 - q)),
     which is the second for q <= 1.  The rational fields are computed in
     Python integers from q = m/d and rounded once, correctly.  q is
-    checked once per table.
+    checked once per table, and each scenario is taken as ``Scenario``
+    takes it: an unknown one raises the Enum's ValueError.
+
+    At 0 < q the determinants of E2_ONLY and E1_ONLY and the overlap of
+    ALL_ENV are positive, of size q; where that field falls below the
+    normal range (at q below 9e-308 or less) it has lost its relative
+    accuracy or rounded to 0, so the call raises ArithmeticError instead.
     """
     _check_q(q)
     m, d = q.as_integer_ratio()
     q_pos = m / d  # q, with -0.0 as +0.0 so that no field is a signed zero
     note = _BOUNDARY_NOTES.get(q, "")
     reports = []
-    for scenario in map(Scenario, scenarios):
-        if scenario is Scenario.E2_ONLY:
+    for scenario in scenarios:
+        try:
+            number, label = _LABELS[scenario]
+        except (KeyError, TypeError):  # Scenario raises its own ValueError for an unknown one
+            number, label = _LABELS[Scenario(scenario)]
+        if number == 2:  # E2_ONLY
             overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
-        elif scenario is Scenario.E1_ONLY:
+        elif number == 3:  # E1_ONLY
             overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
             dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
-        else:
+        else:  # ALL_ENV
             overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
             dist = 0.5 * (math.sqrt(q_pos * (4.0 - 3.0 * q_pos)) + q_pos)  # 2s + q/2
+        size = overlap or det  # the one field of size q: ALL_ENV's overlap, else the det
+        if size < _TINY and m:
+            field = "kernel overlap" if number == 1 else "determinant"
+            raise ArithmeticError(
+                f"{label} {field} {size!r} at q={q!r} is not a positive normal float")
         contained = overlap == 0.0
         if note:
             verdict = "degenerate"
@@ -120,6 +145,6 @@ def scenario_reports(q: float, scenarios) -> list[SupportReport]:
             verdict = "impossible"
         else:
             verdict = "trivial" if dist == 0.0 else "nontrivial"
-        reports.append(
-            SupportReport(scenario, q, contained, overlap, dist, det, det, verdict, note))
+        reports.append(_new_report(SupportReport, (
+            number, label, q, contained, overlap, dist, det, det, verdict, note)))
     return reports

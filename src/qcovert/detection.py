@@ -388,9 +388,11 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     ``_e1_bloch`` taken once per table.  A row whose hypotheses differ but
     whose T is not a positive normal float raises ArithmeticError, as does
     a row whose E falls more than 1e-12 below its Pinsker floor (a
-    consistency check that no exact T can fail) and an E1 row whose E falls below the
+    consistency check that no exact T can fail), an E1 row whose E falls below the
     Fuchs-van de Graaf floor (``_fidelity_floor``) by more than that
-    floor's rounding: there (1 - T)/2 has lost its relative accuracy.
+    floor's rounding: there (1 - T)/2 has lost its relative accuracy, and
+    an ALL_ENV row whose E is below the normal range, but for the
+    orthogonal states at q = alpha = 1, where E is exactly 0.
     """
     ns, alphas = list(ns), list(alphas)
     if len(ns) != len(alphas):
@@ -442,6 +444,12 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             # omega_alpha weights e_0 = (0, i, 0, 1)/sqrt(2), a kernel vector
             # of omega_0, by alpha * q / 2 > 0: the support escapes.
             div_total = math.inf
+            # E is 0 only for orthogonal states, at q = alpha = 1; any other E
+            # below the normal range has lost its relative accuracy or rounded to 0
+            if error < _TINY and not (alpha == 1.0 and spec.q == 1.0):
+                raise ArithmeticError(
+                    f"error probability {error!r} at n={n}, alpha={alpha!r} is not a "
+                    f"positive normal float")
         else:
             if warden is None:
                 warden = _e1_bloch(spec.q)

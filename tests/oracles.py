@@ -46,6 +46,10 @@ None of these is used by the library itself.  These kinds live here:
   ``approx_rows_reference`` builds ``moment_curve``'s rows from the checks
   of the CLI, ``dvq_reference`` per row and ``leading_reference``, the
   leading forms with a fourth-moment constant fitted at alpha = 1e-3.
+  And ``support_reports_reference`` builds the feasibility reports by one
+  ``Scenario(...)`` call per row, as ``channels.scenario_reports`` did
+  before its lookup table: the same fields, bit for bit, refusals
+  included, but for that table's refusal below the normal range.
 * The qubit wardens' detection route with numpy tables,
   ``qubit_rows_reference``: per chunk the powers, repeats and per-degree
   coefficients as stacked arrays, the block norms added by fancy-indexed
@@ -522,7 +526,8 @@ def dense_support_report(spec: ChannelSpec) -> SupportReport:
     else:
         verdict, note = "nontrivial", ""
     return SupportReport(
-        scenario=spec.scenario,
+        scenario=int(spec.scenario),
+        label=spec.scenario.name,
         q=spec.q,
         support_contained=contained,
         kernel_overlap=overlap,
@@ -532,6 +537,54 @@ def dense_support_report(spec: ChannelSpec) -> SupportReport:
         verdict=verdict,
         note=note,
     )
+
+
+class ReferenceSupportReport(NamedTuple):
+    """``SupportReport`` as ``support_reports_reference`` builds it: the member, no label."""
+
+    scenario: Scenario
+    q: float
+    support_contained: bool
+    kernel_overlap: float
+    trace_dist: float
+    det_omega0: float
+    det_omega1: float
+    verdict: str
+    note: str = ""
+
+
+def support_reports_reference(q: float, scenarios) -> list[ReferenceSupportReport]:
+    """The closed-form reports by one ``Scenario(...)`` call per row.
+
+    ``channels.scenario_reports`` before it looked each scenario up in a
+    table built at import and checked for fields below the normal range,
+    kept verbatim but for its record, which has the ``Scenario`` member in
+    place of the number and its label.
+    """
+    _check_q(q)
+    m, d = q.as_integer_ratio()
+    q_pos = m / d  # q, with -0.0 as +0.0 so that no field is a signed zero
+    note = _BOUNDARY_NOTES.get(q, "")
+    reports = []
+    for scenario in map(Scenario, scenarios):
+        if scenario is Scenario.E2_ONLY:
+            overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
+        elif scenario is Scenario.E1_ONLY:
+            overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
+            dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
+        else:
+            overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
+            dist = 0.5 * (math.sqrt(q_pos * (4.0 - 3.0 * q_pos)) + q_pos)  # 2s + q/2
+        contained = overlap == 0.0
+        if note:
+            verdict = "degenerate"
+        elif not contained:
+            verdict = "impossible"
+        else:
+            verdict = "trivial" if dist == 0.0 else "nontrivial"
+        reports.append(
+            ReferenceSupportReport(scenario, q, contained, overlap, dist, det, det, verdict, note))
+    return reports
 
 
 # ----------------------------------------------------------------------

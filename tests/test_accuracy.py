@@ -30,9 +30,12 @@ at weights from 1/2 on; 7.3e-16 for the detect-sim budget and 8.0e-16 for
 its trace distance (ALL_ENV: 6.8e-16 at n = 1..5, q from 1e-6 to 1);
 for ALL_ENV against the reduced-sector reference, 6.4e-15 for T and
 1.4e-14 for ``E_n`` at n <= 30 (both at n = 30; at n <= 5, 9.8e-16 and
-2.7e-15), ``E_n`` down to 2.6e-172 at n = 30, q = 0.999, alpha = 1;
-1.5e-16 for the scenario fields, q from 1e-300 to 1 (the overlap and
-the determinants are rounded once, correctly); for rate-table at n from
+2.7e-15), ``E_n`` down to 2.6e-172 at n = 30, q = 0.999, alpha = 1
+(an ``E_n`` below the normal range refuses, but for the exact 0 at
+q = alpha = 1);
+1.5e-16 for the scenario fields, q from 5e-324 to 1 (the overlap and
+the determinants are rounded once, correctly), where a field of size q
+below the normal range refuses; for rate-table at n from
 2 to 1e15 and q from 1e-6 to 0.95, 2.7e-15 (``alpha_n``, at n = 1e15),
 4.0e-16 (``logM_lemma2``), 2.8e-15 (``logM_lemma1``), 1.2e-15 (``L_n``)
 and 4.0e-16 (``L_limit``).  ``logM_lemma1`` is n D + sqrt(n V) z - C_n
@@ -430,14 +433,20 @@ def test_reference_file_matches_a_fresh_computation():
 # scenario: the feasibility report's fields
 
 SUPPORT_FIELDS = ("kernel_overlap", "trace_dist", "det_omega0", "det_omega1")
-SUPPORT_QS = (1e-300, 1e-15, 3e-15, 1e-6, 0.01, 0.3, 0.5, 0.885731, 0.99, 1.0 - 1e-12, 1.0)
+# from the smallest subnormal through the normal range's edge 2.2e-308 to 1
+SUPPORT_QS = (5e-324, 1e-320, 1e-310, 3e-308, 5e-308, 1e-307, 1e-300, 1e-15, 3e-15, 1e-6,
+              0.01, 0.3, 0.5, 0.885731, 0.99, 1.0 - 1e-12, 1.0)
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.name)
 def test_scenario_fields_match_mpmath(scenario):
-    worst = 0.0
+    worst, refused = 0.0, []
     for q in SUPPORT_QS:
-        rep = scenario_reports(q, [scenario])[0]
+        try:
+            rep = scenario_reports(q, [scenario])[0]
+        except ArithmeticError:
+            refused.append(q)
+            continue
         for name, ref in zip(SUPPORT_FIELDS, mp_support_fields(q, scenario)):
             got = getattr(rep, name)
             if ref == 0:
@@ -446,6 +455,10 @@ def test_scenario_fields_match_mpmath(scenario):
             else:
                 worst = max(worst, _rel(got, ref))
     assert worst <= TOL_SUPPORT, f"scenario fields off by {worst:.2e}"
+    # the field of size q (ALL_ENV's overlap, else the determinant) is refused below
+    # the normal range, and only there
+    assert refused == [q for q in SUPPORT_QS if q < {"ALL_ENV": 2.3e-308, "E2_ONLY": 4.5e-308,
+                                                     "E1_ONLY": 8.9e-308}[scenario.name]]
 
 
 def test_scenario_fields_match_the_dense_route():

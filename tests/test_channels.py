@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -15,9 +17,10 @@ from oracles import (
     projector,
     pure_state,
     stinespring_isometry,
+    support_reports_reference,
 )
 from qcovert import detection
-from qcovert.channels import ChannelSpec, Scenario, scenario_reports
+from qcovert.channels import ChannelSpec, Scenario, SupportReport, scenario_reports
 
 Q_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 # the noise-independent kernel vector of ALL_ENV's omega_0 (index 2*E1 + E2)
@@ -204,3 +207,38 @@ def test_support_report_boundaries_are_degenerate():
             rep = scenario_reports(q, [scenario])[0]
             assert rep.verdict == "degenerate"
             assert rep.note != ""
+
+
+def _outcome(route, q, scenarios):
+    """A route's reports, or the type and message of what it raised."""
+    try:
+        return route(q, scenarios)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def test_scenario_reports_match_the_reference_route():
+    """The label table gives the reference's fields bit for bit, and its errors verbatim."""
+    rng = random.Random(20261020)
+    qs = [0.0, -0.0, 1.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1e-310, 5e-324, 1.5, -0.1, math.nan]
+    qs += [rng.random() for _ in range(300)]
+    pool = [*Scenario, 1, 2, 3, 0, 4, "1", 2.5]
+    fixed = [list(Scenario), [1, 2, 3], [3, 3, 1, 1], [Scenario.E2_ONLY, 2], [], [0], [4],
+             ["1"], [2.5], [1, 4], [Scenario.E1_ONLY, "1"]]
+    for q in qs:
+        for scenarios in fixed + [rng.choices(pool, k=rng.randrange(6)) for _ in range(4)]:
+            got = _outcome(scenario_reports, q, scenarios)
+            ref = _outcome(support_reports_reference, q, scenarios)
+            if isinstance(got, tuple) and got[0] is ArithmeticError:
+                # the refusal below the normal range, which the reference lacks
+                assert 0.0 < q and (not isinstance(ref, list) or any(
+                    (r.kernel_overlap or r.det_omega0) < sys.float_info.min for r in ref))
+                continue
+            if isinstance(ref, list):
+                assert all(type(rep) is SupportReport for rep in got)
+                ref = [(int(r.scenario), r.scenario.name, *r[1:]) for r in ref]
+                # repr tells -0.0 from 0.0 and compares nan
+                assert repr([tuple(rep) for rep in got]) == repr(ref), (q, scenarios)
+                assert all(type(rep.scenario) is int for rep in got)
+            else:
+                assert got == ref, (q, scenarios)

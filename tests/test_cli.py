@@ -81,6 +81,22 @@ def test_parse_int_grid():
     assert cli.parse_int_grid("1:4:1") == [1, 2, 3, 4]
     with pytest.raises(ValueError):
         cli.parse_int_grid("2.5")
+    # an entry is exactly an integer, not one within 1e-6 |v| of it, and keeps its exact value
+    with pytest.raises(ValueError, match="'1000000.5' is not an integer"):
+        cli.parse_int_grid("1000000.5,2000001.4")
+    assert cli.parse_int_grid("9007199254740993") == [9007199254740993]
+    assert cli.parse_int_grid("9007199254740993.0, 2.0, 1e2") == [9007199254740993, 2, 100]
+    assert cli.parse_int_grid("9007199254740993:9007199254740995:1") == [
+        9007199254740993, 9007199254740994, 9007199254740995]
+    for text in ("1.00000000000000001", "0.5:3:0.5", "9007199254740993:9007199254740992:1"):
+        with pytest.raises(ValueError):
+            cli.parse_int_grid(text)
+
+
+def test_rate_table_refuses_a_grid_entry_that_is_not_an_integer(capsys):
+    # printed n = 1000000 and 2000001 in the rows and the config, with exit 0
+    assert cli.main(["rate-table", "--n-grid", "1000000.5,2000001.4"]) == 2
+    assert capsys.readouterr() == ("", "qcovert: error: grid entry '1000000.5' is not an integer\n")
 
 
 def test_bound_curve_csv(tmp_path):
@@ -149,6 +165,23 @@ def test_scenario_reports_all_three(tmp_path):
         "E2_ONLY": "trivial",
         "E1_ONLY": "nontrivial",
     }
+
+
+def test_scenario_rows_are_the_reports_with_no_enum_call(monkeypatch):
+    # each scenario is looked up in a table built at import; only an unknown one reaches Scenario
+    def forbidden(value):
+        raise AssertionError(f"Scenario({value!r}) called for a known scenario")
+
+    monkeypatch.setattr(channels, "Scenario", forbidden)
+    _, args = cli._parse_args(["scenario", "--q", "0.3"])
+    config, rows = cli.cmd_scenario(args)
+    assert rows == channels.scenario_reports(0.3, [1, 2, 3])
+    assert all(type(row) is qcovert.SupportReport for row in rows)
+    assert [row[:2] for row in rows] == [(1, "ALL_ENV"), (2, "E2_ONLY"), (3, "E1_ONLY")]
+    members = channels.scenario_reports(0.3, [Scenario.E1_ONLY, 2.0, True])
+    assert [row[:2] for row in members] == [(3, "E1_ONLY"), (2, "E2_ONLY"), (1, "ALL_ENV")]
+    with pytest.raises(AssertionError, match="Scenario"):
+        channels.scenario_reports(0.3, [4])
 
 
 def test_scenario_single_and_boundary(tmp_path):
@@ -671,6 +704,27 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
     assert "fell below the Pinsker floor" in capsys.readouterr().err
 
 
+def test_detect_sim_refuses_an_allenv_error_below_the_normal_range(capsys):
+    # printed E_n 0.0 with exit 0; the 50-digit reference gives 2.684e-352
+    argv = ["detect-sim", "--scenario", "1", "--n-grid", "30", "--alpha-grid", "1",
+            "--q", "0.999999"]
+    assert (cli.main(argv), *capsys.readouterr()) == (3, "", FAIL + (
+        "error probability 0.0 at n=30, alpha=1.0 is not a positive normal float\n"))
+    # orthogonal states: E is exactly 0, and printed as such
+    argv[-1] = "1"
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "30,1,1,0,-inf,inf"
+
+
+def test_scenario_refuses_below_the_normal_range(capsys):
+    # printed det_omega0 0.0 for E2_ONLY and E1_ONLY with exit 0 (true: 2.47e-324, 1.24e-324)
+    assert (cli.main(["scenario", "--q", "5e-324"]), *capsys.readouterr()) == (3, "", FAIL + (
+        "ALL_ENV kernel overlap 5e-324 at q=5e-324 is not a positive normal float\n"))
+    for scenario, det in (("2", "4.9999999999997e-311"), ("3", "2.5e-311")):
+        assert cli.main(["scenario", "--q", "1e-310", "--scenario", scenario]) == 3
+        assert f"determinant {det} at q=1e-310" in capsys.readouterr().err
+
+
 def test_detect_sim_refuses_an_e1_error_below_the_fidelity_floor(capsys):
     # (1 - T)/2 printed E_n 0 here with exit 0; by Fuchs-van de Graaf the true E
     # is at least (1 - sqrt(1 - F^200))/2 = 5.3e-31, F the single-use root fidelity
@@ -709,9 +763,10 @@ def test_tables_take_one_shot_grids():
         assert rows and table(*(iter(a) if isinstance(a, list) else a for a in args)) == rows
 
 
-# The output records' fields, in the order they had as frozen dataclasses
+# The output records' fields: the order they had as frozen dataclasses, and SupportReport's
+# label after its number, as the scenario command prints them
 RECORD_FIELDS = {
-    qcovert.SupportReport: ("scenario", "q", "support_contained", "kernel_overlap",
+    qcovert.SupportReport: ("scenario", "label", "q", "support_contained", "kernel_overlap",
                             "trace_dist", "det_omega0", "det_omega1", "verdict", "note"),
     qcovert.RateReport: ("n", "nu", "q", "alpha_n", "eps", "logM_finite", "logM_asymptotic",
                          "willie_div_total", "covert_rate_L", "capacity_lb",
