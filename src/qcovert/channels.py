@@ -83,7 +83,6 @@ _BOUNDARY_NOTES = {
 # Each scenario's number and name.  A lookup by an int, a float or a member finds
 # what ``Scenario(...)`` would, and no Enum call runs per row.
 _LABELS = {s: (int(s), s.name) for s in Scenario}
-_new_report = tuple.__new__  # SupportReport(*fields) without its Python-level __new__
 
 
 def scenario_reports(q: float, scenarios) -> list[SupportReport]:
@@ -145,6 +144,6 @@ def scenario_reports(q: float, scenarios) -> list[SupportReport]:
             verdict = "impossible"
         else:
             verdict = "trivial" if dist == 0.0 else "nontrivial"
-        reports.append(_new_report(SupportReport, (
-            number, label, q, contained, overlap, dist, det, det, verdict, note)))
+        reports.append(SupportReport(
+            number, label, q, contained, overlap, dist, det, det, verdict, note))
     return reports

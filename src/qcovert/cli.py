@@ -25,28 +25,26 @@ Each command's output format is built once, at import, by
 with its keys encoded, and the JSON config head.  A call fills one ``%``
 template per row: a ``float`` column is ``%.12g`` in CSV and ``%r`` in
 JSON, an ``int`` column ``%d``, and only a row's ``str`` and ``bool``
-cells are converted, in place, one value at a time.  The JSON config's
-values are written by their exact type through one dict,
-``_CONFIG_TEXT``; a value of any other type (an ``np.float64``, say)
-goes through the ``isinstance`` chain of ``_json_value``.  ``%r`` spells
-a float that is not finite inf, -inf or nan, so only JSON rows whose text
-holds one of these words are scanned for such a cell, up to the first;
-if there is one, the rows are filled again with every float cell
-converted to the string the CSV prints.  The text is byte for byte what
+cells are converted, in place, one value at a time.  A float column that
+holds inf or nan (each column's scan ends at its first) is converted per
+value in JSON, that column only, to the string the CSV prints.  A JSON
+config value of an exact scalar type is written through one dict,
+``_SCALAR_TEXT``; any other (a list, an ``np.float64``) goes through the
+``isinstance`` chain of ``_json_value``.  The text is byte for byte what
 ``csv.writer`` (floats to 12 significant digits, booleans in lower case)
 and ``json.dumps(indent=2)`` (non-finite floats as the CSV's strings)
 write; that route is kept as the test oracle ``oracles.stdlib_table_text``.
 ``--out`` gets the encoded text in one ``os.write`` (looped until every
 byte is out) on one ``os.open``.  In process, a ``scenario --q Q --out
-FILE`` call to a new file takes about 81 us warm, right after another
+FILE`` call to a new file takes about 83 us warm, right after another
 call (8 us reading the argv, 13 us in the handler, 36 us writing the
-JSON text, 24 us creating and writing the file), and about 199 us cold,
-right after the benchmark's ``cli`` probe (24, 32, 57 and 75 us): medians
+JSON text, 23 us creating and writing the file), and about 189 us cold,
+right after the benchmark's ``cli`` probe (22, 34, 59 and 70 us): medians
 of five runs of 1500 calls each way on a 2-core x86-64 host.  In the
 same runs, alternating with these, the route with a ``Scenario(...)``
 call per row, a report remapped into a row and a writer that transposed
-the rows took 95 us warm and 215 us cold (21 and 53 us in the handler,
-40 and 64 us on the JSON text).  A float option and a grid entry of -0.0
+the rows took 94 us warm and 215 us cold (20 and 51 us in the handler,
+39 and 63 us on the JSON text).  A float option and a grid entry of -0.0
 are read as 0.0, so no echoed input prints a signed zero, and an integer
 grid takes only exact integers, each at its exact value
 (``parse_int_grid``).
@@ -117,7 +115,11 @@ def parse_grid(text: str) -> list[float]:
 
 
 def _exact_int(entry: str) -> int:
-    """A grid entry's exact value, read by Decimal: ValueError unless it is an integer."""
+    """A grid entry's exact value, by int() or else Decimal: ValueError unless an integer."""
+    try:
+        return int(entry)  # a plain integer, in about a quarter of the Decimal route's time
+    except ValueError:
+        pass
     value = Decimal(entry)
     if value != value.to_integral_value():
         raise ValueError(f"grid entry {entry.strip()!r} is not an integer")
@@ -127,36 +129,20 @@ def _exact_int(entry: str) -> int:
 def parse_int_grid(text: str) -> list[int]:
     """Integer grid: a grid of parse_grid's forms whose every entry is exactly an integer.
 
-    Each entry keeps its exact value, at any size.  A list of plain
-    integers is read by int(); any other list is checked by parse_grid and
-    each entry read by ``_exact_int``, so 1e4 and 2.0 are read, and 2.5
-    and 1.00000000000000001 refused.  A range of plain integers, such as
-    1:10:1, is taken in exact integer arithmetic after parse_grid's checks;
-    any other range's entries are parse_grid's floats a + k*step, and
-    each must be an integer.
+    parse_grid checks the grid first.  A list's entries are then each read
+    by ``_exact_int``, at their exact value, so 1e4 and 2.0 are read, and
+    2.5 and 1.00000000000000001 refused.  A range's start and step must be
+    exact integers and its entries below 2**53, where parse_grid's floats
+    a + k*step, and its count of them, are exact.
     """
-    ranged = ":" in text
-    if not ranged:
-        try:
-            values = [int(p) for p in text.split(",") if p.strip()]
-        except ValueError:
-            values = None
-        if values:
-            return values
-    floats = parse_grid(text)  # its checks and messages, for every other grid
-    if not ranged:
+    floats = parse_grid(text)
+    if ":" not in text:
         return [_exact_int(p) for p in text.split(",") if p.strip()]
-    try:
-        a, b, step = map(int, text.split(":"))
-    except ValueError:
-        for v in floats:
-            if not v.is_integer():
-                raise ValueError(f"grid entry {v!r} is not an integer") from None
-        return list(map(int, floats))
-    values = range(a, b + 1, step)
-    if not values:  # the floats can round an empty range of ints past 2**53 to one entry
-        raise ValueError(f"grid {text.strip()!r} is empty")
-    return list(values)
+    a, _, step = text.split(":")
+    _exact_int(a), _exact_int(step)
+    if max(map(abs, floats)) >= 2.0**53:
+        raise ValueError(f"grid {text.strip()!r} has an entry past 2**53")
+    return list(map(int, floats))
 
 
 def _json_float(value: float) -> str:
@@ -164,14 +150,25 @@ def _json_float(value: float) -> str:
     return float.__repr__(value) if math.isfinite(value) else f'"{value:.12g}"'
 
 
+_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
+
+# A JSON scalar's text by its exact type; a value of any other type (an np.float64, say)
+# goes through the isinstance chain of ``_json_value``.
+_SCALAR_TEXT = {str: encode_basestring_ascii, bool: _BOOL_TEXT, int: int.__repr__,
+                float: _json_float, type(None): lambda value: "null"}
+
+
 def _json_value(value, indent: str = "") -> str:
     """A config value or cell as json.dumps(indent=2) writes it at ``indent``.
 
-    Lists nest; a float goes through ``float.__repr__`` (``repr`` would
-    print an ``np.float64(...)``), or, if not finite, as the string the CSV
-    prints.  The config's values of the exact types in ``_CONFIG_TEXT``
-    skip this chain.
+    A scalar of an exact type in ``_SCALAR_TEXT`` is written by it; any
+    other value goes through an isinstance chain.  Lists nest; a float goes
+    through ``float.__repr__`` (``repr`` would print an ``np.float64(...)``),
+    or, if not finite, as the string the CSV prints.
     """
+    text = _SCALAR_TEXT.get(type(value))
+    if text is not None:
+        return text(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -209,29 +206,9 @@ class _Verbatim(str):
 
 
 def _json_float_cell(value: float) -> _Verbatim:
-    """A float cell of a table that holds inf or nan, for its column's ``%r`` field."""
+    """A cell of a float column that holds inf or nan, for that column's ``%r`` field."""
     return _Verbatim(_json_float(value))
 
-
-_BOOL_TEXT = {True: "true", False: "false"}.__getitem__
-
-# A JSON scalar's text by its exact type; a value of any other type (an np.float64, say)
-# goes through ``_json_value``.
-_SCALAR_TEXT = {str: encode_basestring_ascii, bool: _BOOL_TEXT, int: int.__repr__,
-                float: _json_float, type(None): lambda value: "null"}
-
-
-def _config_list(values: list) -> str:
-    """A list config value as json.dumps(indent=2) writes it inside the config."""
-    kinds = set(map(type, values))
-    text = _SCALAR_TEXT.get(kinds.pop()) if len(kinds) == 1 else None
-    if text is None:  # empty, of mixed types, or of a type outside the table
-        return _json_value(values, "    ")
-    return "[\n      " + ",\n      ".join(map(text, values)) + "\n    ]"
-
-
-# A config value's text by its exact type, as ``_json_value`` writes it at the config's indent.
-_CONFIG_TEXT = {**_SCALAR_TEXT, list: _config_list}
 
 # Per column kind: its CSV field, the conversion of each CSV cell first (None: the field's
 # own), its JSON field and the conversion of each JSON cell.
@@ -247,19 +224,17 @@ class TableFormat:
     """A table's output templates: per call, one ``%`` fill per row and the listed conversions."""
 
     __slots__ = ("csv_head", "csv_row", "csv_convert", "json_head", "json_row", "json_convert",
-                 "json_floats", "json_nonfinite")
+                 "json_floats")
 
     def __init__(self, csv_head, csv_row, csv_convert, json_head, json_row, json_convert,
-                 json_floats, json_nonfinite):
+                 json_floats):
         self.csv_head = csv_head          # the header line
         self.csv_row = csv_row            # one row's line, its "\r\n" included
         self.csv_convert = csv_convert    # (column index, per-cell conversion) of str and bool
         self.json_head = json_head        # '{"config": {...}, "rows": ', one %s per config value
         self.json_row = json_row          # one row's object, keys encoded
         self.json_convert = json_convert  # as csv_convert, for the JSON cells
-        self.json_floats = json_floats    # the index of each float column
-        self.json_nonfinite = json_nonfinite  # json_convert and every float column's cells,
-                                              # for a table that holds inf or nan
+        self.json_floats = json_floats    # (column index, cell getter) of each float column
 
 
 def _json_key(key: str) -> str:
@@ -281,7 +256,7 @@ def _table_format(columns: dict, config_keys) -> TableFormat:
         if json_cell is not None:
             json_convert.append((i, json_cell))
         if kind is float:
-            floats.append(i)
+            floats.append((i, itemgetter(i)))
     header = ",".join(map(_csv_str, columns))
     config = ",".join(f"\n    {_json_key(key)}: %s" for key in config_keys)
     return TableFormat(
@@ -293,7 +268,6 @@ def _table_format(columns: dict, config_keys) -> TableFormat:
         json_row="    {" + ",".join(json_fields) + "\n    }" if json_fields else "    {}",
         json_convert=tuple(json_convert),
         json_floats=tuple(floats),
-        json_nonfinite=(*json_convert, *((i, _json_float_cell) for i in floats)),
     )
 
 
@@ -312,20 +286,14 @@ def _filled(template: str, convert: tuple, rows: list):
 
 def _json_text(form: TableFormat, config: dict, rows: list) -> str:
     """``{"config": config, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
-    values = []
-    for value in config.values():
-        text = _CONFIG_TEXT.get(type(value))
-        values.append(text(value) if text else _json_value(value, "    "))
-    head = form.json_head % tuple(values)
+    head = form.json_head % tuple([_json_value(v, "    ") for v in config.values()])
     if not rows:
         return head + "[]\n}\n"
-    body = ",\n".join(_filled(form.json_row, form.json_convert, rows))
-    # %r writes a float that is not finite as inf, -inf or nan, so only rows whose text
-    # holds one of these words are scanned for such a cell, up to the first
-    if ("inf" in body or "nan" in body) and not all(
-            math.isfinite(row[i]) for row in rows for i in form.json_floats):
-        body = ",\n".join(_filled(form.json_row, form.json_nonfinite, rows))
-    return head + "[\n" + body + "\n  ]\n}\n"
+    convert = form.json_convert
+    for i, cell in form.json_floats:  # each scan ends at its column's first inf or nan
+        if not all(map(math.isfinite, map(cell, rows))):
+            convert += ((i, _json_float_cell),)
+    return head + "[\n" + ",\n".join(_filled(form.json_row, convert, rows)) + "\n  ]\n}\n"
 
 
 def write_output(form: TableFormat, config: dict, rows: list, args) -> None:

@@ -86,10 +86,17 @@ def test_parse_int_grid():
         cli.parse_int_grid("1000000.5,2000001.4")
     assert cli.parse_int_grid("9007199254740993") == [9007199254740993]
     assert cli.parse_int_grid("9007199254740993.0, 2.0, 1e2") == [9007199254740993, 2, 100]
-    assert cli.parse_int_grid("9007199254740993:9007199254740995:1") == [
-        9007199254740993, 9007199254740994, 9007199254740995]
-    for text in ("1.00000000000000001", "0.5:3:0.5", "9007199254740993:9007199254740992:1"):
+    assert cli.parse_int_grid("-0:4e3:1e3") == [0, 1000, 2000, 3000, 4000]
+    for text in ("1.00000000000000001", "0.5:3:0.5", "1.00000000000000001:3:1",
+                 "1:3:1.00000000000000001", "9007199254740993:9007199254740992:1"):
         with pytest.raises(ValueError):
+            cli.parse_int_grid(text)
+    # a range's floats are exact only below 2**53: past it, both ends of a range of
+    # 1 000 000 entries round to one float, and the range is refused, not built
+    for text in ("9007199254740993:9007199254740995:1",
+                 "10000000000000000000000:10000000000000000999999:1",
+                 "1" + "0" * 300 + ":" + "1" + "0" * 290 + "1" + "0" * 9 + ":1"):
+        with pytest.raises(ValueError, match="has an entry past 2"):
             cli.parse_int_grid(text)
 
 
