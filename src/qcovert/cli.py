@@ -7,18 +7,22 @@ and its output columns with their kinds (``int``, ``float``, ``str`` or
 ``command`` and then the declared keys, and one tuple per row whose every
 cell is exactly its column's kind.
 
-A call builds at most one parser, and a well-formed argv builds none.  An
-argv that starts with a command name (or its underscore alias) and holds
-no ``--`` goes straight to that command; any other argv (none, ``--help``,
-an unknown command, an option before the command, or one with ``--`` in
-it) goes to the top-level parser, which prints the help or the error or
-hands the command its options.  Options made only of ``--flag value``
-pairs, with exact flag names, values that do not start with ``-`` and
-each value of its option's type and choices, are read straight from the
-table into a copy of the command's defaults (attribute names and
-defaults are built at import).  Anything else (help, an abbreviation,
-``--flag=value``, a negative number, a bad value) goes to the command's
-argparse parser, which reads it or prints the help or the error.
+A call builds at most one parser, and a well-formed argv builds none and
+never imports argparse.  An argv that starts with a command name (or its
+underscore alias) and holds no ``--`` goes straight to that command; any
+other argv (none, ``--help``, an unknown command, an option before the
+command, or one with ``--`` in it) goes to the top-level parser, which
+prints the help or the error or hands the command its options.  Options
+made only of ``--flag value`` pairs, with exact flag names, values that
+do not start with ``-`` and each value of its option's type and choices,
+are read straight from the table into a copy of the command's defaults
+(attribute names and defaults are built at import) and handed to the
+handler as a ``SimpleNamespace`` of argparse's attributes.  Anything else
+(help, an abbreviation, ``--flag=value``, a negative number, a bad value)
+goes to the command's argparse parser, which reads it or prints the help
+or the error.  ``decimal`` and ``statistics`` likewise load only in the
+call that needs them: an integer grid entry such as ``1e4`` and
+``rate-table``'s Phi^{-1}(eps).
 
 Each command's output format is built once, at import, by
 ``_table_format``: the CSV header and row template, the JSON row template
@@ -55,13 +59,12 @@ Identical configurations produce byte-identical output files.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
-from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
+from types import SimpleNamespace
 
 from .channels import ChannelSpec, Scenario, scenario_reports
 from .covert import (RateReport, capacity_curve, check_nu, moment_curve, rate_reports,
@@ -120,6 +123,7 @@ def _exact_int(entry: str) -> int:
         return int(entry)  # a plain integer, in about a quarter of the Decimal route's time
     except ValueError:
         pass
+    from decimal import Decimal  # loaded only for an entry such as 1e4
     value = Decimal(entry)
     if value != value.to_integral_value():
         raise ValueError(f"grid entry {entry.strip()!r} is not an integer")
@@ -452,12 +456,13 @@ _FORMATS = {name: _table_format(command.columns, ("command", *command.config))
 
 
 def _plain_options(name: str, rest: list):
-    """The Namespace argparse would read from command ``name``'s ``rest``, or None to defer to it.
+    """The options argparse would read from command ``name``'s ``rest``, or None to defer to it.
 
     Reads only ``--flag value`` pairs: each flag one of the command's
     options exactly, each value not starting with "-", converted by the
     option's type and within its choices; the last of a repeated flag wins,
-    as in argparse.
+    as in argparse.  The result is a ``SimpleNamespace`` holding argparse's
+    attributes, in argparse's order, with its values.
     """
     if len(rest) % 2:
         return None
@@ -476,13 +481,13 @@ def _plain_options(name: str, rest: list):
         if choices is not None and text not in choices:
             return None
         values[attr] = text
-    args = argparse.Namespace()
-    args.__dict__.update(values)
-    return args
+    return SimpleNamespace(**values)
 
 
-def _top_parser() -> argparse.ArgumentParser:
+def _top_parser():
     """The parser of ``qcovert [-h] command ...``: the command, then its options unread."""
+    import argparse  # loaded only when an argv needs a parser
+
     top = argparse.ArgumentParser(
         prog="qcovert", formatter_class=argparse.RawDescriptionHelpFormatter,
         description="Covert-communication analysis tables for the qubit depolarizing channel.",
@@ -497,8 +502,10 @@ def _top_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
+def _command_parser(name: str):
     """The parser of ``qcovert name [-h] [options]``, for help, abbreviations and errors."""
+    import argparse  # loaded only when an argv needs a parser
+
     parser = argparse.ArgumentParser(prog=f"qcovert {name}", description=COMMANDS[name].help)
     for flag, spec in _OPTION_TABLES[name].items():
         parser.add_argument(flag, **spec)

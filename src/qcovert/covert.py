@@ -35,7 +35,6 @@ from them, the schedule exponents and Phi^{-1}(eps).
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from typing import NamedTuple
 
@@ -47,13 +46,18 @@ BERRY_ESSEEN = 0.4784
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BE_SQRT_2PI = BERRY_ESSEEN / _SQRT_2PI
-_NORMAL = statistics.NormalDist()
 LN2 = math.log(2.0)
 _LN2_2, _LN2_4 = LN2**2, LN2**4
 # Smallest positive normal float.  A closed-form quantity below it has lost
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
+
+
+def _inv_normal_cdf(p: float) -> float:
+    """Phi^{-1}(p), the standard normal quantile; ``statistics`` loads with the first call."""
+    from statistics import NormalDist
+    return NormalDist().inv_cdf(p)
 
 
 def _require_normal(what: str, *values: float):
@@ -374,7 +378,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     check_nu(nu)
     if not (0.0 < eps < 1.0) or math.isnan(eps):
         raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
-    z = _NORMAL.inv_cdf(eps)
+    z = _inv_normal_cdf(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
     gamma_exp = nu - 1.0 / 6.0  # of n**(nu - 1/6)

@@ -82,11 +82,11 @@ from qcovert.channels import (
     _check_q,
 )
 from qcovert.covert import (
-    _NORMAL,
     BERRY_ESSEEN,
     RateReport,
     _e1_bloch,
     _eta,
+    _inv_normal_cdf,
     _require_normal,
     check_nu,
 )
@@ -864,7 +864,7 @@ def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
     sqrt_2pi = math.sqrt(2.0 * math.pi)
     c_n = (BERRY_ESSEEN / sqrt_2pi * dvq.q4**0.75 / dvq.v + dvq.v / sqrt_2pi
            + math.log2(4.0 * eps * n))
-    return n * dvq.d + math.sqrt(n * dvq.v) * _NORMAL.inv_cdf(eps) - c_n
+    return n * dvq.d + math.sqrt(n * dvq.v) * _inv_normal_cdf(eps) - c_n
 
 
 def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:

@@ -348,7 +348,7 @@ def test_criterion_10_quantile_accuracy():
     worst = 0.0
     for k in range(1, 1000):
         p = k / 1000.0
-        worst = max(worst, abs(covert._NORMAL.inv_cdf(p) - _oracle_quantile(p)))
+        worst = max(worst, abs(covert._inv_normal_cdf(p) - _oracle_quantile(p)))
     ok = worst <= 1e-8
     _verdict(10, ok, f"worst |quantile - bisection oracle| {worst:.3g} (tol 1e-8)")
     assert worst <= 1e-8

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -43,6 +45,31 @@ def test_channel_spec_validation():
         ChannelSpec(math.nan, 1)
     with pytest.raises(ValueError):
         ChannelSpec(0.5, 4)
+
+
+def test_channel_spec_is_an_immutable_value():
+    spec = ChannelSpec(0.3, 1)
+    with pytest.raises(AttributeError):
+        spec.q = 0.1
+    with pytest.raises(AttributeError):
+        spec.scenario = Scenario.E1_ONLY
+    assert repr(spec) == "ChannelSpec(q=0.3, scenario=<Scenario.ALL_ENV: 1>)"
+    same = ChannelSpec(q=0.3, scenario=Scenario.ALL_ENV)
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != ChannelSpec(0.3, 2) and spec != ChannelSpec(0.4, 1)
+    assert ChannelSpec(0.3, 3.0).scenario is Scenario.E1_ONLY  # taken as Scenario takes it
+
+
+def test_channel_spec_checks_every_new_spec():
+    # a replaced field, a spec made from fields, a copy and a pickle each pass the check
+    spec = ChannelSpec(0.3, 1)
+    assert spec._replace(scenario=3) == ChannelSpec(0.3, Scenario.E1_ONLY)
+    assert ChannelSpec._make([0.3, 2]).scenario is Scenario.E2_ONLY
+    for bad in (lambda: spec._replace(q=1.5), lambda: spec._replace(scenario=4),
+                lambda: ChannelSpec._make([math.nan, 1])):
+        with pytest.raises(ValueError):
+            bad()
+    assert copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_depolarize_endpoints():

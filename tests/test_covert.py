@@ -239,7 +239,7 @@ def test_dvq_ratio_regression_values():
 
 def test_inverse_normal_cdf_basics():
     # rate_reports' Phi^{-1}(eps), taken once per table after eps is checked
-    inv_cdf = covert._NORMAL.inv_cdf
+    inv_cdf = covert._inv_normal_cdf
     assert inv_cdf(0.5) == 0.0
     assert inv_cdf(0.975) == pytest.approx(1.959963985, abs=1e-8)
     assert inv_cdf(0.2) == pytest.approx(-inv_cdf(0.8), abs=1e-14)
@@ -253,7 +253,7 @@ def test_finite_blocklength_logM_formula():
     (rep,) = rate_reports([n], 0.05, q, eps)
     d, _, v, _, q4, *_ = moment_curve([rep.alpha_n], q)[0]
     c_n = BERRY_ESSEEN / SQRT_2PI * q4**0.75 / v + v / SQRT_2PI + math.log2(4.0 * eps * n)
-    expected = n * d + math.sqrt(n * v) * covert._NORMAL.inv_cdf(eps) - c_n
+    expected = n * d + math.sqrt(n * v) * covert._inv_normal_cdf(eps) - c_n
     assert rep.logM_finite == pytest.approx(expected, rel=1e-14)
 
 
@@ -499,7 +499,7 @@ def test_rate_rows_match_the_helper_route(ns, q, nu, eps):
         assert got == repr([rate_reports([n], nu, q, eps)[0] for n in ns])
         (alpha,) = schedule_weights(ns[:1], nu)
         dvq = covert._dvq(min(alpha, 1.0 - alpha), q)
-        assert outcome(covert._logM, ns[0], eps, covert._NORMAL.inv_cdf(eps), *dvq) == \
+        assert outcome(covert._logM, ns[0], eps, covert._inv_normal_cdf(eps), *dvq) == \
             outcome(logM_reference, ns[0], eps, dvq)
 
 
