@@ -32,23 +32,22 @@ JSON, an ``int`` column ``%d``, and only a row's ``str`` and ``bool``
 cells are converted, in place, one value at a time.  A float column that
 holds inf or nan (each column's scan ends at its first) is converted per
 value in JSON, that column only, to the string the CSV prints.  A JSON
-config value of an exact scalar type is written through one dict,
-``_SCALAR_TEXT``; any other (a list, an ``np.float64``) goes through the
-``isinstance`` chain of ``_json_value``.  The text is byte for byte what
-``csv.writer`` (floats to 12 significant digits, booleans in lower case)
-and ``json.dumps(indent=2)`` (non-finite floats as the CSV's strings)
-write; that route is kept as the test oracle ``oracles.stdlib_table_text``.
-``--out`` gets the encoded text in one ``os.write`` (looped until every
-byte is out) on one ``os.open``.  In process, a ``scenario --q Q --out
-FILE`` call to a new file takes about 83 us warm, right after another
-call (8 us reading the argv, 13 us in the handler, 36 us writing the
-JSON text, 23 us creating and writing the file), and about 189 us cold,
-right after the benchmark's ``cli`` probe (22, 34, 59 and 70 us): medians
-of five runs of 1500 calls each way on a 2-core x86-64 host.  In the
-same runs, alternating with these, the route with a ``Scenario(...)``
-call per row, a report remapped into a row and a writer that transposed
-the rows took 94 us warm and 215 us cold (20 and 51 us in the handler,
-39 and 63 us on the JSON text).  A float option and a grid entry of -0.0
+config value is a list or a scalar, written by its exact type through
+one dict, ``_SCALAR_TEXT``.  The writer serves the tables the commands
+print: at least 2 columns, at least 1 row, tuple rows (a NamedTuple is
+one) and config values of an exact type in ``_SCALAR_TEXT`` or lists of
+them; the tests hold every command to that.  Within it, the text is
+byte for byte what ``csv.writer`` (floats to 12 significant digits,
+booleans in lower case) and ``json.dumps(indent=2)`` (non-finite floats
+as the CSV's strings) write; that route is kept as the test oracle
+``oracles.stdlib_table_text``.  ``--out`` gets the encoded text in one
+``os.write`` (looped until every byte is out) on one ``os.open``.  In
+process, a ``scenario --q Q --out FILE`` call to a new file takes about
+83 us warm, right after another call (8 us reading the argv, 13 us in
+the handler, 36 us writing the JSON text, 23 us creating and writing the
+file), and about 189 us cold, right after the benchmark's ``cli`` probe
+(22, 34, 59 and 70 us): medians of five runs of 1500 calls each way on a
+2-core x86-64 host.  A float option and a grid entry of -0.0
 are read as 0.0, so no echoed input prints a signed zero, and an integer
 grid takes only exact integers, each at its exact value
 (``parse_int_grid``).
@@ -65,6 +64,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .channels import ChannelSpec, Scenario, scenario_reports
 from .covert import (RateReport, capacity_curve, check_nu, moment_curve, rate_reports,
@@ -156,38 +156,19 @@ def _json_float(value: float) -> str:
 
 _BOOL_TEXT = {True: "true", False: "false"}.__getitem__
 
-# A JSON scalar's text by its exact type; a value of any other type (an np.float64, say)
-# goes through the isinstance chain of ``_json_value``.
+# A JSON config scalar's text by its exact type: every config value is of one of these types
+# or a list of them.
 _SCALAR_TEXT = {str: encode_basestring_ascii, bool: _BOOL_TEXT, int: int.__repr__,
                 float: _json_float, type(None): lambda value: "null"}
 
 
-def _json_value(value, indent: str = "") -> str:
-    """A config value or cell as json.dumps(indent=2) writes it at ``indent``.
-
-    A scalar of an exact type in ``_SCALAR_TEXT`` is written by it; any
-    other value goes through an isinstance chain.  Lists nest; a float goes
-    through ``float.__repr__`` (``repr`` would print an ``np.float64(...)``),
-    or, if not finite, as the string the CSV prints.
-    """
-    text = _SCALAR_TEXT.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _json_float(value)
-    if isinstance(value, list):
-        inner = indent + "  "
-        items = [f"\n{inner}{_json_value(v, inner)}" for v in value]
-        return "[" + ",".join(items) + f"\n{indent}]" if items else "[]"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+def _json_value(value, indent: str) -> str:
+    """A config value, a list or a scalar by its exact type, as json.dumps(indent=2) writes it."""
+    if type(value) is not list:
+        return _SCALAR_TEXT[type(value)](value)
+    inner = indent + "  "
+    items = [f"\n{inner}{_json_value(v, inner)}" for v in value]
+    return "[" + ",".join(items) + f"\n{indent}]" if items else "[]"
 
 
 def _csv_str(text: str) -> str:
@@ -195,11 +176,6 @@ def _csv_str(text: str) -> str:
     if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-def _csv_lone_str(text: str) -> str:
-    """The text field of a one-column table: csv.writer quotes a lone empty field."""
-    return _csv_str(text) or '""'
 
 
 class _Verbatim(str):
@@ -224,21 +200,16 @@ _KINDS = {
 }
 
 
-class TableFormat:
+class TableFormat(NamedTuple):
     """A table's output templates: per call, one ``%`` fill per row and the listed conversions."""
 
-    __slots__ = ("csv_head", "csv_row", "csv_convert", "json_head", "json_row", "json_convert",
-                 "json_floats")
-
-    def __init__(self, csv_head, csv_row, csv_convert, json_head, json_row, json_convert,
-                 json_floats):
-        self.csv_head = csv_head          # the header line
-        self.csv_row = csv_row            # one row's line, its "\r\n" included
-        self.csv_convert = csv_convert    # (column index, per-cell conversion) of str and bool
-        self.json_head = json_head        # '{"config": {...}, "rows": ', one %s per config value
-        self.json_row = json_row          # one row's object, keys encoded
-        self.json_convert = json_convert  # as csv_convert, for the JSON cells
-        self.json_floats = json_floats    # (column index, cell getter) of each float column
+    csv_head: str        # the header line
+    csv_row: str         # one row's line, its "\r\n" included
+    csv_convert: tuple   # (column index, per-cell conversion) of str and bool
+    json_head: str       # '{"config": {...}, "rows": ', one %s per config value
+    json_row: str        # one row's object, keys encoded
+    json_convert: tuple  # as csv_convert, for the JSON cells
+    json_floats: tuple   # (column index, cell getter) of each float column
 
 
 def _json_key(key: str) -> str:
@@ -246,13 +217,13 @@ def _json_key(key: str) -> str:
 
 
 def _table_format(columns: dict, config_keys) -> TableFormat:
-    """The templates of a table whose column ``name`` holds cells of kind ``columns[name]``."""
-    lone = len(columns) == 1
+    """The templates of a table whose column ``name`` holds cells of kind ``columns[name]``.
+
+    The table has at least 2 columns and its config at least one key.
+    """
     csv_fields, csv_convert, json_fields, json_convert, floats = [], [], [], [], []
     for i, (name, kind) in enumerate(columns.items()):
         csv_field, csv_cell, json_field, json_cell = _KINDS[kind]
-        if lone and kind is str:
-            csv_cell = _csv_lone_str
         csv_fields.append(csv_field)
         json_fields.append(f"\n      {_json_key(name)}: {json_field}")
         if csv_cell is not None:
@@ -261,24 +232,22 @@ def _table_format(columns: dict, config_keys) -> TableFormat:
             json_convert.append((i, json_cell))
         if kind is float:
             floats.append((i, itemgetter(i)))
-    header = ",".join(map(_csv_str, columns))
     config = ",".join(f"\n    {_json_key(key)}: %s" for key in config_keys)
     return TableFormat(
-        csv_head=((header or '""') if lone else header) + "\r\n",
+        csv_head=",".join(map(_csv_str, columns)) + "\r\n",
         csv_row=",".join(csv_fields) + "\r\n",
         csv_convert=tuple(csv_convert),
-        json_head='{\n  "config": ' + ("{" + config + "\n  }" if config else "{}")
-                  + ',\n  "rows": ',
-        json_row="    {" + ",".join(json_fields) + "\n    }" if json_fields else "    {}",
+        json_head='{\n  "config": {' + config + '\n  },\n  "rows": ',
+        json_row="    {" + ",".join(json_fields) + "\n    }",
         json_convert=tuple(json_convert),
         json_floats=tuple(floats),
     )
 
 
 def _filled(template: str, convert: tuple, rows: list):
-    """``template % row`` per row, each cell i of ``convert``'s (i, f) first replaced by f(cell)."""
-    if not (convert and rows):
-        return map(template.__mod__, map(tuple, rows))
+    """``template % row`` per row tuple, each cell i of ``convert``'s (i, f) made f(cell) first."""
+    if not convert:
+        return map(template.__mod__, rows)
     lines = []
     for row in rows:
         cells = list(row)
@@ -291,8 +260,6 @@ def _filled(template: str, convert: tuple, rows: list):
 def _json_text(form: TableFormat, config: dict, rows: list) -> str:
     """``{"config": config, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
     head = form.json_head % tuple([_json_value(v, "    ") for v in config.values()])
-    if not rows:
-        return head + "[]\n}\n"
     convert = form.json_convert
     for i, cell in form.json_floats:  # each scan ends at its column's first inf or nan
         if not all(map(math.isfinite, map(cell, rows))):
@@ -338,8 +305,6 @@ _RATE_CELLS = itemgetter(*map(RateReport._fields.index, (
 
 
 def cmd_rate_table(args):
-    if not (0.0 < args.q < 1.0):
-        raise ValueError(f"q={args.q:g} outside (0, 1)")
     n_grid = parse_int_grid(args.n_grid)
     config = {"command": "rate-table", "n_grid": n_grid, "nu": args.nu, "eps": args.eps,
               "q": args.q}
@@ -361,12 +326,12 @@ def cmd_scenario(args):
 def cmd_detect_sim(args):
     check_nu(args.nu)  # echoed in the config even when --alpha-grid replaces the schedule
     n_grid = parse_int_grid(args.n_grid)
-    spec = ChannelSpec(args.q, Scenario(args.scenario))
+    spec = ChannelSpec(args.q, args.scenario)
     alpha_grid = None if args.alpha_grid is None else parse_grid(args.alpha_grid)
     if alpha_grid is not None and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
         raise ValueError(f"the n x alpha grid has more than {MAX_GRID_POINTS} entries")
     config = {"command": "detect-sim", "n_grid": n_grid, "q": args.q,
-              "scenario": int(spec.scenario), "nu": args.nu, "alpha_grid": alpha_grid}
+              "scenario": args.scenario, "nu": args.nu, "alpha_grid": alpha_grid}
     if alpha_grid is None:
         ns, alphas = n_grid, list(schedule_weights(n_grid, args.nu))
     else:
@@ -376,17 +341,14 @@ def cmd_detect_sim(args):
     return config, warden_errors(ns, alphas, spec)
 
 
-class Command:
+class Command(NamedTuple):
     """One command of ``COMMANDS``."""
 
-    __slots__ = ("handler", "help", "options", "config", "columns")
-
-    def __init__(self, handler, help, options, config, columns):
-        self.handler = handler  # its cmd_* name here, looked up per call: a replaced cmd_* runs
-        self.help = help        # one line, for qcovert --help
-        self.options = options  # its options beyond --out and --format, as add_argument keywords
-        self.config = config    # its config's keys after "command"
-        self.columns = columns  # each output column's name and the kind of its cells
+    handler: str   # its cmd_* name here, looked up per call: a replaced cmd_* runs
+    help: str      # one line, for qcovert --help
+    options: dict  # its options beyond --out and --format's CSV default, as add_argument keywords
+    config: tuple  # its config's keys after "command"
+    columns: dict  # each output column's name and the kind of its cells
 
 
 COMMANDS = {
@@ -412,7 +374,8 @@ COMMANDS = {
                                     "div_total", "L_n", "L_limit"], float)}),
     "scenario": Command(
         "cmd_scenario", "feasibility report per warden scenario (JSON only)",
-        {"--q": {"type": _float, "default": 0.5},
+        {"--format": {"choices": ("csv", "json"), "default": "json"},
+         "--q": {"type": _float, "default": 0.5},
          "--scenario": {"type": int, "choices": (1, 2, 3),
                         "help": "restrict to one scenario (default: all three)"}},
         ("q", "scenarios"),
@@ -433,12 +396,12 @@ COMMANDS = {
 }
 
 # Built once at import; callers share them and change none.  Per command: every option as
-# add_argument keywords (--out, --format, its own); the direct read's flag -> (attribute,
-# type, choices) and attribute -> default, in the order argparse sets them; its output format.
+# add_argument keywords (--out, --format, its own; a command's --format entry replaces the
+# default one in second place); the direct read's flag -> (attribute, type, choices) and
+# attribute -> default, in the order argparse sets them; its output format.
 _OPTION_TABLES = {
     name: {"--out": {"help": "output file path (default: stdout)"},
-           "--format": {"choices": ("csv", "json"),
-                        "default": "json" if name == "scenario" else "csv"},
+           "--format": {"choices": ("csv", "json"), "default": "csv"},
            **command.options}
     for name, command in COMMANDS.items()
 }

@@ -45,6 +45,7 @@ from .divergences import DvqTriple
 BERRY_ESSEEN = 0.4784
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_CAPACITY_COEFF = 4.0 * math.sqrt(2.0) / 3.0  # the capacity bound's 4 sqrt(2)/3
 _BE_SQRT_2PI = BERRY_ESSEEN / _SQRT_2PI
 LN2 = math.log(2.0)
 _LN2_2, _LN2_4 = LN2**2, LN2**4
@@ -337,7 +338,7 @@ def _eta(warden) -> float:
 
 
 def _capacity(q: float, eta: float) -> float:
-    return 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
+    return _CAPACITY_COEFF * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
 
 
 def capacity_curve(q_grid) -> list[tuple[float, float]]:
@@ -372,7 +373,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     kernels ``_dvq``, ``_logM`` and ``_willie_divergence``.
     """
     if not (0.0 < q < 1.0):
-        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
+        raise ValueError(f"q={q:g} outside (0, 1)")
     warden = _e1_bloch(q)
     eta = _eta(warden)
     check_nu(nu)

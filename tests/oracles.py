@@ -870,7 +870,7 @@ def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
 def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
     """``qcovert.covert.rate_reports`` with the schedule's checks and every other check per row."""
     if not (0.0 < q < 1.0):
-        raise ValueError(f"noise parameter q={q!r} outside (0, 1)")
+        raise ValueError(f"q={q:g} outside (0, 1)")
     eta = _eta(_e1_bloch(q))
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
     capacity = 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))

@@ -597,8 +597,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
 
 ERR, FAIL = "qcovert: error: ", "qcovert: numerical failure: "
 # (argv, exit code, stderr) of bad or refused rate-table and approx-check calls.  rate-table
-# checks q, then (once eta is computed) nu and eps, before any row, and then each n in
-# order: a bad nu or eps is named before a bad n or a refused row.
+# reads its grid, then checks q, then (once eta is computed) nu and eps, before any row, and
+# then each n in order: a bad grid is named before a bad q, as in approx-check, and a bad nu
+# or eps before a bad n or a refused row.
 RATE_ERRORS = [
     (["rate-table", "--n-grid", "0", "--nu", "0.3"], 2,
      ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
@@ -614,6 +615,8 @@ RATE_ERRORS = [
      ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
     (["rate-table", "--eps", "nan"], 2, ERR + "error tolerance eps=nan outside (0, 1)\n"),
     (["rate-table", "--q", "1", "--nu", "0.3"], 2, ERR + "q=1 outside (0, 1)\n"),
+    (["rate-table", "--q", "2", "--n-grid", "1.5"], 2,
+     ERR + "grid entry '1.5' is not an integer\n"),
     (["rate-table", "--n-grid", "1e300"], 3,
      FAIL + "warden divergence 0.0 is not a positive normal float\n"),
     (["rate-table", "--n-grid", "1e300,0"], 3,

@@ -140,15 +140,24 @@ def test_handlers_return_their_declared_kinds(name, fmt, capsysbinary):
 
     ``type(v) is kind`` rules out an ``np.float64`` in a float column and a
     bool in an int column, which the templates' ``%r`` and ``%d`` would
-    print differently.
+    print differently.  The writer serves only what the commands print:
+    every command declares at least 2 columns, returns at least 1 row of
+    tuples, and every config value is of an exact type in
+    ``cli._SCALAR_TEXT`` or a list of such values.
     """
+    assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
+    assert all(len(declared.columns) >= 2 for declared in cli.COMMANDS.values())
     argv = CASES[name] + ["--format", fmt]
     command, args = cli._parse_args(argv)
     declared = cli.COMMANDS[command]
     config, rows = getattr(cli, declared.handler)(args)
     assert list(config) == ["command", *declared.config]
     assert config["command"] == command
+    for value in config.values():
+        for v in value if type(value) is list else [value]:
+            assert type(v) in cli._SCALAR_TEXT, (value, v)
     assert rows
+    assert all(isinstance(row, tuple) for row in rows)
     kinds = list(declared.columns.values())
     for row in rows:
         assert [type(v) for v in row] == kinds, row
