@@ -17,8 +17,6 @@ support report (``dense_support_report``) are the test oracles in
 ``tests/oracles.py``.
 """
 
-from __future__ import annotations
-
 import math
 from enum import IntEnum
 from typing import NamedTuple

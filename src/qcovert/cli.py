@@ -56,8 +56,6 @@ Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys

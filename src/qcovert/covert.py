@@ -32,8 +32,6 @@ coefficient, and ``rate_reports`` the warden's per-q constants and eta
 from them, the schedule exponents and Phi^{-1}(eps).
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from typing import NamedTuple

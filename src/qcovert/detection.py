@@ -91,8 +91,6 @@ Three things keep the E1 route cheap and accurate at every weight:
   on the chunking or on the order of the rows.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from typing import NamedTuple

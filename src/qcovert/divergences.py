@@ -7,8 +7,6 @@ and curvature they replaced live in ``tests/oracles.py`` as the tests'
 oracles.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

@@ -14,8 +14,6 @@ against live in ``tests/oracles.py``.
 they are safe to share between threads.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 

@@ -31,32 +31,9 @@ None of these is used by the library itself.  These kinds live here:
   the warden's n-use trace distance as a Schur-Weyl block sum
   (``mp_warden_trace_distances``), and ALL_ENV's T and error probability
   from one reduced block per sector (``mp_allenv_distances``), whose
-  values on ``ALLENV_GRID`` are committed (``write_allenv_reference``).
-* The scalar closed forms by their helper route: ``dvq_reference``,
-  ``willie_divergence_reference``, ``logM_reference`` and
-  ``rate_rows_reference`` sum over lists through helper calls
-  (``_coupled_pair``, ``_g`` by a loop, ``_central_moments``) and check
-  every argument per row, with the moments and the warden's divergence
-  defined on all of [0, 1] (``_check_unit``, and ``_dvq_noiseless`` at
-  q = 0).  ``qcovert.covert``'s kernels ``_dvq``, ``_logM`` and
-  ``_willie_divergence`` do the same floating-point operations in the
-  same order, written flat, unchecked, and with the per-table constants
-  hoisted into ``rate_reports``, so the two must agree bit for bit,
-  refusals included, on the domain the tables hand the kernels.  Likewise
-  ``approx_rows_reference`` builds ``moment_curve``'s rows from the checks
-  of the CLI, ``dvq_reference`` per row and ``leading_reference``, the
-  leading forms with a fourth-moment constant fitted at alpha = 1e-3.
-  And ``support_reports_reference`` builds the feasibility reports by one
-  ``Scenario(...)`` call per row, as ``channels.scenario_reports`` did
-  before its lookup table: the same fields, bit for bit, refusals
-  included, but for that table's refusal below the normal range.
-* The qubit wardens' detection route with numpy tables,
-  ``qubit_rows_reference``: per chunk the powers, repeats and per-degree
-  coefficients as stacked arrays, the block norms added by fancy-indexed
-  sums, and the budget by the checked ``willie_divergence_reference`` per
-  row.  ``qcovert.detection`` builds those tables in plain Python with the
-  same floating-point operations, so the two agree bit for bit, refusals
-  included (but for the fidelity-floor refusal, which the reference lacks).
+  values on ``ALLENV_GRID`` are committed (``write_allenv_reference``), as
+  are the E1 warden's T and error probability on ``E1_ROWS``, up to
+  n = 100 (``write_e1_reference``).
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -68,7 +45,6 @@ import csv
 import io
 import json
 import math
-import sys
 from typing import NamedTuple
 
 import mpmath as mp
@@ -81,16 +57,6 @@ from qcovert.channels import (
     SupportReport,
     _check_q,
 )
-from qcovert.covert import (
-    BERRY_ESSEEN,
-    RateReport,
-    _e1_bloch,
-    _eta,
-    _inv_normal_cdf,
-    _require_normal,
-    check_nu,
-)
-from qcovert.detection import DetectionResult, _warden_block
 from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
@@ -539,54 +505,6 @@ def dense_support_report(spec: ChannelSpec) -> SupportReport:
     )
 
 
-class ReferenceSupportReport(NamedTuple):
-    """``SupportReport`` as ``support_reports_reference`` builds it: the member, no label."""
-
-    scenario: Scenario
-    q: float
-    support_contained: bool
-    kernel_overlap: float
-    trace_dist: float
-    det_omega0: float
-    det_omega1: float
-    verdict: str
-    note: str = ""
-
-
-def support_reports_reference(q: float, scenarios) -> list[ReferenceSupportReport]:
-    """The closed-form reports by one ``Scenario(...)`` call per row.
-
-    ``channels.scenario_reports`` before it looked each scenario up in a
-    table built at import and checked for fields below the normal range,
-    kept verbatim but for its record, which has the ``Scenario`` member in
-    place of the number and its label.
-    """
-    _check_q(q)
-    m, d = q.as_integer_ratio()
-    q_pos = m / d  # q, with -0.0 as +0.0 so that no field is a signed zero
-    note = _BOUNDARY_NOTES.get(q, "")
-    reports = []
-    for scenario in map(Scenario, scenarios):
-        if scenario is Scenario.E2_ONLY:
-            overlap, dist, det = 0.0, 0.0, m * (2 * d - m) / (4 * d * d)
-        elif scenario is Scenario.E1_ONLY:
-            overlap, det = 0.0, m * (2 * d - m) / (8 * d * d)
-            dist = math.sqrt(m * (2 * d - m) / (2 * d * d))
-        else:
-            overlap, det = m * (4 * d - 3 * m) / (2 * d * (2 * d - m)), 0.0
-            dist = 0.5 * (math.sqrt(q_pos * (4.0 - 3.0 * q_pos)) + q_pos)  # 2s + q/2
-        contained = overlap == 0.0
-        if note:
-            verdict = "degenerate"
-        elif not contained:
-            verdict = "impossible"
-        else:
-            verdict = "trivial" if dist == 0.0 else "nontrivial"
-        reports.append(
-            ReferenceSupportReport(scenario, q, contained, overlap, dist, det, det, verdict, note))
-    return reports
-
-
 # ----------------------------------------------------------------------
 # Dense joint output of the entangled input
 
@@ -687,10 +605,6 @@ def arrow_spectral(p: ArrowMatrixParams) -> SpectralDecomposition:
     return order_eigensystem([lam1, b, c, lam4], basis)
 
 
-# ----------------------------------------------------------------------
-# The closed forms by their helper route
-
-
 def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, float, float, float]:
     """Eigenvalues of the 2x2 block [[a, e], [e, d]] with their offsets from a.
 
@@ -714,365 +628,6 @@ def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, floa
         gap1 = 0.5 * ((d - a) + r)
         gap4 = -2.0 * e * e / (r + (d - a))
     return lam1, lam4, gap1, gap4
-
-
-_EPS = float(np.finfo(np.float64).eps)
-_G_SERIES = tuple(1.0 / (k * (k - 1)) for k in range(14, 1, -1))
-
-
-def _g(u: float) -> float:
-    """(1 + u) log(1 + u) - u >= 0, by its series where that form would cancel."""
-    if abs(u) > 0.05:
-        return (1.0 + u) * math.log1p(u) - u
-    total = 0.0
-    for c in _G_SERIES:  # Horner on u^2 sum_j (-u)^j c_{j+2}
-        total = c - u * total
-    return u * u * total
-
-
-def _g_ratio(u: float, num: float, den: float) -> float:
-    """g(u) for 1 + u = num / den: ``_g``, or the quotient where 1 + u < 1e-3 may round to 0."""
-    return _g(u) if u > -0.999 else num / den * math.log(num / den) - u
-
-
-def _log_ratio(u: float, num: float, den: float) -> float:
-    """log(1 + u) for 1 + u = num / den: log1p near 1, the quotient near 0."""
-    return math.log1p(u) if u > -0.5 else math.log(num / den)
-
-
-def _central_moments(centered, l14: float, weights) -> tuple[float, float]:
-    """(V, Q) in nats from L - D in rho's eigenbasis: its diagonal ``centered``, coupling l14."""
-    c11, c44, c_b, c_c = centered
-    lam1, lam4, b, c = weights
-    sq11 = c11 * c11 + l14 * l14
-    sq44 = c44 * c44 + l14 * l14
-    sq14 = l14 * (c11 + c44)
-    v = lam1 * sq11 + lam4 * sq44 + b * c_b**2 + c * c_c**2
-    q4 = (lam1 * (sq11 * sq11 + sq14 * sq14) + lam4 * (sq44 * sq44 + sq14 * sq14)
-          + b * c_b**4 + c * c_c**4)
-    return v, q4
-
-
-def _dvq_noiseless(alpha: float) -> DvqTriple:
-    """Moments at q = 0: rho is pure, so log rho = 0 and L = -log sigma.
-
-    rho's vector weights |00> and |11> by 1 - alpha and alpha, where
-    sigma is (1 - alpha)^2 and alpha^2: L is the two-point variable
-    -2 log2 p with p = (1 - alpha, alpha).
-    """
-    p = 1.0 - alpha
-    d = -2.0 * (p * math.log2(p) + alpha * math.log2(alpha))
-    spread = 2.0 * math.log2(p / alpha)
-    _require_normal("moment", d)  # V and Q vanish at alpha = 1/2
-    v = p * alpha * spread**2
-    return DvqTriple(d, v, v * (p**3 + alpha**3) * spread**2)
-
-
-def dvq_reference(alpha: float, q: float) -> DvqTriple:
-    """The moments D, V, Q of ``qcovert.covert._dvq`` by helper calls and list comprehensions.
-
-    Every argument is checked, alpha in [0, 1] and q in [0, 1]: alpha is
-    folded to min(alpha, 1 - alpha) as the tables fold it, the moments are
-    0 where rho equals sigma (alpha = 0 or 1, q = 1) and the pure-state
-    form at q = 0.
-    """
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    alpha = min(alpha, 1.0 - alpha)
-    if alpha == 0.0 or q == 1.0:  # rho equals sigma exactly
-        return DvqTriple(0.0, 0.0, 0.0)
-    if q == 0.0:
-        return _dvq_noiseless(alpha)
-    half, eps = q / 2.0, 1.0 - q
-    a, b = (1.0 - half) * (1.0 - alpha), half * (1.0 - alpha)
-    c, d = half * alpha, (1.0 - half) * alpha
-    e = eps * math.sqrt(alpha * (1.0 - alpha))
-    shift = alpha * eps
-    m0, m1 = (1.0 - half) - shift, half + shift
-    det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)
-    lam1, lam4, gap, _ = _coupled_pair(a, d, e, det)
-    sigma = ((1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1)
-    _require_normal("spectral term", lam4, gap, c, sigma[3])
-    rel = (shift / m0, -shift / m1, -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1)
-    log_ad = math.log1p((1.0 - 2.0 * alpha) / alpha)
-    mean = (sigma[0] * _g(rel[0]) + sigma[1] * _g_ratio(rel[1], half, m1)
-            + sigma[2] * _g_ratio(rel[2], half, m0) + sigma[3] * _g(rel[3])
-            + a * _g(gap / a) + d * _g_ratio(-gap / d, lam4, d) + gap * log_ad)
-    h = math.hypot(e, gap)
-    cos, sin = e / h, gap / h
-    cos2, sin2 = cos * cos, sin * sin
-    l0, l3 = math.log1p(rel[0]), math.log1p(rel[3])
-    l_b = _log_ratio(rel[1], half, m1)
-    l_c = _log_ratio(rel[2], half, m0)
-    log_s03 = log_ad + math.log1p(eps * (1.0 - 2.0 * alpha) / m1)
-    l11 = math.log1p(gap / a) + cos2 * l0 + sin2 * (log_ad + l3)
-    l44 = _log_ratio(-gap / d, lam4, d) + l3 - sin2 * log_s03
-    l14 = cos * sin * log_s03
-    logs, weights = (l11, l44, l_b, l_c), (lam1, lam4, b, c)
-    v, q4 = _central_moments([x - mean for x in logs], l14, weights)
-    slack = [math.copysign(_EPS * (abs(x) + abs(mean)), x - mean) for x in logs]
-    v_hi, q4_hi = _central_moments([x - mean + s for x, s in zip(logs, slack)], l14, weights)
-    if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
-        raise ArithmeticError(f"V={v / LN2**2!r}, Q={q4 / LN2**4!r} are within rounding of L - D")
-    moments = DvqTriple(mean / LN2, v / LN2**2, q4 / LN2**4)
-    _require_normal("moment", *moments)
-    return moments
-
-
-def willie_divergence_reference(alpha: float, q: float) -> float:
-    """``qcovert.covert._willie_divergence`` with its per-q constants computed per call.
-
-    Every argument is checked, alpha and q in [0, 1]; the divergence is 0
-    where omega_alpha equals omega_0 (alpha = 0 or q = 0).
-    """
-    _check_unit("alpha", alpha)
-    _check_unit("q", q)
-    if alpha == 0.0 or q == 0.0:
-        return 0.0
-    perp2 = q * (1.0 - 0.5 * q)
-    _require_normal("warden's Bloch weight P = q(1 - q/2)", perp2)
-    z = 1.0 - q
-    s_len = math.sqrt(perp2 + z * z)
-    u = 1.0 - 2.0 * alpha
-    r_len = math.sqrt(u * u * perp2 + z * z)
-    delta = 4.0 * alpha * (1.0 - alpha) * perp2 / (s_len + r_len)
-    one_minus_s = perp2 / (1.0 + s_len)
-    binary = (0.5 * (1.0 + s_len) * _g(-delta / (1.0 + s_len))
-              + 0.5 * one_minus_s * _g(delta / one_minus_s))
-    if u >= 0.0:
-        excess = 0.0 if z == 0.0 else (
-            4.0 * alpha * alpha * z * z * perp2 / (r_len * s_len + u * perp2 + z * z))
-    else:
-        excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
-                  - u * perp2)
-    atanh_s = 0.5 * math.log((1.0 + s_len) ** 2 / perp2)
-    d = (binary + atanh_s * excess / s_len) / LN2
-    _require_normal("warden divergence", d)
-    return d
-
-
-def logM_reference(n: int, eps: float, dvq: DvqTriple) -> float:
-    """``qcovert.covert._logM`` with its constants computed and its arguments checked per call."""
-    if n < 2 or n != int(n):
-        raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
-    if not (0.0 < eps < 1.0) or math.isnan(eps):
-        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
-    if not all(map(math.isfinite, dvq)):
-        raise ValueError(f"moments must be finite, got {dvq}")
-    if dvq.v <= 0.0:
-        raise ArithmeticError("second moment V must be positive for the correction term")
-    sqrt_2pi = math.sqrt(2.0 * math.pi)
-    c_n = (BERRY_ESSEEN / sqrt_2pi * dvq.q4**0.75 / dvq.v + dvq.v / sqrt_2pi
-           + math.log2(4.0 * eps * n))
-    return n * dvq.d + math.sqrt(n * dvq.v) * _inv_normal_cdf(eps) - c_n
-
-
-def rate_rows_reference(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
-    """``qcovert.covert.rate_reports`` with the schedule's checks and every other check per row."""
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q={q:g} outside (0, 1)")
-    eta = _eta(_e1_bloch(q))
-    coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
-    capacity = 4.0 * math.sqrt(2.0) / 3.0 * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
-    limit = coeff / math.sqrt(eta / 2.0)
-    rows = []
-    for n in blocklengths:
-        if n < 1 or n != int(n):
-            raise ValueError(f"blocklength n={n!r} must be a positive integer")
-        check_nu(nu)
-        alpha = float(n) ** (nu - 2.0 / 3.0)
-        logM = logM_reference(n, eps, dvq_reference(alpha, q))
-        div = n * willie_divergence_reference(alpha, q)
-        rows.append(RateReport(
-            n=n,
-            nu=nu,
-            q=q,
-            alpha_n=alpha,
-            eps=eps,
-            logM_finite=logM,
-            logM_asymptotic=coeff * float(n) ** (nu - 1.0 / 6.0) * math.sqrt(n) * math.log2(n),
-            willie_div_total=div,
-            covert_rate_L=logM / (math.log2(n) * math.sqrt(n * div)),
-            capacity_lb=capacity,
-            covert_rate_limit=limit,
-        ))
-    return rows
-
-
-def _power_pair_reference(base_0, base_d: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """b_a^s and b_a^s - b_0^s for s < count, b_a = b_0 + b_d, stacked on axis 0.
-
-    The difference is carried as b_a (b_a^s - b_0^s) + b_d b_0^s, so no
-    step subtracts two O(1) powers.
-    """
-    base_a = base_0 + base_d
-    pow_0 = base_0 ** np.arange(count)
-    pow_a = np.ones((count, len(base_d)))
-    pow_d = np.zeros((count, len(base_d)))
-    for s in range(count - 1):
-        pow_a[s + 1] = base_a * pow_a[s]
-        pow_d[s + 1] = base_a * pow_d[s] + base_d * pow_0[s]
-    return pow_a, pow_d
-
-
-def _sym_levels_reference(block, alphas: np.ndarray, ns: np.ndarray):
-    """Yield [Sym^k(omega_0), Sym^k(omega_a) - Sym^k(omega_0) per live row] for k = 0..ns[0]."""
-    a, b, c = block
-    shift = np.concatenate(([0.0], alphas * (-2.0 * c)))[:, np.newaxis, np.newaxis]
-    edge = c + shift
-    lives = np.searchsorted(-ns, -np.arange(int(ns[0]) + 1), side="right").tolist()
-    stack = np.zeros((len(alphas) + 1, 1, 1))
-    stack[0] = 1.0
-    yield stack
-    for k in range(1, len(lives)):
-        prev = stack[:lives[k] + 1]
-        e, s = edge[:len(prev)], shift[1:len(prev)]
-        stack = np.zeros((len(prev), k + 1, k + 1))
-        sym = np.empty_like(stack)
-        taps = sym[:, :-1, :-1]
-        np.multiply(prev, a, out=stack[:, :-1, :-1])
-        stack[:, 1:, :-1] += np.multiply(prev, e, out=taps)
-        stack[:, :-1, -1] = e[..., 0] * prev[:, :, -1]
-        stack[:, 1:, -1] += b * prev[:, :, -1]
-        stack[1:, 1:, :-1] += np.multiply(prev[0], s, out=taps[1:])
-        stack[1:, :-1, -1] += s[..., 0] * prev[0, :, -1]
-        yield np.multiply(stack, dicke_scaling(k), out=sym)
-
-
-def _qubit_distances_reference(block, ns: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """T for a qubit warden's block, rows sorted by n descending, by numpy tables per chunk."""
-    a, b, c = block
-    top = int(ns[0])
-    pow_a, pow_d = _power_pair_reference(
-        a * b - c * c, 4.0 * c * c * alphas * (1.0 - alphas), top // 2 + 1)
-    repeats = np.array([[float(math.comb(n + 1, r) * max(n - 2 * r + 1, 0) // (n + 1))
-                         for r in range(top // 2 + 1)] for n in ns.tolist()])
-    degrees = np.arange(top + 1)
-    spin = np.maximum(ns - degrees[:, np.newaxis], 0) // 2
-    coefs = np.stack((repeats.T, pow_a, pow_d))[:, spin, np.arange(len(ns))]
-    parity = [np.flatnonzero(ns % 2 == p) for p in (0, 1)]
-    counts = [np.searchsorted(-ns[rows], -degrees, side="right").tolist() for rows in parity]
-    terms = []
-    for k, stack in enumerate(_sym_levels_reference(block, alphas, ns)):
-        rows = parity[k % 2][:counts[k % 2][k]]
-        if rows.size:
-            mult, coef_a, coef_d = coefs[:, k, rows]
-            blocks = (coef_a[:, np.newaxis, np.newaxis] * stack[rows + 1]
-                      + coef_d[:, np.newaxis, np.newaxis] * stack[0])
-            try:
-                eigs = np.linalg.eigvalsh(blocks)
-            except np.linalg.LinAlgError as exc:
-                raise ArithmeticError(f"eigensolver failed: {exc}") from exc
-            terms.append((rows, mult * np.abs(eigs).sum(axis=-1)))
-    total = np.zeros(len(ns))
-    for index, values in reversed(terms):
-        total[index] += values
-    return 0.5 * total
-
-
-def qubit_rows_reference(ns, alphas, spec: ChannelSpec, chunk_entries: int = 2**19) -> list:
-    """``qcovert.detection.warden_errors`` for a qubit warden (E1_ONLY, E2_ONLY) by numpy tables.
-
-    The route before the per-chunk tables were built in plain Python: the
-    powers, repeats and per-degree coefficients as stacked arrays, the block
-    norms summed by fancy-indexed adds, and the budget by the checked
-    ``willie_divergence_reference`` per row.  The E1 route must give the same
-    floats, or raise the same refusals.
-    """
-    ns, alphas = list(ns), list(alphas)
-    if len(ns) != len(alphas):
-        raise ValueError(f"{len(ns)} blocklengths for {len(alphas)} weights")
-    for n, alpha in zip(ns, alphas):
-        if n < 1 or n != int(n):
-            raise ValueError(f"number of uses n={n!r} must be a positive integer")
-        if n > 100:
-            raise ValueError(f"n={n} exceeds the cap 100 for scenario {spec.scenario.name}")
-        if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
-            raise ValueError(f"alpha={alpha!r} outside [0, 1]")
-    block = _warden_block(spec)
-    blind = block[2] == 0.0
-    signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
-    dist = np.zeros(len(ns))
-    if signal:
-        signal.sort(key=lambda i: -int(ns[i]))
-        sig_ns = np.array([int(ns[i]) for i in signal])
-        sig_alphas = np.array([float(alphas[i]) for i in signal])
-        width = max(1, chunk_entries // (int(sig_ns[0]) + 1) ** 2)
-        for lo in range(0, len(signal), width):
-            part = slice(lo, lo + width)
-            dist[signal[part]] = _qubit_distances_reference(block, sig_ns[part], sig_alphas[part])
-    results = []
-    for i, (n, alpha) in enumerate(zip(ns, alphas)):
-        t = min(float(dist[i]), 1.0)
-        if alpha == 0.0 or blind:
-            div_total = 0.0
-        else:
-            if not sys.float_info.min <= t < math.inf:
-                raise ArithmeticError(
-                    f"trace distance {t!r} at n={n}, alpha={alpha!r} is not a positive normal float")
-            div_total = n * willie_divergence_reference(alpha, spec.q)
-        error = 0.5 * (1.0 - t)
-        floor = 0.5 * (1.0 - math.sqrt(LN2 * div_total / 2.0))
-        if error < floor - 1e-12:
-            raise ArithmeticError(
-                f"error probability {error} fell below the Pinsker floor {floor} at n={n}")
-        results.append(DetectionResult(n, alpha, t, error, floor, div_total))
-    return results
-
-
-# Weight at which ``leading_reference`` reads the fourth-moment constant off
-# ``dvq_reference``.
-_REFERENCE_ALPHA = 1e-3
-
-
-def leading_reference(alphas, q: float) -> list[DvqTriple]:
-    """Leading small-alpha terms of the joint-vs-product moments, one per weight.
-
-    D and V both carry the coefficient 2(1-q)^2/(2-q):
-
-        D ~ -coeff * alpha * log2(alpha)
-        V ~ +coeff * alpha * log2(alpha)^2
-
-    The fourth moment is only an order class, O(alpha log^2 alpha); it is
-    reported with its constant estimated from the exact computation at
-    alpha = 1e-3, once for the whole grid.
-    """
-    _check_unit("q", q)
-    coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)
-    q4_const = dvq_reference(_REFERENCE_ALPHA, q).q4 / (
-        _REFERENCE_ALPHA * math.log2(_REFERENCE_ALPHA) ** 2
-    )
-    rows = []
-    for alpha in alphas:
-        _check_unit("alpha", alpha)
-        if alpha == 0.0 or alpha == 1.0:
-            rows.append(DvqTriple(0.0, 0.0, 0.0))
-            continue
-        log_a = math.log2(alpha)
-        rows.append(DvqTriple(
-            d=-coeff * alpha * log_a,
-            v=coeff * alpha * log_a * log_a,
-            q4=q4_const * alpha * log_a * log_a,
-        ))
-    return rows
-
-
-def approx_rows_reference(alphas, q: float, leads=leading_reference) -> list[tuple]:
-    """``qcovert.covert.moment_curve`` by the CLI's checks, ``leads`` and ``dvq_reference`` per row."""
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q={q:g} outside (0, 1)")
-    for a in alphas:
-        if not (0.0 <= a < 1.0):
-            raise ValueError(f"alpha={a:g} outside [0, 1)")
-    rows = []
-    for a, lead in zip(alphas, leads(alphas, q)):
-        if a == 0.0:
-            rows.append((0.0,) * 7)
-            continue
-        exact = dvq_reference(a, q)
-        rows.append((exact.d, lead.d, exact.v, lead.v, exact.q4,
-                     exact.d / lead.d, exact.v / lead.v))
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -1431,12 +986,17 @@ ALLENV_GRID = {"n": (1, 3, 5, 10, 30), "q": (1e-6, 0.05, 0.5, 0.9, 0.99, 0.999, 
                "alpha": (1e-15, 1e-6, 0.3, 0.7, 1.0)}
 
 
-def allenv_reference() -> dict:
-    """The committed ``write_allenv_reference`` values: {(n, q, alpha): (T, E)} as mpf."""
-    with open(f"{__file__.rsplit('/', 1)[0]}/{ALLENV_REFERENCE}", encoding="utf-8") as data:
+def _committed_rows(name: str) -> dict:
+    """The rows [n, q, alpha, T, E] of a committed reference file: {(n, q, alpha): (T, E)} as mpf."""
+    with open(f"{__file__.rsplit('/', 1)[0]}/{name}", encoding="utf-8") as data:
         rows = json.load(data)["rows"]
     with mp.workdps(30):
         return {(n, q, alpha): (mp.mpf(dist), mp.mpf(error)) for n, q, alpha, dist, error in rows}
+
+
+def allenv_reference() -> dict:
+    """The committed ``write_allenv_reference`` values: {(n, q, alpha): (T, E)} as mpf."""
+    return _committed_rows(ALLENV_REFERENCE)
 
 
 def write_allenv_reference(directory="tests") -> None:
@@ -1454,6 +1014,43 @@ def write_allenv_reference(directory="tests") -> None:
                      for alpha, (dist, error) in zip(ALLENV_GRID["alpha"], pairs)]
     text = json.dumps({"grid": ALLENV_GRID, "rows": rows}, indent=1)
     with open(f"{directory}/{ALLENV_REFERENCE}", "w", encoding="utf-8") as out:
+        out.write(text + "\n")
+
+
+E1_REFERENCE = "e1_reference.json"
+# E1 rows past the n <= 20 of the direct block-sum audit: alpha = 1 at n = 50 and
+# 100 (q = 0.5), where T is all but 1, n = 99 at q = 1, and alpha = 1e-15 and
+# n**-0.5 at n = 100, the square-root regime.
+E1_ROWS = ((50, 0.5, 1.0), (100, 0.5, 1.0), (99, 1.0, 0.383)) + tuple(
+    (100, q, alpha) for q in (0.05, 0.5, 0.95) for alpha in (1e-15, 100**-0.5))
+
+
+def e1_reference() -> dict:
+    """The committed ``write_e1_reference`` values: {(n, q, alpha): (T, E)} as mpf."""
+    return _committed_rows(E1_REFERENCE)
+
+
+def write_e1_reference(directory="tests") -> None:
+    """Write the E1 warden's T and E = (1 - T)/2 on ``E1_ROWS`` to ``directory/E1_REFERENCE``.
+
+    T is ``mp_warden_trace_distances`` at its 40 digits, and E is formed
+    from it at those digits.  Rows are [n, q, alpha, T, E] with T and E as
+    25-digit strings.  From the repository root: ``PYTHONPATH=src:tests
+    python -c "import oracles; oracles.write_e1_reference()"`` (about 15
+    minutes on one core).
+    """
+    dists = {}
+    for n, q in dict.fromkeys((n, q) for n, q, _ in E1_ROWS):  # one null block set per (n, q)
+        alphas = [alpha for n_, q_, alpha in E1_ROWS if (n_, q_) == (n, q)]
+        refs = mp_warden_trace_distances(n, alphas, q, Scenario.E1_ONLY)
+        dists.update(((n, q, alpha), dist) for alpha, dist in zip(alphas, refs))
+    rows = []
+    for key, dist in dists.items():
+        with mp.workdps(40):
+            error = (1 - dist) / 2
+        rows.append([*key, mp.nstr(dist, 25), mp.nstr(error, 25)])
+    text = json.dumps({"rows": rows}, indent=1)
+    with open(f"{directory}/{E1_REFERENCE}", "w", encoding="utf-8") as out:
         out.write(text + "\n")
 
 

@@ -28,6 +28,8 @@ Measured worst cases on these grids: 1.8e-15 (D), 1.3e-15 (V),
 moments at q = 1e-6 and 1 - 1e-6 and 5.6e-16 for the warden divergence
 at weights from 1/2 on; 7.3e-16 for the detect-sim budget and 8.0e-16 for
 its trace distance (ALL_ENV: 6.8e-16 at n = 1..5, q from 1e-6 to 1);
+for E1's T at n = 50, 99 and 100 against ``tests/e1_reference.json``,
+2.7e-11 at n = 99, q = 1 and at most 2.8e-14 on the other rows;
 for ALL_ENV against the reduced-sector reference, 6.4e-15 for T and
 1.4e-14 for ``E_n`` at n <= 30 (both at n = 30; at n <= 5, 9.8e-16 and
 2.7e-15), ``E_n`` down to 2.6e-172 at n = 30, q = 0.999, alpha = 1
@@ -66,8 +68,10 @@ import pytest
 from oracles import (
     ALLENV_GRID,
     DPS,
+    E1_ROWS,
     allenv_reference,
     dense_support_report,
+    e1_reference,
     mp_allenv_distances,
     mp_dvq,
     mp_support_fields,
@@ -373,6 +377,25 @@ def test_detect_all_env_trace_distance_at_the_q_edges(q):
         refs = mp_warden_trace_distances(n, T_ALPHAS, q, Scenario.ALL_ENV)
         worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
         assert worst <= TOL_T, f"T off by {worst:.2e} at n={n}"
+
+
+# E1's T past the direct block sums' n <= 20, against the 40-digit values of
+# ``mp_warden_trace_distances`` in ``tests/e1_reference.json`` (n = 100 costs
+# minutes in mpmath; ``oracles.write_e1_reference`` regenerates the file).  E1's
+# E_n = (1 - T)/2 has no stated bound, so only T is held here.
+
+E1_REFS = e1_reference()
+
+
+def test_e1_reference_file_covers_the_rows():
+    assert sorted(E1_REFS) == sorted(E1_ROWS)
+
+
+@pytest.mark.parametrize("n, q, alpha", E1_ROWS)
+def test_detect_e1_trace_distance_to_the_cap_matches_the_reference(n, q, alpha):
+    (row,) = warden_errors([n], [alpha], ChannelSpec(q, Scenario.E1_ONLY))
+    err = _rel(row.trace_dist, E1_REFS[n, q, alpha][0])
+    assert err <= TOL_T, f"T off by {err:.2e}"
 
 
 # ALL_ENV's T and E_n on the secular-equation route, against the 50-digit

@@ -607,6 +607,8 @@ RATE_ERRORS = [
      ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
     (["rate-table", "--n-grid", "1", "--eps", "2"], 2,
      ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
+    (["rate-table", "--nu", "0.3", "--eps", "2"], 2,
+     ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
     (["rate-table", "--q", "1e-300", "--n-grid", "1e15", "--eps", "2"], 2,
      ERR + "error tolerance eps=2.0 outside (0, 1)\n"),
     (["rate-table", "--n-grid", "1,0"], 2, ERR + "blocklength n=1 must be an integer >= 2\n"),
@@ -629,6 +631,8 @@ RATE_ERRORS = [
      FAIL + "spectral term 4.166666666667e-311 is not a positive normal float\n"),
     (["approx-check", "--q", "1e-20", "--alpha-grid", "0.5"], 3,
      FAIL + "V=3.512877565973877e-17, Q=1.645374505802968e-13 are within rounding of L - D\n"),
+    (["approx-check", "--q", "0.999999999", "--alpha-grid", "1e-285"], 3,
+     FAIL + "moment 1.4924892286e-314 is not a positive normal float\n"),
     (["approx-check", "--alpha-grid", "1"], 2, ERR + "alpha=1 outside [0, 1)\n"),
 ]
 

@@ -1,35 +1,26 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
-from hypothesis import strategies as st
 
-import oracles
 from oracles import (
     ArrowMatrixParams,
-    approx_rows_reference,
     arrow_matrix,
     arrow_params,
     arrow_spectral,
     binary_convolution,
-    dvq_reference,
     e1only_marginal,
     eig_hermitian,
     entangled_input,
     eta,
     joint_output_closed_form,
-    logM_reference,
     moments,
     mp_willie_divergence,
     partial_trace,
     product_of_marginals,
     projector,
-    rate_rows_reference,
     relative_entropy,
     stinespring_isometry,
-    willie_divergence_reference,
 )
 from qcovert import covert
 from qcovert.covert import (
@@ -39,7 +30,6 @@ from qcovert.covert import (
     rate_reports,
     schedule_weights,
 )
-from qcovert.divergences import DvqTriple
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -207,6 +197,11 @@ def test_dvq_exact_matches_dense_oracle(alpha, q):
     np.testing.assert_allclose((d, v, q4), expected, rtol=1e-10, atol=1e-12)
 
 
+def divergence_kernel(alpha, q):
+    """``covert._willie_divergence`` at q's constants, as the tables call it."""
+    return covert._willie_divergence(alpha, *covert._e1_bloch(q))
+
+
 def test_warden_closed_forms_match_dense_oracles():
     rng = np.random.default_rng(23)
     for _ in range(40):
@@ -233,8 +228,26 @@ def test_dvq_ratio_regression_values():
     pins = {1e-3: 0.277163, 1e-4: 0.207750, 1e-5: 0.166181, 1e-6: 0.138481}
     rows = moment_curve(list(pins), 0.5)
     for (alpha, pin), (d, d_lead, *_, ratio_d, _) in zip(pins.items(), rows):
-        assert d == dvq_reference(alpha, 0.5).d and ratio_d == d / d_lead
+        assert d == covert._dvq(alpha, 0.5).d and ratio_d == d / d_lead
         assert ratio_d - 1.0 == pytest.approx(pin, abs=5e-6)
+
+
+def test_moments_keep_their_bits_next_to_the_branch_switches():
+    """D, V, Q to the last bit on rows just inside the branches of ``_dvq``'s log(1 + u) forms.
+
+    At q = 0.002, alpha = 0.1, 1 + u lies in [1e-3, 1e-2) for rel1, rel2 and
+    -gap/d, so each g(u) is (1 + u) log1p(u) - u, less than a decade above the
+    1e-3 where the quotient form takes over; at q = 0.02, alpha = 0.008,
+    1 + rel1 = 0.56 takes log1p, just above the 0.5 where the log of the
+    quotient takes over.  Each row is within 1.1e-15 of ``mp_dvq``.
+    """
+    pins = {(0.002, 0.1): (0.9261474231136916, 3.667760268291293, 212.37523406696997),
+            (0.02, 0.008): (0.11267073159457369, 1.2623994149733984, 1.7540751477665133)}
+    for (q, alpha), moments in pins.items():
+        d, _, v, _, q4, *_ = moment_curve([alpha], q)[0]
+        assert repr((d, v, q4)) == repr(moments), (q, alpha)
+    # g's series keeps its last Horner term, k = 14: it decides the last bit here
+    assert repr(covert._g(-0.0487)) == "0.0012055781173599233"
 
 
 def test_inverse_normal_cdf_basics():
@@ -383,14 +396,15 @@ def test_rate_report_is_internally_consistent():
     assert rep.n == n and rep.q == 0.5 and rep.eps == 0.05
     (alpha,) = schedule_weights([n], nu)
     assert rep.alpha_n == alpha
-    dvq = dvq_reference(alpha, 0.5)
-    assert rep.logM_finite == pytest.approx(logM_reference(n, 0.05, dvq), rel=1e-14)
+    dvq = covert._dvq(alpha, 0.5)
+    logM = covert._logM(n, 0.05, covert._inv_normal_cdf(0.05), *dvq)
+    assert rep.logM_finite == pytest.approx(logM, rel=1e-14)
     assert rep.logM_asymptotic == pytest.approx(
         2.0 * (2.0 / 3.0 - nu) * 0.25 / 1.5 * float(n) ** (nu - 1.0 / 6.0)
         * math.sqrt(n) * math.log2(n),
         rel=1e-14,
     )
-    assert rep.willie_div_total == n * willie_divergence_reference(alpha, 0.5)
+    assert rep.willie_div_total == n * divergence_kernel(alpha, 0.5)
     assert rep.covert_rate_L == pytest.approx(
         rep.logM_finite / (math.log2(n) * math.sqrt(n * rep.willie_div_total)), rel=1e-14
     )
@@ -422,119 +436,3 @@ def test_finite_rate_convergence_approaches_limit():
     assert abs(gaps[-1]) < 0.05 * limit
     coeff = 2.0 * (2.0 / 3.0 - 0.05) * 0.25 / 1.5
     assert limit == pytest.approx(coeff / math.sqrt(capacity_curve([0.5])[0][0] / 2.0), rel=1e-14)
-
-
-# ----------------------------------------------------------------------
-# The flat closed forms against their helper-route copies in ``oracles``:
-# the same floats bit for bit (compared by repr, which tells every double
-# apart), or the same exception type with the same message.  The kernels
-# are compared on the domain the tables hand them: ``_dvq`` at
-# min(alpha, 1 - alpha) in (0, 1/2] and q in (0, 1), ``_willie_divergence``
-# at alpha in (0, 1] with the constants ``_e1_bloch`` of q in (0, 1].
-
-
-def outcome(f, *args):
-    try:
-        return repr(f(*args))
-    except (ValueError, ArithmeticError) as exc:
-        return type(exc), str(exc)
-
-
-def divergence_kernel(alpha, q):
-    """``covert._willie_divergence`` at q's constants, as the tables call it."""
-    return covert._willie_divergence(alpha, *covert._e1_bloch(q))
-
-
-EDGE_QS = (0.0, 5e-324, 1e-300, 1e-20, 1e-17, 1e-6, 1.0 - 1e-9, 1.0)
-# log-uniform over [1e-320, 1] and uniform over [0, 1], with the ends; q noise is drawn
-# also from [1e-5, 0.1], where the quotient branches of D and log(1 + u) switch
-noise_level = st.one_of(st.sampled_from(EDGE_QS), st.floats(0.0, 1.0),
-                        st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
-                        st.floats(-5.0, -1.0).map(lambda x: 10.0**x))
-weight_level = st.one_of(st.sampled_from((0.0, 5e-324, 1e-320, 0.5, 1.0)), st.floats(0.0, 1.0),
-                         st.floats(-320.0, 0.0).map(lambda x: 10.0**x))
-
-
-@seed(20261019)
-@settings(max_examples=500, deadline=None, database=None)
-@given(alpha=weight_level, q=noise_level, u=st.floats(-0.06, 0.06))
-def test_flat_forms_match_the_helper_route(alpha, q, u):
-    assert repr(covert._g(u)) == repr(oracles._g(u))  # one Horner expression against the loop
-    folded = min(alpha, 1.0 - alpha)
-    if folded > 0.0 and 0.0 < q < 1.0:
-        assert outcome(covert._dvq, folded, q) == outcome(dvq_reference, alpha, q)
-    if alpha > 0.0 and q > 0.0:
-        assert outcome(divergence_kernel, alpha, q) == outcome(willie_divergence_reference, alpha, q)
-
-
-@seed(20261019)
-@settings(max_examples=150, deadline=None, database=None)
-@given(offset=st.one_of(st.integers(-2000, 2000).map(lambda k: k * 2.0**-53),
-                        st.floats(-16.0, -1.0).map(lambda x: 10.0**x),
-                        st.floats(-16.0, -1.0).map(lambda x: -(10.0**x))),
-       q=st.one_of(st.sampled_from((1e-300, 1e-100, 1e-20)),
-                   st.floats(-300.0, -20.0).map(lambda x: 10.0**x)))
-def test_moments_refuse_as_before_near_half_weight(offset, q):
-    # alpha = 1/2 + k ulp, or 1/2 +- 10^-x, at q <= 1e-20: V ~ q log^2 q can be within
-    # the rounding of L - D
-    alpha = 0.5 + offset
-    assert outcome(covert._dvq, min(alpha, 1.0 - alpha), q) == outcome(dvq_reference, alpha, q)
-
-
-blocklength = st.one_of(st.sampled_from((2, 3, 496, 10**15, 10**300)),
-                        st.floats(math.log10(2.0), 300.0).map(lambda x: round(10.0**x)))
-rate_noise = st.one_of(st.sampled_from((1e-300, 1e-20, 1e-6, 0.05, 0.5, 0.95, 1.0 - 1e-9)),
-                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-
-
-@seed(20261019)
-@settings(max_examples=150, deadline=None, database=None)
-@given(ns=st.lists(blocklength, min_size=1, max_size=5), q=rate_noise,
-       nu=st.floats(0.0, 1.0 / 6.0, exclude_min=True, exclude_max=True),
-       eps=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_rate_rows_match_the_helper_route(ns, q, nu, eps):
-    got = outcome(rate_reports, ns, nu, q, eps)
-    assert got == outcome(rate_rows_reference, ns, nu, q, eps)
-    if isinstance(got, str):  # a table's rows are the rows run alone
-        assert got == repr([rate_reports([n], nu, q, eps)[0] for n in ns])
-        (alpha,) = schedule_weights(ns[:1], nu)
-        dvq = covert._dvq(min(alpha, 1.0 - alpha), q)
-        assert outcome(covert._logM, ns[0], eps, covert._inv_normal_cdf(eps), *dvq) == \
-            outcome(logM_reference, ns[0], eps, dvq)
-
-
-# ``moment_curve`` against ``oracles.approx_rows_reference``: the CLI's checks, ``dvq_reference``
-# per row and the leading forms of ``oracles.leading_reference``.
-
-
-def uncalibrated_leads(alphas, q):
-    """``leading_reference`` with its fourth-moment fit at alpha = 1e-3 made a constant."""
-    with mock.patch.object(oracles, "dvq_reference", lambda alpha, q: DvqTriple(1.0, 1.0, 1.0)):
-        return oracles.leading_reference(alphas, q)
-
-
-moment_weight = st.one_of(
-    st.sampled_from((0.0, -0.0, 5e-324, 1e-310, 0.5, 1.0 - 2.0**-53, 1.0, -1e-300, math.nan)),
-    st.floats(0.0, 1.0), st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
-    st.floats(-16.0, -1.0).map(lambda x: 1.0 - 10.0**x),  # alpha -> 1 from below
-    st.integers(-2000, 2000).map(lambda k: 0.5 + k * 2.0**-53))  # the refusal band at tiny q
-moment_noise = st.one_of(
-    st.sampled_from(EDGE_QS + (1e-310, 1e-305, 1e-100, 0.5, 1.0 - 2.0**-53, 1.5, math.nan)),
-    st.floats(0.0, 1.0), st.floats(-320.0, 0.0).map(lambda x: 10.0**x),
-    st.floats(-300.0, -20.0).map(lambda x: 10.0**x))
-
-
-@seed(20261019)
-@settings(max_examples=400, deadline=None, database=None)
-@given(alphas=st.lists(moment_weight, min_size=1, max_size=4), q=moment_noise)
-def test_moment_curve_matches_the_leading_route(alphas, q):
-    got = outcome(moment_curve, alphas, q)
-    want = outcome(approx_rows_reference, alphas, q)
-    if got != want:
-        # The one difference: the reference refuses every table where its Q fit at
-        # alpha = 1e-3 refuses (q below about 4.4e-305), a fit no column prints.
-        assert want == outcome(dvq_reference, 1e-3, q)
-        want = outcome(approx_rows_reference, alphas, q, uncalibrated_leads)
-    assert got == want
-    if isinstance(got, str):  # a table's rows are the rows run alone
-        assert got == repr([moment_curve([a], q)[0] for a in alphas])

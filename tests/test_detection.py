@@ -9,7 +9,6 @@ from oracles import (
     allenv_reference,
     basis_marginal_pair,
     mp_allenv_distances,
-    qubit_rows_reference,
     relative_entropy,
     root_fidelity,
     symmetric_power,
@@ -330,50 +329,6 @@ def test_secular_root_is_the_smallest_eigenvalue():
             # eigvalsh is accurate to about eps times the matrix norm
             assert s == pytest.approx(-low, rel=1e-12, abs=1e-14 * (d[0] + w @ w)), (d, w)
             assert rest == pytest.approx(np.sum(w[1:] ** 2 * d[1:] / (d[1:] + s)), rel=1e-12)
-
-
-def _outcome(fn, *args):
-    try:
-        return repr(fn(*args))
-    except (ValueError, ArithmeticError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-def _reference_outcome(ns, alphas, spec, entries):
-    """``qubit_rows_reference``'s outcome, with the fidelity-floor refusal it does not make."""
-    want = _outcome(qubit_rows_reference, ns, alphas, spec, entries)
-    if want.startswith("["):
-        perp2 = spec.q * (1.0 - 0.5 * spec.q)  # ``covert._e1_bloch``'s P
-        for r in qubit_rows_reference(ns, alphas, spec, entries):
-            floor = detection._fidelity_floor(r.n, r.alpha, perp2) if r.alpha else 0.0
-            if r.error_prob < floor * (1.0 - 1e-12):
-                return (f"ArithmeticError: error probability {r.error_prob!r} at n={r.n}, "
-                        f"alpha={r.alpha!r} fell below the Fuchs-van de Graaf floor {floor!r}")
-    return want
-
-
-WEIGHT_EDGES = (5e-324, 1e-300, 1e-15, 0.5, 1.0, 0.0)
-
-
-@pytest.mark.parametrize("q", [5e-324, 1e-6, 0.5, 0.9, 0.999, 1.0])
-def test_e1_tables_match_the_numpy_route(q, monkeypatch):
-    # per-chunk tables in plain Python against the numpy tables they replaced:
-    # the same floats, or the same refusal
-    rng = np.random.default_rng(int(1e6 * q) + 71)
-    spec = ChannelSpec(q, Scenario.E1_ONLY)
-    for trial in range(3 + len(WEIGHT_EDGES)):
-        size = int(rng.integers(1, 6))
-        ns = [int(n) for n in rng.integers(1, MAX_USES + 1, size)]
-        ns[0] = MAX_USES - trial % 2  # a full-size row of either parity
-        alphas = [float(10.0 ** rng.uniform(-150, 0)) if rng.random() < 0.5 else float(rng.random())
-                  for _ in ns]
-        if trial >= 3:  # an edge of the weight on the full-size row: it refuses or saturates
-            alphas[0] = WEIGHT_EDGES[trial - 3]
-        rows_per_chunk = (1, 2, 1000)[trial % 3]
-        entries = rows_per_chunk * (max(ns) + 1) ** 2
-        monkeypatch.setattr(detection, "CHUNK_ENTRIES", entries)
-        assert _outcome(warden_errors, ns, alphas, spec) == \
-            _reference_outcome(ns, alphas, spec, entries), (ns, alphas, rows_per_chunk)
 
 
 def test_e1_table_makes_one_eigvalsh_per_degree_with_rows(monkeypatch):

@@ -14,7 +14,11 @@ files also predate its reduction to one qubit spin block per k.  Each
 command runs at its defaults and once with arguments shaped like a
 benchmark round, and the numeric commands' benchmark-shaped tables run
 once more as JSON; those five ``.json`` files were written by the
-``json.dumps`` route before the CLI's row templates replaced it.  To regenerate a file after a deliberate output change,
+``json.dumps`` route before the CLI's row templates replaced it.
+``detect_sim_e1_large_n.json`` holds E1 rows at n = 50, 99 and 100 to
+the last bit; it was added with the deletion of the numpy-table
+detection route from ``tests/oracles.py``, whose differential test had
+pinned those bits.  To regenerate a file after a deliberate output change,
 run its argv with ``--out tests/golden/<name>``.
 
 The ``demo_<name>.txt`` files are the stdout of ``demos/<name>.py`` run
@@ -100,6 +104,12 @@ CASES.update({
     for name in ("rate_table_workload.csv", "approx_check_workload.csv",
                  "bound_curve_workload.csv", "detect_sim_e1.csv", "detect_sim_allenv.csv")
 })
+# E1 up to the cap of 100 uses, every bit of each float: (1 - T)/2 at alpha = 1
+# shows T's last bits, and the small weights show the det_0^r difference terms.
+CASES["detect_sim_e1_large_n.json"] = [
+    "detect-sim", "--scenario", "3", "--n-grid", "50,99,100", "--alpha-grid",
+    "1e-15,1e-7,0.05,0.1,0.383,1", "--q", "0.5", "--format", "json",
+]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
