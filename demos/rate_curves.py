@@ -5,7 +5,7 @@ import qcovert as qc
 print("capacity lower bound vs depolarizing weight")
 print("q      eta        capacity_lb")
 q_grid = [round(0.05 * k, 2) for k in range(1, 20)]
-for q, (eta, capacity) in zip(q_grid, qc.capacity_curve(q_grid)):
+for q, eta, capacity in qc.capacity_curve(q_grid):
     print(f"{q:4.2f}   {eta:8.4f}   {capacity:.6f}")
 
 print()

@@ -23,4 +23,4 @@ from .covert import (
 )
 from .detection import DetectionResult, warden_errors
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -3,9 +3,11 @@
 ``COMMANDS`` is the one command table: each command's handler, one-line
 help and options (``qcovert --help`` lists the commands), its config keys
 and its output columns with their kinds (``int``, ``float``, ``str`` or
-``bool``).  A handler returns ``(config, rows)``: the config dict, keyed
-``command`` and then the declared keys, and one tuple per row whose every
-cell is exactly its column's kind.
+``bool``).  A handler parses its options and calls one table function.
+It returns ``(values, rows)``: the config values, a tuple in the declared
+keys' order, and the list the table function returned, passed through
+unchanged.  Each table's rows are its command's rows: one tuple per row
+(a NamedTuple is one) whose every cell is exactly its column's kind.
 
 A call builds at most one parser, and a well-formed argv builds none and
 never imports argparse.  An argv that starts with a command name (or its
@@ -25,32 +27,27 @@ call that needs them: an integer grid entry such as ``1e4`` and
 ``rate-table``'s Phi^{-1}(eps).
 
 Each command's output format is built once, at import, by
-``_table_format``: the CSV header and row template, the JSON row template
-with its keys encoded, and the JSON config head.  A call fills one ``%``
-template per row: a ``float`` column is ``%.12g`` in CSV and ``%r`` in
-JSON, an ``int`` column ``%d``, and only a row's ``str`` and ``bool``
-cells are converted, in place, one value at a time.  A float column that
-holds inf or nan (each column's scan ends at its first) is converted per
-value in JSON, that column only, to the string the CSV prints.  A JSON
-config value is a list or a scalar, written by its exact type through
-one dict, ``_SCALAR_TEXT``.  The writer serves the tables the commands
-print: at least 2 columns, at least 1 row, tuple rows (a NamedTuple is
-one) and config values of an exact type in ``_SCALAR_TEXT`` or lists of
-them; the tests hold every command to that.  Within it, the text is
-byte for byte what ``csv.writer`` (floats to 12 significant digits,
-booleans in lower case) and ``json.dumps(indent=2)`` (non-finite floats
-as the CSV's strings) write; that route is kept as the test oracle
-``oracles.stdlib_table_text``.  ``--out`` gets the encoded text in one
-``os.write`` (looped until every byte is out) on one ``os.open``.  In
-process, a ``scenario --q Q --out FILE`` call to a new file takes about
-83 us warm, right after another call (8 us reading the argv, 13 us in
-the handler, 36 us writing the JSON text, 23 us creating and writing the
-file), and about 189 us cold, right after the benchmark's ``cli`` probe
-(22, 34, 59 and 70 us): medians of five runs of 1500 calls each way on a
-2-core x86-64 host.  A float option and a grid entry of -0.0
-are read as 0.0, so no echoed input prints a signed zero, and an integer
-grid takes only exact integers, each at its exact value
-(``parse_int_grid``).
+``_table_format``: the CSV header and row template, the JSON row
+template with its keys encoded, and the JSON config head with the
+command's name written in.  A call fills one ``%`` template per row: a
+``float`` column is ``%.12g`` in CSV and ``%r`` in JSON, an ``int``
+column ``%d``, and only a row's ``str`` and ``bool`` cells are
+converted, in place, one value at a time.  A float column that holds inf
+or nan (each column's scan ends at its first) is converted per value in
+JSON, that column only, to the string the CSV prints.  A JSON config
+value is a list or a scalar, written by its exact type (``int``,
+``float`` or ``None``) through one dict, ``_SCALAR_TEXT``.  The writer
+serves the tables the commands print: at least 2 columns, at least 1
+row, tuple rows and config values of an exact type in ``_SCALAR_TEXT``
+or lists of them; the tests hold every command to that.  Within it, the
+text is byte for byte what ``csv.writer`` (floats to 12 significant
+digits, booleans in lower case) and ``json.dumps(indent=2)`` (non-finite
+floats as the CSV's strings) write; that route is kept as the test
+oracle ``oracles.stdlib_table_text``.  ``--out`` gets the encoded text
+in one ``os.write`` (looped until every byte is out) on one ``os.open``.
+A float option and a grid entry of -0.0 are read as 0.0, so no echoed
+input prints a signed zero, and an integer grid takes only exact
+integers, each at its exact value (``parse_int_grid``).
 
 Exit codes: 0 success, 2 usage or validation error, 3 numerical failure.
 Identical configurations produce byte-identical output files.
@@ -65,9 +62,8 @@ from types import SimpleNamespace
 from typing import NamedTuple
 
 from .channels import ChannelSpec, Scenario, scenario_reports
-from .covert import (RateReport, capacity_curve, check_nu, moment_curve, rate_reports,
-                     schedule_weights)
-from .detection import warden_errors
+from .covert import capacity_curve, check_nu, moment_curve, rate_reports, schedule_weights
+from .detection import MAX_USES, MAX_USES_ALLENV, warden_errors
 
 
 MAX_GRID_POINTS = 10_000
@@ -156,8 +152,7 @@ _BOOL_TEXT = {True: "true", False: "false"}.__getitem__
 
 # A JSON config scalar's text by its exact type: every config value is of one of these types
 # or a list of them.
-_SCALAR_TEXT = {str: encode_basestring_ascii, bool: _BOOL_TEXT, int: int.__repr__,
-                float: _json_float, type(None): lambda value: "null"}
+_SCALAR_TEXT = {int: int.__repr__, float: _json_float, type(None): lambda value: "null"}
 
 
 def _json_value(value, indent: str) -> str:
@@ -204,7 +199,7 @@ class TableFormat(NamedTuple):
     csv_head: str        # the header line
     csv_row: str         # one row's line, its "\r\n" included
     csv_convert: tuple   # (column index, per-cell conversion) of str and bool
-    json_head: str       # '{"config": {...}, "rows": ', one %s per config value
+    json_head: str       # '{"config": {"command": ..., ...}, "rows": ', one %s per config value
     json_row: str        # one row's object, keys encoded
     json_convert: tuple  # as csv_convert, for the JSON cells
     json_floats: tuple   # (column index, cell getter) of each float column
@@ -214,10 +209,11 @@ def _json_key(key: str) -> str:
     return encode_basestring_ascii(key).replace("%", "%%")
 
 
-def _table_format(columns: dict, config_keys) -> TableFormat:
+def _table_format(command: str, columns: dict, config_keys) -> TableFormat:
     """The templates of a table whose column ``name`` holds cells of kind ``columns[name]``.
 
-    The table has at least 2 columns and its config at least one key.
+    The JSON config is ``command``'s name and then a value per config key;
+    the table has at least 2 columns.
     """
     csv_fields, csv_convert, json_fields, json_convert, floats = [], [], [], [], []
     for i, (name, kind) in enumerate(columns.items()):
@@ -230,12 +226,13 @@ def _table_format(columns: dict, config_keys) -> TableFormat:
             json_convert.append((i, json_cell))
         if kind is float:
             floats.append((i, itemgetter(i)))
-    config = ",".join(f"\n    {_json_key(key)}: %s" for key in config_keys)
+    config = "".join(f",\n    {_json_key(key)}: %s" for key in config_keys)
     return TableFormat(
         csv_head=",".join(map(_csv_str, columns)) + "\r\n",
         csv_row=",".join(csv_fields) + "\r\n",
         csv_convert=tuple(csv_convert),
-        json_head='{\n  "config": {' + config + '\n  },\n  "rows": ',
+        json_head=('{\n  "config": {\n    "command": ' + _json_key(command) + config
+                   + '\n  },\n  "rows": '),
         json_row="    {" + ",".join(json_fields) + "\n    }",
         json_convert=tuple(json_convert),
         json_floats=tuple(floats),
@@ -255,9 +252,9 @@ def _filled(template: str, convert: tuple, rows: list):
     return lines
 
 
-def _json_text(form: TableFormat, config: dict, rows: list) -> str:
-    """``{"config": config, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
-    head = form.json_head % tuple([_json_value(v, "    ") for v in config.values()])
+def _json_text(form: TableFormat, values: tuple, rows: list) -> str:
+    """``{"config": {...}, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
+    head = form.json_head % tuple([_json_value(v, "    ") for v in values])
     convert = form.json_convert
     for i, cell in form.json_floats:  # each scan ends at its column's first inf or nan
         if not all(map(math.isfinite, map(cell, rows))):
@@ -265,12 +262,12 @@ def _json_text(form: TableFormat, config: dict, rows: list) -> str:
     return head + "[\n" + ",\n".join(_filled(form.json_row, convert, rows)) + "\n  ]\n}\n"
 
 
-def write_output(form: TableFormat, config: dict, rows: list, args) -> None:
-    """Write the table in ``args.format`` through ``form`` to ``args.out``, or else stdout."""
+def write_output(form: TableFormat, values: tuple, rows: list, args) -> None:
+    """Write the table and its config ``values`` in ``args.format`` to ``args.out`` or stdout."""
     if args.format == "csv":
         text = form.csv_head + "".join(_filled(form.csv_row, form.csv_convert, rows))
     else:
-        text = _json_text(form, config, rows)
+        text = _json_text(form, values, rows)
     if args.out:
         data = text.encode()
         fd = os.open(args.out, _OUT_FLAGS, 0o666)
@@ -285,28 +282,17 @@ def write_output(form: TableFormat, config: dict, rows: list, args) -> None:
 
 def cmd_bound_curve(args):
     q_grid = parse_grid(args.q_grid)
-    config = {"command": "bound-curve", "q_grid": q_grid}
-    return config, [(q, *pair) for q, pair in zip(q_grid, capacity_curve(q_grid))]
+    return (q_grid,), capacity_curve(q_grid)
 
 
 def cmd_approx_check(args):
     alpha_grid = parse_grid(args.alpha_grid)
-    q = args.q
-    config = {"command": "approx-check", "q": q, "alpha_grid": alpha_grid}
-    return config, [(a, q, *row) for a, row in zip(alpha_grid, moment_curve(alpha_grid, q))]
-
-
-# RateReport's fields in rate-table's column order.
-_RATE_CELLS = itemgetter(*map(RateReport._fields.index, (
-    "n", "nu", "q", "alpha_n", "logM_finite", "logM_asymptotic", "willie_div_total",
-    "covert_rate_L", "covert_rate_limit")))
+    return (args.q, alpha_grid), moment_curve(alpha_grid, args.q)
 
 
 def cmd_rate_table(args):
     n_grid = parse_int_grid(args.n_grid)
-    config = {"command": "rate-table", "n_grid": n_grid, "nu": args.nu, "eps": args.eps,
-              "q": args.q}
-    return config, list(map(_RATE_CELLS, rate_reports(n_grid, args.nu, args.q, args.eps)))
+    return (n_grid, args.nu, args.eps, args.q), rate_reports(n_grid, args.nu, args.q, args.eps)
 
 
 _ALL_SCENARIOS = tuple(map(int, Scenario))
@@ -316,9 +302,7 @@ def cmd_scenario(args):
     if args.format == "csv":
         raise ValueError("scenario reports are JSON only; drop --format csv")
     scenarios = [args.scenario] if args.scenario else list(_ALL_SCENARIOS)
-    config = {"command": "scenario", "q": args.q, "scenarios": scenarios}
-    # a SupportReport's fields are the columns, in order
-    return config, scenario_reports(args.q, scenarios)
+    return (args.q, scenarios), scenario_reports(args.q, scenarios)
 
 
 def cmd_detect_sim(args):
@@ -328,15 +312,12 @@ def cmd_detect_sim(args):
     alpha_grid = None if args.alpha_grid is None else parse_grid(args.alpha_grid)
     if alpha_grid is not None and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
         raise ValueError(f"the n x alpha grid has more than {MAX_GRID_POINTS} entries")
-    config = {"command": "detect-sim", "n_grid": n_grid, "q": args.q,
-              "scenario": args.scenario, "nu": args.nu, "alpha_grid": alpha_grid}
     if alpha_grid is None:
         ns, alphas = n_grid, list(schedule_weights(n_grid, args.nu))
     else:
         ns = [n for n in n_grid for _ in alpha_grid]
         alphas = alpha_grid * len(n_grid)
-    # a DetectionResult's fields are the columns, in order
-    return config, warden_errors(ns, alphas, spec)
+    return (n_grid, args.q, args.scenario, args.nu, alpha_grid), warden_errors(ns, alphas, spec)
 
 
 class Command(NamedTuple):
@@ -345,7 +326,7 @@ class Command(NamedTuple):
     handler: str   # its cmd_* name here, looked up per call: a replaced cmd_* runs
     help: str      # one line, for qcovert --help
     options: dict  # its options beyond --out and --format's CSV default, as add_argument keywords
-    config: tuple  # its config's keys after "command"
+    config: tuple  # its config's keys after "command", in the order of its handler's values
     columns: dict  # each output column's name and the kind of its cells
 
 
@@ -381,7 +362,8 @@ COMMANDS = {
          "kernel_overlap": float, "trace_distance": float, "det_omega0": float,
          "det_omega1": float, "verdict": str, "note": str}),
     "detect-sim": Command(
-        "cmd_detect_sim", "exact warden detection simulation, n <= 100 (30 for scenario 1)",
+        "cmd_detect_sim",
+        f"exact warden detection simulation, n <= {MAX_USES} ({MAX_USES_ALLENV} for scenario 1)",
         {"--n-grid": {"default": "1,2,3,4,5,6,7,8"},
          "--q": {"type": _float, "default": 0.5},
          "--scenario": {"type": int, "choices": (1, 2, 3), "default": 3},
@@ -412,7 +394,7 @@ _DEFAULTS = {
     name: {flag[2:].replace("-", "_"): spec.get("default") for flag, spec in options.items()}
     for name, options in _OPTION_TABLES.items()
 }
-_FORMATS = {name: _table_format(command.columns, ("command", *command.config))
+_FORMATS = {name: _table_format(name, command.columns, command.config)
             for name, command in COMMANDS.items()}
 
 
@@ -498,8 +480,8 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     name, args = _parse_args(argv)
     try:
-        config, rows = globals()[COMMANDS[name].handler](args)
-        write_output(_FORMATS[name], config, rows, args)
+        values, rows = globals()[COMMANDS[name].handler](args)
+        write_output(_FORMATS[name], values, rows, args)
     except (ValueError, OSError) as exc:
         print(f"qcovert: error: {exc}", file=sys.stderr)
         return 2

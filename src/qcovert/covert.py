@@ -8,6 +8,8 @@ of the joint sender/receiver output per weight alpha), ``rate_reports``
 budget and the covert rate per blocklength) and ``capacity_curve`` (the
 warden's curvature and the capacity lower bound per q), with
 ``schedule_weights``, the one form of the schedule alpha_n = n**(nu - 2/3).
+Each table's rows are the rows its ``qcovert`` command prints, cell for
+cell in the command's column order.
 The dense input state, the arrow matrix of the joint output, its
 parameters and spectral decomposition that these closed forms are
 checked against live in ``tests/oracles.py``.
@@ -75,31 +77,29 @@ def schedule_weights(blocklengths, nu: float):
     """Yield the schedule's input weight alpha_n = n**(nu - 2/3) for each blocklength n.
 
     This is the one form of the schedule.  nu is checked at the first
-    weight and each n as its weight is taken: it must be a positive
-    integer.  n = 1 is admitted for simulation sweeps, though it puts
+    weight and each n as its weight is taken: it must be a finite
+    positive integer.  n = 1 is admitted for simulation sweeps, though it puts
     alpha_1 at the boundary value 1.
     """
     check_nu(nu)
     exponent = nu - 2.0 / 3.0
     for n in blocklengths:
-        if n < 1 or n != int(n):
+        if not 1 <= n < math.inf or n != int(n):
             raise ValueError(f"blocklength n={n!r} must be a positive integer")
         yield float(n) ** exponent
 
 
 class RateReport(NamedTuple):
-    """One row of the covert-rate analysis at a fixed blocklength."""
+    """One row of the covert-rate analysis at a fixed blocklength: a ``rate-table`` row."""
 
     n: int
     nu: float
     q: float
     alpha_n: float
-    eps: float
     logM_finite: float
     logM_asymptotic: float
     willie_div_total: float
     covert_rate_L: float
-    capacity_lb: float
     covert_rate_limit: float
 
 
@@ -206,7 +206,7 @@ def _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c) -> tuple[float, 
 
 
 def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
-    """(D, D_lead, V, V_lead, Q, D / D_lead, V / V_lead) per weight alpha, at one q.
+    """(alpha, q, D, D_lead, V, V_lead, Q, D / D_lead, V / V_lead) per weight alpha, at one q.
 
     D, V and Q are ``_dvq``'s moments; D_lead and V_lead are their
     leading small-alpha terms, which share the coefficient 2(1-q)^2/(2-q):
@@ -216,7 +216,7 @@ def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
 
     q must lie in (0, 1) and every alpha in [0, 1); all are checked before
     any row is computed, so the alphas are taken as a list first.  alpha = 0
-    gives a row of zeros.
+    gives zeros after its alpha and q.
     """
     alphas = list(alphas)
     if not (0.0 < q < 1.0):
@@ -228,12 +228,12 @@ def moment_curve(alphas, q: float) -> list[tuple[float, ...]]:
     rows = []
     for alpha in alphas:
         if alpha == 0.0:
-            rows.append((0.0,) * 7)
+            rows.append((alpha, q) + (0.0,) * 7)
             continue
         d, v, q4 = _dvq(min(alpha, 1.0 - alpha), q)
         log_a = math.log2(alpha)
         d_lead, v_lead = -coeff * alpha * log_a, coeff * alpha * log_a * log_a
-        rows.append((d, d_lead, v, v_lead, q4, d / d_lead, v / v_lead))
+        rows.append((alpha, q, d, d_lead, v, v_lead, q4, d / d_lead, v / v_lead))
     return rows
 
 
@@ -335,12 +335,8 @@ def _eta(warden) -> float:
     return eta
 
 
-def _capacity(q: float, eta: float) -> float:
-    return _CAPACITY_COEFF * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta))
-
-
-def capacity_curve(q_grid) -> list[tuple[float, float]]:
-    """(eta, capacity lower bound) per q, the bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
+def capacity_curve(q_grid) -> list[tuple[float, float, float]]:
+    """(q, eta, capacity lower bound) per q, the bound (4 sqrt(2)/3) (1-q)^2 / ((2-q) sqrt(eta)).
 
     Every q must lie in (0, 1); the grid is taken as a list and checked whole
     before any q is computed.
@@ -350,7 +346,8 @@ def capacity_curve(q_grid) -> list[tuple[float, float]]:
         if not (0.0 < q < 1.0):
             raise ValueError(f"q={q:g} outside (0, 1)")
     etas = [_eta(_e1_bloch(q)) for q in q_grid]
-    return [(eta, _capacity(q, eta)) for q, eta in zip(q_grid, etas)]
+    return [(q, eta, _CAPACITY_COEFF * (1.0 - q) ** 2 / ((2.0 - q) * math.sqrt(eta)))
+            for q, eta in zip(q_grid, etas)]
 
 
 def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[RateReport]:
@@ -363,9 +360,9 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     limit as n grows is covert_rate_limit.
 
     q, nu and eps are checked once, before any row, and each n must be an
-    integer >= 2.  What does not depend on n is computed once per table:
-    the warden's ``_e1_bloch`` constants and eta from them (behind
-    capacity_lb and covert_rate_limit), the coefficient of
+    integer >= 2; a row's n is that int.  What does not depend on n is
+    computed once per table: the warden's ``_e1_bloch`` constants and eta
+    from them (behind covert_rate_limit), the coefficient of
     logM_asymptotic, its exponent and Phi^{-1}(eps).  A row takes alpha_n
     from ``schedule_weights`` and its message size and divergence from the
     kernels ``_dvq``, ``_logM`` and ``_willie_divergence``.
@@ -379,7 +376,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
         raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
     z = _inv_normal_cdf(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)
-    capacity, limit = _capacity(q, eta), coeff / math.sqrt(eta / 2.0)
+    limit = coeff / math.sqrt(eta / 2.0)
     gamma_exp = nu - 1.0 / 6.0  # of n**(nu - 1/6)
     blocklengths = list(blocklengths)
     rows = []
@@ -391,6 +388,6 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
         div = n * _willie_divergence(alpha, *warden)
         log_n = math.log2(n)
         rows.append(RateReport(  # the fields in order
-            n, nu, q, alpha, eps, logM, coeff * float(n) ** gamma_exp * math.sqrt(n) * log_n,
-            div, logM / (log_n * math.sqrt(n * div)), capacity, limit))
+            int(n), nu, q, alpha, logM, coeff * float(n) ** gamma_exp * math.sqrt(n) * log_n,
+            div, logM / (log_n * math.sqrt(n * div)), limit))
     return rows

@@ -397,12 +397,13 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
         raise ValueError(f"{len(ns)} blocklengths for {len(alphas)} weights")
     cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
     for n, alpha in zip(ns, alphas):
-        if n < 1 or n != int(n):
+        if not 1 <= n < math.inf or n != int(n):
             raise ValueError(f"number of uses n={n!r} must be a positive integer")
         if n > cap:
             raise ValueError(f"n={n} exceeds the cap {cap} for scenario {spec.scenario.name}")
         if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
             raise ValueError(f"alpha={alpha!r} outside [0, 1]")
+    ns = list(map(int, ns))  # a row's n is an int, also for an integral float such as 2.0
 
     block = _warden_block(spec)
     allenv = spec.scenario is Scenario.ALL_ENV
@@ -417,10 +418,10 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     if allenv:
         c = block[2]
         for i in signal:
-            dist[i], errors[i] = _allenv_errors(int(ns[i]), float(alphas[i]), spec.q, c)
+            dist[i], errors[i] = _allenv_errors(ns[i], float(alphas[i]), spec.q, c)
     elif signal:
-        signal.sort(key=lambda i: -int(ns[i]))
-        sig_ns = [int(ns[i]) for i in signal]
+        signal.sort(key=lambda i: -ns[i])
+        sig_ns = [ns[i] for i in signal]
         sig_alphas = [float(alphas[i]) for i in signal]
         width = max(1, CHUNK_ENTRIES // (sig_ns[0] + 1) ** 2)
         for lo in range(0, len(signal), width):

@@ -153,7 +153,7 @@ def test_criterion_04_leading_order_ratios():
     a_coeff, b_coeff = _first_moment_coefficients(q)
     d_devs, v_devs, two_term_errs, two_term_bounds = [], [], [], []
     rows = qc.moment_curve(ALPHA_GRID, q)
-    for alpha, (d, _, _, _, _, ratio_d, ratio_v) in zip(ALPHA_GRID, rows):
+    for alpha, _, d, _, _, _, _, ratio_d, ratio_v in rows:
         d_devs.append(abs(ratio_d - 1.0))
         v_devs.append(abs(ratio_v - 1.0))
         log_inv = math.log(1.0 / alpha)
@@ -173,7 +173,7 @@ def test_criterion_04_leading_order_ratios():
     v_band = v_devs[-1] <= 0.25
     # sign arbitration: with a negated second-moment coefficient the same
     # band must be violated by a wide margin
-    _, _, v, v_lead, *_ = rows[-1]
+    *_, v, v_lead, _, _, _ = rows[-1]
     negated_fails = abs(v / (-v_lead) - 1.0) > 0.25
     elapsed = time.perf_counter() - start
     ok = decreasing and two_term_ok and remainder_ok and v_band and negated_fails
@@ -200,7 +200,7 @@ def test_criterion_04_leading_order_ratios():
 def test_criterion_05_quadratic_divergence_law():
     worst = {1e-3: 0.0, 1e-5: 0.0}
     qs = (0.3, 0.5, 0.7)
-    for q, (curvature, _) in zip(qs, qc.capacity_curve(qs)):
+    for q, curvature, _ in qc.capacity_curve(qs):
         for alpha in worst:
             d = oracles.relative_entropy(
                 oracles.e1only_marginal(alpha, q), oracles.e1only_marginal(0.0, q)
@@ -220,7 +220,7 @@ def test_criterion_05_quadratic_divergence_law():
 
 def test_criterion_06_capacity_curve_shape():
     grid = [round(0.05 * k, 2) for k in range(1, 20)]
-    caps = [capacity for _, capacity in qc.capacity_curve(grid)]
+    caps = [capacity for _, _, capacity in qc.capacity_curve(grid)]
     decreasing = all(b < a for a, b in zip(caps, caps[1:]))
     edge_ratio = caps[-1] / caps[0]
     # regression pin established once from the curvature-functional oracle

@@ -119,7 +119,7 @@ def test_bound_curve_csv(tmp_path):
     assert len(rows) == 1 + 19
     # values carry 12 significant digits of the library computation
     q = float(rows[10][0])
-    ((eta, capacity),) = covert.capacity_curve([q])
+    ((_, eta, capacity),) = covert.capacity_curve([q])
     assert rows[10][1:] == [f"{eta:.12g}", f"{capacity:.12g}"]
 
 
@@ -184,7 +184,7 @@ def test_scenario_rows_are_the_reports_with_no_enum_call(monkeypatch):
 
     monkeypatch.setattr(channels, "Scenario", forbidden)
     _, args = cli._parse_args(["scenario", "--q", "0.3"])
-    config, rows = cli.cmd_scenario(args)
+    _, rows = cli.cmd_scenario(args)
     assert rows == channels.scenario_reports(0.3, [1, 2, 3])
     assert all(type(row) is qcovert.SupportReport for row in rows)
     assert [row[:2] for row in rows] == [(1, "ALL_ENV"), (2, "E2_ONLY"), (3, "E1_ONLY")]
@@ -571,7 +571,7 @@ def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
 
     def fake(args):
         seen.append(args.q_grid)
-        return {"command": "bound-curve", "q_grid": [0.25]}, [(0.25, 1.5, 2.0)]
+        return ([0.25],), [(0.25, 1.5, 2.0)]
 
     monkeypatch.setattr(cli, "cmd_bound_curve", fake)
     assert cli.main(["bound-curve", "--q-grid", "0.25"]) == 0
@@ -822,14 +822,35 @@ def test_tables_take_one_shot_grids():
         assert rows and table(*(iter(a) if isinstance(a, list) else a for a in args)) == rows
 
 
-# The output records' fields: the order they had as frozen dataclasses, and SupportReport's
-# label after its number, as the scenario command prints them
+# Each function that takes blocklengths, as a function of them alone.
+BLOCKLENGTH_TABLES = {
+    "rate_reports": lambda ns: covert.rate_reports(ns, 0.05, 0.5),
+    "schedule_weights": lambda ns: list(covert.schedule_weights(ns, 0.05)),
+    "warden_errors": lambda ns: detection.warden_errors(
+        ns, [0.1] * len(ns), qcovert.ChannelSpec(0.5, Scenario.E1_ONLY)),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCKLENGTH_TABLES))
+def test_blocklengths_are_finite_integers_and_rows_hold_ints(name):
+    # an infinite or nan n is bad input, a ValueError with the text of any other bad n
+    table = BLOCKLENGTH_TABLES[name]
+    for bad in (math.inf, -math.inf, math.nan, 2.5, 0):
+        with pytest.raises(ValueError, match=rf"^[a-z ]+ n={bad!r} must be a positive integer$"):
+            table([bad])
+    rows = table([2.0, 10.0])
+    assert rows == table([2, 10])
+    if name != "schedule_weights":  # an integral float is the int in each row
+        assert [type(row.n) for row in rows] == [int, int]
+
+
+# The output records' fields: the order they had as frozen dataclasses, SupportReport's
+# label after its number, and RateReport's in rate-table's columns, as the commands print them
 RECORD_FIELDS = {
     qcovert.SupportReport: ("scenario", "label", "q", "support_contained", "kernel_overlap",
                             "trace_dist", "det_omega0", "det_omega1", "verdict", "note"),
-    qcovert.RateReport: ("n", "nu", "q", "alpha_n", "eps", "logM_finite", "logM_asymptotic",
-                         "willie_div_total", "covert_rate_L", "capacity_lb",
-                         "covert_rate_limit"),
+    qcovert.RateReport: ("n", "nu", "q", "alpha_n", "logM_finite", "logM_asymptotic",
+                         "willie_div_total", "covert_rate_L", "covert_rate_limit"),
     qcovert.DetectionResult: ("n", "alpha", "trace_dist", "error_prob", "pinsker_floor",
                               "div_total"),
 }

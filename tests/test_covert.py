@@ -166,7 +166,7 @@ def test_dvq_exact_first_moment_matches_entropy_route():
             + entropy_bits(partial_trace(joint, [2, 2], [1]))
             - entropy_bits(joint)
         )
-        assert moment_curve([alpha], q)[0][0] == pytest.approx(expected, abs=1e-11)
+        assert moment_curve([alpha], q)[0][2] == pytest.approx(expected, abs=1e-11)
 
 
 def test_dvq_exact_higher_moments_match_direct_construction():
@@ -178,7 +178,7 @@ def test_dvq_exact_higher_moments_match_direct_construction():
     centered = loglike - d * np.eye(4)
     v = float(np.trace(rho @ centered @ centered).real)
     q4 = float(np.trace(rho @ np.linalg.matrix_power(centered, 4)).real)
-    got_d, _, got_v, _, got_q4, *_ = moment_curve([alpha], q)[0]
+    got_d, _, got_v, _, got_q4 = moment_curve([alpha], q)[0][2:7]
     assert got_d == pytest.approx(d, abs=1e-12)
     assert got_v == pytest.approx(v, abs=1e-12)
     assert got_q4 == pytest.approx(q4, abs=1e-12)
@@ -192,7 +192,7 @@ def test_dvq_exact_matches_dense_oracle(alpha, q):
         with pytest.raises(ValueError, match="outside"):
             moment_curve([alpha], q)
         return
-    d, _, v, _, q4, *_ = moment_curve([alpha], q)[0]
+    d, _, v, _, q4 = moment_curve([alpha], q)[0][2:7]
     expected = moments(joint_output_closed_form(alpha, q), product_of_marginals(alpha, q))
     np.testing.assert_allclose((d, v, q4), expected, rtol=1e-10, atol=1e-12)
 
@@ -209,25 +209,25 @@ def test_warden_closed_forms_match_dense_oracles():
         omega_0, omega_1 = e1only_marginal(0.0, q), e1only_marginal(1.0, q)
         dense = relative_entropy(e1only_marginal(alpha, q), omega_0)
         assert divergence_kernel(alpha, q) == pytest.approx(dense, rel=1e-10)
-        assert capacity_curve([q])[0][0] == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
+        assert capacity_curve([q])[0][1] == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
 
 
 def test_dvq_asymptotic_leading_forms():
     alpha, q = 1e-4, 0.5
-    (_, d_lead, _, v_lead, *_), zero = moment_curve([alpha, 0.0], q)
+    (_, _, _, d_lead, _, v_lead, *_), zero = moment_curve([alpha, 0.0], q)
     coeff = 2.0 * 0.25 / 1.5  # 2(1-q)^2/(2-q) = 1/3 at q = 0.5
     assert d_lead == pytest.approx(-coeff * alpha * math.log2(alpha), rel=1e-14)
     assert d_lead == pytest.approx(4.429e-4, abs=1e-7)
     assert v_lead == pytest.approx(coeff * alpha * math.log2(alpha) ** 2, rel=1e-14)
     assert v_lead > 0.0
-    assert zero == (0.0,) * 7
+    assert zero == (0.0, q) + (0.0,) * 7
 
 
 def test_dvq_ratio_regression_values():
     """Exact-to-leading ratio minus one, pinned along the alpha grid."""
     pins = {1e-3: 0.277163, 1e-4: 0.207750, 1e-5: 0.166181, 1e-6: 0.138481}
     rows = moment_curve(list(pins), 0.5)
-    for (alpha, pin), (d, d_lead, *_, ratio_d, _) in zip(pins.items(), rows):
+    for pin, (alpha, _, d, d_lead, *_, ratio_d, _) in zip(pins.values(), rows):
         assert d == covert._dvq(alpha, 0.5).d and ratio_d == d / d_lead
         assert ratio_d - 1.0 == pytest.approx(pin, abs=5e-6)
 
@@ -244,7 +244,7 @@ def test_moments_keep_their_bits_next_to_the_branch_switches():
     pins = {(0.002, 0.1): (0.9261474231136916, 3.667760268291293, 212.37523406696997),
             (0.02, 0.008): (0.11267073159457369, 1.2623994149733984, 1.7540751477665133)}
     for (q, alpha), moments in pins.items():
-        d, _, v, _, q4, *_ = moment_curve([alpha], q)[0]
+        d, _, v, _, q4 = moment_curve([alpha], q)[0][2:7]
         assert repr((d, v, q4)) == repr(moments), (q, alpha)
     # g's series keeps its last Horner term, k = 14: it decides the last bit here
     assert repr(covert._g(-0.0487)) == "0.0012055781173599233"
@@ -264,7 +264,7 @@ def test_inverse_normal_cdf_basics():
 def test_finite_blocklength_logM_formula():
     n, eps, q = 10**5, 0.05, 0.5
     (rep,) = rate_reports([n], 0.05, q, eps)
-    d, _, v, _, q4, *_ = moment_curve([rep.alpha_n], q)[0]
+    d, _, v, _, q4 = moment_curve([rep.alpha_n], q)[0][2:7]
     c_n = BERRY_ESSEEN / SQRT_2PI * q4**0.75 / v + v / SQRT_2PI + math.log2(4.0 * eps * n)
     expected = n * d + math.sqrt(n * v) * covert._inv_normal_cdf(eps) - c_n
     assert rep.logM_finite == pytest.approx(expected, rel=1e-14)
@@ -309,8 +309,10 @@ def test_tables_check_q_once_and_take_eta_unchecked(monkeypatch):
     assert len(calls) == len(qs)  # one eta per q
     rates = [rate_reports([10**4, 10**5], 0.05, q) for q in qs]
     assert len(calls) == 2 * len(qs)  # one eta per table, not per row
-    assert [eta for eta, _ in curve] == [kernel(covert._e1_bloch(q)) for q in qs]
-    assert [r.capacity_lb for r, _ in rates] == [capacity for _, capacity in curve]
+    assert [(q, eta) for q, eta, _ in curve] == [(q, kernel(covert._e1_bloch(q))) for q in qs]
+    assert [r.covert_rate_limit for r, _ in rates] == [
+        2.0 * (2.0 / 3.0 - 0.05) * (1.0 - q) ** 2 / (2.0 - q) / math.sqrt(eta / 2.0)
+        for q, eta, _ in curve]
 
 
 def test_asymptotic_logM_formula():
@@ -324,21 +326,21 @@ def test_asymptotic_logM_formula():
 
 
 def test_willie_eta_pins_and_quadratic_limit():
-    for (eta_q, _), pin in zip(capacity_curve(list(ETA_PINS)), ETA_PINS.values()):
+    for (_, eta_q, _), pin in zip(capacity_curve(list(ETA_PINS)), ETA_PINS.values()):
         assert eta_q == pytest.approx(pin, rel=1e-12)
     # independent check: the curvature really is the small-weight limit of
     # 2 D(omega_t || omega_0) / t^2 for the single-environment-qubit warden
     q = 0.5
     t = 1e-4
     d = relative_entropy(e1only_marginal(t, q), e1only_marginal(0.0, q))
-    assert 2.0 * d / (t * t) == pytest.approx(capacity_curve([q])[0][0], rel=1e-3)
+    assert 2.0 * d / (t * t) == pytest.approx(capacity_curve([q])[0][1], rel=1e-3)
 
 
 def test_willie_divergence_total_exact_additivity():
     n, nu, q = 10**4, 0.05, 0.5
     (rep,) = rate_reports([n], nu, q)
     exact = rep.willie_div_total
-    quadratic = n * rep.alpha_n**2 * capacity_curve([q])[0][0] / 2.0
+    quadratic = n * rep.alpha_n**2 * capacity_curve([q])[0][1] / 2.0
     # n times the single-use divergence, against the 50-digit reference
     # (the dense double-precision route is itself 7e-12 off here)
     single = mp_willie_divergence(rep.alpha_n, q)
@@ -362,11 +364,10 @@ def test_covert_rate_formula_and_validation():
 
 
 def test_capacity_lower_bound_values(monkeypatch):
-    ((eta, capacity),) = capacity_curve([0.5])
+    ((q, eta, capacity),) = capacity_curve([0.5])
     assert eta == pytest.approx(ETA_PINS[0.5], rel=1e-12)
-    assert capacity == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
+    assert q == 0.5 and capacity == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
     # closed form against the pinned eta
-    q = 0.5
     expected = 4.0 * math.sqrt(2.0) / 3.0 * 0.25 / (1.5 * math.sqrt(ETA_PINS[q]))
     assert capacity == pytest.approx(expected, rel=1e-12)
     # q = 0 and q = 1 are outside the open interval, and the whole grid is
@@ -382,7 +383,7 @@ def test_rate_limit_formula():
     coeff = 2.0 * (2.0 / 3.0 - nu) * 0.25 / 1.5
     (rep,) = rate_reports([10**4], nu, q)
     assert rep.covert_rate_limit == pytest.approx(
-        coeff / math.sqrt(capacity_curve([q])[0][0] / 2.0), rel=1e-13
+        coeff / math.sqrt(capacity_curve([q])[0][1] / 2.0), rel=1e-13
     )
     with pytest.raises(ValueError):
         rate_reports([10**4], 0.2, 0.5)
@@ -393,7 +394,7 @@ def test_rate_limit_formula():
 def test_rate_report_is_internally_consistent():
     n, nu = 10**5, 0.05
     (rep,) = rate_reports([n], nu, 0.5, eps=0.05)
-    assert rep.n == n and rep.q == 0.5 and rep.eps == 0.05
+    assert type(rep.n) is int and rep.n == n and rep.q == 0.5
     (alpha,) = schedule_weights([n], nu)
     assert rep.alpha_n == alpha
     dvq = covert._dvq(alpha, 0.5)
@@ -408,7 +409,6 @@ def test_rate_report_is_internally_consistent():
     assert rep.covert_rate_L == pytest.approx(
         rep.logM_finite / (math.log2(n) * math.sqrt(n * rep.willie_div_total)), rel=1e-14
     )
-    assert rep.capacity_lb == pytest.approx(CAPACITY_PIN_Q05, rel=1e-12)
 
 
 def test_grid_forms_match_pointwise_forms():
@@ -417,7 +417,8 @@ def test_grid_forms_match_pointwise_forms():
     ns = [10**3, 10**5, 10**7]
     reports = rate_reports(ns, nu, q)
     assert reports == [rate_reports([n], nu, q)[0] for n in ns]
-    assert {r.capacity_lb for r in reports} == {capacity_curve([q])[0][1]}
+    qs = [q, 0.5, q]
+    assert capacity_curve(qs) == [capacity_curve([x])[0] for x in qs]
     alphas = [0.0, 1e-9, 1e-4, 0.3, 0.7]
     assert moment_curve(alphas, q) == [moment_curve([a], q)[0] for a in alphas]
 
@@ -435,4 +436,4 @@ def test_finite_rate_convergence_approaches_limit():
     assert abs(gaps[-1]) < abs(gaps[0]) / 5.0
     assert abs(gaps[-1]) < 0.05 * limit
     coeff = 2.0 * (2.0 / 3.0 - 0.05) * 0.25 / 1.5
-    assert limit == pytest.approx(coeff / math.sqrt(capacity_curve([0.5])[0][0] / 2.0), rel=1e-14)
+    assert limit == pytest.approx(coeff / math.sqrt(capacity_curve([0.5])[0][1] / 2.0), rel=1e-14)

@@ -112,6 +112,13 @@ CASES["detect_sim_e1_large_n.json"] = [
 ]
 
 
+def stdlib_text(command, values, rows, fmt):
+    """The stdlib oracle's text of ``command``'s table, its config the name and then ``values``."""
+    declared = cli.COMMANDS[command]
+    config = {"command": command, **dict(zip(declared.config, values, strict=True))}
+    return stdlib_table_text(config, rows, declared.columns, fmt)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     path = tmp_path / name
@@ -123,9 +130,8 @@ def test_cli_output_matches_golden(name, tmp_path):
 def test_out_file_and_stdout_get_the_stdlib_bytes(name, tmp_path, capsysbinary):
     """``--out`` writes stdout's bytes over a longer file, and names a path it cannot open."""
     command, args = cli._parse_args(CASES[name])
-    declared = cli.COMMANDS[command]
-    handler = getattr(cli, declared.handler)
-    expected = stdlib_table_text(*handler(args), declared.columns, args.format).encode()
+    handler = getattr(cli, cli.COMMANDS[command].handler)
+    expected = stdlib_text(command, *handler(args), args.format).encode()
     assert cli.main(CASES[name]) == 0
     assert capsysbinary.readouterr() == (expected, b"")
     path = tmp_path / name
@@ -152,7 +158,7 @@ def test_handlers_return_their_declared_kinds(name, fmt, capsysbinary):
     bool in an int column, which the templates' ``%r`` and ``%d`` would
     print differently.  The writer serves only what the commands print:
     every command declares at least 2 columns, returns at least 1 row of
-    tuples, and every config value is of an exact type in
+    tuples, and a config value per declared key, each of an exact type in
     ``cli._SCALAR_TEXT`` or a list of such values.
     """
     assert {argv[0] for argv in CASES.values()} == set(cli.COMMANDS)
@@ -160,10 +166,9 @@ def test_handlers_return_their_declared_kinds(name, fmt, capsysbinary):
     argv = CASES[name] + ["--format", fmt]
     command, args = cli._parse_args(argv)
     declared = cli.COMMANDS[command]
-    config, rows = getattr(cli, declared.handler)(args)
-    assert list(config) == ["command", *declared.config]
-    assert config["command"] == command
-    for value in config.values():
+    values, rows = getattr(cli, declared.handler)(args)
+    assert type(values) is tuple and len(values) == len(declared.config)
+    for value in values:
         for v in value if type(value) is list else [value]:
             assert type(v) in cli._SCALAR_TEXT, (value, v)
     assert rows
@@ -175,8 +180,32 @@ def test_handlers_return_their_declared_kinds(name, fmt, capsysbinary):
         # the non-finite floats take the JSON writer's per-value fallback
         assert not all(math.isfinite(v) for row in rows for v in row)
     assert cli.main(argv) == 0
-    expected = stdlib_table_text(config, rows, declared.columns, fmt).encode()
+    expected = stdlib_text(command, values, rows, fmt).encode()
     assert capsysbinary.readouterr() == (expected, b"")
+
+
+# Each command's table function, which its handler calls once.
+TABLES = {"bound-curve": "capacity_curve", "approx-check": "moment_curve",
+          "rate-table": "rate_reports", "scenario": "scenario_reports",
+          "detect-sim": "warden_errors"}
+
+
+@pytest.mark.parametrize("command", sorted(TABLES))
+def test_handlers_pass_their_table_through(command, monkeypatch):
+    """A handler's rows are the very list its table function returned, a cell per column."""
+    assert set(TABLES) == set(cli.COMMANDS)
+    table, returned = getattr(cli, TABLES[command]), []
+
+    def recorded(*args):
+        returned.append(table(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, TABLES[command], recorded)
+    declared = cli.COMMANDS[command]
+    _, args = cli._parse_args([command])
+    _, rows = getattr(cli, declared.handler)(args)
+    assert len(returned) == 1 and rows is returned[0]
+    assert rows and all(len(row) == len(declared.columns) for row in rows)
 
 
 def test_a_well_formed_call_builds_no_parser_and_no_format(monkeypatch, tmp_path):
