@@ -22,9 +22,9 @@ are read straight from the table into a copy of the command's defaults
 handler as a ``SimpleNamespace`` of argparse's attributes.  Anything else
 (help, an abbreviation, ``--flag=value``, a negative number, a bad value)
 goes to the command's argparse parser, which reads it or prints the help
-or the error.  ``decimal`` and ``statistics`` likewise load only in the
-call that needs them: an integer grid entry such as ``1e4`` and
-``rate-table``'s Phi^{-1}(eps).
+or the error.  ``decimal`` likewise loads only for an integer grid entry
+such as ``1e4``, and numpy only with ``detect-sim``'s E1 block route;
+``rate-table``'s Phi^{-1}(eps) is plain ``math``.
 
 Each command's output format is built once, at import, by
 ``_table_format``: the CSV header and row template, the JSON row

@@ -55,10 +55,64 @@ _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
 
 
+# Wichura's AS241 (PPND16) rational approximations, (numerator, denominator)
+# with the highest power first: in 0.180625 - (p - 1/2)^2 for |p - 1/2| <= 0.425,
+# and in the tails, r = sqrt(-log(min(p, 1 - p))), in r - 1.6 for r <= 5 and in
+# r - 5 past it.
+_AS241_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+     1.3314166789178437745e+2, 3.3871328727963666080e+0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+     4.2313330701600911252e+1, 1.0))
+_AS241_NEAR = (
+    (7.7454501427834140764e-4, 2.2723844989269184583e-2, 2.4178072517745061177e-1,
+     1.2704582524523683826e+0, 3.6478483247632046050e+0, 5.7694972214606914055e+0,
+     4.6303378461565452959e+0, 1.4234371107496835773e+0),
+    (1.0507500716444168432e-9, 5.4759380849953449460e-4, 1.5198666563616457197e-2,
+     1.4810397642748007459e-1, 6.8976733498510000455e-1, 1.6763848301838038494e+0,
+     2.0531916266377588219e+0, 1.0))
+_AS241_FAR = (
+    (2.0103343992922881326e-7, 2.7115555687434875782e-5, 1.2426609473880784386e-3,
+     2.6532189526576123093e-2, 2.9656057182850489123e-1, 1.7848265399172913358e+0,
+     5.4637849111641143699e+0, 6.6579046435011037772e+0),
+    (2.0442631033899397856e-15, 1.4215117583164458887e-7, 1.8463183175100546818e-5,
+     7.8686913114561329059e-4, 1.4875361290850615025e-2, 1.3692988092273580531e-1,
+     5.9983220655588793769e-1, 1.0))
+
+
+def _horner(coeffs, r: float) -> float:
+    """The polynomial in r, as (c_0 r + c_1) r + ... + c_m: AS241's order of operations."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * r + c
+    return acc
+
+
 def _inv_normal_cdf(p: float) -> float:
-    """Phi^{-1}(p), the standard normal quantile; ``statistics`` loads with the first call."""
-    from statistics import NormalDist
-    return NormalDist().inv_cdf(p)
+    """Phi^{-1}(p), the standard normal quantile, for 0 < p < 1 (the caller checks p).
+
+    Wichura's algorithm AS241 (PPND16; Appl. Statist. 37, 477, 1988) in
+    plain ``math``, with no ``statistics`` import.  It performs the
+    operations of CPython's ``statistics._normal_dist_inv_cdf`` (the same
+    algorithm) in the same order, each Horner step acc * r + c, so it
+    returns ``statistics.NormalDist().inv_cdf(p)`` bit for bit;
+    tests/test_covert.py checks both that and its relative error against
+    mpmath.
+    """
+    q = p - 0.5
+    if math.fabs(q) <= 0.425:
+        r = 0.180625 - q * q
+        num, den = _AS241_CENTRAL
+        return (_horner(num, r) * q) / _horner(den, r)
+    r = math.sqrt(-math.log(p if q <= 0.0 else 1.0 - p))
+    if r <= 5.0:
+        r, (num, den) = r - 1.6, _AS241_NEAR
+    else:
+        r, (num, den) = r - 5.0, _AS241_FAR
+    x = _horner(num, r) / _horner(den, r)
+    return -x if q < 0.0 else x
 
 
 def _require_normal(what: str, *values: float):

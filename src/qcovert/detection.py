@@ -89,13 +89,16 @@ Three things keep the E1 route cheap and accurate at every weight:
   eigvalsh for all of them.  Each row's multiplicity-weighted block
   norms are added k descending in Python floats, so T does not depend
   on the chunking or on the order of the rows.
+
+numpy loads with the E1 block route only: ``_qubit_distances`` and
+``_sym_levels`` import it once per chunk of rows (and
+``linalg.dicke_scaling`` when it builds an uncached degree), so ALL_ENV,
+E2_ONLY and the closed-form commands run without it.
 """
 
 import itertools
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .channels import ChannelSpec, Scenario
 from .covert import _TINY, LN2, _e1_bloch, _willie_divergence
@@ -181,6 +184,8 @@ def _sym_levels(block, alphas, ns):
     holds slot 0 and those rows only.  Each degree is built from the one
     before it, which is then dropped.
     """
+    import numpy as np
+
     a, b, c = block
     shift = np.concatenate(([0.0], np.multiply(alphas, -2.0 * c)))[:, np.newaxis, np.newaxis]
     edge = c + shift  # the off-diagonal of omega_0 on slot 0, of omega_a on row i's
@@ -210,16 +215,14 @@ def _sym_levels(block, alphas, ns):
         yield np.multiply(stack, dicke_scaling(k), out=sym)
 
 
-def _eigvalsh(blocks: np.ndarray) -> np.ndarray:
-    """``np.linalg.eigvalsh``, looked up per call; a solver failure is an ArithmeticError."""
-    try:
-        return np.linalg.eigvalsh(blocks)
-    except np.linalg.LinAlgError as exc:
-        raise ArithmeticError(f"eigensolver failed: {exc}") from exc
-
-
 def _qubit_distances(block, ns: list, alphas: list) -> list:
-    """T for a qubit warden's block, rows sorted by n descending: one eigvalsh per degree k."""
+    """T for a qubit warden's block, rows sorted by n descending: one eigvalsh per degree k.
+
+    ``np.linalg.eigvalsh`` is looked up per degree, so a replaced solver is
+    the one called, and a solver failure is an ArithmeticError.
+    """
+    import numpy as np
+
     a, b, c = block
     base_0 = a * b - c * c  # det_0
     # det_0^s by numpy's power: Python's ** rounds some of them differently
@@ -252,7 +255,11 @@ def _qubit_distances(block, ns: list, alphas: list) -> list:
         lo, hi = ends[k], ends[k + 1]
         if lo < hi:
             blocks = coef_a[lo:hi] * stack[rows[lo:hi]] + coef_d[lo:hi] * stack[0]
-            norms.append((lo, hi, np.abs(_eigvalsh(blocks)).sum(axis=-1).tolist()))
+            try:
+                values = np.linalg.eigvalsh(blocks)
+            except np.linalg.LinAlgError as exc:
+                raise ArithmeticError(f"eigensolver failed: {exc}") from exc
+            norms.append((lo, hi, np.abs(values).sum(axis=-1).tolist()))
     # each row's multiplicity-weighted block norms, added k descending
     total = [0.0] * (len(ns) + 1)
     for lo, hi, values in reversed(norms):

@@ -12,21 +12,25 @@ against live in ``tests/oracles.py``.
 
 ``dicke_scaling`` is pure: its outputs are cached and read-only, so
 they are safe to share between threads.
+
+numpy loads with the E1 block route only: ``dicke_scaling`` imports it
+when it builds an uncached degree, so a launch that runs no E1 table,
+such as the closed-form commands, never loads it.
 """
 
 import functools
 import math
 
-import numpy as np
-
 
 @functools.lru_cache(maxsize=256)
-def dicke_scaling(k: int) -> np.ndarray:
+def dicke_scaling(k: int):
     """Entrywise factors sqrt(C(k, m) / C(k, l)) taking M_k(A) to Sym^k(A).
 
     Dicke vector m is sqrt(C(k, m)) times the monomial's symmetric
-    tensor.  The array is cached per k and read-only.
+    tensor.  The numpy array is cached per k and read-only.
     """
+    import numpy as np
+
     root = np.sqrt([float(math.comb(k, m)) for m in range(k + 1)])
     scale = root[np.newaxis, :] / root[:, np.newaxis]
     scale.flags.writeable = False

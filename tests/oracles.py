@@ -27,7 +27,8 @@ None of these is used by the library itself.  These kinds live here:
 * mpmath references at ``DPS`` digits (more where a value is tiny): the
   joint-output moments, the E1 warden's single-use divergence and its
   curvature, each from a high-precision eigendecomposition of the dense
-  matrices, so none shares a formula with the closed forms it checks;
+  matrices, so none shares a formula with the closed forms it checks; the
+  standard normal quantile from mpmath's ``erfinv`` (``mp_normal_quantile``);
   the warden's n-use trace distance as a Schur-Weyl block sum
   (``mp_warden_trace_distances``), and ALL_ENV's T and error probability
   from one reduced block per sector (``mp_allenv_distances``), whose
@@ -843,6 +844,12 @@ def mp_willie_eta(q: float):
                     coeff = (mp.log(w[i]) - mp.log(w[j])) / (w[i] - w[j])
                 total += coeff * abs(m[i, j]) ** 2
         return total / mp.log(2)
+
+
+def mp_normal_quantile(p: float):
+    """Phi^{-1}(p) = sqrt(2) erfinv(2p - 1), with DPS digits left after 2p - 1 nears -1 or 1."""
+    with mp.workdps(_digits(min(p, 1.0 - p))):
+        return mp.sqrt(2) * mp.erfinv(2 * mp.mpf(p) - 1)
 
 
 def _mp_symmetric_power(a, k: int):

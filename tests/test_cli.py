@@ -523,12 +523,12 @@ def test_help_errors_and_double_dash_print_as_before(argv, code, out, err, monke
 
 
 # What a table needs at import only in some calls: argparse (with gettext) for an argv the
-# direct read declines, decimal for an integer grid entry such as 1e4, statistics (with
-# fractions and decimal) for rate-table's Phi^{-1}(eps), and dataclasses (with copy) never.
+# direct read declines and decimal for an integer grid entry such as 1e4; dataclasses (with
+# copy) and statistics (with fractions) never, since rate-table's Phi^{-1}(eps) is plain math.
 DEFERRED = {"argparse", "gettext", "dataclasses", "copy", "decimal", "fractions", "statistics"}
 LAUNCH = """\
 import sys
-import numpy
+{pre}
 before = set(sys.modules)
 from qcovert import cli
 code = cli.main(sys.argv[1:])
@@ -536,32 +536,75 @@ sys.stdout.flush()
 print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
 """
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _python(script, *args):
+    """A new interpreter that runs ``script``, this qcovert first on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(qcovert.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True, env=env,
+                          check=True, timeout=60)
+
+
+def _launch(argv, pre=""):
+    """(the modules that importing cli and one call add, stdout) of a new process."""
+    done = _python(LAUNCH.format(pre=pre), *argv)
+    code, *added = done.stderr.decode().split()
+    assert code == "0"
+    return set(added), done.stdout
+
+
 # (argv, stdout, the deferred modules it loads)
 LAUNCHES = [
     (["bound-curve"], (GOLDEN / "bound_curve_default.csv").read_bytes(), set()),
     (["approx-check"], (GOLDEN / "approx_check_default.csv").read_bytes(), set()),
     (["detect-sim"], (GOLDEN / "detect_sim_default.csv").read_bytes(), set()),
     (["scenario"], (GOLDEN / "scenario_default.json").read_bytes(), set()),
-    (["rate-table"], (GOLDEN / "rate_table_default.csv").read_bytes(),
-     {"statistics", "fractions", "decimal"}),
+    (["rate-table"], (GOLDEN / "rate_table_default.csv").read_bytes(), {"decimal"}),
     (["rate-table", "--q=0.3", "--n-grid", "1e4"], (RATE_HEAD + RATE_ROW_Q03).encode(),
-     {"argparse", "gettext", "statistics", "fractions", "decimal"}),
+     {"argparse", "gettext", "decimal"}),
 ]
 
 
 @pytest.mark.parametrize("argv, out, deferred", LAUNCHES,
                          ids=[" ".join(argv) for argv, *_ in LAUNCHES])
 def test_a_fresh_launch_imports_only_what_its_table_runs(argv, out, deferred):
-    # a new process, numpy loaded first as in the benchmark's set-up: the modules that
-    # importing cli and one call add, and the bytes the call prints
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(qcovert.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", LAUNCH, *argv], capture_output=True, env=env,
-                          check=True, timeout=60)
-    code, *added = done.stderr.decode().split()
-    assert code == "0"
-    assert DEFERRED & set(added) == deferred
-    assert done.stdout == out
+    # numpy loaded first, as in the benchmark's set-up
+    added, stdout = _launch(argv, pre="import numpy")
+    assert DEFERRED & added == deferred
+    assert stdout == out
+
+
+# (argv, its golden, whether it runs the E1 block route)
+BARE_LAUNCHES = [
+    (["rate-table"], "rate_table_default.csv", False),
+    (["approx-check"], "approx_check_default.csv", False),
+    (["bound-curve"], "bound_curve_default.csv", False),
+    (["scenario"], "scenario_default.json", False),
+    (["detect-sim", "--scenario", "1", "--n-grid", "1:5:1", "--q", "0.775748", "--nu", "0.118861"],
+     "detect_sim_allenv.csv", False),
+    (["detect-sim", "--scenario", "2", "--n-grid", "1:10:1", "--q", "0.775748", "--nu", "0.118861"],
+     "detect_sim_e2.csv", False),
+    (["detect-sim"], "detect_sim_default.csv", True),
+]
+
+
+@pytest.mark.parametrize("argv, golden, e1", BARE_LAUNCHES,
+                         ids=[" ".join(argv) for argv, *_ in BARE_LAUNCHES])
+def test_only_the_e1_block_route_loads_numpy(argv, golden, e1):
+    # nothing imported first, as a shell launches qcovert
+    added, stdout = _launch(argv)
+    assert {"numpy", "statistics", "fractions"} & added == ({"numpy"} if e1 else set())
+    assert stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_importing_cli_loads_every_layer():
+    # benchmarks/tracing.py looks each layer up in sys.modules right after `from qcovert
+    # import cli`, so the package may import none of them lazily
+    done = _python("import sys\nfrom qcovert import cli\nprint(*sys.modules)")
+    layers = {f"qcovert.{name}" for name in ("linalg", "divergences", "channels", "covert",
+                                               "detection")}
+    assert layers <= set(done.stdout.decode().split())
 
 
 def test_handler_is_looked_up_when_the_command_runs(monkeypatch, capsys):
