@@ -15,7 +15,6 @@ from oracles import (
     eig_hermitian,
     partial_trace,
     projector,
-    pure_state,
     stinespring_isometry,
 )
 from qcovert import detection
@@ -88,8 +87,6 @@ def test_depolarize_agrees_with_pauli_twirl():
 def test_depolarize_input_validation():
     with pytest.raises(ValueError):
         depolarize(np.eye(2) / 2.0, 1.2)
-    with pytest.raises(ValueError):
-        depolarize(np.eye(4) / 4.0, 0.5)  # not a qubit
 
 
 def test_stinespring_isometry_shape_and_isometry():

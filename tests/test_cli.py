@@ -904,7 +904,7 @@ def test_output_records_are_immutable_named_tuples(record):
     fields = RECORD_FIELDS[record]
     assert record._fields == fields
     assert record._field_defaults == ({"note": ""} if record is qcovert.SupportReport else {})
-    rep = record(**dict.fromkeys(fields, 0.5))  # by keyword, as ``dense_support_report`` does
+    rep = record(**dict.fromkeys(fields, 0.5))  # by keyword
     assert repr(rep) == record.__name__ + "(" + ", ".join(f"{f}=0.5" for f in fields) + ")"
     for name in fields:
         with pytest.raises(AttributeError):

@@ -61,8 +61,6 @@ def test_entangled_input_vector():
     psi = entangled_input(0.36)
     np.testing.assert_allclose(psi, [0.8, 0.0, 0.0, 0.6], atol=1e-15)
     assert np.linalg.norm(entangled_input(0.0)) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        entangled_input(1.5)
 
 
 def test_arrow_params_formulas():

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from oracles import (
-    DIM_CAP,
-    density_operator,
     eig_hermitian,
-    hermitian_operator,
     matrix_log2,
     monomial_step,
-    order_eigensystem,
     partial_trace,
     projector,
-    pure_state,
     symmetric_power,
     tensor,
     tensor_power,
@@ -28,47 +23,8 @@ def random_density(rng, dim):
     return m / m.trace()
 
 
-def test_hermitian_operator_accepts_and_casts():
-    out = hermitian_operator([[1.0, 2.0], [2.0, -1.0]])
-    assert out.dtype == np.complex128
-    assert out.shape == (2, 2)
-
-
-def test_hermitian_operator_rejections():
-    with pytest.raises(ValueError):
-        hermitian_operator(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        hermitian_operator([[0.0, 1.0], [0.0, 0.0]])  # not Hermitian
-    with pytest.raises(ValueError):
-        hermitian_operator([[np.nan, 0.0], [0.0, 1.0]])
-    with pytest.raises(ValueError):
-        hermitian_operator([[0.0, 1.0j], [1.0j, 0.0]])  # anti-Hermitian off-diagonal
-
-
-def test_density_operator_rejections():
-    with pytest.raises(ValueError):
-        density_operator(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        density_operator(np.diag([1.5, -0.5]))  # negative eigenvalue
-
-
-def test_density_operator_tolerates_tiny_negativity():
-    rho = np.diag([1.0 + 1e-12, -1e-12])
-    assert density_operator(rho).shape == (2, 2)
-
-
-def test_pure_state_norm_check():
-    v = pure_state([1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)])
-    assert v.dtype == np.complex128
-    with pytest.raises(ValueError):
-        pure_state([1.0, 1.0])
-    with pytest.raises(ValueError):
-        pure_state([[1.0], [0.0]])
-
-
 def test_projector_is_idempotent():
-    v = pure_state([0.6, 0.8j])
-    p = projector(v)
+    p = projector([0.6, 0.8j])
     np.testing.assert_allclose(p @ p, p, atol=1e-15)
     assert p.trace().real == pytest.approx(1.0, abs=1e-15)
 
@@ -81,21 +37,10 @@ def test_tensor_matches_kron():
     np.testing.assert_array_equal(tensor(a, b, a), np.kron(np.kron(a, b), a))
 
 
-def test_tensor_dimension_cap():
-    big = np.eye(64)
-    assert tensor(big, big).shape == (DIM_CAP, DIM_CAP)
-    with pytest.raises(ValueError):
-        tensor(big, big, np.eye(2))
-    with pytest.raises(ValueError):
-        tensor()
-
-
 def test_tensor_power():
     rho = np.diag([0.25, 0.75]).astype(complex)
     np.testing.assert_array_equal(tensor_power(rho, 1), rho)
     assert tensor_power(rho, 3).shape == (8, 8)
-    with pytest.raises(ValueError):
-        tensor_power(rho, 0)
 
 
 def random_unitary(rng):
@@ -131,10 +76,6 @@ def test_symmetric_power_is_the_symmetric_block_of_the_tensor_power():
             symmetric_power(a, k), dicke.T @ tensor_power(a, k) @ dicke,
             rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2) ** k,
         )
-    with pytest.raises(ValueError):
-        symmetric_power(np.eye(3), 2)
-    with pytest.raises(ValueError):
-        symmetric_power(a, -1)
 
 
 def test_monomial_step_broadcasts_over_stacked_matrices():
@@ -178,15 +119,6 @@ def test_partial_trace_preserves_trace():
     assert reduced.trace().real == pytest.approx(1.0, abs=1e-13)
 
 
-def test_partial_trace_rejections():
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [2, 3], [0])  # dims do not multiply to 4
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [2, 2], [2])  # keep index out of range
-    with pytest.raises(ValueError):
-        partial_trace(np.eye(4), [2, 2], [])
-
-
 def test_eig_hermitian_reconstructs():
     rng = np.random.default_rng(12)
     for dim in (2, 4, 7):
@@ -207,26 +139,6 @@ def test_eig_hermitian_matches_eigvalsh():
     np.testing.assert_allclose(ours, ref, atol=1e-13)
 
 
-def test_order_eigensystem_phase_convention():
-    """Leading significant entry of each eigenvector is rotated real positive."""
-    w = [1.0, 0.5]
-    v = np.array([[1j, 0.0], [0.0, -1.0]], dtype=complex)
-    dec = order_eigensystem(w, v)
-    assert dec.eigenvectors[0, 0] == pytest.approx(1.0)
-    assert dec.eigenvectors[1, 1] == pytest.approx(1.0)
-
-
-def test_order_eigensystem_is_deterministic_under_ties():
-    # fully degenerate spectrum: columns are reordered lexicographically,
-    # so any permutation of the same basis gives the same output
-    v = np.eye(3, dtype=complex)
-    shuffled = v[:, [2, 0, 1]]
-    a = order_eigensystem([1.0, 1.0, 1.0], v)
-    b = order_eigensystem([1.0, 1.0, 1.0], shuffled)
-    np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
-    np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
-
-
 def test_matrix_log2_diagonal():
     rho = np.diag([0.5, 0.25, 0.25]).astype(complex)
     expected = np.diag([-1.0, -2.0, -2.0])
@@ -237,11 +149,6 @@ def test_matrix_log2_on_support_maps_kernel_to_zero():
     rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
     out = matrix_log2(rho)
     np.testing.assert_allclose(out, np.diag([-1.0, -1.0, 0.0]), atol=1e-14)
-
-
-def test_matrix_log2_rejects_negative_eigenvalue():
-    with pytest.raises(ValueError):
-        matrix_log2(np.diag([1.5, -0.5]))  # genuinely negative eigenvalue
 
 
 def test_trace_distance_basic_values():
