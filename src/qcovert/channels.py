@@ -12,8 +12,8 @@ validates on construction; ``SupportReport`` is a plain NamedTuple, built
 without checks, and is the printed row of ``qcovert scenario`` as it stands.
 The warden's states themselves have one closed form, the real block
 ``detection._warden_block``.  The dilation, the dense channel, the
-partial-trace route to the marginals and the eigensolver route to the
-support report (``dense_support_report``) are the test oracles in
+partial-trace route to the marginals and the 50-digit mpmath fields of a
+support report (``mp_support_fields``) are the test oracles in
 ``tests/oracles.py``.
 """
 

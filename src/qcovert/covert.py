@@ -53,6 +53,11 @@ _LN2_2, _LN2_4 = LN2**2, LN2**4
 # relative precision (or underflowed to zero), so the computation refuses.
 _TINY = sys.float_info.min
 _EPS = sys.float_info.epsilon
+_INF = math.inf
+# ``_dvq`` clears its centring refusal without the perturbed evaluation where
+# D^2 <= _CENTRING_CLEAR * V and V, Q >= _CLEAR_FLOOR = 2^-970 (the proof is in its docstring).
+_CENTRING_CLEAR = 4.0
+_CLEAR_FLOOR = _TINY / _EPS
 
 
 # Wichura's AS241 (PPND16) rational approximations, (numerator, denominator)
@@ -185,6 +190,37 @@ def _dvq(alpha: float, q: float) -> DvqTriple:
     positive normal float (alpha q near the float underflow), or on that
     refusal of V and Q, instead of returning a number that has lost its
     precision.
+
+    The refusal pushes each L_ii - D outward by eps (|L_ii| + |D|), an ulp
+    of its operands, and refuses when the re-evaluated V_hi - V > 1e-14 V or
+    Q_hi - Q > 1e-14 Q.  That second evaluation runs only where the
+    sufficient test D^2 <= 4 V with V, Q >= 2^-970 fails, which the
+    following bound proves.  In rho's eigenbasis rho = diag(p),
+    p = (lam1, lam4, b, c), and X = L - D is the block [[c11, l14],
+    [l14, c44]] plus the scalars c_b, c_c, so V = ||X W||^2 and
+    Q = ||X^2 W||^2 in the Frobenius norm, W = rho^(1/2).  Take V, Q and
+    V', Q' as the exact values at the computed entries, unperturbed and
+    perturbed, and u = 2^-53.  The rounding of |L_ii| + |D|, of c_i = L_ii - D
+    and of the shifted sum bound each shift by |Delta_i| <= s|c_i| + t|D| with
+    s = 3.0001 u and t = 4.0001 u.  Delta is diagonal, so it commutes with W.
+    By Minkowski, with c_i^2 <= (X^2)_ii, (X^2)_ii^2 <= (X^4)_ii and
+    tr rho <= w = 1 + 2^-48:
+
+        sqrt V' <= (1 + s) sqrt V + t |D| sqrt w.
+
+    X'^2 = X^2 + X Delta + Delta X + Delta^2, and sum_ij c_i^2 X_ij^2 p_j <= 2Q
+    (with c44^2 <= 2 (c11 + c44)^2 + 2 c11^2 in the block's cross terms), so
+
+        sqrt Q' <= (1 + (1 + sqrt 2) s + s^2) sqrt Q + 2t (1 + s) |D| sqrt V + t^2 D^2 sqrt w.
+
+    With D^2 <= 4 V (computed, so 4 (1 + 8u) V) and V^2 <= w Q (Jensen), this
+    gives sqrt V' <= (1 + 11.01 u) sqrt V and sqrt Q' <= (1 + 23.25 u) sqrt Q.
+    The float forms of V and Q are sums of nonnegative terms within 6 and 10
+    roundings (a power within an ulp counting as two), so the computed
+    v_hi - v <= 34.01 u v and q4_hi - q4 <= 66.5 u q4, below 1e-14 = 90.07 u
+    (the difference is exact by Sterbenz's lemma).  The floor 2^-970 keeps
+    1e-14 V and 1e-14 Q normal and each product's underflow, at most 2^-1075
+    times a factor below 2^30, under 2^-75 relative.
     """
     half, eps = q / 2.0, 1.0 - q
     # rho: diagonal (a, b, c, d) with the corner coupling e between a and d
@@ -201,7 +237,9 @@ def _dvq(alpha: float, q: float) -> DvqTriple:
     lam4 = det / lam1
     gap = 2.0 * e * e / (r + (a - d))
     sigma0, sigma1, sigma2, sigma3 = (1.0 - alpha) * m0, (1.0 - alpha) * m1, alpha * m0, alpha * m1
-    _require_normal("spectral term", lam4, gap, c, sigma3)
+    if not (_TINY <= lam4 < _INF and _TINY <= gap < _INF and _TINY <= c < _INF
+            and _TINY <= sigma3 < _INF):
+        _require_normal("spectral term", lam4, gap, c, sigma3)
     # rho_ii / sigma_i - 1 for the diagonal (a, b, c, d), each in closed form.
     rel0, rel1 = shift / m0, -shift / m1
     rel2, rel3 = -eps * (1.0 - alpha) / m0, eps * (1.0 - alpha) / m1
@@ -235,17 +273,21 @@ def _dvq(alpha: float, q: float) -> DvqTriple:
     v, q4 = _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c)
     # Each L_ii - D is off by up to an ulp of |L_ii| + |D|; where that can move V or Q by
     # 1e-14 relative (alpha near 1/2 at q below about 1e-20, V ~ q log^2 q), both refuse.
-    abs_mean = abs(mean)
-    v_hi, q4_hi = _central_moments(
-        c11 + math.copysign(_EPS * (abs(l11) + abs_mean), c11),
-        c44 + math.copysign(_EPS * (abs(l44) + abs_mean), c44),
-        c_b + math.copysign(_EPS * (abs(l_b) + abs_mean), c_b),
-        c_c + math.copysign(_EPS * (abs(l_c) + abs_mean), c_c), l14, lam1, lam4, b, c)
-    if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
-        raise ArithmeticError(f"V={v / _LN2_2!r}, Q={q4 / _LN2_4!r} are within rounding of L - D")
-    moments = DvqTriple(mean / LN2, v / _LN2_2, q4 / _LN2_4)
-    _require_normal("moment", *moments)
-    return moments
+    # D^2 <= 4 V clears that refusal (see the docstring); elsewhere V and Q are re-evaluated.
+    if not (mean * mean <= _CENTRING_CLEAR * v and v >= _CLEAR_FLOOR and q4 >= _CLEAR_FLOOR):
+        abs_mean = abs(mean)
+        v_hi, q4_hi = _central_moments(
+            c11 + math.copysign(_EPS * (abs(l11) + abs_mean), c11),
+            c44 + math.copysign(_EPS * (abs(l44) + abs_mean), c44),
+            c_b + math.copysign(_EPS * (abs(l_b) + abs_mean), c_b),
+            c_c + math.copysign(_EPS * (abs(l_c) + abs_mean), c_c), l14, lam1, lam4, b, c)
+        if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):
+            raise ArithmeticError(
+                f"V={v / _LN2_2!r}, Q={q4 / _LN2_4!r} are within rounding of L - D")
+    d, v, q4 = mean / LN2, v / _LN2_2, q4 / _LN2_4
+    if not (_TINY <= d < _INF and _TINY <= v < _INF and _TINY <= q4 < _INF):
+        _require_normal("moment", d, v, q4)
+    return DvqTriple(d, v, q4)
 
 
 def _central_moments(c11, c44, c_b, c_c, l14, lam1, lam4, b, c) -> tuple[float, float]:
@@ -365,7 +407,8 @@ def _willie_divergence(alpha, perp2, z, s_len, one_minus_s, atanh_s) -> float:
         excess = (perp2 * (u * u * perp2 + (1.0 + u * u) * z * z) / (r_len * s_len + z * z)
                   - u * perp2)
     d = (binary + atanh_s * excess / s_len) / LN2
-    _require_normal("warden divergence", d)
+    if not _TINY <= d < _INF:
+        _require_normal("warden divergence", d)
     return d
 
 
@@ -413,11 +456,11 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     covert rate is L = logM / (log2(n) sqrt(n * div_total)), and its
     limit as n grows is covert_rate_limit.
 
-    q, nu and eps are checked once, before any row, and each n must be an
-    integer >= 2; a row's n is that int.  What does not depend on n is
-    computed once per table: the warden's ``_e1_bloch`` constants and eta
-    from them (behind covert_rate_limit), the coefficient of
-    logM_asymptotic, its exponent and Phi^{-1}(eps).  A row takes alpha_n
+    q, nu and eps are checked once, then every n, all before any row: each
+    n must be an integer >= 2, and a row's n is that int.  What does not
+    depend on n is computed once per table: the warden's ``_e1_bloch``
+    constants and eta from them (behind covert_rate_limit), the coefficient
+    of logM_asymptotic, its exponent and Phi^{-1}(eps).  A row takes alpha_n
     from ``schedule_weights`` and its message size and divergence from the
     kernels ``_dvq``, ``_logM`` and ``_willie_divergence``.
     """
@@ -433,11 +476,13 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     limit = coeff / math.sqrt(eta / 2.0)
     gamma_exp = nu - 1.0 / 6.0  # of n**(nu - 1/6)
     blocklengths = list(blocklengths)
-    rows = []
-    # schedule_weights refuses an n that is not a positive integer, the loop n = 1
+    alphas = []  # every n, in grid order, before any row
     for n, alpha in zip(blocklengths, schedule_weights(blocklengths, nu)):
         if n == 1:  # the message size needs n >= 2
             raise ValueError(f"blocklength n={n!r} must be an integer >= 2")
+        alphas.append(alpha)
+    rows = []
+    for n, alpha in zip(blocklengths, alphas):
         logM = _logM(n, eps, z, *_dvq(min(alpha, 1.0 - alpha), q))
         div = n * _willie_divergence(alpha, *warden)
         log_n = math.log2(n)

@@ -4,11 +4,12 @@
 ``detection`` builds by its degree recurrence, to Sym^k(A) on the
 orthonormal Dicke basis.  Every other quantity the library prints is a
 scalar closed form in ``channels`` or ``covert`` and needs no matrix
-step.  The validated states, Hermitian eigensolver with its ordering
-convention and support rule, trace distance, tensor products and powers,
-the one-matrix degree step ``monomial_step`` and symmetric powers,
-partial traces and operator logarithms that the tests check the library
-against live in ``tests/oracles.py``.
+step.  The dense linear algebra that the tests check the library against
+lives in ``tests/oracles.py``: numpy's Hermitian eigensolver with the
+eigenvalues descending (``eig_hermitian``) and the support rule, the
+trace distance and root fidelity, projectors, Kronecker tensor products
+and powers, the one-matrix degree step ``monomial_step`` and symmetric
+powers, partial traces and the operator logarithm ``matrix_log2``.
 
 ``dicke_scaling`` is pure: its outputs are cached and read-only, so
 they are safe to share between threads.

@@ -48,6 +48,7 @@ class Mutant(NamedTuple):
 
 
 MOMENT_PINS = "tests/test_covert.py::test_moments_keep_their_bits_next_to_the_branch_switches"
+REFUSAL_PIN = "tests/test_accuracy.py::test_dvq_refuses_exactly_the_pinned_set"
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden[{}]"
 RATE_ERROR = "tests/test_cli.py::test_rate_path_errors_exit_and_print_as_pinned[{}]"
 CRITERION_09 = "tests/test_acceptance.py::test_criterion_09_detection_simulator"
@@ -82,11 +83,14 @@ MUTANTS = (
     Mutant("covert.py", "1 / 132 - u * (1 / 156 - u * (1 / 182)))))))))))))",
            "1 / 132 - u * (1 / 156))))))))))))", (MOMENT_PINS,)),
     Mutant("covert.py",
-           "    if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):", "    if False:",
+           "        if not (v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4):", "        if False:",
            ("tests/test_accuracy.py::test_closed_forms_at_tiny_noise_are_accurate_or_refused[1e-300]",
-            "tests/test_accuracy.py::test_tiny_noise_on_the_cli_is_accurate_or_refused[1e-300]")),
-    Mutant("covert.py", '    _require_normal("moment", *moments)\n', "",
-           (RATE_ERROR.format("approx-check --q 0.999999999 --alpha-grid 1e-285"),)),
+            "tests/test_accuracy.py::test_tiny_noise_on_the_cli_is_accurate_or_refused[1e-300]",
+            REFUSAL_PIN)),
+    Mutant("covert.py",
+           "    if not (_TINY <= d < _INF and _TINY <= v < _INF and _TINY <= q4 < _INF):\n",
+           "    if False:\n",
+           (RATE_ERROR.format("approx-check --q 0.999999999 --alpha-grid 1e-285"), REFUSAL_PIN)),
     Mutant("covert.py", "    if u >= 0.0:  # (RS - r.s)", "    if True:  # (RS - r.s)",
            ("tests/test_accuracy.py::test_closed_forms_near_the_edges",
             GOLDEN.format("detect_sim_e1.json"))),
@@ -213,6 +217,36 @@ MUTANTS = (
     Mutant("channels.py", "dist = math.sqrt(m * (2 * d - m) / (2 * d * d))",
            "dist = math.sqrt(m * (2 * d - m) / (4 * d * d))",
            ("tests/test_accuracy.py::test_scenario_fields_match_mpmath[E1_ONLY]",)),
+    # covert._dvq's closed-form clearance of the centring refusal: always cleared, its bound loosened
+    # 1e9-fold, and the inline health checks of the spectral terms and the warden divergence
+    Mutant("covert.py",
+           "    if not (mean * mean <= _CENTRING_CLEAR * v and v >= _CLEAR_FLOOR and q4 >= _CLEAR_FLOOR):\n",
+           "    if False:\n",
+           (RATE_ERROR.format("approx-check --q 1e-20 --alpha-grid 0.5"), REFUSAL_PIN)),
+    Mutant("covert.py", "_CENTRING_CLEAR = 4.0\n", "_CENTRING_CLEAR = 4.0e9\n",
+           ("tests/test_covert.py::test_centring_clearance_is_sound_at_its_bound",)),
+    Mutant("covert.py",
+           "    if not (_TINY <= lam4 < _INF and _TINY <= gap < _INF and _TINY <= c < _INF\n"
+           "            and _TINY <= sigma3 < _INF):\n", "    if False:\n",
+           (RATE_ERROR.format("rate-table --q 1e-300 --n-grid 1e15"),
+            RATE_ERROR.format("approx-check --alpha-grid 1e-310"), REFUSAL_PIN)),
+    Mutant("covert.py", "    if not _TINY <= d < _INF:\n", "    if False:\n",
+           (RATE_ERROR.format("rate-table --n-grid 1e300"),)),
+    # every n is checked before any row: the check back in the row loop
+    Mutant("covert.py",
+           "    alphas = []  # every n, in grid order, before any row\n"
+           "    for n, alpha in zip(blocklengths, schedule_weights(blocklengths, nu)):\n"
+           "        if n == 1:  # the message size needs n >= 2\n"
+           '            raise ValueError(f"blocklength n={n!r} must be an integer >= 2")\n'
+           "        alphas.append(alpha)\n"
+           "    rows = []\n"
+           "    for n, alpha in zip(blocklengths, alphas):\n",
+           "    rows = []\n"
+           "    for n, alpha in zip(blocklengths, schedule_weights(blocklengths, nu)):\n"
+           "        if n == 1:\n"
+           '            raise ValueError(f"blocklength n={n!r} must be an integer >= 2")\n',
+           (RATE_ERROR.format("rate-table --n-grid 1e300,0"),
+            RATE_ERROR.format("rate-table --q 1e-307 --n-grid 10,1"))),
 )
 
 

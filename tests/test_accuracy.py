@@ -60,7 +60,10 @@ E2_ONLY's trace distance, ALL_ENV's determinants) must be exactly +0.0.
 """
 
 import csv
+import json
 import math
+import random
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -78,7 +81,7 @@ from oracles import (
     mp_willie_divergence,
     mp_willie_eta,
 )
-from qcovert import cli
+from qcovert import cli, covert
 from qcovert.channels import ChannelSpec, Scenario, scenario_reports
 from qcovert.covert import (
     BERRY_ESSEEN,
@@ -276,6 +279,70 @@ def test_closed_forms_at_tiny_noise_are_accurate_or_refused(q):
     assert worst_moment <= TOL_MOMENT, f"D, V, Q off by {worst_moment:.2e}"
     assert worst_div <= TOL_DIV, f"warden divergence off by {worst_div:.2e}"
     assert refused <= {1e-12, 0.5}
+
+
+def _refusal_grid(count=4000):
+    """(q, alpha) for the refusal pin: SMALL_QS x SMALL_Q_ALPHAS (alpha < 1), then seeded points.
+
+    A seeded q is log-uniform over [2^-996, 1/2) (2^-996 = 1.5e-300) or
+    1 - q is over [2^-29, 1/2) (2^-29 = 1.9e-9); a seeded alpha is
+    log-uniform over [2^-996, 1/2), or 1/2 - alpha is over [2^-55, 1/8), or
+    alpha is 1/2.  Each point is an ``ldexp`` of a drawn mantissa and at most
+    one correctly rounded subtraction, so the grid is the same on every
+    platform.
+    """
+    rng = random.Random(32)
+    grid = [(q, alpha) for q in SMALL_QS for alpha in SMALL_Q_ALPHAS if alpha < 1.0]
+    for _ in range(count):
+        if rng.random() < 0.7:
+            q = math.ldexp(1.0 + rng.random(), -rng.randint(2, 996))
+        else:
+            q = 1.0 - math.ldexp(1.0 + rng.random(), -rng.randint(2, 29))
+        pick = rng.random()
+        if pick < 0.4:
+            alpha = 0.5 - math.ldexp(1.0 + rng.random(), -rng.randint(4, 55))
+        elif pick < 0.5:
+            alpha = 0.5
+        else:
+            alpha = math.ldexp(1.0 + rng.random(), -rng.randint(2, 996))
+        grid.append((q, alpha))
+    return grid
+
+
+def _dvq_outcome(q, alpha):
+    """``_dvq``'s moments at (q, alpha), or the message of its refusal."""
+    try:
+        return covert._dvq(alpha, q)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_dvq_refuses_exactly_the_pinned_set(monkeypatch):
+    """``_dvq`` refuses the pinned (q, alpha) of ``_refusal_grid``, and its rows keep their bits.
+
+    ``tests/dvq_refusals.json`` holds the grid indices that the moments
+    refused at commit 3fe5483, before the closed-form centring clearance,
+    when every row took the perturbed re-evaluation of V and Q, by the
+    refusal's message: a spectral term or a moment below the normal range,
+    or V and Q within the rounding of L - D.  With ``_CLEAR_FLOOR`` raised
+    to inf no row clears the closed-form centring test, so every row takes
+    that re-evaluation again: the rows and refusal messages must be the
+    same, bit for bit.
+    """
+    pin = json.loads((Path(__file__).parent / "dvq_refusals.json").read_text())
+    pinned, grid = pin["refused"], _refusal_grid()
+    assert len(grid) == pin["points"]
+    got = [_dvq_outcome(q, alpha) for q, alpha in grid]
+    refused = {kind: [] for kind in pinned}
+    for index, outcome in enumerate(got):
+        if isinstance(outcome, str):  # each kind is a part of its message
+            refused[next(kind for kind in pinned if kind in outcome)].append(index)
+    assert refused == pinned
+    monkeypatch.setattr(covert, "_CLEAR_FLOOR", math.inf)
+    changed = [(grid[i], g, e) for i, (g, e) in
+               enumerate(zip(got, (_dvq_outcome(q, alpha) for q, alpha in grid)))
+               if repr(g) != repr(e)]
+    assert not changed, changed[:3]
 
 
 @pytest.mark.parametrize("q", [str(q) for q in SMALL_QS])

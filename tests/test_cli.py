@@ -640,9 +640,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
 
 ERR, FAIL = "qcovert: error: ", "qcovert: numerical failure: "
 # (argv, exit code, stderr) of bad or refused rate-table and approx-check calls.  rate-table
-# reads its grid, then checks q, then (once eta is computed) nu and eps, before any row, and
-# then each n in order: a bad grid is named before a bad q, as in approx-check, and a bad nu
-# or eps before a bad n or a refused row.
+# reads its grid, then checks q, then (once eta is computed) nu and eps, then every n in grid
+# order, all before any row: a bad grid is named before a bad q, as in approx-check, a bad nu
+# or eps before a bad n, and a bad n before any refused row.
 RATE_ERRORS = [
     (["rate-table", "--n-grid", "0", "--nu", "0.3"], 2,
      ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
@@ -664,8 +664,9 @@ RATE_ERRORS = [
      ERR + "grid entry '1.5' is not an integer\n"),
     (["rate-table", "--n-grid", "1e300"], 3,
      FAIL + "warden divergence 0.0 is not a positive normal float\n"),
-    (["rate-table", "--n-grid", "1e300,0"], 3,
-     FAIL + "warden divergence 0.0 is not a positive normal float\n"),
+    (["rate-table", "--n-grid", "1e300,0"], 2, ERR + "blocklength n=0 must be a positive integer\n"),
+    (["rate-table", "--q", "1e-307", "--n-grid", "10,1"], 2,
+     ERR + "blocklength n=1 must be an integer >= 2\n"),
     (["rate-table", "--q", "1e-300", "--n-grid", "1e15"], 3,
      FAIL + "spectral term 5.62341324874124e-310 is not a positive normal float\n"),
     (["rate-table", "--q", "5e-324", "--nu", "0.3"], 3,

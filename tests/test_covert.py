@@ -251,6 +251,41 @@ def test_moments_keep_their_bits_next_to_the_branch_switches():
     assert repr(covert._g(-0.0487)) == "0.0012055781173599233"
 
 
+def _passes_the_centring_refusal(c, l14, weights, mean):
+    """``_dvq``'s centring refusal at centred entries c = (c11, c44, c_b, c_c) of L - D, D = mean.
+
+    Each entry is pushed outward by eps (|L_ii| + |D|), L_ii = c_i + D, and
+    V and Q re-evaluated: the refusal passes where neither moved by 1e-14.
+    """
+    v, q4 = covert._central_moments(*c, l14, *weights)
+    pushed = [x + math.copysign(covert._EPS * (abs(x + mean) + abs(mean)), x) for x in c]
+    v_hi, q4_hi = covert._central_moments(*pushed, l14, *weights)
+    return v_hi - v <= 1e-14 * v and q4_hi - q4 <= 1e-14 * q4
+
+
+def test_centring_clearance_is_sound_at_its_bound():
+    """At D^2 = _CENTRING_CLEAR * V the centring refusal passes, so ``_dvq`` may skip it there.
+
+    ``_dvq`` re-evaluates V and Q only where D^2 > _CENTRING_CLEAR * V (or V
+    or Q is below ``_CLEAR_FLOOR``); its docstring proves that the refusal
+    passes everywhere else.  Here D sits on that bound: at the proof's
+    equality case (all four entries 1 and no coupling, the worst for the |D|
+    part of the shift) and at 2000 seeded rows with entries of either sign
+    over twelve decades, a coupling and weights that sum to 1.
+    """
+    rows = [((1.0, 1.0, 1.0, 1.0), 0.0, (0.25, 0.25, 0.25, 0.25))]
+    rng = random.Random(7)
+    for _ in range(2000):
+        c = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0) for _ in range(4))
+        raw = [rng.random() for _ in range(4)]
+        weights = tuple(w / sum(raw) for w in raw)
+        rows.append((c, rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6.0, 3.0), weights))
+    for c, l14, weights in rows:
+        v, _ = covert._central_moments(*c, l14, *weights)
+        mean = math.sqrt(covert._CENTRING_CLEAR * v)
+        assert _passes_the_centring_refusal(c, l14, weights, mean), (c, l14, weights)
+
+
 def test_inverse_normal_cdf_basics():
     # rate_reports' Phi^{-1}(eps), taken once per table after eps is checked
     inv_cdf = covert._inv_normal_cdf
