@@ -48,6 +48,9 @@ class Mutant(NamedTuple):
 
 
 MOMENT_PINS = "tests/test_covert.py::test_moments_keep_their_bits_next_to_the_branch_switches"
+MOMENT_CURVE = "tests/test_covert.py::test_moment_curve_matches_mpmath_and_refuses_the_boundaries[{}]"
+DVQ_MPMATH = ("tests/test_accuracy.py::test_dvq_exact_matches_mpmath[0.3]",
+              "tests/test_accuracy.py::test_closed_forms_near_the_edges")
 REFUSAL_PIN = "tests/test_accuracy.py::test_dvq_refuses_exactly_the_pinned_set"
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden[{}]"
 RATE_ERROR = "tests/test_cli.py::test_rate_path_errors_exit_and_print_as_pinned[{}]"
@@ -115,7 +118,7 @@ MUTANTS = (
            (GOLDEN.format("approx_check_workload.json"),)),
     Mutant("covert.py", "        if not (0.0 <= alpha < 1.0):", "        if not (0.0 <= alpha <= 1.0):",
            (RATE_ERROR.format("approx-check --alpha-grid 1"),
-            "tests/test_covert.py::test_dvq_exact_matches_dense_oracle[0.3-1.0]")),
+            MOMENT_CURVE.format("0.3-1.0"))),
     Mutant("covert.py", "coeff = 2.0 * (1.0 - q) ** 2 / (2.0 - q)",
            "coeff = 2.0 * (1.0 - q) ** 2 / (2.0 + q)",
            ("tests/test_acceptance.py::test_criterion_04_leading_order_ratios",
@@ -181,24 +184,21 @@ MUTANTS = (
     # tensor and symmetric powers and the partial trace, and the eigensolver route
     # to the scenario report checked the verdicts and fields
     Mutant("covert.py", "(1.0 + z * z * atanh_s / s_len)", "(1.0 + z * atanh_s / s_len)",
-           ("tests/test_covert.py::test_warden_closed_forms_match_dense_oracles",)),
+           ("tests/test_accuracy.py::test_willie_eta_matches_mpmath",)),
     Mutant("covert.py", "_g(-delta / (1.0 + s_len))", "_g(delta / (1.0 + s_len))",
            ("tests/test_covert.py::test_warden_closed_forms_match_dense_oracles",)),
     Mutant("covert.py", "(1.0 - alpha) * m1, alpha * m0, alpha * m1",
-           "(1.0 - alpha) * m1, alpha * m1, alpha * m0",
-           ("tests/test_covert.py::test_dvq_exact_matches_dense_oracle[0.3-0.2]",)),
+           "(1.0 - alpha) * m1, alpha * m1, alpha * m0", DVQ_MPMATH),
     Mutant("covert.py", "e = eps * math.sqrt(alpha * (1.0 - alpha))", "e = eps * math.sqrt(alpha)",
-           ("tests/test_covert.py::test_dvq_exact_matches_dense_oracle[0.3-0.2]",)),
+           DVQ_MPMATH),
     Mutant("covert.py", "det = alpha * (1.0 - alpha) * q * (1.0 - 0.75 * q)",
-           "det = alpha * (1.0 - alpha) * q * (1.0 - 0.5 * q)",
-           ("tests/test_covert.py::test_dvq_exact_matches_dense_oracle[0.3-0.2]",)),
+           "det = alpha * (1.0 - alpha) * q * (1.0 - 0.5 * q)", DVQ_MPMATH),
     Mutant("covert.py",
            "    alphas = list(alphas)\n"
            "    if not (0.0 < q < 1.0):\n"
            '        raise ValueError(f"q={q:g} outside (0, 1)")\n',
            "    alphas = list(alphas)\n",
-           ("tests/test_covert.py::test_dvq_exact_matches_dense_oracle[0.0-0.2]",
-            "tests/test_covert.py::test_dvq_exact_matches_dense_oracle[1.0-0.2]")),
+           (MOMENT_CURVE.format("0.0-0.2"), MOMENT_CURVE.format("1.0-0.2"))),
     Mutant("detection.py", "blocks = coef_a[lo:hi] * stack[rows[lo:hi]] + coef_d[lo:hi] * stack[0]",
            "blocks = coef_a[lo:hi] * stack[rows[lo:hi]]",
            ("tests/test_detection.py::test_block_route_matches_dense_oracle[E1_ONLY]",)),
@@ -247,6 +247,13 @@ MUTANTS = (
            '            raise ValueError(f"blocklength n={n!r} must be an integer >= 2")\n',
            (RATE_ERROR.format("rate-table --n-grid 1e300,0"),
             RATE_ERROR.format("rate-table --q 1e-307 --n-grid 10,1"))),
+    # the floor below which _dvq re-evaluates V and Q whatever D is, lowered
+    Mutant("covert.py", "_CLEAR_FLOOR = _TINY / _EPS\n", "_CLEAR_FLOOR = _TINY / _EPS * 1e-9\n",
+           ("tests/test_covert.py::test_centring_clearance_stops_at_its_floor",)),
+    # moment_curve's reflection of alpha past 1/2 (_dvq itself loses digits as alpha nears 1)
+    Mutant("covert.py", "        d, v, q4 = _dvq(min(alpha, 1.0 - alpha), q)",
+           "        d, v, q4 = _dvq(alpha, q)",
+           (MOMENT_CURVE.format("0.3-0.999"),)),
 )
 
 

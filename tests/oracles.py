@@ -18,22 +18,22 @@ builds them.  These kinds live here:
   states), ``symmetric_power`` of one 2x2 matrix by the degree step
   ``monomial_step`` (which ``detection`` runs fused over a stack of
   blocks) and the operator logarithm ``matrix_log2``.
-* Dense double-precision functionals on density matrices:
-  ``relative_entropy``, ``moments`` (D, V, Q from operator logarithms)
-  and ``eta`` (the divided-difference curvature).  They are the generic
-  routes that the scalar closed forms in ``qcovert.covert`` replaced.
+* The dense double-precision ``relative_entropy`` from operator
+  logarithms, the generic route that the warden divergence's scalar closed
+  form in ``qcovert.covert`` replaced.
 * mpmath references at ``DPS`` digits (more where a value is tiny): the
-  joint-output moments, the E1 warden's single-use divergence and its
-  curvature, each from a high-precision eigendecomposition of the dense
-  matrices, so none shares a formula with the closed forms it checks; the
-  fields of a scenario report (``mp_support_fields``); the
-  standard normal quantile from mpmath's ``erfinv`` (``mp_normal_quantile``);
-  the warden's n-use trace distance as a Schur-Weyl block sum
-  (``mp_warden_trace_distances``), and ALL_ENV's T and error probability
-  from one reduced block per sector (``mp_allenv_distances``), whose
-  values on ``ALLENV_GRID`` are committed (``write_allenv_reference``), as
-  are the E1 warden's T and error probability on ``E1_ROWS``, up to
-  n = 100 (``write_e1_reference``).
+  joint-output moments D, V, Q (``mp_dvq``, on the joint output and the
+  product of its marginals built by ``_mp_joint_output``), the E1 warden's
+  single-use divergence and its curvature, each from a high-precision
+  eigendecomposition of the dense matrices, so none shares a formula with
+  the closed forms it checks; the fields of a scenario report
+  (``mp_support_fields``); the standard normal quantile from mpmath's
+  ``erfinv`` (``mp_normal_quantile``); the warden's n-use trace distance
+  as a Schur-Weyl block sum (``mp_warden_trace_distances``), and ALL_ENV's
+  T and error probability from one reduced block per sector
+  (``mp_allenv_distances``), whose values on ``ALLENV_GRID`` are committed
+  (``write_allenv_reference``), as are the E1 warden's T and error
+  probability on ``E1_ROWS``, up to n = 100 (``write_e1_reference``).
 * The stdlib route to the CLI's tables, ``stdlib_table_text``: ``csv.writer``
   over the formatted values, and ``json.dumps(indent=2)`` with non-finite
   floats as the CSV's strings, which the CLI's row templates replaced.
@@ -52,10 +52,8 @@ import mpmath as mp
 import numpy as np
 
 from qcovert.channels import ChannelSpec, Scenario, _check_q
-from qcovert.divergences import DvqTriple
 from qcovert.linalg import dicke_scaling
 
-LN2 = math.log(2.0)
 DPS = 50
 
 
@@ -429,7 +427,7 @@ def _coupled_pair(a: float, d: float, e: float, det: float) -> tuple[float, floa
 
 
 # ----------------------------------------------------------------------
-# Dense divergences
+# Dense relative entropy
 
 
 def _support_violation(rho: np.ndarray, sigma: np.ndarray) -> bool:
@@ -458,64 +456,6 @@ def relative_entropy(rho, sigma) -> float:
     return float(np.trace(rho @ diff).real)
 
 
-def moments(rho, sigma) -> DvqTriple:
-    """D with the centered moments V = Tr[rho (L-D)^2], Q = Tr[rho (L-D)^4].
-
-    L = log2 rho - log2 sigma on the support.  A support violation makes
-    all three entries +inf.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
-    if _support_violation(rho, sigma):
-        return DvqTriple(math.inf, math.inf, math.inf)
-    loglike = matrix_log2(rho) - matrix_log2(sigma)
-    d = float(np.trace(rho @ loglike).real)
-    centered = loglike - d * np.eye(rho.shape[0])
-    sq = centered @ centered
-    v = float(np.trace(rho @ sq).real)
-    q4 = float(np.trace(rho @ sq @ sq).real)
-    return DvqTriple(d, v, q4)
-
-
-def eta(rho, sigma) -> float:
-    """Curvature of relative entropy at sigma in the direction rho - sigma.
-
-    With sigma = sum_i lambda_i |v_i><v_i| and Delta = rho - sigma,
-
-        eta = sum_{i,j} c_ij |<v_i| Delta |v_j>|^2,
-
-    where c_ij is the divided difference (log2 lambda_i - log2 lambda_j)
-    / (lambda_i - lambda_j), replaced by its analytic limit
-    1/(lambda_i ln 2) when the eigenvalues coincide within 1e-12
-    relative.  Returns +inf if Delta touches the kernel of sigma.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.complex128)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"incompatible shapes {rho.shape} and {sigma.shape}")
-    w, vecs = eig_hermitian(sigma)
-    m = vecs.conj().T @ (rho - sigma) @ vecs
-    support = _support_mask(w)
-    if not support.all():
-        coupling = np.abs(m[~support, :]).max(initial=0.0)
-        coupling = max(coupling, np.abs(m[:, ~support]).max(initial=0.0))
-        if coupling > 1e-12:
-            return math.inf
-    idx = np.flatnonzero(support)
-    total = 0.0
-    for i in idx:
-        for j in idx:
-            gap = w[i] - w[j]
-            if abs(gap) < 1e-12 * w[0]:
-                coeff = 1.0 / (w[i] * LN2)
-            else:
-                coeff = (math.log2(w[i]) - math.log2(w[j])) / gap
-            total += coeff * float(abs(m[i, j]) ** 2)
-    return total
-
-
 # ----------------------------------------------------------------------
 # mpmath references
 
@@ -534,6 +474,27 @@ def _trace_mul(a, b):
     return mp.re(sum(a[i, k] * b[k, i] for i in range(a.rows) for k in range(a.cols)))
 
 
+def _mp_joint_output(alpha, q):
+    """(rho, sigma) as mpmath matrices at the working digits: the joint output and its marginals' product.
+
+    rho is the entangled input with weight alpha after the depolarizing
+    channel on its second half, and sigma is diagonal.  They are the
+    float64 ``joint_output_closed_form`` and ``product_of_marginals`` at
+    more digits; ``tests/test_oracles.py`` checks that, and
+    ``tests/test_covert.py`` ties those two to the dilation.
+    """
+    a, q_ = mp.mpf(alpha), mp.mpf(q)
+    half = q_ / 2
+    e = (1 - q_) * mp.sqrt(a * (1 - a))
+    rho = mp.matrix([[(1 - half) * (1 - a), 0, 0, e],
+                     [0, half * (1 - a), 0, 0],
+                     [0, 0, half * a, 0],
+                     [e, 0, 0, (1 - half) * a]])
+    m0 = (1 - half) * (1 - a) + half * a  # retained qubit, P(0)
+    m1 = half * (1 - a) + (1 - half) * a
+    return rho, mp.diag([(1 - a) * m0, (1 - a) * m1, a * m0, a * m1])
+
+
 def mp_dvq(alpha: float, q: float) -> tuple:
     """(D, V, Q) in bits of the arrow-matrix joint output vs its marginals.
 
@@ -543,17 +504,8 @@ def mp_dvq(alpha: float, q: float) -> tuple:
     about q log^2 q, so the digits grow with log(1/q) as well as log(1/alpha).
     """
     with mp.workdps(_digits(alpha, q)):
-        a, q_ = mp.mpf(alpha), mp.mpf(q)
-        half = q_ / 2
-        e = (1 - q_) * mp.sqrt(a * (1 - a))
-        rho = mp.matrix([[(1 - half) * (1 - a), 0, 0, e],
-                         [0, half * (1 - a), 0, 0],
-                         [0, 0, half * a, 0],
-                         [e, 0, 0, (1 - half) * a]])
-        m0 = (1 - half) * (1 - a) + half * a  # retained qubit, P(0)
-        m1 = half * (1 - a) + (1 - half) * a
-        sigma = [(1 - a) * m0, (1 - a) * m1, a * m0, a * m1]
-        loglike = _logm_hermitian(rho) - mp.diag([mp.log(s) for s in sigma])
+        rho, sigma = _mp_joint_output(alpha, q)
+        loglike = _logm_hermitian(rho) - mp.diag([mp.log(sigma[i, i]) for i in range(4)])
         d = _trace_mul(rho, loglike)
         centered = loglike - d * mp.eye(4)
         sq = centered * centered

@@ -2,6 +2,7 @@ import math
 import random
 import statistics
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,9 +15,8 @@ from oracles import (
     e1only_marginal,
     eig_hermitian,
     entangled_input,
-    eta,
     joint_output_closed_form,
-    moments,
+    mp_dvq,
     mp_normal_quantile,
     mp_willie_divergence,
     partial_trace,
@@ -36,25 +36,12 @@ from qcovert.covert import (
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Regression pins, produced once by this library and cross-checked against
-# the independent oracles in this file at looser tolerance.
+# Regression pins, produced once by this library; ``test_accuracy.py`` holds the
+# same eta to ``mp_willie_eta`` at 1e-14 over a q grid.
 ETA_PINS = {0.3: 3.439146196075672, 0.5: 4.637269831353988, 0.7: 5.373790176566614}
 CAPACITY_PIN_Q05 = 0.1459389779600682
-
-
-def entropy_bits(rho):
-    w = np.linalg.eigvalsh(rho)
-    return -sum(x * math.log2(x) for x in w if x > 1e-14)
-
-
-def dense_log2(m):
-    """Operator log2 built directly from numpy's eigh, bypassing the library."""
-    w, v = np.linalg.eigh(m)
-    out = np.zeros_like(np.asarray(m, dtype=complex))
-    for lam, vec in zip(w, v.T):
-        if lam > 1e-14:
-            out += math.log2(lam) * np.outer(vec, vec.conj())
-    return out
+# Relative error of D, V, Q against ``mp_dvq``, the bound of ``test_accuracy.py``
+TOL_MOMENT = 1e-13
 
 
 def test_entangled_input_vector():
@@ -157,45 +144,23 @@ def test_arrow_spectral_uncoupled_branch():
     np.testing.assert_array_equal(dec.eigenvalues, [0.4, 0.3, 0.2, 0.1])
 
 
-def test_dvq_exact_first_moment_matches_entropy_route():
-    # mutual-information identity: D(rho_AB || rho_A x rho_B)
-    #                            = S(A) + S(B) - S(AB)
-    for alpha, q in [(0.1, 0.3), (0.01, 0.5), (0.45, 0.8)]:
-        joint = joint_output_closed_form(alpha, q)
-        expected = (
-            entropy_bits(partial_trace(joint, [2, 2], [0]))
-            + entropy_bits(partial_trace(joint, [2, 2], [1]))
-            - entropy_bits(joint)
-        )
-        assert moment_curve([alpha], q)[0][2] == pytest.approx(expected, abs=1e-11)
-
-
-def test_dvq_exact_higher_moments_match_direct_construction():
-    alpha, q = 0.2, 0.45
-    rho = joint_output_closed_form(alpha, q)
-    sigma = product_of_marginals(alpha, q)
-    loglike = dense_log2(rho) - dense_log2(sigma)
-    d = float(np.trace(rho @ loglike).real)
-    centered = loglike - d * np.eye(4)
-    v = float(np.trace(rho @ centered @ centered).real)
-    q4 = float(np.trace(rho @ np.linalg.matrix_power(centered, 4)).real)
-    got_d, _, got_v, _, got_q4 = moment_curve([alpha], q)[0][2:7]
-    assert got_d == pytest.approx(d, abs=1e-12)
-    assert got_v == pytest.approx(v, abs=1e-12)
-    assert got_q4 == pytest.approx(q4, abs=1e-12)
-
-
 @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.2, 0.5, 0.7, 0.999, 1.0])
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.9, 1.0])
-def test_dvq_exact_matches_dense_oracle(alpha, q):
-    """Closed form vs operator logarithms, across alpha = 1/2; the table refuses the boundaries."""
+def test_moment_curve_matches_mpmath_and_refuses_the_boundaries(alpha, q):
+    """``moment_curve`` vs ``mp_dvq`` on both sides of alpha = 1/2; the table refuses the boundaries.
+
+    Past 1/2 the table evaluates ``_dvq`` at 1 - alpha, which ``mp_dvq`` does not.
+    """
     if not (0.0 < q < 1.0 and alpha < 1.0):  # no command computes the moments there
         with pytest.raises(ValueError, match="outside"):
             moment_curve([alpha], q)
         return
-    d, _, v, _, q4 = moment_curve([alpha], q)[0][2:7]
-    expected = moments(joint_output_closed_form(alpha, q), product_of_marginals(alpha, q))
-    np.testing.assert_allclose((d, v, q4), expected, rtol=1e-10, atol=1e-12)
+    got = moment_curve([alpha], q)[0][2:7:2]
+    if alpha == 0.0:
+        assert got == (0.0, 0.0, 0.0)
+        return
+    for g, ref in zip(got, mp_dvq(alpha, q)):
+        assert abs(mp.mpf(g) - ref) <= TOL_MOMENT * abs(ref), (g, ref)
 
 
 def divergence_kernel(alpha, q):
@@ -207,10 +172,8 @@ def test_warden_closed_forms_match_dense_oracles():
     rng = np.random.default_rng(23)
     for _ in range(40):
         q, alpha = rng.uniform(0.01, 0.99), rng.uniform(0.01, 1.0)
-        omega_0, omega_1 = e1only_marginal(0.0, q), e1only_marginal(1.0, q)
-        dense = relative_entropy(e1only_marginal(alpha, q), omega_0)
+        dense = relative_entropy(e1only_marginal(alpha, q), e1only_marginal(0.0, q))
         assert divergence_kernel(alpha, q) == pytest.approx(dense, rel=1e-10)
-        assert capacity_curve([q])[0][1] == pytest.approx(eta(omega_1, omega_0), rel=1e-12)
 
 
 def test_dvq_asymptotic_leading_forms():
@@ -284,6 +247,21 @@ def test_centring_clearance_is_sound_at_its_bound():
         v, _ = covert._central_moments(*c, l14, *weights)
         mean = math.sqrt(covert._CENTRING_CLEAR * v)
         assert _passes_the_centring_refusal(c, l14, weights, mean), (c, l14, weights)
+
+
+def test_centring_clearance_stops_at_its_floor(monkeypatch):
+    """Below ``_CLEAR_FLOOR`` (2^-970) in V or Q, ``_dvq`` re-evaluates V and Q whatever D is.
+
+    At q = 1/2, alpha = 1e-298 has V and Q near 1e-293, under the floor, so
+    ``_central_moments`` runs twice; alpha = 1e-290 (V near 1e-285) clears by
+    the bound and runs it once.
+    """
+    kernel, calls = covert._central_moments, []
+    monkeypatch.setattr(covert, "_central_moments", lambda *c: calls.append(c) or kernel(*c))
+    for alpha, evaluations in ((1e-298, 2), (1e-290, 1)):
+        calls.clear()
+        covert._dvq(alpha, 0.5)
+        assert len(calls) == evaluations, alpha
 
 
 def test_inverse_normal_cdf_basics():

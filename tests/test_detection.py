@@ -8,6 +8,7 @@ import pytest
 from oracles import (
     allenv_reference,
     basis_marginal_pair,
+    monomial_step,
     mp_allenv_distances,
     relative_entropy,
     root_fidelity,
@@ -19,6 +20,7 @@ from qcovert import cli, detection
 from qcovert.channels import ChannelSpec, Scenario
 from qcovert.covert import schedule_weights
 from qcovert.detection import MAX_USES, MAX_USES_ALLENV, _pinsker_floor, warden_errors
+from qcovert.linalg import dicke_scaling
 
 LN2 = math.log(2.0)
 
@@ -240,6 +242,19 @@ def test_streamed_chunks_leave_every_row_bit_identical(scenario, ns, monkeypatch
         monkeypatch.setattr(detection, "CHUNK_ENTRIES", rows_per_chunk * (max(ns) + 1) ** 2)
         shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order], spec)
         assert [r.trace_dist for r in shuffled] == [table[i] for i in order]
+
+
+def test_monomial_step_broadcasts_over_stacked_matrices():
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+    mono = np.ones((1, 1), dtype=np.complex128)
+    stacked = [mono]
+    for _ in range(5):
+        stacked.append(monomial_step(a, stacked[-1]))
+    for i in range(4):
+        np.testing.assert_allclose(stacked[-1][i] * dicke_scaling(5), symmetric_power(a[i], 5),
+                                   rtol=0.0, atol=1e-13 * np.linalg.norm(a[i], 2) ** 5)
+    assert not dicke_scaling(5).flags.writeable
 
 
 @pytest.mark.parametrize("q", [1e-6, 0.5, 1.0])

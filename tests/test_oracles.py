@@ -1,20 +1,35 @@
+"""Self-tests of the float64 oracles in ``oracles.py``, and the tie of its mpmath states to them."""
+
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from oracles import (
+    DPS,
+    _e1_marginal,
+    _mp_joint_output,
+    e1only_marginal,
     eig_hermitian,
+    joint_output_closed_form,
     matrix_log2,
-    monomial_step,
     partial_trace,
+    product_of_marginals,
     projector,
+    relative_entropy,
     symmetric_power,
     tensor,
     tensor_power,
     trace_distance,
 )
-from qcovert.linalg import dicke_scaling
+
+LN2 = math.log(2.0)
+
+
+def classical_d(p, r):
+    """Relative entropy in bits of commuting (diagonal) states, by a scalar sum over their eigenbasis."""
+    return sum(pi * math.log2(pi / ri) for pi, ri in zip(p, r))
 
 
 def random_density(rng, dim):
@@ -76,19 +91,6 @@ def test_symmetric_power_is_the_symmetric_block_of_the_tensor_power():
             symmetric_power(a, k), dicke.T @ tensor_power(a, k) @ dicke,
             rtol=1e-12, atol=1e-12 * np.linalg.norm(a, 2) ** k,
         )
-
-
-def test_monomial_step_broadcasts_over_stacked_matrices():
-    rng = np.random.default_rng(13)
-    a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
-    mono = np.ones((1, 1), dtype=np.complex128)
-    stacked = [mono]
-    for _ in range(5):
-        stacked.append(monomial_step(a, stacked[-1]))
-    for i in range(4):
-        np.testing.assert_allclose(stacked[-1][i] * dicke_scaling(5), symmetric_power(a[i], 5),
-                                   rtol=0.0, atol=1e-13 * np.linalg.norm(a[i], 2) ** 5)
-    assert not dicke_scaling(5).flags.writeable
 
 
 def test_partial_trace_of_product_state():
@@ -172,3 +174,68 @@ def test_trace_distance_symmetry():
 def test_trace_distance_shape_check():
     with pytest.raises(ValueError):
         trace_distance(np.eye(2), np.eye(3))
+
+
+def test_relative_entropy_of_identical_states_is_zero():
+    rho = np.diag([0.3, 0.7]).astype(complex)
+    assert relative_entropy(rho, rho) == 0.0
+
+
+def test_relative_entropy_classical_pair():
+    p, r = (0.3, 0.7), (0.6, 0.4)
+    expected = classical_d(p, r)
+    got = relative_entropy(np.diag(p).astype(complex), np.diag(r).astype(complex))
+    assert got == pytest.approx(expected, abs=1e-13)
+
+
+@pytest.mark.parametrize("t", [1e-13, 5e-13, 2e-12])
+def test_relative_entropy_keeps_small_genuine_eigenvalues(t):
+    # diag(1-t, t) || diag(1-2t, 2t): both small eigenvalues are genuine,
+    # far above eigensolver noise, so neither may be dropped as kernel nor
+    # flagged as a support violation
+    expected = (1.0 - t) * math.log1p(t / (1.0 - 2.0 * t)) / LN2 - t
+    got = relative_entropy(np.diag([1.0 - t, t]).astype(complex),
+                           np.diag([1.0 - 2.0 * t, 2.0 * t]).astype(complex))
+    # a difference of O(1)-bit logarithms: a few ulp of absolute error
+    assert got == pytest.approx(expected, rel=0.0, abs=1e-15)
+
+
+def test_relative_entropy_pure_vs_maximally_mixed():
+    # D(|psi><psi| || I/2) = 1 bit for any qubit pure state
+    plus = projector([1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0)])
+    assert relative_entropy(plus, 0.5 * np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_relative_entropy_support_violation_is_infinite():
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    assert relative_entropy(rho, sigma) == math.inf
+
+
+def test_relative_entropy_shape_mismatch():
+    with pytest.raises(ValueError):
+        relative_entropy(np.eye(2) / 2.0, np.eye(4) / 4.0)
+
+
+def _float64(m):
+    """An mpmath matrix rounded entrywise to a complex128 array."""
+    return np.array([[complex(x) for x in row] for row in m.tolist()])
+
+
+@pytest.mark.parametrize("alpha, q", [(0.0, 0.5), (1e-12, 1e-9), (1e-3, 0.3), (0.2, 0.9),
+                                      (0.7, 1.0 - 1e-9), (1.0, 0.5)])
+def test_mp_states_round_to_the_float64_states(alpha, q):
+    """``mp_dvq``'s and the mpmath warden's states are the dense float64 ones at more digits.
+
+    ``e1only_marginal`` is a partial trace of the channel's Stinespring
+    dilation, and ``test_covert.py`` ties the joint output and the product
+    of its marginals to it; this ties the mpmath references to them, entry
+    by entry within a few roundings and structural zeros exactly.
+    """
+    with mp.workdps(DPS):
+        rho, sigma = _mp_joint_output(alpha, q)
+        omega = _e1_marginal(mp.mpf(alpha), mp.mpf(q))
+    for exact, dense in ((rho, joint_output_closed_form(alpha, q)),
+                         (sigma, product_of_marginals(alpha, q)),
+                         (omega, e1only_marginal(alpha, q))):
+        np.testing.assert_allclose(dense, _float64(exact), rtol=1e-15, atol=0.0)
