@@ -48,7 +48,7 @@ class Mutant(NamedTuple):
 
 
 MOMENT_PINS = "tests/test_covert.py::test_moments_keep_their_bits_next_to_the_branch_switches"
-MOMENT_CURVE = "tests/test_covert.py::test_moment_curve_matches_mpmath_and_refuses_the_boundaries[{}]"
+MOMENT_CURVE = "tests/test_covert.py::test_dvq_exact_matches_dense_oracle[{}]"
 DVQ_MPMATH = ("tests/test_accuracy.py::test_dvq_exact_matches_mpmath[0.3]",
               "tests/test_accuracy.py::test_closed_forms_near_the_edges")
 REFUSAL_PIN = "tests/test_accuracy.py::test_dvq_refuses_exactly_the_pinned_set"

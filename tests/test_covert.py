@@ -146,9 +146,11 @@ def test_arrow_spectral_uncoupled_branch():
 
 @pytest.mark.parametrize("alpha", [0.0, 1e-3, 0.2, 0.5, 0.7, 0.999, 1.0])
 @pytest.mark.parametrize("q", [0.0, 0.3, 0.9, 1.0])
-def test_moment_curve_matches_mpmath_and_refuses_the_boundaries(alpha, q):
+def test_dvq_exact_matches_dense_oracle(alpha, q):
     """``moment_curve`` vs ``mp_dvq`` on both sides of alpha = 1/2; the table refuses the boundaries.
 
+    ``mp_dvq`` is the dense oracle: the 4x4 joint output and its
+    marginals' product in mpmath, with log rho by eigendecomposition.
     Past 1/2 the table evaluates ``_dvq`` at 1 - alpha, which ``mp_dvq`` does not.
     """
     if not (0.0 < q < 1.0 and alpha < 1.0):  # no command computes the moments there
