@@ -687,6 +687,45 @@ def test_rate_path_errors_exit_and_print_as_pinned(argv, code, err, capsys):
     assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
 
 
+# (argv, exit code, stderr) of bad detect-sim calls.  detect-sim checks nu, reads its n grid,
+# then its alpha grid and the n x alpha table's size; warden_errors then checks q, then
+# every row's n and alpha.  A bad q is named before any bad row, and a bad n before a bad alpha.
+DETECT_ERRORS = [
+    (["detect-sim", "--q", "-0.1"], 2, ERR + "noise parameter q=-0.1 outside [0, 1]\n"),
+    (["detect-sim", "--q", "1.5"], 2, ERR + "noise parameter q=1.5 outside [0, 1]\n"),
+    (["detect-sim", "--q", "nan"], 2, ERR + "noise parameter q=nan outside [0, 1]\n"),
+    (["detect-sim", "--nu", "0.3"], 2, ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
+    (["detect-sim", "--n-grid", "0"], 2, ERR + "blocklength n=0 must be a positive integer\n"),
+    (["detect-sim", "--n-grid", "101"], 2,
+     ERR + "n=101 exceeds the cap 100 for scenario E1_ONLY\n"),
+    (["detect-sim", "--scenario", "1", "--n-grid", "31"], 2,
+     ERR + "n=31 exceeds the cap 30 for scenario ALL_ENV\n"),
+    (["detect-sim", "--alpha-grid", "2"], 2, ERR + "alpha=2.0 outside [0, 1]\n"),
+    (["detect-sim", "--alpha-grid", ""], 2, ERR + "empty grid\n"),
+    (["detect-sim", "--n-grid", "1,2", "--alpha-grid", "0:0.9999:0.0001"], 2,
+     ERR + "the n x alpha grid has more than 10000 entries\n"),
+    (["detect-sim", "--q", "1.5", "--nu", "0.3"], 2,
+     ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
+    (["detect-sim", "--n-grid", "1.5", "--q", "1.5"], 2,
+     ERR + "grid entry '1.5' is not an integer\n"),
+    (["detect-sim", "--q", "1.5", "--n-grid", "0"], 2,
+     ERR + "noise parameter q=1.5 outside [0, 1]\n"),
+    (["detect-sim", "--q", "1.5", "--scenario", "1", "--n-grid", "31"], 2,
+     ERR + "noise parameter q=1.5 outside [0, 1]\n"),
+    (["detect-sim", "--q", "-0.1", "--alpha-grid", "2"], 2,
+     ERR + "noise parameter q=-0.1 outside [0, 1]\n"),
+    (["detect-sim", "--n-grid", "101", "--alpha-grid", "2"], 2,
+     ERR + "n=101 exceeds the cap 100 for scenario E1_ONLY\n"),
+    (["detect-sim", "--n-grid", "0", "--alpha-grid", ""], 2, ERR + "empty grid\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", DETECT_ERRORS,
+                         ids=[" ".join(argv) for argv, *_ in DETECT_ERRORS])
+def test_detect_sim_errors_exit_and_print_as_pinned(argv, code, err, capsys):
+    assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
+
+
 def test_unwritable_output_exits_two(tmp_path):
     target = tmp_path / "missing" / "out.csv"
     assert cli.main(["bound-curve", "--q-grid", "0.5", "--out", str(target)]) == 2
