@@ -19,15 +19,15 @@ print(f"schedule nu={nu}, channel q={q}, warden holds E1 only")
 print("n     alpha_n     trace_dist   error_prob   pinsker_floor")
 ns = [1, 2, 3, 5, 8, 13, 20, 32, 50, 79, 100]
 alphas = qc.schedule_weights(ns, nu)
-for r in qc.warden_errors(ns, alphas, qc.ChannelSpec(q, qc.Scenario.E1_ONLY)):
+for r in qc.warden_errors(ns, alphas, q, qc.Scenario.E1_ONLY):
     print(f"{r.n:<4}  {r.alpha:.4e}  {r.trace_dist:.6f}     {r.error_prob:.6f}     "
           f"{r.pinsker_floor:.6f}")
 
 print()
 print("same weight, warden holds the whole environment (q=0.5, alpha=0.3):")
 ns = [1, 2, 3, 4, 5]
-full = qc.warden_errors(ns, [0.3] * len(ns), qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
-part = qc.warden_errors(ns, [0.3] * len(ns), qc.ChannelSpec(q, qc.Scenario.E1_ONLY))
+full = qc.warden_errors(ns, [0.3] * len(ns), q, qc.Scenario.ALL_ENV)
+part = qc.warden_errors(ns, [0.3] * len(ns), q, qc.Scenario.E1_ONLY)
 for f, p in zip(full, part):
     print(f"  n={f.n}  error ALL_ENV={f.error_prob:.4f}  "
           f"E1_ONLY={p.error_prob:.4f}")

@@ -9,7 +9,6 @@ the sweeps into CSV/JSON tables.
 """
 
 from .channels import (
-    ChannelSpec,
     Scenario,
     SupportReport,
     scenario_reports,
@@ -23,4 +22,4 @@ from .covert import (
 )
 from .detection import DetectionResult, warden_errors
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

@@ -7,9 +7,10 @@ one of three marginal channels; which subset decides whether covert
 signalling is impossible, free, or genuinely constrained.
 ``scenario_reports`` states that verdict for a table of scenarios at one
 q, from closed forms of the kernel overlap, trace distance and
-determinants, with no eigensolver.  ``ChannelSpec`` is a NamedTuple that
-validates on construction; ``SupportReport`` is a plain NamedTuple, built
-without checks, and is the printed row of ``qcovert scenario`` as it stands.
+determinants, with no eigensolver.  ``SupportReport`` is a plain
+NamedTuple, built without checks, and is the printed row of ``qcovert
+scenario`` as it stands.  ``_check_q`` checks q where a table takes it:
+here and in ``detection.warden_errors``.
 The warden's states themselves have one closed form, the real block
 ``detection._warden_block``.  The dilation, the dense channel, the
 partial-trace route to the marginals and the 50-digit mpmath fields of a
@@ -30,30 +31,6 @@ class Scenario(IntEnum):
     ALL_ENV = 1  # E1 and E2 jointly
     E2_ONLY = 2  # E2 alone
     E1_ONLY = 3  # E1 alone
-
-
-class _SpecFields(NamedTuple):
-    q: float
-    scenario: Scenario
-
-
-class ChannelSpec(_SpecFields):
-    """Depolarizing noise parameter q plus the warden's scenario, checked on construction.
-
-    q must lie in [0, 1], and the scenario is taken as ``Scenario`` takes it.
-    Every route to a new spec (a call, ``_replace``, ``_make``, a copy or a
-    pickle) goes through ``__new__``, so every spec has passed the check.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, q: float, scenario: Scenario):
-        _check_q(q)
-        return tuple.__new__(cls, (q, Scenario(scenario)))
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def _check_q(q: float):

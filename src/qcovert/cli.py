@@ -61,7 +61,7 @@ from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .channels import ChannelSpec, Scenario, scenario_reports
+from .channels import Scenario, scenario_reports
 from .covert import capacity_curve, check_nu, moment_curve, rate_reports, schedule_weights
 from .detection import MAX_USES, MAX_USES_ALLENV, warden_errors
 
@@ -308,7 +308,6 @@ def cmd_scenario(args):
 def cmd_detect_sim(args):
     check_nu(args.nu)  # echoed in the config even when --alpha-grid replaces the schedule
     n_grid = parse_int_grid(args.n_grid)
-    spec = ChannelSpec(args.q, args.scenario)
     alpha_grid = None if args.alpha_grid is None else parse_grid(args.alpha_grid)
     if alpha_grid is not None and len(n_grid) * len(alpha_grid) > MAX_GRID_POINTS:
         raise ValueError(f"the n x alpha grid has more than {MAX_GRID_POINTS} entries")
@@ -317,7 +316,8 @@ def cmd_detect_sim(args):
     else:
         ns = [n for n in n_grid for _ in alpha_grid]
         alphas = alpha_grid * len(n_grid)
-    return (n_grid, args.q, args.scenario, args.nu, alpha_grid), warden_errors(ns, alphas, spec)
+    return ((n_grid, args.q, args.scenario, args.nu, alpha_grid),
+            warden_errors(ns, alphas, args.q, args.scenario))
 
 
 class Command(NamedTuple):

@@ -4,9 +4,11 @@ The warden performs a binary hypothesis test between the n-fold innocent
 output and the n-fold response to input weight alpha, at equal priors.
 The optimal error probability is (1 - T)/2 with T the trace distance of
 the two n-copy states, and it can never drop below the Pinsker floor
-(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D; ``warden_errors``
-checks every row against it.  A schedule's sweep is one table: the
-blocklengths with their weights from ``covert.schedule_weights``.
+(1 - sqrt(ln2 * D / 2))/2 set by the divergence budget D.
+``warden_errors(ns, alphas, q, scenario)`` checks q and the scenario once,
+then every row's n and alpha, and holds every row's E to that floor.  A
+schedule's sweep is one table: the blocklengths with their weights from
+``covert.schedule_weights``.
 
 T is computed exactly without any 2^n-dimensional matrix.  By Schur-Weyl
 duality the n-fold power of a qubit operator A splits over the spin
@@ -100,7 +102,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .channels import ChannelSpec, Scenario
+from .channels import Scenario, _check_q
 from .covert import _TINY, LN2, _e1_bloch, _willie_divergence
 from .linalg import dicke_scaling
 
@@ -112,8 +114,8 @@ MAX_USES = 100
 # few uses.  A row costs O(n^2) plain-float operations per Newton step, about
 # 0.5 ms at the cap, and T and E are audited to it (tests/test_accuracy.py).
 MAX_USES_ALLENV = 30
-# Newton steps per secular equation: a cap that no input should reach (five at
-# most over n <= 30, q and alpha from 1e-300 to 1).
+# Newton steps per secular equation (five at most over n <= 30, q and alpha from
+# 1e-300 to 1): a row that uses them all up is refused with an ArithmeticError.
 NEWTON_STEPS = 60
 # Rows are processed in chunks of CHUNK_ENTRIES // (n + 1)**2 rows, n the
 # chunk's largest (51 rows at n = 100), however long the table is.  The
@@ -141,7 +143,7 @@ def _pinsker_floor(div_total_bits: float) -> float:
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
 
 
-def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
+def _warden_block(q: float, scenario: Scenario) -> tuple[float, float, float]:
     """(a, b, c) of the warden's real block [[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]].
 
     The E1 marginal after the diagonal unitary, ALL_ENV's E2 = 0 block,
@@ -150,10 +152,9 @@ def _warden_block(spec: ChannelSpec) -> tuple[float, float, float]:
     signal marginals are equal, down to subnormal q: c is 0.5 sqrt(q)
     times a square root near 1, so no product under a root underflows.
     """
-    q = spec.q
-    if spec.scenario is Scenario.ALL_ENV:
+    if scenario is Scenario.ALL_ENV:
         return 1.0 - 0.75 * q, 0.25 * q, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
-    if spec.scenario is Scenario.E2_ONLY:
+    if scenario is Scenario.E2_ONLY:
         return 1.0 - q / 2.0, q / 2.0, 0.0
     return 1.0 - q / 2.0, q / 2.0, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)
 
@@ -285,7 +286,8 @@ def _secular_root(base: float, d_0: float, amps: list, poles: list) -> tuple[flo
     cancellation, and their roots bracket the root.  Newton's method
     starts at the lower one, where it climbs monotonically; a step past
     the upper bound stops at it, and one below the lower bound is replaced
-    by bisection.  It stops once |g| is at its rounding level.  The
+    by bisection.  It stops once |g| is at its rounding level, and raises
+    ArithmeticError if NEWTON_STEPS steps do not get it there.  The
     weights enter as amplitudes, w_j (w_j / (d_j + s)), so a w_j^2 below
     the float range does not lose its term at subnormal q.
     """
@@ -319,7 +321,7 @@ def _secular_root(base: float, d_0: float, amps: list, poles: list) -> tuple[flo
             s = hi  # the upper model can be exact (every d_j = 0)
         elif not s > lo:
             s = 0.5 * (lo + hi)
-    return s, rest
+    raise ArithmeticError(f"secular equation not solved in {NEWTON_STEPS} Newton steps")
 
 
 def _allenv_errors(n: int, alpha: float, q: float, c: float) -> tuple[float, float]:
@@ -379,8 +381,8 @@ def _allenv_errors(n: int, alpha: float, q: float, c: float) -> tuple[float, flo
     return dist, 0.5 * error
 
 
-def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
-    """Exact warden error probabilities for the rows (ns[i], alphas[i]).
+def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionResult]:
+    """Exact warden error probabilities at noise q for the rows (ns[i], alphas[i]).
 
     Takes the trace distance T of the two n-copy hypothesis states block
     by block, all rows together (see the module docstring), and reports
@@ -398,22 +400,27 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     floor's rounding: there (1 - T)/2 has lost its relative accuracy, and
     an ALL_ENV row whose E is below the normal range, but for the
     orthogonal states at q = alpha = 1, where E is exactly 0.
+
+    q is checked once per table, before any row, and the scenario is taken
+    as ``Scenario`` takes it: an unknown one raises the Enum's ValueError.
     """
+    _check_q(q)
+    scenario = Scenario(scenario)
     ns, alphas = list(ns), list(alphas)
     if len(ns) != len(alphas):
         raise ValueError(f"{len(ns)} blocklengths for {len(alphas)} weights")
-    cap = MAX_USES_ALLENV if spec.scenario is Scenario.ALL_ENV else MAX_USES
+    cap = MAX_USES_ALLENV if scenario is Scenario.ALL_ENV else MAX_USES
     for n, alpha in zip(ns, alphas):
         if not 1 <= n < math.inf or n != int(n):
             raise ValueError(f"number of uses n={n!r} must be a positive integer")
         if n > cap:
-            raise ValueError(f"n={n} exceeds the cap {cap} for scenario {spec.scenario.name}")
+            raise ValueError(f"n={n} exceeds the cap {cap} for scenario {scenario.name}")
         if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
             raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     ns = list(map(int, ns))  # a row's n is an int, also for an integral float such as 2.0
 
-    block = _warden_block(spec)
-    allenv = spec.scenario is Scenario.ALL_ENV
+    block = _warden_block(q, scenario)
+    allenv = scenario is Scenario.ALL_ENV
     # Channel linearity: the response to diag(1-alpha, alpha) is
     # omega_0 + alpha (omega_1 - omega_0).  At alpha = 0, and at every
     # alpha when c = 0 (omega_1 == omega_0: E2_ONLY, or q = 0), it is
@@ -425,7 +432,7 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
     if allenv:
         c = block[2]
         for i in signal:
-            dist[i], errors[i] = _allenv_errors(ns[i], float(alphas[i]), spec.q, c)
+            dist[i], errors[i] = _allenv_errors(ns[i], float(alphas[i]), q, c)
     elif signal:
         signal.sort(key=lambda i: -ns[i])
         sig_ns = [ns[i] for i in signal]
@@ -452,13 +459,13 @@ def warden_errors(ns, alphas, spec: ChannelSpec) -> list[DetectionResult]:
             div_total = math.inf
             # E is 0 only for orthogonal states, at q = alpha = 1; any other E
             # below the normal range has lost its relative accuracy or rounded to 0
-            if error < _TINY and not (alpha == 1.0 and spec.q == 1.0):
+            if error < _TINY and not (alpha == 1.0 and q == 1.0):
                 raise ArithmeticError(
                     f"error probability {error!r} at n={n}, alpha={alpha!r} is not a "
                     f"positive normal float")
         else:
             if warden is None:
-                warden = _e1_bloch(spec.q)
+                warden = _e1_bloch(q)
             div_total = n * _willie_divergence(alpha, *warden)
             # (1 - T)/2 loses its relative accuracy as T -> 1: an E below the
             # fidelity floor by more than that floor's rounding is refused

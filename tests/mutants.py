@@ -54,6 +54,8 @@ DVQ_MPMATH = ("tests/test_accuracy.py::test_dvq_exact_matches_mpmath[0.3]",
 REFUSAL_PIN = "tests/test_accuracy.py::test_dvq_refuses_exactly_the_pinned_set"
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden[{}]"
 RATE_ERROR = "tests/test_cli.py::test_rate_path_errors_exit_and_print_as_pinned[{}]"
+DETECT_ERROR = "tests/test_cli.py::test_detect_sim_errors_exit_and_print_as_pinned[{}]"
+WARDEN_INPUTS = "tests/test_detection.py::test_warden_errors_checks_q_and_scenario_before_any_row"
 CRITERION_09 = "tests/test_acceptance.py::test_criterion_09_detection_simulator"
 E1_MPMATH = "tests/test_accuracy.py::test_detect_trace_distance_matches_mpmath[E1_ONLY-7-0.5]"
 
@@ -254,6 +256,17 @@ MUTANTS = (
     Mutant("covert.py", "        d, v, q4 = _dvq(min(alpha, 1.0 - alpha), q)",
            "        d, v, q4 = _dvq(alpha, q)",
            (MOMENT_CURVE.format("0.3-0.999"),)),
+    # warden_errors' checks of q and the scenario, made once before any row, and the
+    # refusal of a secular equation that Newton's method leaves unsolved
+    Mutant("detection.py", "    _check_q(q)\n", "",
+           (DETECT_ERROR.format("detect-sim --q 1.5"), WARDEN_INPUTS)),
+    Mutant("detection.py", "    scenario = Scenario(scenario)\n", "",
+           (DETECT_ERROR.format("detect-sim --scenario 1 --n-grid 31"), WARDEN_INPUTS)),
+    Mutant("detection.py",
+           '    raise ArithmeticError('
+           'f"secular equation not solved in {NEWTON_STEPS} Newton steps")\n',
+           "    return s, rest\n",
+           ("tests/test_cli.py::test_detect_sim_refuses_an_unsolved_secular_equation",)),
 )
 
 

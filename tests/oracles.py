@@ -51,7 +51,7 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from qcovert.channels import ChannelSpec, Scenario, _check_q
+from qcovert.channels import Scenario, _check_q
 from qcovert.linalg import dicke_scaling
 
 DPS = 50
@@ -281,7 +281,7 @@ def dilated_output(rho, q: float) -> np.ndarray:
     return v @ rho @ v.conj().T
 
 
-def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
+def willie_marginal(rho, q: float, scenario: Scenario) -> np.ndarray:
     """Warden's output state, obtained from the dilation by partial trace.
 
     Dimension 4 (on E1 (x) E2, index 2*E1 + E2) for ALL_ENV, 2 otherwise.
@@ -289,23 +289,24 @@ def willie_marginal(rho, spec: ChannelSpec) -> np.ndarray:
     dense omega from it, and check ``detection._warden_block``, the one
     closed form of those states, against it.
     """
-    joint = dilated_output(rho, spec.q)
+    joint = dilated_output(rho, q)
     keep = {
         Scenario.ALL_ENV: [1, 2],
         Scenario.E2_ONLY: [2],
         Scenario.E1_ONLY: [1],
-    }[spec.scenario]
+    }[scenario]
     return partial_trace(joint, [2, 2, 2], keep)
 
 
-def basis_marginal_pair(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+def basis_marginal_pair(q: float, scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
     """Warden states (omega_0, omega_1) for the inputs |0><0| and |1><1|."""
-    return willie_marginal(np.diag([1.0, 0.0]), spec), willie_marginal(np.diag([0.0, 1.0]), spec)
+    return (willie_marginal(np.diag([1.0, 0.0]), q, scenario),
+            willie_marginal(np.diag([0.0, 1.0]), q, scenario))
 
 
 def e1only_marginal(alpha: float, q: float) -> np.ndarray:
     """E1 warden state for the input diag(1 - alpha, alpha)."""
-    return willie_marginal(np.diag([1.0 - alpha, alpha]), ChannelSpec(q, Scenario.E1_ONLY))
+    return willie_marginal(np.diag([1.0 - alpha, alpha]), q, Scenario.E1_ONLY)
 
 
 # ----------------------------------------------------------------------

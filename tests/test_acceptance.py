@@ -63,7 +63,7 @@ def test_criterion_02_scenario_verdicts():
     for q in Q_TRIPLE:
         full = qc.scenario_reports(q, [qc.Scenario.ALL_ENV])[0]
         e0 = np.array([0.0, 1.0j, 0.0, 1.0]) / math.sqrt(2.0)  # kernel vector of omega_0
-        _, omega_1 = oracles.basis_marginal_pair(qc.ChannelSpec(q, qc.Scenario.ALL_ENV))
+        _, omega_1 = oracles.basis_marginal_pair(q, qc.Scenario.ALL_ENV)
         direct = float(np.vdot(e0, omega_1 @ e0).real)
         overlaps.append(min(full.kernel_overlap, direct))
         ok &= not full.support_contained
@@ -290,13 +290,13 @@ def test_criterion_08_scaling_law_window():
 def test_criterion_09_detection_simulator():
     start = time.perf_counter()
     nu, q = 0.05, 0.5
-    spec = qc.ChannelSpec(q, qc.Scenario.E1_ONLY)
     ns = list(range(1, 9))
-    results = qc.warden_errors(ns, qc.schedule_weights(ns, nu), spec)
+    results = qc.warden_errors(ns, qc.schedule_weights(ns, nu), q, qc.Scenario.E1_ONLY)
     margin = min(r.error_prob - r.pinsker_floor for r in results)
     floor_ok = all(r.error_prob >= r.pinsker_floor for r in results)
 
-    null_dev = max(abs(r.error_prob - 0.5) for r in qc.warden_errors([1, 4, 8], [0.0] * 3, spec))
+    null_dev = max(abs(r.error_prob - 0.5)
+                   for r in qc.warden_errors([1, 4, 8], [0.0] * 3, q, qc.Scenario.E1_ONLY))
 
     div_dev = 0.0
     for r in results:

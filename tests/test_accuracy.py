@@ -82,7 +82,7 @@ from oracles import (
     mp_willie_eta,
 )
 from qcovert import cli, covert
-from qcovert.channels import ChannelSpec, Scenario, scenario_reports
+from qcovert.channels import Scenario, scenario_reports
 from qcovert.covert import (
     BERRY_ESSEEN,
     _e1_bloch,
@@ -387,33 +387,31 @@ DETECT_NS = (1, 2, 3, 5, 8, 13, 21, 34, 55, 100)
 
 @pytest.mark.parametrize("q", Q_GRID)
 def test_detect_e1_div_total_matches_mpmath(q):
-    spec = ChannelSpec(q, Scenario.E1_ONLY)
     worst = 0.0
     for k, alpha in enumerate(DETECT_ALPHAS):
         n = DETECT_NS[k % len(DETECT_NS)]
-        got = warden_errors([n], [alpha], spec)[0].div_total
+        got = warden_errors([n], [alpha], q, Scenario.E1_ONLY)[0].div_total
         worst = max(worst, _rel(got, n * mp_willie_divergence(alpha, q)))
     assert worst <= TOL_DIV, f"detect-sim div_total off by {worst:.2e}"
 
 
 @pytest.mark.parametrize("q", (0.05, 0.5, 0.95, 1.0))
 def test_detect_all_env_budget_is_infinite(q):
-    spec = ChannelSpec(q, Scenario.ALL_ENV)
     for alpha in (1e-16, 1e-15, 1e-14, 0.3):
         for n in (1, 5):
-            r = warden_errors([n], [alpha], spec)[0]
+            r = warden_errors([n], [alpha], q, Scenario.ALL_ENV)[0]
             assert r.div_total == math.inf
             assert r.pinsker_floor == -math.inf
 
 
 def test_detect_budget_is_exactly_zero_without_signal():
     for alpha, q in ((0.0, 0.5), (0.3, 0.0), (1.0, 0.0)):
-        r = warden_errors([3], [alpha], ChannelSpec(q, Scenario.ALL_ENV))[0]
+        r = warden_errors([3], [alpha], q, Scenario.ALL_ENV)[0]
         assert r.div_total == 0.0
         assert r.pinsker_floor == 0.5
     for alpha in (0.0, 1e-15, 0.3, 1.0):
         for q in (0.05, 0.5, 1.0):
-            assert warden_errors([7], [alpha], ChannelSpec(q, Scenario.E2_ONLY))[0].div_total == 0.0
+            assert warden_errors([7], [alpha], q, Scenario.E2_ONLY)[0].div_total == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +427,7 @@ T_ALPHAS = (1e-15, 1e-9, 1e-3, 0.5, 1.0)
     ids=lambda v: v.name if isinstance(v, Scenario) else str(v),
 )
 def test_detect_trace_distance_matches_mpmath(scenario, n, q):
-    rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, ChannelSpec(q, scenario))
+    rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, q, scenario)
     refs = mp_warden_trace_distances(n, T_ALPHAS, q, scenario)
     worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
     assert worst <= TOL_T, f"T off by {worst:.2e}"
@@ -439,7 +437,7 @@ def test_detect_trace_distance_matches_mpmath(scenario, n, q):
 def test_detect_all_env_trace_distance_at_the_q_edges(q):
     """ALL_ENV at every n up to 5 against the full block sum, at the ends of the q range."""
     for n in range(1, 6):
-        rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, ChannelSpec(q, Scenario.ALL_ENV))
+        rows = warden_errors([n] * len(T_ALPHAS), T_ALPHAS, q, Scenario.ALL_ENV)
         refs = mp_warden_trace_distances(n, T_ALPHAS, q, Scenario.ALL_ENV)
         worst = max(_rel(r.trace_dist, ref) for r, ref in zip(rows, refs))
         assert worst <= TOL_T, f"T off by {worst:.2e} at n={n}"
@@ -459,7 +457,7 @@ def test_e1_reference_file_covers_the_rows():
 
 @pytest.mark.parametrize("n, q, alpha", E1_ROWS)
 def test_detect_e1_trace_distance_to_the_cap_matches_the_reference(n, q, alpha):
-    (row,) = warden_errors([n], [alpha], ChannelSpec(q, Scenario.E1_ONLY))
+    (row,) = warden_errors([n], [alpha], q, Scenario.E1_ONLY)
     err = _rel(row.trace_dist, E1_REFS[n, q, alpha][0])
     assert err <= TOL_T, f"T off by {err:.2e}"
 
@@ -484,7 +482,7 @@ def test_detect_all_env_t_and_error_match_the_reference(n):
     for (n_, q, alpha), (dist, error) in ALLENV_REFS.items():
         if n_ != n:
             continue
-        (row,) = warden_errors([n], [alpha], ChannelSpec(q, Scenario.ALL_ENV))
+        (row,) = warden_errors([n], [alpha], q, Scenario.ALL_ENV)
         worst_t = max(worst_t, _rel(row.trace_dist, dist))
         if error == 0:
             # q = 1, alpha = 1: the states are orthogonal and E is exactly 0

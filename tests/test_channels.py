@@ -1,6 +1,4 @@
-import copy
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -18,7 +16,7 @@ from oracles import (
     stinespring_isometry,
 )
 from qcovert import detection
-from qcovert.channels import ChannelSpec, Scenario, scenario_reports
+from qcovert.channels import Scenario, scenario_reports
 
 Q_GRID = [0.1, 0.25, 0.5, 0.75, 0.9]
 # the noise-independent kernel vector of ALL_ENV's omega_0 (index 2*E1 + E2)
@@ -28,44 +26,6 @@ E0 = np.array([0.0, 1.0j, 0.0, 1.0]) / math.sqrt(2.0)
 def random_qubit(rng):
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     return projector(v / np.linalg.norm(v))
-
-
-def test_channel_spec_validation():
-    spec = ChannelSpec(0.3, 1)
-    assert spec.scenario is Scenario.ALL_ENV
-    with pytest.raises(ValueError):
-        ChannelSpec(-0.1, 1)
-    with pytest.raises(ValueError):
-        ChannelSpec(1.5, 1)
-    with pytest.raises(ValueError):
-        ChannelSpec(math.nan, 1)
-    with pytest.raises(ValueError):
-        ChannelSpec(0.5, 4)
-
-
-def test_channel_spec_is_an_immutable_value():
-    spec = ChannelSpec(0.3, 1)
-    with pytest.raises(AttributeError):
-        spec.q = 0.1
-    with pytest.raises(AttributeError):
-        spec.scenario = Scenario.E1_ONLY
-    assert repr(spec) == "ChannelSpec(q=0.3, scenario=<Scenario.ALL_ENV: 1>)"
-    same = ChannelSpec(q=0.3, scenario=Scenario.ALL_ENV)
-    assert spec == same and hash(spec) == hash(same)
-    assert spec != ChannelSpec(0.3, 2) and spec != ChannelSpec(0.4, 1)
-    assert ChannelSpec(0.3, 3.0).scenario is Scenario.E1_ONLY  # taken as Scenario takes it
-
-
-def test_channel_spec_checks_every_new_spec():
-    # a replaced field, a spec made from fields, a copy and a pickle each pass the check
-    spec = ChannelSpec(0.3, 1)
-    assert spec._replace(scenario=3) == ChannelSpec(0.3, Scenario.E1_ONLY)
-    assert ChannelSpec._make([0.3, 2]).scenario is Scenario.E2_ONLY
-    for bad in (lambda: spec._replace(q=1.5), lambda: spec._replace(scenario=4),
-                lambda: ChannelSpec._make([math.nan, 1])):
-        with pytest.raises(ValueError):
-            bad()
-    assert copy.deepcopy(spec) == pickle.loads(pickle.dumps(spec)) == spec
 
 
 def test_depolarize_endpoints():
@@ -115,9 +75,8 @@ def test_closed_form_marginals_match_dilation(scenario, q):
     Its accuracy where the dilation underflows, and the blind rule, are
     checked in ``test_detection.py::test_warden_block_matches_the_marginals``.
     """
-    spec = ChannelSpec(q, scenario)
-    a, b, c = detection._warden_block(spec)
-    omega_0, omega_1 = basis_marginal_pair(spec)
+    a, b, c = detection._warden_block(q, scenario)
+    omega_0, omega_1 = basis_marginal_pair(q, scenario)
     if scenario is Scenario.ALL_ENV:
         # E2 = 0 blocks [[a, +-c], [+-c, b]], E2 = 1 trace q/2 (index 2*E1 + E2)
         for omega, sign in zip((omega_0, omega_1), (1.0, -1.0)):
@@ -134,15 +93,15 @@ def test_closed_form_marginals_match_dilation(scenario, q):
 @pytest.mark.parametrize("q", [5e-324, 1e-320])
 def test_dilation_keeps_the_coherence_at_subnormal_q(q):
     """The dilation's Pauli weight is 0.5 sqrt(q): with sqrt(0.25 q) the E1 coherence was 0."""
-    spec = ChannelSpec(q, Scenario.E1_ONLY)
-    omega_0, _ = basis_marginal_pair(spec)
+    omega_0, _ = basis_marginal_pair(q, Scenario.E1_ONLY)
     coherence = abs(omega_0[0, 1])
     assert coherence > 0.0
-    assert coherence == pytest.approx(detection._warden_block(spec)[2], rel=1e-15, abs=0.0)
+    c = detection._warden_block(q, Scenario.E1_ONLY)[2]
+    assert coherence == pytest.approx(c, rel=1e-15, abs=0.0)
 
 
 def test_e2only_marginals_identical_bitwise():
-    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(0.37, Scenario.E2_ONLY))
+    omega_0, omega_1 = basis_marginal_pair(0.37, Scenario.E2_ONLY)
     assert np.array_equal(omega_0, omega_1)
 
 
@@ -155,14 +114,14 @@ def test_e1only_marginal_is_affine_in_alpha():
         np.testing.assert_allclose(
             e1only_marginal(a, q), (1.0 - a) * omega_0 + a * omega_1, atol=1e-15
         )
-    pair = basis_marginal_pair(ChannelSpec(q, Scenario.E1_ONLY))
+    pair = basis_marginal_pair(q, Scenario.E1_ONLY)
     np.testing.assert_array_equal(pair[0], omega_0)
     np.testing.assert_array_equal(pair[1], omega_1)
 
 
 def allenv_kernel(q):
     """ALL_ENV's omega_1 and the unit vector f that completes E0 to omega_0's kernel."""
-    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.ALL_ENV))
+    omega_0, omega_1 = basis_marginal_pair(q, Scenario.ALL_ENV)
     w, v = eig_hermitian(omega_0)
     kernel = v[:, ~_support_mask(w)]
     rest = kernel - np.outer(E0, E0.conj() @ kernel)  # the kernel with E0 projected out

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -41,7 +42,7 @@ def test_parse_grid_comma_and_single():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1:2", "0:1:0", "0:1:-0.1", ",", "0:1:inf", "0:inf:1", "0:10000:1",
+    ["", "1:2", "0:1:0", "0:1:-0.1", ",", "0:1:inf", "0:inf:1", "0:10000:1", "5:1:1",
      "inf", "1,inf", "1e400", "nan"],
 )
 def test_parse_grid_rejections(bad):
@@ -626,6 +627,9 @@ def test_validation_errors_exit_two(tmp_path, capsys):
     # q grid touching the open boundary
     assert cli.main(["bound-curve", "--q-grid", "0:1:0.5"]) == 2
     assert "error" in capsys.readouterr().err
+    # a descending range is an empty grid
+    assert cli.main(["bound-curve", "--q-grid", "0.5:0.1:0.1"]) == 2
+    assert capsys.readouterr().err == "qcovert: error: grid '0.5:0.1:0.1' is empty\n"
     # 5e-324 alone is a numerical failure (3); the whole grid is checked before any q is computed
     assert cli.main(["bound-curve", "--q-grid", "5e-324"]) == 3
     assert cli.main(["bound-curve", "--q-grid", "5e-324,1.5"]) == 2
@@ -688,8 +692,9 @@ def test_rate_path_errors_exit_and_print_as_pinned(argv, code, err, capsys):
 
 
 # (argv, exit code, stderr) of bad detect-sim calls.  detect-sim checks nu, reads its n grid,
-# then its alpha grid and the n x alpha table's size; warden_errors then checks q, then
-# every row's n and alpha.  A bad q is named before any bad row, and a bad n before a bad alpha.
+# then either takes the schedule's weights, which checks every n, or reads its alpha grid and
+# checks the n x alpha table's size; warden_errors then checks q, then every row's n and
+# alpha.  A bad q is named before any bad row, and a bad n before a bad alpha.
 DETECT_ERRORS = [
     (["detect-sim", "--q", "-0.1"], 2, ERR + "noise parameter q=-0.1 outside [0, 1]\n"),
     (["detect-sim", "--q", "1.5"], 2, ERR + "noise parameter q=1.5 outside [0, 1]\n"),
@@ -708,7 +713,7 @@ DETECT_ERRORS = [
      ERR + "schedule exponent nu=0.3 outside (0, 1/6)\n"),
     (["detect-sim", "--n-grid", "1.5", "--q", "1.5"], 2,
      ERR + "grid entry '1.5' is not an integer\n"),
-    (["detect-sim", "--q", "1.5", "--n-grid", "0"], 2,
+    (["detect-sim", "--q", "1.5", "--n-grid", "0", "--alpha-grid", "0.1"], 2,
      ERR + "noise parameter q=1.5 outside [0, 1]\n"),
     (["detect-sim", "--q", "1.5", "--scenario", "1", "--n-grid", "31"], 2,
      ERR + "noise parameter q=1.5 outside [0, 1]\n"),
@@ -721,7 +726,7 @@ DETECT_ERRORS = [
 
 
 @pytest.mark.parametrize("argv, code, err", DETECT_ERRORS,
-                         ids=[" ".join(argv) for argv, *_ in DETECT_ERRORS])
+                         ids=[shlex.join(argv) for argv, *_ in DETECT_ERRORS])
 def test_detect_sim_errors_exit_and_print_as_pinned(argv, code, err, capsys):
     assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
 
@@ -846,6 +851,14 @@ def test_detect_sim_refuses_an_error_below_the_pinsker_floor(monkeypatch, capsys
     assert "fell below the Pinsker floor" in capsys.readouterr().err
 
 
+def test_detect_sim_refuses_an_unsolved_secular_equation(monkeypatch, capsys):
+    # with no Newton step the last iterate printed trace_dist 0.520166 with exit 0 (true 0.520980)
+    monkeypatch.setattr(detection, "NEWTON_STEPS", 0)
+    argv = ["detect-sim", "--scenario", "1", "--n-grid", "3", "--alpha-grid", "0.3"]
+    assert (cli.main(argv), *capsys.readouterr()) == (
+        3, "", FAIL + "secular equation not solved in 0 Newton steps\n")
+
+
 def test_detect_sim_refuses_an_allenv_error_below_the_normal_range(capsys):
     # printed E_n 0.0 with exit 0; the 50-digit reference gives 2.684e-352
     argv = ["detect-sim", "--scenario", "1", "--n-grid", "30", "--alpha-grid", "1",
@@ -877,7 +890,7 @@ def test_detect_sim_refuses_an_e1_error_below_the_fidelity_floor(capsys):
 
 
 ROOT_EXPORTS = {
-    "ChannelSpec", "Scenario", "SupportReport", "scenario_reports", "RateReport",
+    "Scenario", "SupportReport", "scenario_reports", "RateReport",
     "capacity_curve", "moment_curve", "rate_reports", "schedule_weights",
     "DetectionResult", "warden_errors",
 }
@@ -891,13 +904,13 @@ def test_package_root_exports_the_table_api():
 
 def test_tables_take_one_shot_grids():
     # each table reads its grid once: a generator gives the rows the list gives
-    q, spec = 0.5, qcovert.ChannelSpec(0.5, Scenario.E1_ONLY)
+    q = 0.5
     alphas, qs, ns = [1e-3, 1e-4, 0.3], [0.3, 0.5], [10**4, 10**5]
     cases = [
         (covert.moment_curve, (alphas, q)),
         (covert.capacity_curve, (qs,)),
         (covert.rate_reports, (ns, 0.05, q)),
-        (detection.warden_errors, ([1, 2, 3], alphas, spec)),
+        (detection.warden_errors, ([1, 2, 3], alphas, q, Scenario.E1_ONLY)),
         (channels.scenario_reports, (q, list(Scenario))),
     ]
     for table, args in cases:
@@ -910,7 +923,7 @@ BLOCKLENGTH_TABLES = {
     "rate_reports": lambda ns: covert.rate_reports(ns, 0.05, 0.5),
     "schedule_weights": lambda ns: list(covert.schedule_weights(ns, 0.05)),
     "warden_errors": lambda ns: detection.warden_errors(
-        ns, [0.1] * len(ns), qcovert.ChannelSpec(0.5, Scenario.E1_ONLY)),
+        ns, [0.1] * len(ns), 0.5, Scenario.E1_ONLY),
 }
 
 

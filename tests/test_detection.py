@@ -17,14 +17,14 @@ from oracles import (
     trace_distance,
 )
 from qcovert import cli, detection
-from qcovert.channels import ChannelSpec, Scenario
+from qcovert.channels import Scenario
 from qcovert.covert import schedule_weights
 from qcovert.detection import MAX_USES, MAX_USES_ALLENV, _pinsker_floor, warden_errors
 from qcovert.linalg import dicke_scaling
 
 LN2 = math.log(2.0)
 
-E1_SPEC = ChannelSpec(0.5, Scenario.E1_ONLY)
+E1 = 0.5, Scenario.E1_ONLY
 
 
 def test_pinsker_floor_values():
@@ -37,7 +37,7 @@ def test_pinsker_floor_values():
 @pytest.mark.parametrize("scenario", list(Scenario))
 @pytest.mark.parametrize("n", [1, 2])
 def test_null_input_gives_exactly_half(scenario, n):
-    result = warden_errors([n], [0.0], ChannelSpec(0.5, scenario))[0]
+    result = warden_errors([n], [0.0], 0.5, scenario)[0]
     assert result.error_prob == 0.5
     assert result.trace_dist == 0.0
     assert result.div_total == 0.0
@@ -45,11 +45,11 @@ def test_null_input_gives_exactly_half(scenario, n):
 
 def test_warden_error_matches_direct_computation():
     n, alpha = 2, 0.3
-    omega_0, omega_1 = basis_marginal_pair(E1_SPEC)
+    omega_0, omega_1 = basis_marginal_pair(*E1)
     omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
     diff = tensor_power(omega_a, n) - tensor_power(omega_0, n)
     dist = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
-    result = warden_errors([n], [alpha], E1_SPEC)[0]
+    result = warden_errors([n], [alpha], *E1)[0]
     assert result.trace_dist == pytest.approx(dist, abs=1e-14)
     assert result.error_prob == pytest.approx(0.5 * (1.0 - dist), abs=1e-14)
 
@@ -57,10 +57,10 @@ def test_warden_error_matches_direct_computation():
 def test_divergence_budget_is_additive():
     """n * D for one use equals the divergence of the n-copy pair."""
     alpha = 0.4
-    omega_0, omega_1 = basis_marginal_pair(E1_SPEC)
+    omega_0, omega_1 = basis_marginal_pair(*E1)
     omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
     joint = relative_entropy(tensor_power(omega_a, 3), tensor_power(omega_0, 3))
-    result = warden_errors([3], [alpha], E1_SPEC)[0]
+    result = warden_errors([3], [alpha], *E1)[0]
     assert result.div_total == pytest.approx(joint, abs=1e-11)
     assert result.div_total == pytest.approx(
         3.0 * relative_entropy(omega_a, omega_0), rel=1e-14
@@ -72,13 +72,13 @@ def test_error_never_below_pinsker_floor():
     for _ in range(20):
         alpha = rng.uniform(0.0, 1.0)
         n = int(rng.integers(1, 6))
-        r = warden_errors([n], [alpha], E1_SPEC)[0]
+        r = warden_errors([n], [alpha], *E1)[0]
         assert r.error_prob >= r.pinsker_floor - 1e-12
 
 
 def test_all_env_divergence_is_infinite():
     # support escape: the budget blows up while the error itself stays sane
-    r = warden_errors([2], [0.3], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
+    r = warden_errors([2], [0.3], 0.5, Scenario.ALL_ENV)[0]
     assert r.div_total == math.inf
     assert r.pinsker_floor == -math.inf
     assert 0.0 < r.error_prob < 0.5
@@ -87,29 +87,29 @@ def test_all_env_divergence_is_infinite():
 def test_all_env_warden_detects_faster():
     # watching the whole environment strictly beats watching one qubit of it
     for n in (1, 2, 3):
-        full = warden_errors([n], [0.5], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
-        part = warden_errors([n], [0.5], E1_SPEC)[0]
+        full = warden_errors([n], [0.5], 0.5, Scenario.ALL_ENV)[0]
+        part = warden_errors([n], [0.5], *E1)[0]
         assert full.error_prob < part.error_prob
 
 
 def test_use_caps_and_validation():
     with pytest.raises(ValueError):
-        warden_errors([MAX_USES + 1], [0.1], E1_SPEC)
+        warden_errors([MAX_USES + 1], [0.1], *E1)
     with pytest.raises(ValueError):
-        warden_errors([MAX_USES_ALLENV + 1], [0.1], ChannelSpec(0.5, Scenario.ALL_ENV))
+        warden_errors([MAX_USES_ALLENV + 1], [0.1], 0.5, Scenario.ALL_ENV)
     with pytest.raises(ValueError):
-        warden_errors([0], [0.1], E1_SPEC)
+        warden_errors([0], [0.1], *E1)
     with pytest.raises(ValueError):
-        warden_errors([2], [1.1], E1_SPEC)
+        warden_errors([2], [1.1], *E1)
     # the all-env cap is as far as its secular-equation route is audited (test_accuracy.py)
     assert MAX_USES_ALLENV == 30
-    r = warden_errors([MAX_USES_ALLENV], [0.3], ChannelSpec(0.5, Scenario.ALL_ENV))[0]
+    r = warden_errors([MAX_USES_ALLENV], [0.3], 0.5, Scenario.ALL_ENV)[0]
     assert r.n == 30 and 0.0 < r.error_prob < 0.5
 
 
 def test_covertness_sweep_follows_schedule():
     ns = [1, 2, 4]
-    results = warden_errors(ns, schedule_weights(ns, 0.05), E1_SPEC)
+    results = warden_errors(ns, schedule_weights(ns, 0.05), *E1)
     assert [r.n for r in results] == [1, 2, 4]
     for r in results:
         assert r.alpha == pytest.approx(r.n ** (0.05 - 2.0 / 3.0), rel=1e-14)
@@ -120,13 +120,25 @@ def test_covertness_sweep_follows_schedule():
 
 
 def test_covertness_sweep_validation():
-    # a sweep's inputs are checked where they are built: the schedule, the channel, the table
+    # a sweep's inputs are checked where they are taken: the schedule, the table
     with pytest.raises(ValueError):
         list(schedule_weights([1], 0.5))  # exponent outside the schedule range
     with pytest.raises(ValueError):
-        ChannelSpec(1.5, Scenario.E1_ONLY)
-    with pytest.raises(ValueError):
-        warden_errors([1, 2], [0.1], E1_SPEC)
+        warden_errors([1, 2], [0.1], *E1)
+
+
+def test_warden_errors_checks_q_and_scenario_before_any_row():
+    # n = 0 is a bad row, and scenario 4 has no cap for n = 1: q is named first, then the scenario
+    for q in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match=rf"^noise parameter q={q!r} outside \[0, 1\]$"):
+            warden_errors([0], [0.1], q, 3)
+    with pytest.raises(ValueError, match=r"^4 is not a valid Scenario$"):
+        warden_errors([1], [0.1], 0.5, 4)
+    # the scenario is taken as Scenario takes it: 1 is ALL_ENV, with its cap and its rows
+    with pytest.raises(ValueError, match=r"^n=31 exceeds the cap 30 for scenario ALL_ENV$"):
+        warden_errors([31], [0.1], 0.5, 1)
+    assert warden_errors([2], [0.3], 0.5, 1) == warden_errors([2], [0.3], 0.5, Scenario.ALL_ENV)
+    assert warden_errors([2], [0.3], 0.5, 3.0) == warden_errors([2], [0.3], *E1)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0 / 3.0, 0.7, 0.9, 1.0])
@@ -134,7 +146,7 @@ def test_covertness_sweep_validation():
 def test_trivial_scenario_is_exactly_blind(alpha, n):
     # omega_1 == omega_0 in E2_ONLY; a rounded mixture of the two used to
     # give a -2e-16 divergence that the Pinsker floor rejected as bad input
-    r = warden_errors([n], [alpha], ChannelSpec(0.4, Scenario.E2_ONLY))[0]
+    r = warden_errors([n], [alpha], 0.4, Scenario.E2_ONLY)[0]
     assert r.trace_dist == 0.0
     assert r.error_prob == 0.5
     assert r.div_total == 0.0
@@ -154,20 +166,21 @@ def test_block_route_matches_dense_oracle(scenario, cap):
     """Block-route T against the dense Kronecker power and full eigensolve."""
     rng = np.random.default_rng(41 + int(scenario))
     for n in range(1, cap + 1):
-        spec = ChannelSpec(rng.uniform(0.01, 0.99), scenario)
-        omega_0, omega_1 = basis_marginal_pair(spec)
+        q = rng.uniform(0.01, 0.99)
+        omega_0, omega_1 = basis_marginal_pair(q, scenario)
         dense_0 = tensor_power(omega_0, n)
         for alpha in _oracle_alphas(rng, n):
             omega_a = (1.0 - alpha) * omega_0 + alpha * omega_1
             dense = trace_distance(tensor_power(omega_a, n), dense_0)
-            assert warden_errors([n], [alpha], spec)[0].trace_dist == pytest.approx(dense, abs=1e-12)
+            (row,) = warden_errors([n], [alpha], q, scenario)
+            assert row.trace_dist == pytest.approx(dense, abs=1e-12)
 
 
 def test_all_env_marginals_split_exactly_over_e2():
     """Entries between the E2 = 0 and E2 = 1 blocks (index 2*E1 + E2) are exact zeros."""
     rng = np.random.default_rng(5)
     for q in rng.uniform(0.01, 0.99, size=8):
-        omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.ALL_ENV))
+        omega_0, omega_1 = basis_marginal_pair(q, Scenario.ALL_ENV)
         alpha = rng.uniform(0.0, 1.0)
         for omega in (omega_0, omega_1, (1.0 - alpha) * omega_0 + alpha * omega_1):
             assert not np.any(omega[0::2, 1::2])
@@ -183,7 +196,7 @@ def test_warden_block_matches_the_marginals(q):
     ``test_channels.py::test_closed_form_marginals_match_dilation``.
     """
     for scenario in Scenario:
-        c = detection._warden_block(ChannelSpec(q, scenario))[2]
+        c = detection._warden_block(q, scenario)[2]
         if scenario is not Scenario.E2_ONLY:
             weight = mp.mpf(3) / 4 if scenario is Scenario.ALL_ENV else mp.mpf(1) / 2
             with mp.workdps(50):
@@ -197,9 +210,9 @@ def test_e1_at_the_use_cap_obeys_fidelity_bounds():
     n = MAX_USES
     (alpha,) = schedule_weights([n], 0.05)
     start = time.perf_counter()
-    r = warden_errors([n], [alpha], E1_SPEC)[0]
+    r = warden_errors([n], [alpha], *E1)[0]
     elapsed = time.perf_counter() - start
-    omega_0, omega_1 = basis_marginal_pair(E1_SPEC)
+    omega_0, omega_1 = basis_marginal_pair(*E1)
     fid = root_fidelity((1.0 - alpha) * omega_0 + alpha * omega_1, omega_0)
     assert r.error_prob >= r.pinsker_floor
     # Fuchs-van de Graaf with the multiplicative n-copy fidelity fid**n
@@ -216,11 +229,11 @@ def test_table_rows_do_not_depend_on_their_neighbours(scenario, ns):
     # rows of small n come first, so a block order taken from the table
     # (rather than fixed per shape) would change the larger rows' sums
     rng = np.random.default_rng(17)
-    spec = ChannelSpec(0.9157811524513488, scenario)
+    q = 0.9157811524513488
     alphas = [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns))]
-    table = detection.warden_errors(ns, alphas, spec)
-    assert table == [warden_errors([n], [a], spec)[0] for n, a in zip(ns, alphas)]
-    assert detection.warden_errors(ns[::-1], alphas[::-1], spec) == table[::-1]
+    table = detection.warden_errors(ns, alphas, q, scenario)
+    assert table == [warden_errors([n], [a], q, scenario)[0] for n, a in zip(ns, alphas)]
+    assert detection.warden_errors(ns[::-1], alphas[::-1], q, scenario) == table[::-1]
 
 
 @pytest.mark.parametrize(
@@ -233,14 +246,15 @@ def test_streamed_chunks_leave_every_row_bit_identical(scenario, ns, monkeypatch
     # rows are sorted by n, cut into chunks and streamed degree by degree;
     # none of that may move a row's T by one bit
     rng = np.random.default_rng(23)
-    spec = ChannelSpec(0.775748, scenario)
+    q = 0.775748
     alphas = [1.0, 1e-15] + [float(a) for a in 10.0 ** rng.uniform(-15, 0, size=len(ns) - 2)]
-    table = [r.trace_dist for r in detection.warden_errors(ns, alphas, spec)]
-    assert table == [warden_errors([n], [a], spec)[0].trace_dist for n, a in zip(ns, alphas)]
+    table = [r.trace_dist for r in detection.warden_errors(ns, alphas, q, scenario)]
+    assert table == [warden_errors([n], [a], q, scenario)[0].trace_dist for n, a in zip(ns, alphas)]
     order = rng.permutation(len(ns))
     for rows_per_chunk in (2, 1):  # one row a chunk: slot 0 with a single live row
         monkeypatch.setattr(detection, "CHUNK_ENTRIES", rows_per_chunk * (max(ns) + 1) ** 2)
-        shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order], spec)
+        shuffled = detection.warden_errors([ns[i] for i in order], [alphas[i] for i in order],
+                                           q, scenario)
         assert [r.trace_dist for r in shuffled] == [table[i] for i in order]
 
 
@@ -262,7 +276,7 @@ def test_fused_step_carries_every_slot_on_its_own_block(q):
     # slot 0 of each degree's stack is Sym^k(omega_0), slot 1 + i row i's
     # difference Sym^k(omega_a) - Sym^k(omega_0); rows leave the stack
     # once k passes their n
-    block = detection._warden_block(ChannelSpec(q, Scenario.E1_ONLY))
+    block = detection._warden_block(q, Scenario.E1_ONLY)
     a, b, c = block
     ns = np.array([9, 7, 7, 4, 2, 1])
     alphas = np.array([1e-15, 0.3, 1.0, 0.3, 1.0, 1e-15])
@@ -285,7 +299,7 @@ def test_saturated_trace_distance_stays_a_probability(q):
     # block sum can round past it
     for scenario, n in ((Scenario.ALL_ENV, MAX_USES_ALLENV), (Scenario.E1_ONLY, MAX_USES)):
         try:
-            r = warden_errors([n], [1.0], ChannelSpec(q, scenario))[0]
+            r = warden_errors([n], [1.0], q, scenario)[0]
         except ArithmeticError as exc:
             # E1's E = (1 - T)/2 has no relative accuracy this close to T = 1;
             # a row whose E fell below the Fuchs-van de Graaf floor is refused
@@ -324,10 +338,10 @@ def test_all_env_table_makes_no_eigensolve_and_no_degree_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(detection, "_sym_levels", forbidden)
     ns = list(range(1, MAX_USES_ALLENV + 1))
-    rows = warden_errors(ns, [0.3] * len(ns), ChannelSpec(0.5, Scenario.ALL_ENV))
+    rows = warden_errors(ns, [0.3] * len(ns), 0.5, Scenario.ALL_ENV)
     assert all(0.0 < r.trace_dist < 1.0 and 0.0 < r.error_prob < 0.5 for r in rows)
     with pytest.raises(AssertionError):
-        warden_errors([2], [0.3], E1_SPEC)  # the E1 route still takes both
+        warden_errors([2], [0.3], *E1)  # the E1 route still takes both
 
 
 def test_secular_root_is_the_smallest_eigenvalue():
@@ -355,7 +369,7 @@ def test_e1_table_makes_one_eigvalsh_per_degree_with_rows(monkeypatch):
         return eigvalsh(blocks)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    warden_errors([2, 9, 6, 1, 6], [0.5, 0.3, 1e-9, 0.7, 1.0], E1_SPEC)
+    warden_errors([2, 9, 6, 1, 6], [0.5, 0.3, 1e-9, 0.7, 1.0], *E1)
     # the odd rows 9, 1 have blocks at degrees 1, 3, 5, 7, 9 and the even rows
     # 6, 6, 2 at 0, 2, 4, 6; degree 8 has none
     assert shapes == [(3, 1, 1), (2, 2, 2), (3, 3, 3), (1, 4, 4), (2, 5, 5), (1, 6, 6),
@@ -366,7 +380,7 @@ def test_e1_table_makes_one_eigvalsh_per_degree_with_rows(monkeypatch):
 def test_fidelity_floor_matches_the_dense_root_fidelity(q):
     # (1 - sqrt(1 - F^(2n)))/2 with F from the dense states; written as
     # F^(2n) / (2 (1 + sqrt(1 - F^(2n)))) so that it holds at 2e-31 too
-    omega_0, omega_1 = basis_marginal_pair(ChannelSpec(q, Scenario.E1_ONLY))
+    omega_0, omega_1 = basis_marginal_pair(q, Scenario.E1_ONLY)
     for alpha in (0.05, 0.3, 0.5, 0.7, 1.0):
         fid = root_fidelity((1.0 - alpha) * omega_0 + alpha * omega_1, omega_0)
         for n in (1, 10, MAX_USES):

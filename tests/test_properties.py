@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import e1only_marginal, trace_distance
-from qcovert.channels import ChannelSpec, Scenario
+from qcovert.channels import Scenario
 from qcovert.covert import moment_curve
 from qcovert.detection import MAX_USES_ALLENV, warden_errors
 
@@ -45,7 +45,7 @@ def test_first_moment_grows_with_weight(a, b, q):
 def test_warden_divergence_obeys_pinsker(alpha, q):
     # D(rho||sigma) >= (2/ln 2) T(rho, sigma)^2 in bits
     t = trace_distance(e1only_marginal(alpha, q), e1only_marginal(0.0, q))
-    div = warden_errors([1], [alpha], ChannelSpec(q, Scenario.E1_ONLY))[0].div_total
+    div = warden_errors([1], [alpha], q, Scenario.E1_ONLY)[0].div_total
     assert div >= 2.0 / LN2 * t * t * (1.0 - 1e-12)
 
 
@@ -62,7 +62,7 @@ def test_trace_distance_grows_with_uses_and_stays_in_unit_interval(case, alpha, 
     # data processing: tracing out the last copy cannot raise T
     scenario, top = case
     dist = [r.trace_dist for r in
-            warden_errors(range(1, top + 1), [alpha] * top, ChannelSpec(q, scenario))]
+            warden_errors(range(1, top + 1), [alpha] * top, q, scenario)]
     assert all(0.0 < t <= 1.0 for t in dist)
     # a few ulps of slack where T has saturated at 1
     assert all(b >= a * (1.0 - 1e-14) for a, b in zip(dist, dist[1:]))
@@ -72,9 +72,9 @@ def test_trace_distance_grows_with_uses_and_stays_in_unit_interval(case, alpha, 
 @given(case=warden, alpha=signal, q=noise)
 def test_single_use_trace_distance_is_linear_in_weight(case, alpha, q):
     # omega_alpha - omega_0 = alpha (omega_1 - omega_0)
-    spec = ChannelSpec(q, case[0])
-    t_one = warden_errors([1], [1.0], spec)[0].trace_dist
-    assert warden_errors([1], [alpha], spec)[0].trace_dist == pytest.approx(alpha * t_one, rel=1e-14, abs=0.0)
+    t_one = warden_errors([1], [1.0], q, case[0])[0].trace_dist
+    t = warden_errors([1], [alpha], q, case[0])[0].trace_dist
+    assert t == pytest.approx(alpha * t_one, rel=1e-14, abs=0.0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,7 +84,6 @@ def test_one_row_equals_its_table_row_bit_for_bit(case, q, data):
     ns = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=8))
     alphas = data.draw(st.lists(st.one_of(st.just(0.0), signal),
                                 min_size=len(ns), max_size=len(ns)))
-    spec = ChannelSpec(q, scenario)
-    table = warden_errors(ns, alphas, spec)
+    table = warden_errors(ns, alphas, q, scenario)
     for n, alpha, row in zip(ns, alphas, table):
-        assert warden_errors([n], [alpha], spec)[0] == row
+        assert warden_errors([n], [alpha], q, scenario)[0] == row
