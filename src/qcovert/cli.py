@@ -28,23 +28,27 @@ such as ``1e4``, and numpy only with ``detect-sim``'s E1 block route;
 
 Each command's output format is built once, at import, by
 ``_table_format``: the CSV header and row template, the JSON row
-template with its keys encoded, and the JSON config head with the
-command's name written in.  A call fills one ``%`` template per row: a
-``float`` column is ``%.12g`` in CSV and ``%r`` in JSON, an ``int``
-column ``%d``, and only a row's ``str`` and ``bool`` cells are
-converted, in place, one value at a time.  A float column that holds inf
-or nan (each column's scan ends at its first) is converted per value in
-JSON, that column only, to the string the CSV prints.  A JSON config
-value is a list or a scalar, written by its exact type (``int``,
+template, and the JSON config head with the command's name written in.
+A call fills one ``%`` template per row: a ``float`` column is
+``%.12g`` in CSV and ``%r`` in JSON, an ``int`` column ``%d``, a ``str``
+column ``"%s"`` in JSON, and only a row's ``bool`` cells are converted,
+in place, one value at a time.  A float column that holds inf or nan
+(each column's scan ends at its first) is converted per value in JSON,
+that column only, to the string the CSV prints.  A table with a ``str``
+or ``bool`` column has no CSV templates, and ``main`` refuses
+``--format csv`` for it before its handler runs.  A JSON config value is
+a scalar or a flat, non-empty list, written by its exact type (``int``,
 ``float`` or ``None``) through one dict, ``_SCALAR_TEXT``.  The writer
 serves the tables the commands print: at least 2 columns, at least 1
-row, tuple rows and config values of an exact type in ``_SCALAR_TEXT``
-or lists of them; the tests hold every command to that.  Within it, the
-text is byte for byte what ``csv.writer`` (floats to 12 significant
-digits, booleans in lower case) and ``json.dumps(indent=2)`` (non-finite
-floats as the CSV's strings) write; that route is kept as the test
-oracle ``oracles.stdlib_table_text``.  ``--out`` gets the encoded text
-in one ``os.write`` (looped until every byte is out) on one ``os.open``.
+row, tuple rows, numbers only in CSV, text (cells, column names, config
+keys and the command name) that JSON writes with no escape, and config
+values of an exact type in ``_SCALAR_TEXT`` or flat, non-empty lists of
+them; the tests hold every command to that.  Within it, the text is byte
+for byte what ``csv.writer`` (floats to 12 significant digits) and
+``json.dumps(indent=2)`` (non-finite floats as the CSV's strings, booleans
+in lower case) write; that route is kept as the test oracle
+``oracles.stdlib_table_text``.  ``--out`` gets the encoded text in one
+``os.write`` (looped until every byte is out) on one ``os.open``.
 A float option and a grid entry of -0.0 are read as 0.0, so no echoed
 input prints a signed zero, and an integer grid takes only exact
 integers, each at its exact value (``parse_int_grid``).
@@ -56,7 +60,6 @@ Identical configurations produce byte-identical output files.
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -155,20 +158,11 @@ _BOOL_TEXT = {True: "true", False: "false"}.__getitem__
 _SCALAR_TEXT = {int: int.__repr__, float: _json_float, type(None): lambda value: "null"}
 
 
-def _json_value(value, indent: str) -> str:
-    """A config value, a list or a scalar by its exact type, as json.dumps(indent=2) writes it."""
+def _json_value(value) -> str:
+    """A config value, a scalar or a flat non-empty list, as json.dumps(indent=2) writes it."""
     if type(value) is not list:
         return _SCALAR_TEXT[type(value)](value)
-    inner = indent + "  "
-    items = [f"\n{inner}{_json_value(v, inner)}" for v in value]
-    return "[" + ",".join(items) + f"\n{indent}]" if items else "[]"
-
-
-def _csv_str(text: str) -> str:
-    """A text field as csv.writer's QUOTE_MINIMAL writes it."""
-    if "," in text or '"' in text or "\n" in text or "\r" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return "[\n      " + ",\n      ".join([_SCALAR_TEXT[type(v)](v) for v in value]) + "\n    ]"
 
 
 class _Verbatim(str):
@@ -183,58 +177,50 @@ def _json_float_cell(value: float) -> _Verbatim:
     return _Verbatim(_json_float(value))
 
 
-# Per column kind: its CSV field, the conversion of each CSV cell first (None: the field's
-# own), its JSON field and the conversion of each JSON cell.
+# Per column kind: its CSV field (None: the table is JSON only) and its JSON field.
 _KINDS = {
-    float: ("%.12g", None, "%r", None),  # %r of an exact float is float.__repr__
-    int: ("%d", None, "%d", None),
-    str: ("%s", _csv_str, "%s", encode_basestring_ascii),
-    bool: ("%s", _BOOL_TEXT, "%s", _BOOL_TEXT),
+    float: ("%.12g", "%r"),  # %r of an exact float is float.__repr__
+    int: ("%d", "%d"),
+    str: (None, '"%s"'),  # text that needs no JSON escape
+    bool: (None, "%s"),  # each cell made _BOOL_TEXT first
 }
 
 
 class TableFormat(NamedTuple):
     """A table's output templates: per call, one ``%`` fill per row and the listed conversions."""
 
-    csv_head: str        # the header line
-    csv_row: str         # one row's line, its "\r\n" included
-    csv_convert: tuple   # (column index, per-cell conversion) of str and bool
-    json_head: str       # '{"config": {"command": ..., ...}, "rows": ', one %s per config value
-    json_row: str        # one row's object, keys encoded
-    json_convert: tuple  # as csv_convert, for the JSON cells
-    json_floats: tuple   # (column index, cell getter) of each float column
-
-
-def _json_key(key: str) -> str:
-    return encode_basestring_ascii(key).replace("%", "%%")
+    csv_head: str | None  # the header line, or None for a JSON-only table
+    csv_row: str | None   # one row's line, its "\r\n" included, or None for a JSON-only table
+    json_head: str        # '{"config": {"command": ..., ...}, "rows": ', one %s per config value
+    json_row: str         # one row's object
+    json_convert: tuple   # (column index, per-cell conversion) of each bool column
+    json_floats: tuple    # (column index, cell getter) of each float column
 
 
 def _table_format(command: str, columns: dict, config_keys) -> TableFormat:
     """The templates of a table whose column ``name`` holds cells of kind ``columns[name]``.
 
     The JSON config is ``command``'s name and then a value per config key;
-    the table has at least 2 columns.
+    the table has at least 2 columns.  A table with a ``str`` or ``bool``
+    column has no CSV templates.
     """
-    csv_fields, csv_convert, json_fields, json_convert, floats = [], [], [], [], []
+    csv_fields, json_fields, convert, floats = [], [], [], []
     for i, (name, kind) in enumerate(columns.items()):
-        csv_field, csv_cell, json_field, json_cell = _KINDS[kind]
+        csv_field, json_field = _KINDS[kind]
         csv_fields.append(csv_field)
-        json_fields.append(f"\n      {_json_key(name)}: {json_field}")
-        if csv_cell is not None:
-            csv_convert.append((i, csv_cell))
-        if json_cell is not None:
-            json_convert.append((i, json_cell))
+        json_fields.append(f'\n      "{name}": {json_field}')
+        if kind is bool:
+            convert.append((i, _BOOL_TEXT))
         if kind is float:
             floats.append((i, itemgetter(i)))
-    config = "".join(f",\n    {_json_key(key)}: %s" for key in config_keys)
+    csv = None not in csv_fields
+    config = "".join(f',\n    "{key}": %s' for key in config_keys)
     return TableFormat(
-        csv_head=",".join(map(_csv_str, columns)) + "\r\n",
-        csv_row=",".join(csv_fields) + "\r\n",
-        csv_convert=tuple(csv_convert),
-        json_head=('{\n  "config": {\n    "command": ' + _json_key(command) + config
-                   + '\n  },\n  "rows": '),
+        csv_head=",".join(columns) + "\r\n" if csv else None,
+        csv_row=",".join(csv_fields) + "\r\n" if csv else None,
+        json_head=f'{{\n  "config": {{\n    "command": "{command}"{config}\n  }},\n  "rows": ',
         json_row="    {" + ",".join(json_fields) + "\n    }",
-        json_convert=tuple(json_convert),
+        json_convert=tuple(convert),
         json_floats=tuple(floats),
     )
 
@@ -254,7 +240,7 @@ def _filled(template: str, convert: tuple, rows: list):
 
 def _json_text(form: TableFormat, values: tuple, rows: list) -> str:
     """``{"config": {...}, "rows": [one object per row]}`` as json.dumps(indent=2) writes it."""
-    head = form.json_head % tuple([_json_value(v, "    ") for v in values])
+    head = form.json_head % tuple(map(_json_value, values))
     convert = form.json_convert
     for i, cell in form.json_floats:  # each scan ends at its column's first inf or nan
         if not all(map(math.isfinite, map(cell, rows))):
@@ -265,7 +251,7 @@ def _json_text(form: TableFormat, values: tuple, rows: list) -> str:
 def write_output(form: TableFormat, values: tuple, rows: list, args) -> None:
     """Write the table and its config ``values`` in ``args.format`` to ``args.out`` or stdout."""
     if args.format == "csv":
-        text = form.csv_head + "".join(_filled(form.csv_row, form.csv_convert, rows))
+        text = form.csv_head + "".join(map(form.csv_row.__mod__, rows))
     else:
         text = _json_text(form, values, rows)
     if args.out:
@@ -299,8 +285,6 @@ _ALL_SCENARIOS = tuple(map(int, Scenario))
 
 
 def cmd_scenario(args):
-    if args.format == "csv":
-        raise ValueError("scenario reports are JSON only; drop --format csv")
     scenarios = [args.scenario] if args.scenario else list(_ALL_SCENARIOS)
     return (args.q, scenarios), scenario_reports(args.q, scenarios)
 
@@ -480,6 +464,8 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     name, args = _parse_args(argv)
     try:
+        if args.format == "csv" and _FORMATS[name].csv_row is None:
+            raise ValueError(f"{name} reports are JSON only; drop --format csv")
         values, rows = globals()[COMMANDS[name].handler](args)
         write_output(_FORMATS[name], values, rows, args)
     except (ValueError, OSError) as exc:

@@ -469,7 +469,7 @@ def rate_reports(blocklengths, nu: float, q: float, eps: float = 0.05) -> list[R
     warden = _e1_bloch(q)
     eta = _eta(warden)
     check_nu(nu)
-    if not (0.0 < eps < 1.0) or math.isnan(eps):
+    if not (0.0 < eps < 1.0):
         raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")
     z = _inv_normal_cdf(eps)
     coeff = 2.0 * (2.0 / 3.0 - nu) * (1.0 - q) ** 2 / (2.0 - q)

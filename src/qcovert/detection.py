@@ -415,7 +415,7 @@ def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionRes
             raise ValueError(f"number of uses n={n!r} must be a positive integer")
         if n > cap:
             raise ValueError(f"n={n} exceeds the cap {cap} for scenario {scenario.name}")
-        if not (0.0 <= alpha <= 1.0) or math.isnan(alpha):
+        if not (0.0 <= alpha <= 1.0):
             raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     ns = list(map(int, ns))  # a row's n is an int, also for an integral float such as 2.0
 

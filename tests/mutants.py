@@ -55,6 +55,7 @@ REFUSAL_PIN = "tests/test_accuracy.py::test_dvq_refuses_exactly_the_pinned_set"
 GOLDEN = "tests/test_golden.py::test_cli_output_matches_golden[{}]"
 RATE_ERROR = "tests/test_cli.py::test_rate_path_errors_exit_and_print_as_pinned[{}]"
 DETECT_ERROR = "tests/test_cli.py::test_detect_sim_errors_exit_and_print_as_pinned[{}]"
+SCENARIO_ERROR = "tests/test_cli.py::test_scenario_errors_exit_and_print_as_pinned[{}]"
 WARDEN_INPUTS = "tests/test_detection.py::test_warden_errors_checks_q_and_scenario_before_any_row"
 CRITERION_09 = "tests/test_acceptance.py::test_criterion_09_detection_simulator"
 E1_MPMATH = "tests/test_accuracy.py::test_detect_trace_distance_matches_mpmath[E1_ONLY-7-0.5]"
@@ -109,9 +110,9 @@ MUTANTS = (
             "tests/test_covert.py::test_finite_blocklength_logM_validation")),
     Mutant("covert.py",
            "    check_nu(nu)\n"
-           "    if not (0.0 < eps < 1.0) or math.isnan(eps):\n"
+           "    if not (0.0 < eps < 1.0):\n"
            '        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")\n',
-           "    if not (0.0 < eps < 1.0) or math.isnan(eps):\n"
+           "    if not (0.0 < eps < 1.0):\n"
            '        raise ValueError(f"error tolerance eps={eps!r} outside (0, 1)")\n'
            "    check_nu(nu)\n",
            (RATE_ERROR.format("rate-table --nu 0.3 --eps 2"),)),
@@ -267,6 +268,15 @@ MUTANTS = (
            'f"secular equation not solved in {NEWTON_STEPS} Newton steps")\n',
            "    return s, rest\n",
            ("tests/test_cli.py::test_detect_sim_refuses_an_unsolved_secular_equation",)),
+    # the writer's narrowed domain: a table with a str or bool column refused as CSV before its
+    # handler runs, text the JSON template writes unescaped, and a config list's closing bracket
+    Mutant("cli.py",
+           '        if args.format == "csv" and _FORMATS[name].csv_row is None:\n'
+           '            raise ValueError(f"{name} reports are JSON only; drop --format csv")\n', "",
+           (SCENARIO_ERROR.format("scenario --format csv"),)),
+    Mutant("channels.py", 'so there is nothing to hide"', 'so there is \\"nothing\\" to hide"',
+           ("tests/test_writers.py::test_every_text_the_commands_print_needs_no_json_escape",)),
+    Mutant("cli.py", '+ "\\n    ]"', '+ "\\n  ]"', (GOLDEN.format("rate_table_workload.json"),)),
 )
 
 

@@ -272,11 +272,6 @@ def test_detect_sim_checks_nu_with_an_alpha_grid(nu, capsys):
     assert err == f"qcovert: error: schedule exponent nu={float(nu)!r} outside (0, 1/6)\n"
 
 
-def test_scenario_rejects_csv(tmp_path):
-    code, _ = run(["scenario", "--format", "csv"], tmp_path)
-    assert code == 2
-
-
 def test_detect_sim_schedule_and_fixed_alpha(tmp_path):
     code, path = run(["detect-sim", "--n-grid", "1,2"], tmp_path, "det.csv")
     assert code == 0
@@ -525,8 +520,10 @@ def test_help_errors_and_double_dash_print_as_before(argv, code, out, err, monke
 
 # What a table needs at import only in some calls: argparse (with gettext) for an argv the
 # direct read declines and decimal for an integer grid entry such as 1e4; dataclasses (with
-# copy) and statistics (with fractions) never, since rate-table's Phi^{-1}(eps) is plain math.
-DEFERRED = {"argparse", "gettext", "dataclasses", "copy", "decimal", "fractions", "statistics"}
+# copy) and statistics (with fractions) never, since rate-table's Phi^{-1}(eps) is plain math,
+# and json never, since the writer's text needs no escape.
+DEFERRED = {"argparse", "gettext", "dataclasses", "copy", "decimal", "fractions", "statistics",
+            "json"}
 LAUNCH = """\
 import sys
 {pre}
@@ -561,6 +558,8 @@ LAUNCHES = [
     (["approx-check"], (GOLDEN / "approx_check_default.csv").read_bytes(), set()),
     (["detect-sim"], (GOLDEN / "detect_sim_default.csv").read_bytes(), set()),
     (["scenario"], (GOLDEN / "scenario_default.json").read_bytes(), set()),
+    (["detect-sim", "--scenario", "1", "--n-grid", "1:5:1", "--q", "0.775748", "--nu", "0.118861",
+      "--format", "json"], (GOLDEN / "detect_sim_allenv.json").read_bytes(), set()),
     (["rate-table"], (GOLDEN / "rate_table_default.csv").read_bytes(), {"decimal"}),
     (["rate-table", "--q=0.3", "--n-grid", "1e4"], (RATE_HEAD + RATE_ROW_Q03).encode(),
      {"argparse", "gettext", "decimal"}),
@@ -595,7 +594,7 @@ BARE_LAUNCHES = [
 def test_only_the_e1_block_route_loads_numpy(argv, golden, e1):
     # nothing imported first, as a shell launches qcovert
     added, stdout = _launch(argv)
-    assert {"numpy", "statistics", "fractions"} & added == ({"numpy"} if e1 else set())
+    assert {"numpy", "statistics", "fractions", "json"} & added == ({"numpy"} if e1 else set())
     assert stdout == (GOLDEN / golden).read_bytes()
 
 
@@ -728,6 +727,26 @@ DETECT_ERRORS = [
 @pytest.mark.parametrize("argv, code, err", DETECT_ERRORS,
                          ids=[shlex.join(argv) for argv, *_ in DETECT_ERRORS])
 def test_detect_sim_errors_exit_and_print_as_pinned(argv, code, err, capsys):
+    assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
+
+
+# (argv, exit code, stderr) of bad scenario calls.  --format csv is refused before the q
+# check and before any numerical refusal.
+SCENARIO_ERRORS = [
+    (["scenario", "--format", "csv"], 2, ERR + "scenario reports are JSON only; drop --format csv\n"),
+    (["scenario", "--q", "1.5", "--format", "csv"], 2,
+     ERR + "scenario reports are JSON only; drop --format csv\n"),
+    (["scenario", "--q", "5e-324", "--format", "csv"], 2,
+     ERR + "scenario reports are JSON only; drop --format csv\n"),
+    (["scenario", "--q", "1.5"], 2, ERR + "noise parameter q=1.5 outside [0, 1]\n"),
+    (["scenario", "--q", "5e-324"], 3,
+     FAIL + "ALL_ENV kernel overlap 5e-324 at q=5e-324 is not a positive normal float\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", SCENARIO_ERRORS,
+                         ids=[shlex.join(argv) for argv, *_ in SCENARIO_ERRORS])
+def test_scenario_errors_exit_and_print_as_pinned(argv, code, err, capsys):
     assert (cli.main(argv), *capsys.readouterr()) == (code, "", err)
 
 

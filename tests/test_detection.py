@@ -139,6 +139,9 @@ def test_warden_errors_checks_q_and_scenario_before_any_row():
         warden_errors([31], [0.1], 0.5, 1)
     assert warden_errors([2], [0.3], 0.5, 1) == warden_errors([2], [0.3], 0.5, Scenario.ALL_ENV)
     assert warden_errors([2], [0.3], 0.5, 3.0) == warden_errors([2], [0.3], *E1)
+    # a nan alpha fails the [0, 1] comparison itself
+    with pytest.raises(ValueError, match=r"^alpha=nan outside \[0, 1\]$"):
+        warden_errors([1], [math.nan], 0.5, 3)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 1.0 / 3.0, 0.7, 0.9, 1.0])
