@@ -30,15 +30,16 @@ Each command's output format is built once, at import, by
 ``_table_format``: the CSV header and row template, the JSON row
 template, and the JSON config head with the command's name written in.
 A call fills one ``%`` template per row: a ``float`` column is
-``%.12g`` in CSV and ``%r`` in JSON, an ``int`` column ``%d``, a ``str``
+``%.12g`` in CSV and ``%s`` in JSON, an ``int`` column ``%d``, a ``str``
 column ``"%s"`` in JSON, and only a row's ``bool`` cells are converted,
 in place, one value at a time.  A float column that holds inf or nan
 (each column's scan ends at its first) is converted per value in JSON,
-that column only, to the string the CSV prints.  A table with a ``str``
-or ``bool`` column has no CSV templates, and ``main`` refuses
-``--format csv`` for it before its handler runs.  A JSON config value is
-a scalar or a flat, non-empty list, written by its exact type (``int``,
-``float`` or ``None``) through one dict, ``_SCALAR_TEXT``.  The writer
+that column only, by ``_json_float``, which writes the config's floats
+too.  A table with a ``str`` or ``bool`` column has no CSV templates,
+and ``main`` refuses ``--format csv`` for it before its handler runs.  A
+JSON config value is a scalar or a flat, non-empty list, written by its
+exact type (``int``, ``float`` or ``None``) through one dict,
+``_SCALAR_TEXT``.  The writer
 serves the tables the commands print: at least 2 columns, at least 1
 row, tuple rows, numbers only in CSV, text (cells, column names, config
 keys and the command name) that JSON writes with no escape, and config
@@ -165,21 +166,9 @@ def _json_value(value) -> str:
     return "[\n      " + ",\n      ".join([_SCALAR_TEXT[type(v)](v) for v in value]) + "\n    ]"
 
 
-class _Verbatim(str):
-    """JSON text that a template's ``%r`` field writes as it is."""
-
-    __slots__ = ()
-    __repr__ = str.__str__
-
-
-def _json_float_cell(value: float) -> _Verbatim:
-    """A cell of a float column that holds inf or nan, for that column's ``%r`` field."""
-    return _Verbatim(_json_float(value))
-
-
 # Per column kind: its CSV field (None: the table is JSON only) and its JSON field.
 _KINDS = {
-    float: ("%.12g", "%r"),  # %r of an exact float is float.__repr__
+    float: ("%.12g", "%s"),  # %s of an exact float is float.__repr__
     int: ("%d", "%d"),
     str: (None, '"%s"'),  # text that needs no JSON escape
     bool: (None, "%s"),  # each cell made _BOOL_TEXT first
@@ -244,7 +233,7 @@ def _json_text(form: TableFormat, values: tuple, rows: list) -> str:
     convert = form.json_convert
     for i, cell in form.json_floats:  # each scan ends at its column's first inf or nan
         if not all(map(math.isfinite, map(cell, rows))):
-            convert += ((i, _json_float_cell),)
+            convert += ((i, _json_float),)
     return head + "[\n" + ",\n".join(_filled(form.json_row, convert, rows)) + "\n  ]\n}\n"
 
 

@@ -202,8 +202,9 @@ MUTANTS = (
            '        raise ValueError(f"q={q:g} outside (0, 1)")\n',
            "    alphas = list(alphas)\n",
            (MOMENT_CURVE.format("0.0-0.2"), MOMENT_CURVE.format("1.0-0.2"))),
-    Mutant("detection.py", "blocks = coef_a[lo:hi] * stack[rows[lo:hi]] + coef_d[lo:hi] * stack[0]",
-           "blocks = coef_a[lo:hi] * stack[rows[lo:hi]]",
+    Mutant("detection.py",
+           "blocks = coef_a[lo:hi] * (stack[rows[lo:hi]] * scale) + coef_d[lo:hi] * (stack[0] * scale)",
+           "blocks = coef_a[lo:hi] * (stack[rows[lo:hi]] * scale)",
            ("tests/test_detection.py::test_block_route_matches_dense_oracle[E1_ONLY]",)),
     Mutant("detection.py", "stack[:, 1:, -1] += b * prev[:, :, -1]", "stack[:, 1:, -1] += a * prev[:, :, -1]",
            ("tests/test_detection.py::test_fused_step_carries_every_slot_on_its_own_block[0.5]",)),
@@ -277,6 +278,13 @@ MUTANTS = (
     Mutant("channels.py", 'so there is nothing to hide"', 'so there is \\"nothing\\" to hide"',
            ("tests/test_writers.py::test_every_text_the_commands_print_needs_no_json_escape",)),
     Mutant("cli.py", '+ "\\n    ]"', '+ "\\n  ]"', (GOLDEN.format("rate_table_workload.json"),)),
+    # the E1 blocks' slot-0 term taken without its Dicke scaling, and a JSON float column that
+    # holds inf or nan written by its float text instead of _json_float's string
+    Mutant("detection.py", "coef_d[lo:hi] * (stack[0] * scale)", "coef_d[lo:hi] * stack[0]",
+           (GOLDEN.format("detect_sim_e1_large_n.json"),
+            "tests/test_detection.py::test_block_route_matches_dense_oracle[E1_ONLY]")),
+    Mutant("cli.py", "            convert += ((i, _json_float),)\n", "            pass\n",
+           (GOLDEN.format("detect_sim_allenv.json"),)),
 )
 
 

@@ -276,9 +276,9 @@ def test_monomial_step_broadcasts_over_stacked_matrices():
 
 @pytest.mark.parametrize("q", [1e-6, 0.5, 1.0])
 def test_fused_step_carries_every_slot_on_its_own_block(q):
-    # slot 0 of each degree's stack is Sym^k(omega_0), slot 1 + i row i's
-    # difference Sym^k(omega_a) - Sym^k(omega_0); rows leave the stack
-    # once k passes their n
+    # slot 0 of each degree's stack is M_k(omega_0), slot 1 + i row i's
+    # difference M_k(omega_a) - M_k(omega_0), the monomial matrices that
+    # dicke_scaling(k) takes to Sym^k; rows leave the stack once k passes their n
     block = detection._warden_block(q, Scenario.E1_ONLY)
     a, b, c = block
     ns = np.array([9, 7, 7, 4, 2, 1])
@@ -289,10 +289,11 @@ def test_fused_step_carries_every_slot_on_its_own_block(q):
     assert len(levels) == ns[0] + 1
     for k, stack in enumerate(levels):
         assert stack.shape == (1 + np.count_nonzero(ns >= k), k + 1, k + 1)
-        assert np.array_equal(stack[0], symmetric_power(omega_0, k))
-        for diff, alpha in zip(stack[1:], alphas):
+        sym = stack * dicke_scaling(k)
+        assert np.array_equal(sym[0], symmetric_power(omega_0, k))
+        for diff, alpha in zip(sym[1:], alphas):
             sym_a = symmetric_power(omega_0 + alpha * delta, k)
-            np.testing.assert_allclose(stack[0] + diff, sym_a, rtol=0.0,
+            np.testing.assert_allclose(sym[0] + diff, sym_a, rtol=0.0,
                                        atol=1e-14 * np.linalg.norm(sym_a, 2))
 
 
