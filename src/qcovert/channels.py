@@ -11,11 +11,13 @@ determinants, with no eigensolver.  ``SupportReport`` is a plain
 NamedTuple, built without checks, and is the printed row of ``qcovert
 scenario`` as it stands.  ``_check_q`` checks q where a table takes it:
 here and in ``detection.warden_errors``.
-The warden's states themselves have one closed form, the real block
-``detection._warden_block``.  The dilation, the dense channel, the
-partial-trace route to the marginals and the 50-digit mpmath fields of a
-support report (``mp_support_fields``) are the test oracles in
-``tests/oracles.py``.
+The warden's states enter ``detection.warden_errors`` as one closed form
+per warden route: E1's real block ``detection._warden_block``, ALL_ENV's
+E2 = 0 block formed from q inside ``detection._allenv_errors``, and the
+rule that E2_ONLY, and every warden at q = 0, is blind.  The dilation,
+the dense channel, the partial-trace route to the marginals and the
+50-digit mpmath fields of a support report (``mp_support_fields``) are
+the test oracles in ``tests/oracles.py``.
 """
 
 import math

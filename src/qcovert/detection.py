@@ -18,19 +18,21 @@ C(n, r) - C(n, r-1) times.  Both hypotheses share this block structure,
 so the trace norm of their difference is the multiplicity-weighted sum
 of the blockwise trace norms.
 
-Every warden is one real 2x2 block
-[[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]] at input weight alpha.  The
-E1 marginal has diagonal (1 - q/2, q/2) and coherence (1 - 2 alpha) w;
-the alpha-independent diagonal unitary diag(1, conj(w)/|w|) on every copy
+Each warden route reads its own closed form in q.  E2_ONLY's marginal is
+diag(1 - q/2, q/2) under both hypotheses, and at q = 0 so is every
+warden's: such a warden is blind by rule, T = 0 exactly and no state is
+formed.  The E1 marginal at input weight alpha is the real 2x2 block
+[[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]] of ``_warden_block``: it has
+diagonal (1 - q/2, q/2) and coherence (1 - 2 alpha) w, and the
+alpha-independent diagonal unitary diag(1, conj(w)/|w|) on every copy
 makes it real, c = |w| = sqrt(q (2 - q)/8), and leaves T unchanged.
-E2_ONLY's marginal is diag(1 - q/2, q/2) under both hypotheses, c = 0,
-and a warden with c = 0 is blind: T = 0 exactly.  ALL_ENV's 4x4
-marginals are block diagonal in the E2 register (E2 records whether B
-was flipped by X or Y), and E2 = 1 has weight q/2 under both hypotheses.
-Given E2 = 1 the two states are diagonal in one alpha-independent basis,
-the innocent one pure, so k such copies differ only by the factor
-(1 - alpha)^k on the innocent string.  Given E2 = 0 the block Z_alpha
-has a = 1 - 3q/4, b = q/4 and c = sqrt(ab), so the innocent Z_0 = v v^T,
+ALL_ENV's 4x4 marginals are block diagonal in the E2 register (E2
+records whether B was flipped by X or Y), and E2 = 1 has weight q/2
+under both hypotheses.  Given E2 = 1 the two states are diagonal in one
+alpha-independent basis, the innocent one pure, so k such copies differ
+only by the factor (1 - alpha)^k on the innocent string.  Given E2 = 0
+the block Z_alpha, of the same form, has a = 1 - 3q/4, b = q/4 and
+c = sqrt(a) sqrt(b) (``_allenv_errors``), so the innocent Z_0 = v v^T,
 v = (sqrt(a), sqrt(b)), has rank one, and (1 - alpha)^k Z_alpha^(x m) -
 Z_0^(x m), m = n - k, has a single negative eigenvalue -s_k, in its top
 spin block; the trace fixes the rest of the trace norm:
@@ -108,7 +110,7 @@ from .channels import Scenario, _check_q
 from .covert import _TINY, LN2, _e1_bloch, _willie_divergence
 from .linalg import dicke_scaling
 
-# Qubit wardens (E1_ONLY, E2_ONLY): the largest block at n uses is
+# E1_ONLY (and the blind E2_ONLY): the largest block at n uses is
 # (n+1) x (n+1) and a row costs O(n^4) flops, about 0.015 s at the cap on a
 # 2-core x86-64 host; n = 100 is far enough for the square-root law to show.
 MAX_USES = 100
@@ -122,11 +124,12 @@ NEWTON_STEPS = 60
 # Rows are processed in chunks of CHUNK_ENTRIES // (n + 1)**2 rows, n the
 # chunk's largest (51 rows at n = 100), however long the table is.  The
 # constant bounds the float64 entries of one degree's stack of block
-# differences (4 MB; the stack holds rows + 1 blocks).  While a degree's
-# blocks are formed, the stack it came from, its tap products, the new stack
-# and three block-sized temporaries of the assembly are alive at once, so a
-# chunk's working set is about six times 4 MB: tracemalloc peaks at 25.4 MB
-# in warden_errors([100] * 51, alphas, 0.5, 3), every alpha > 0.
+# differences (4 MB; the stack holds rows + 1 blocks).  ``_sym_levels`` drops
+# the stack it came from and its tap products before it yields, so while a
+# degree's blocks are formed only the new stack and three block-sized
+# temporaries of the assembly are alive: a chunk's working set is about four
+# times 4 MB, and tracemalloc peaks at 17.1 MB in
+# warden_errors([100] * 51, alphas, 0.5, 3), every alpha > 0.
 CHUNK_ENTRIES = 2**19
 
 
@@ -146,19 +149,13 @@ def _pinsker_floor(div_total_bits: float) -> float:
     return 0.5 * (1.0 - math.sqrt(LN2 * div_total_bits / 2.0))
 
 
-def _warden_block(q: float, scenario: Scenario) -> tuple[float, float, float]:
-    """(a, b, c) of the warden's real block [[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]].
+def _warden_block(q: float) -> tuple[float, float, float]:
+    """(a, b, c) of the E1 warden's real block [[a, (1 - 2 alpha) c], [(1 - 2 alpha) c, b]].
 
-    The E1 marginal after the diagonal unitary, ALL_ENV's E2 = 0 block,
-    or E2_ONLY's marginal (c = 0).  This is the one closed form of the
-    warden's single-use states.  c is 0 exactly when the innocent and
-    signal marginals are equal, down to subnormal q: c is 0.5 sqrt(q)
-    times a square root near 1, so no product under a root underflows.
+    The E1 marginal after the diagonal unitary.  c is 0.5 sqrt(q) times a
+    square root near 1, so no product under a root underflows: c > 0 for
+    every q > 0, subnormal q too.
     """
-    if scenario is Scenario.ALL_ENV:
-        return 1.0 - 0.75 * q, 0.25 * q, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)
-    if scenario is Scenario.E2_ONLY:
-        return 1.0 - q / 2.0, q / 2.0, 0.0
     return 1.0 - q / 2.0, q / 2.0, 0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)
 
 
@@ -216,6 +213,7 @@ def _sym_levels(block, alphas, ns):
         stack[:, 1:, -1] += b * prev[:, :, -1]
         stack[1:, 1:, :-1] += np.multiply(prev[0], s, out=taps[1:])
         stack[1:, :-1, -1] += s[..., 0] * prev[0, :, -1]
+        del prev, taps  # only the new stack stays alive while the caller forms its blocks
         yield stack
 
 
@@ -328,14 +326,15 @@ def _secular_root(base: float, d_0: float, amps: list, poles: list) -> tuple[flo
     raise ArithmeticError(f"secular equation not solved in {NEWTON_STEPS} Newton steps")
 
 
-def _allenv_errors(n: int, alpha: float, q: float, c: float) -> tuple[float, float]:
+def _allenv_errors(n: int, alpha: float, q: float) -> tuple[float, float]:
     """(T, E) for ALL_ENV at n uses and weight 0 < alpha <= 1 by the secular equation.
 
-    c is ``_warden_block``'s coherence; see the module docstring for the
-    method.
+    The E2 = 0 block Z_alpha has a = 1 - 3q/4, b = q/4 and c = sqrt(a) sqrt(b),
+    formed here from q alone; see the module docstring for the method.
     """
     half, gap = 0.5 * q, 1.0 - q  # the weight of E2 = 1, and a - b
     root_a, root_b = math.sqrt(1.0 - 0.75 * q), 0.5 * math.sqrt(q)  # q/4 underflows first
+    c = root_a * root_b
     off = (1.0 - 2.0 * alpha) * c
     radius = math.hypot(0.5 * gap, off)  # (mu_+ - mu_-)/2
     mu_p = 0.5 * (1.0 - half) + radius
@@ -396,11 +395,11 @@ def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionRes
     when the hypotheses coincide, +inf for ALL_ENV at alpha > 0
     (omega_alpha leaves the support of omega_0), and n times the closed
     form ``covert._willie_divergence`` for E1_ONLY, its per-q constants
-    ``_e1_bloch`` taken once per table.  A row whose hypotheses differ but
-    whose T is not a positive normal float raises ArithmeticError, as does
-    a row whose E falls more than 1e-12 below its Pinsker floor (a
-    consistency check that no exact T can fail), an E1 row whose E falls below the
-    Fuchs-van de Graaf floor (``_fidelity_floor``) by more than that
+    ``_e1_bloch`` taken once per table, before any block is built.  A row
+    whose hypotheses differ but whose T is not a positive normal float
+    raises ArithmeticError, as does a row whose E falls more than 1e-12
+    below its Pinsker floor (a consistency check that no exact T can
+    fail), an E1 row whose E falls below the Fuchs-van de Graaf floor (``_fidelity_floor``) by more than that
     floor's rounding: there (1 - T)/2 has lost its relative accuracy, and
     an ALL_ENV row whose E is below the normal range, but for the
     orthogonal states at q = alpha = 1, where E is exactly 0.
@@ -423,21 +422,21 @@ def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionRes
             raise ValueError(f"alpha={alpha!r} outside [0, 1]")
     ns = list(map(int, ns))  # a row's n is an int, also for an integral float such as 2.0
 
-    block = _warden_block(q, scenario)
     allenv = scenario is Scenario.ALL_ENV
     # Channel linearity: the response to diag(1-alpha, alpha) is
-    # omega_0 + alpha (omega_1 - omega_0).  At alpha = 0, and at every
-    # alpha when c = 0 (omega_1 == omega_0: E2_ONLY, or q = 0), it is
+    # omega_0 + alpha (omega_1 - omega_0).  At alpha = 0, and at every alpha
+    # when omega_1 == omega_0 (E2_ONLY, or q = 0, -0.0 included), it is
     # omega_0 itself: T = 0 exactly, the budget is 0, and no block is built.
-    blind = block[2] == 0.0
+    blind = scenario is Scenario.E2_ONLY or q == 0.0
     signal = [i for i, alpha in enumerate(alphas) if alpha != 0.0 and not blind]
     dist = [0.0] * len(ns)
     errors = {}  # ALL_ENV's E, from its own sum; every other row's is (1 - T)/2
     if allenv:
-        c = block[2]
         for i in signal:
-            dist[i], errors[i] = _allenv_errors(ns[i], float(alphas[i]), q, c)
+            dist[i], errors[i] = _allenv_errors(ns[i], float(alphas[i]), q)
     elif signal:
+        # E1's per-q constants first: a subnormal q is refused before any eigensolver runs
+        warden, block = _e1_bloch(q), _warden_block(q)
         signal.sort(key=lambda i: -ns[i])
         sig_ns = [ns[i] for i in signal]
         sig_alphas = [float(alphas[i]) for i in signal]
@@ -446,7 +445,6 @@ def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionRes
             part = slice(lo, lo + width)
             for i, t in zip(signal[part], _qubit_distances(block, sig_ns[part], sig_alphas[part])):
                 dist[i] = t
-    warden = None  # the E1 budget's per-q constants, taken at the first signal row
     results = []
     for i, (n, alpha) in enumerate(zip(ns, alphas)):
         # T <= 1 exactly; the sum of the block norms can round a few ulps past it.
@@ -468,8 +466,6 @@ def warden_errors(ns, alphas, q: float, scenario: Scenario) -> list[DetectionRes
                     f"error probability {error!r} at n={n}, alpha={alpha!r} is not a "
                     f"positive normal float")
         else:
-            if warden is None:
-                warden = _e1_bloch(q)
             div_total = n * _willie_divergence(alpha, *warden)
             # (1 - T)/2 loses its relative accuracy as T -> 1: an E below the
             # fidelity floor by more than that floor's rounding is refused

@@ -211,9 +211,9 @@ MUTANTS = (
     Mutant("detection.py", "0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)",
            "0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.25 * q)",
            ("tests/test_channels.py::test_closed_form_marginals_match_dilation[0.5-3]",)),
-    Mutant("detection.py", "0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.75 * q)",
-           "0.5 * math.sqrt(q) * math.sqrt(1.0 - 0.5 * q)",
-           ("tests/test_channels.py::test_closed_form_marginals_match_dilation[0.5-1]",)),
+    Mutant("detection.py", "c = root_a * root_b", "c = math.sqrt(1.0 - 0.5 * q) * root_b",
+           ("tests/test_accuracy.py::test_detect_all_env_t_and_error_match_the_reference[1]",
+            "tests/test_detection.py::test_block_route_matches_dense_oracle[ALL_ENV]")),
     Mutant("channels.py", 'verdict = "trivial" if dist == 0.0 else "nontrivial"',
            'verdict = "nontrivial"',
            ("tests/test_accuracy.py::test_scenario_fields_match_mpmath[E2_ONLY]",
@@ -285,6 +285,15 @@ MUTANTS = (
             "tests/test_detection.py::test_block_route_matches_dense_oracle[E1_ONLY]")),
     Mutant("cli.py", "            convert += ((i, _json_float),)\n", "            pass\n",
            (GOLDEN.format("detect_sim_allenv.json"),)),
+    # the blind rule read from the scenario and q, without its q = 0 half, and the previous
+    # degree's stack and tap products kept alive while the caller forms the degree's blocks
+    Mutant("detection.py", "blind = scenario is Scenario.E2_ONLY or q == 0.0",
+           "blind = scenario is Scenario.E2_ONLY",
+           ("tests/test_accuracy.py::test_detect_budget_is_exactly_zero_without_signal",
+            "tests/test_cli.py::test_negative_zero_input_is_read_as_zero[argv3]")),
+    Mutant("detection.py", "        del prev, taps", "        pass",
+           ("tests/test_detection.py::"
+            "test_an_e1_chunk_holds_one_stack_while_its_blocks_are_formed",)),
 )
 
 

@@ -286,8 +286,8 @@ def willie_marginal(rho, q: float, scenario: Scenario) -> np.ndarray:
 
     Dimension 4 (on E1 (x) E2, index 2*E1 + E2) for ALL_ENV, 2 otherwise.
     This is the ground truth of the warden's states: the tests take every
-    dense omega from it, and check ``detection._warden_block``, the one
-    closed form of those states, against it.
+    dense omega from it, and check each warden route's closed form of
+    those states (E1's ``detection._warden_block``) against it.
     """
     joint = dilated_output(rho, q)
     keep = {

@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from oracles import (
+    _mp_warden_blocks,
     _support_mask,
     basis_marginal_pair,
     depolarize,
@@ -70,21 +72,28 @@ def test_dilation_recovers_channel():
 @pytest.mark.parametrize("scenario", list(Scenario))
 @pytest.mark.parametrize("q", [0.0, 5e-324, 1e-320, 1e-300, 1e-6, *Q_GRID, 1.0])
 def test_closed_form_marginals_match_dilation(scenario, q):
-    """``_warden_block``, the one closed form of the warden's states, against the dilation.
+    """Each warden route's closed form of its states against the dilation.
 
-    Its accuracy where the dilation underflows, and the blind rule, are
+    E1's is ``_warden_block``, ALL_ENV's E2 = 0 block is the 50-digit one
+    behind ``allenv_reference.json``, rounded, and E2_ONLY's is its blind
+    rule, omega_0 == omega_1.  ``_warden_block``'s accuracy where the
+    dilation underflows, and the blind rule in ``warden_errors``, are
     checked in ``test_detection.py::test_warden_block_matches_the_marginals``.
     """
-    a, b, c = detection._warden_block(q, scenario)
     omega_0, omega_1 = basis_marginal_pair(q, scenario)
     if scenario is Scenario.ALL_ENV:
-        # E2 = 0 blocks [[a, +-c], [+-c, b]], E2 = 1 trace q/2 (index 2*E1 + E2)
-        for omega, sign in zip((omega_0, omega_1), (1.0, -1.0)):
-            block = [[a, sign * c], [sign * c, b]]
+        # E2 = 0 blocks Z_0 and Z_1, E2 = 1 trace q/2 (index 2*E1 + E2)
+        with mp.workdps(50):
+            blocks = [_mp_warden_blocks(alpha, mp.mpf(q), scenario)[0] for alpha in (0, 1)]
+        for block, omega in zip(blocks, (omega_0, omega_1)):
+            block = np.array(block.tolist(), dtype=float)  # each entry rounded once
             np.testing.assert_allclose(omega[0::2, 0::2], block, rtol=0.0, atol=1e-15)
             assert np.trace(omega[1::2, 1::2]) == pytest.approx(q / 2.0, rel=0.0, abs=1e-15)
+    elif scenario is Scenario.E2_ONLY:
+        assert np.array_equal(omega_0, omega_1)
     else:
         # the diagonal, and c as the modulus of coherences of opposite sign
+        a, b, c = detection._warden_block(q)
         np.testing.assert_allclose(omega_0.diagonal(), [a, b], rtol=0.0, atol=1e-15)
         assert c == pytest.approx(abs(omega_0[0, 1]), rel=0.0, abs=1e-15)
         assert omega_1[0, 1] == pytest.approx(-omega_0[0, 1], rel=0.0, abs=1e-15)
@@ -96,7 +105,7 @@ def test_dilation_keeps_the_coherence_at_subnormal_q(q):
     omega_0, _ = basis_marginal_pair(q, Scenario.E1_ONLY)
     coherence = abs(omega_0[0, 1])
     assert coherence > 0.0
-    c = detection._warden_block(q, Scenario.E1_ONLY)[2]
+    c = detection._warden_block(q)[2]
     assert coherence == pytest.approx(c, rel=1e-15, abs=0.0)
 
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -190,23 +191,46 @@ def test_all_env_marginals_split_exactly_over_e2():
             assert not np.any(omega[1::2, 0::2])
 
 
-@pytest.mark.parametrize("q", [0.0, 5e-324, 1e-320, 1e-300, 1e-6, 0.5, 1.0])
+@pytest.mark.parametrize("q", [0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-6, 0.5, 1.0])
 def test_warden_block_matches_the_marginals(q):
-    """The real block (a, b, c) that ``warden_errors`` runs on, at the edges of q.
+    """E1's real block (a, b, c) and the blind rule of ``warden_errors``, at the edges of q.
 
     c is checked against 50 digits, also at subnormal q; the entries
     against the dilation are checked in
-    ``test_channels.py::test_closed_form_marginals_match_dilation``.
+    ``test_channels.py::test_closed_form_marginals_match_dilation``.  A row
+    at alpha = 1 has T = 0 and budget 0 exactly when the warden is blind
+    (E2_ONLY, or q = 0); every other row has T > 0 or is refused (exit 3).
     """
+    c = detection._warden_block(q)[2]
+    with mp.workdps(50):
+        exact = mp.sqrt(mp.mpf(q)) / 2 * mp.sqrt(1 - mp.mpf(q) / 2)
+    assert c == pytest.approx(float(exact), rel=1e-15, abs=0.0)
     for scenario in Scenario:
-        c = detection._warden_block(q, scenario)[2]
-        if scenario is not Scenario.E2_ONLY:
-            weight = mp.mpf(3) / 4 if scenario is Scenario.ALL_ENV else mp.mpf(1) / 2
-            with mp.workdps(50):
-                exact = mp.sqrt(q) / 2 * mp.sqrt(1 - weight * q)
-            assert c == pytest.approx(float(exact), rel=1e-15, abs=0.0)
-        # c == 0 is the blind rule; near q = 0 the order of c's factors decides it
-        assert (c == 0.0) == (scenario is Scenario.E2_ONLY or q == 0.0)
+        blind = scenario is Scenario.E2_ONLY or q == 0.0
+        try:
+            (row,) = warden_errors([1], [1.0], q, scenario)
+        except ArithmeticError:
+            assert not blind, scenario
+            continue
+        if blind:
+            assert (row.trace_dist, row.div_total) == (0.0, 0.0), scenario
+        else:
+            assert row.trace_dist > 0.0, scenario
+
+
+def test_an_e1_chunk_holds_one_stack_while_its_blocks_are_formed():
+    # the CHUNK_ENTRIES bound: a full chunk (51 rows at n = 100) peaks at about
+    # four stacks, 17 MB; the previous degree's stack and its tap products, kept
+    # alive across each yield, would take it to 25.4 MB
+    ns, alphas = [100] * 51, [(i + 1) / 51 for i in range(51)]
+    warden_errors(ns, alphas, 0.5, Scenario.E1_ONLY)  # warm: every Dicke scaling is cached
+    tracemalloc.start()
+    try:
+        warden_errors(ns, alphas, 0.5, Scenario.E1_ONLY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_e1_at_the_use_cap_obeys_fidelity_bounds():
@@ -279,7 +303,7 @@ def test_fused_step_carries_every_slot_on_its_own_block(q):
     # slot 0 of each degree's stack is M_k(omega_0), slot 1 + i row i's
     # difference M_k(omega_a) - M_k(omega_0), the monomial matrices that
     # dicke_scaling(k) takes to Sym^k; rows leave the stack once k passes their n
-    block = detection._warden_block(q, Scenario.E1_ONLY)
+    block = detection._warden_block(q)
     a, b, c = block
     ns = np.array([9, 7, 7, 4, 2, 1])
     alphas = np.array([1e-15, 0.3, 1.0, 0.3, 1.0, 1e-15])
